@@ -13,6 +13,7 @@ failure (e.g. filter divergence).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -57,27 +58,16 @@ def _load_json(path: str) -> dict:
 
 
 def _tracker_config(d: dict) -> TrackerConfig:
-    ukf_keys = {"alpha", "beta", "kappa", "process_noise", "measurement_noise"}
-    cfg_keys = {
-        "gate_px",
-        "confirm_hits",
-        "lose_after_misses",
-        "wrap_correction",
-        "mahalanobis_gate",
-        "initial_variance",
-        "jitter_floor",
-    }
+    ukf_keys = {f.name for f in dataclasses.fields(UkfParams)}
+    cfg_keys = {f.name for f in dataclasses.fields(TrackerConfig)} - {"ukf"}
     unknown = set(d) - ukf_keys - cfg_keys
     if unknown:
         raise InputError(f"unknown tracker config keys: {sorted(unknown)}")
+    # JSON arrays arrive as lists; the config dataclasses hold tuples
+    d = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
     try:
-        ukf_kwargs = {k: d[k] for k in ukf_keys & set(d)}
-        if "process_noise" in ukf_kwargs:
-            ukf_kwargs["process_noise"] = tuple(ukf_kwargs["process_noise"])
-        cfg_kwargs = {k: d[k] for k in cfg_keys & set(d)}
-        if "initial_variance" in cfg_kwargs:
-            cfg_kwargs["initial_variance"] = tuple(cfg_kwargs["initial_variance"])
-        return TrackerConfig(ukf=UkfParams(**ukf_kwargs), **cfg_kwargs)
+        ukf = UkfParams(**{k: v for k, v in d.items() if k in ukf_keys})
+        return TrackerConfig(ukf=ukf, **{k: v for k, v in d.items() if k in cfg_keys})
     except ConfigError:
         raise
     except TypeError as exc:
@@ -109,8 +99,6 @@ def _out_dir(path: Optional[str]) -> Path:
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        import dataclasses
-
         scenario = dataclasses.replace(scenario, seed=args.seed)
     out = _out_dir(args.out)
 
@@ -171,8 +159,6 @@ def cmd_track(args: argparse.Namespace) -> int:
         if scenario_path:
             scenario = load_scenario(scenario_path)
             if seed is not None:
-                import dataclasses
-
                 scenario = dataclasses.replace(scenario, seed=int(seed))
             frames = (
                 output

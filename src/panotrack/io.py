@@ -16,9 +16,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .detect import Skeleton, skeleton
 from .exceptions import InputError
-from .geometry import CameraModel
+from .geometry import CameraModel, world_to_image
 from .metrics import ErrorBin, EvalReport
-from .tracker import Track, project_to_image
+from .tracker import Track
 
 
 def read_jsonl(path: str) -> Iterator[dict]:
@@ -68,7 +68,7 @@ def detections_from_record(record: dict) -> list[Skeleton]:
 def tracks_record(frame: int, t: float, tracks: Sequence[Track], cam: CameraModel) -> dict:
     out = []
     for tr in tracks:
-        img = project_to_image(tr.state, cam).neck
+        img = world_to_image(tr.world_position, cam)
         out.append(
             {
                 "id": tr.id,

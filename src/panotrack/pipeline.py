@@ -28,10 +28,10 @@ from .detect import (
     run_tiles,
 )
 from .exceptions import ConfigError
-from .geometry import CameraModel, ImagePoint
+from .geometry import CameraModel, ImagePoint, world_to_image
 from .io import detections_record, tracks_record
 from .sim import Scenario, SyntheticDetector, run_scenario
-from .tracker import PanoTracker, TrackerConfig, TrackStatus, project_to_image
+from .tracker import PanoTracker, TrackerConfig, TrackStatus
 
 logger = logging.getLogger(__name__)
 
@@ -105,7 +105,7 @@ def target_prediction(tracker: PanoTracker, cam: CameraModel) -> Optional[ImageP
     the current target track's projected neck."""
     for track in tracker.tracks:
         if track.is_target and track.status != TrackStatus.LOST:
-            return project_to_image(track.state, cam).neck
+            return world_to_image(track.world_position, cam)
     return None
 
 

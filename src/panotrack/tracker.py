@@ -24,7 +24,13 @@ around the seam.
 Association is global nearest neighbour on the neck column/row: the
 optimal one-to-one assignment (Hungarian) that maximizes the number of
 pairs within the pixel gate and, among those, minimizes the total
-wrap-aware distance.
+wrap-aware distance. Each frame builds one cost matrix: the active
+tracks' necks are projected in a single vectorized call, and the
+distances to all detection necks are formed by broadcasting, with the
+column difference taken the short way around the seam. A detection
+without a neck enters as a NaN row, which never passes the gate. Spawn
+suppression measures unmatched detections against the live tracks'
+necks the same way.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .detect import Detection
-from .exceptions import ConfigError, FilterDivergenceError
+from .exceptions import ConfigError, FilterDivergenceError, GeometryError
 from .geometry import (
     CameraModel,
     ImagePoint,
@@ -48,7 +54,6 @@ from .geometry import (
     localize,
     signed_wrap_diff,
     world_to_image,
-    wrap_distance,
 )
 
 STATE_DIM = 5
@@ -535,8 +540,30 @@ class Assignment:
     unmatched_dets: list[int]
 
 
-def _detection_anchor(det: Detection) -> Optional[ImagePoint]:
-    return det.neck
+def _track_necks(tracks: Sequence[Track], cam: CameraModel) -> np.ndarray:
+    """(n, 2) predicted neck pixels of the tracks, one vectorized
+    projection for all of them."""
+    means = np.array([t.mean for t in tracks]).reshape(-1, STATE_DIM)
+    return _measurement_matrix(means, cam, neck_only=True)
+
+
+def _detection_necks(dets: Sequence[Detection]) -> np.ndarray:
+    """(m, 2) neck pixels of the detections; NaN rows for detections
+    without a neck, so every distance to them is NaN."""
+    necks = np.full((len(dets), 2), np.nan)
+    for j, det in enumerate(dets):
+        neck = det.neck
+        if neck is not None:
+            necks[j] = neck
+    return necks
+
+
+def _wrap_distances(a: np.ndarray, b: np.ndarray, image_width: float) -> np.ndarray:
+    """(len(a), len(b)) distances between two (k, 2) pixel arrays, the
+    column component measured the short way around the seam."""
+    dx = np.abs(a[:, None, 0] - b[None, :, 0]) % image_width
+    dx = np.minimum(dx, image_width - dx)
+    return np.hypot(dx, a[:, None, 1] - b[None, :, 1])
 
 
 def associate(
@@ -555,21 +582,14 @@ def associate(
     matched. Ties are resolved deterministically by the (track, det)
     ordering of the inputs.
     """
-    anchors = [_detection_anchor(d) for d in dets]
-    predicted = [project_to_image(t.state, cam).neck for t in tracks]
-
     n, m = len(tracks), len(dets)
     if n == 0 or m == 0:
         return Assignment([], list(range(n)), list(range(m)))
 
-    cost = np.full((n, m), _FORBIDDEN)
-    for i, pred in enumerate(predicted):
-        for j, anchor in enumerate(anchors):
-            if anchor is None:
-                continue
-            d = wrap_distance(pred, anchor, cam.image_width)
-            if d <= gate:
-                cost[i, j] = d
+    dist = _wrap_distances(
+        _track_necks(tracks, cam), _detection_necks(dets), cam.image_width
+    )
+    cost = np.where(dist <= gate, dist, _FORBIDDEN)  # NaN (no neck) fails the gate
 
     rows, cols = linear_sum_assignment(cost)
     pairs = [(int(i), int(j)) for i, j in zip(rows, cols) if cost[i, j] < _FORBIDDEN]
@@ -629,7 +649,7 @@ class PanoTracker:
             return None
         try:
             w = localize(ankle, neck, self.cam)
-        except Exception:
+        except GeometryError:
             return None
         mean = np.array([w.x, w.y, 0.0, 0.0, w.z])
         _clamp_height(mean)
@@ -733,19 +753,23 @@ class PanoTracker:
             if track.consecutive_misses >= cfg.lose_after_misses:
                 track.status = TrackStatus.LOST
 
-        live = [t for t in self.tracks if t.status != TrackStatus.LOST]
-        predicted_necks = [project_to_image(t.state, self.cam).neck for t in live]
-        for di in assignment.unmatched_dets:
-            anchor = _detection_anchor(dets[di])
-            if anchor is not None and any(
-                wrap_distance(anchor, neck, self.cam.image_width)
-                < cfg.spawn_suppression_px
-                for neck in predicted_necks
-            ):
-                continue  # residual duplicate of someone already tracked
-            spawned = self._spawn(dets[di])
-            if spawned is not None:
-                self.tracks.append(spawned)
+        unmatched = assignment.unmatched_dets
+        if unmatched:
+            live = [t for t in self.tracks if t.status != TrackStatus.LOST]
+            dist = _wrap_distances(
+                _detection_necks([dets[di] for di in unmatched]),
+                _track_necks(live, self.cam),
+                self.cam.image_width,
+            )
+            # a detection near a live track's neck is a residual duplicate
+            # of someone already tracked; NaN (no neck) never suppresses
+            suppressed = (dist < cfg.spawn_suppression_px).any(axis=1)
+            for di, skip in zip(unmatched, suppressed):
+                if skip:
+                    continue
+                spawned = self._spawn(dets[di])
+                if spawned is not None:
+                    self.tracks.append(spawned)
 
         self._maintain_target()
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,8 +6,17 @@ import pytest
 
 from panotrack.cli import main
 from panotrack.io import read_jsonl
+from panotrack.tracker import TrackerConfig, UkfParams
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+
+
+def readme_tracker_config():
+    """The "tracker" block of the README's run-config reference."""
+    text = (ROOT / "README.md").read_text()
+    start = text.index("{", text.index('"tracker": {'))
+    return json.loads(text[start : text.index("}", start) + 1])
 
 
 def short_scenario(tmp_path, duration=2.0, noise=1.0, name="short.json"):
@@ -164,6 +174,25 @@ class TestTrack:
         )
         out = tmp_path / "custom"
         assert main(["track", "--config", str(cfg), "--out", str(out)]) == 0
+
+    def test_every_documented_tracker_key_accepted(self, tmp_path):
+        documented = readme_tracker_config()
+        fields = {f.name for f in dataclasses.fields(UkfParams)}
+        fields |= {f.name for f in dataclasses.fields(TrackerConfig)} - {"ukf"}
+        assert set(documented) == fields
+        scenario = short_scenario(tmp_path)
+        cfg = run_config(tmp_path, scenario, extra={"tracker": documented})
+        out = tmp_path / "documented"
+        assert main(["track", "--config", str(cfg), "--out", str(out)]) == 0
+        # the README shows the defaults, so the output matches a bare run
+        bare = tmp_path / "bare"
+        assert main(["track", "--scenario", str(scenario), "--out", str(bare)]) == 0
+        assert (out / "tracks.jsonl").read_bytes() == (bare / "tracks.jsonl").read_bytes()
+
+    def test_unknown_tracker_key_rejected(self, tmp_path):
+        scenario = short_scenario(tmp_path)
+        cfg = run_config(tmp_path, scenario, extra={"tracker": {"gate": 80.0}})
+        assert main(["track", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
 class TestEval:

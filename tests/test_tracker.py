@@ -399,18 +399,68 @@ class TestAssociate:
                 agent_detection(*world_at_column(rng.uniform(0, 1920), rng.uniform(1.0, 5.0), cam), cam)
                 for _ in range(m)
             ]
-            gate = 300.0
-            res = associate(tracks, dets, cam, gate)
-            cost = np.zeros((n, m))
-            for i, tr in enumerate(tracks):
-                pred = project_to_image(tr.state, cam).neck
-                for j, det in enumerate(dets):
-                    cost[i, j] = wrap_distance(pred, det.neck, cam.image_width)
-            total = sum(cost[i, j] for i, j in res.pairs)
-            assert all(cost[i, j] <= gate for i, j in res.pairs)
-            best = brute_force_assignment(cost, gate)
-            assert len(res.pairs) == best[0]
-            assert total == pytest.approx(best[1], abs=1e-9)
+            assert_matches_brute_force(tracks, dets, cam, gate=300.0)
+
+    def test_matches_brute_force_across_seam_with_neckless(self, cam):
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            n, m = rng.integers(0, 6, 2)
+            tracks = [
+                make_track(*world_at_column(rng.uniform(-40, 40) % 1920, rng.uniform(1.5, 4.0), cam))
+                for _ in range(n)
+            ]
+            dets = []
+            for _ in range(m):
+                det = agent_detection(
+                    *world_at_column(rng.uniform(-40, 40) % 1920, rng.uniform(1.5, 4.0), cam), cam
+                )
+                if rng.random() < 0.3:
+                    det = skeleton(
+                        {k: (j.point.x, j.point.y, 1.0) for k, j in det.joints.items() if k != "neck"}
+                    )
+                dets.append(det)
+            assert_matches_brute_force(tracks, dets, cam, gate=100.0)
+
+    def test_no_tracks(self, cam):
+        dets = [agent_detection(2.0, 0.0, cam), agent_detection(-2.0, 0.0, cam)]
+        res = associate([], dets, cam, gate=150.0)
+        assert res.pairs == [] and res.unmatched_tracks == []
+        assert res.unmatched_dets == [0, 1]
+
+    def test_no_detections(self, cam):
+        res = associate([make_track(2.0, 0.0), make_track(-2.0, 0.0)], [], cam, gate=150.0)
+        assert res.pairs == [] and res.unmatched_dets == []
+        assert res.unmatched_tracks == [0, 1]
+
+    def test_all_detections_neckless(self, cam):
+        tracks = [make_track(2.0, 0.0), make_track(-2.0, 0.0)]
+        dets = [
+            skeleton({"left_ankle": (960, 700), "right_ankle": (965, 700)}),
+            skeleton({"left_hip": (0, 600), "right_hip": (1915, 600)}),
+        ]
+        res = associate(tracks, dets, cam, gate=150.0)
+        assert res.pairs == []
+        assert res.unmatched_tracks == [0, 1] and res.unmatched_dets == [0, 1]
+
+
+def assert_matches_brute_force(tracks, dets, cam, gate):
+    """associate against exhaustive search over a cost matrix built with
+    the scalar projection and scalar wrap distance; neckless detections
+    cost infinity."""
+    n, m = len(tracks), len(dets)
+    res = associate(tracks, dets, cam, gate)
+    cost = np.full((n, m), math.inf)
+    for i, tr in enumerate(tracks):
+        pred = project_to_image(tr.state, cam).neck
+        for j, det in enumerate(dets):
+            if det.neck is not None:
+                cost[i, j] = wrap_distance(pred, det.neck, cam.image_width)
+    assert all(cost[i, j] <= gate for i, j in res.pairs)
+    best = brute_force_assignment(cost, gate)
+    assert len(res.pairs) == best[0]
+    assert sum(cost[i, j] for i, j in res.pairs) == pytest.approx(best[1], abs=1e-9)
+    assert res.unmatched_tracks == sorted(set(range(n)) - {i for i, _ in res.pairs})
+    assert res.unmatched_dets == sorted(set(range(m)) - {j for _, j in res.pairs})
 
 
 def run_walker(
@@ -531,6 +581,47 @@ class TestStep:
         other = agent_detection(-3.0, 1.0, cam)
         tracker.step([det, other], 1 / 30)
         assert len(tracker.tracks) == 2
+
+    def test_seam_duplicate_suppressed_and_distant_one_spawns(self, cam):
+        det = agent_detection(*world_at_column(1918.0, 2.0, cam), cam)
+        tracker = PanoTracker(cam, TrackerConfig())
+        for _ in range(5):
+            tracker.step([det], 1 / 30)
+        assert len(tracker.tracks) == 1
+        assert project_to_image(tracker.tracks[0].state, cam).neck.x == pytest.approx(
+            1918.0, abs=0.5
+        )
+
+        def shifted(dx):
+            return skeleton(
+                {
+                    n: ((j.point.x + dx) % cam.image_width, j.point.y, 1.0)
+                    for n, j in det.joints.items()
+                }
+            )
+
+        # a residual duplicate across the seam, at column 2, must not spawn
+        dup = shifted(4.0)
+        assert dup.neck.x == pytest.approx(2.0, abs=0.5)
+        tracker.step([det, dup], 1 / 30)
+        assert len(tracker.tracks) == 1
+        # 40 px away is beyond the 30 px suppression radius
+        tracker.step([det, shifted(40.0)], 1 / 30)
+        assert len(tracker.tracks) == 2
+
+    @pytest.mark.parametrize("ankle_row", [480.0, 400.0])
+    def test_ankles_at_or_above_horizon_spawn_nothing(self, cam, ankle_row):
+        # row 480 is the horizon of the default camera
+        det = skeleton(
+            {
+                "neck": (960.0, 300.0),
+                "left_ankle": (955.0, ankle_row),
+                "right_ankle": (965.0, ankle_row),
+            }
+        )
+        tracker = PanoTracker(cam, TrackerConfig())
+        assert tracker.step([det], 1 / 30) == []
+        assert tracker.tracks == []
 
     def test_neck_only_keeps_track_confirmed(self, cam):
         cam_w = cam.image_width
