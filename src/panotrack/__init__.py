@@ -3,7 +3,7 @@
 The package splits into:
 
 * ``geometry``: the equirectangular camera model and wrap-aware image math
-* ``detect``: viewport strategies (tiles / roi) and duplicate fusion
+* ``detect``: viewport planning (tiles / roi), dispatch and duplicate fusion
 * ``tracker``: wrap-corrected UKF tracking with global-nearest-neighbour
   association and target maintenance
 * ``sim``: synthetic scenarios acting as detector and ground-truth oracle
@@ -18,12 +18,15 @@ from .detect import (
     RoiConfig,
     Skeleton,
     TileLayout,
+    TilesConfig,
     Viewport,
     build_tiles,
+    cyclic_pairs,
     fuse_duplicates,
     merge_score,
-    run_roi,
-    run_tiles,
+    plan_roi,
+    plan_tiles,
+    run_viewports,
     select_target,
     skeleton,
     torso_bbox,

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .detect import RoiConfig
+from .detect import RoiConfig, TilesConfig
 from .exceptions import ConfigError, FilterDivergenceError, InputError, PanotrackError
 from .geometry import CameraModel, localization_sensitivity
 from .io import (
@@ -33,7 +33,6 @@ from .io import (
 from .metrics import evaluate
 from .pipeline import (
     STRATEGIES,
-    TilesConfig,
     log_latency_percentiles,
     run_offline,
     run_simulated,

@@ -11,6 +11,10 @@ large panorama:
   duplicates. Without a target prediction only the downscaled pass
   runs.
 
+Each strategy is a pure planner that yields the viewports to process
+plus the pairs of viewports whose detections may be duplicates;
+``run_viewports`` executes any such plan.
+
 Duplicates are identified by the containment score of the torso
 bounding boxes: intersection area over the smaller box area. Boxes of
 the same person seen from two viewports contain each other almost
@@ -25,7 +29,8 @@ scale and are de-referenced to full-image coordinates here.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Protocol, Sequence
 
@@ -57,7 +62,10 @@ class Joint(tuple):
     def __new__(cls, point: ImagePoint, confidence: float):
         if not 0.0 <= confidence <= 1.0:
             raise ConfigError(f"confidence must be in [0, 1], got {confidence}")
-        return super().__new__(cls, (ImagePoint(*point), float(confidence)))
+        point = ImagePoint(*point)
+        if not (math.isfinite(point.x) and math.isfinite(point.y)):
+            raise ConfigError(f"joint coordinates must be finite, got {tuple(point)}")
+        return super().__new__(cls, (point, float(confidence)))
 
     @property
     def point(self) -> ImagePoint:
@@ -203,8 +211,8 @@ class DetectorPort(Protocol):
     ``detect`` receives an opaque frame handle plus the viewport to
     process and returns skeletons in viewport-local coordinates at the
     processed scale. Implementations must be deterministic for a fixed
-    (frame, viewport, seed) and tolerate concurrent calls on the same
-    frame.
+    (frame, viewport, seed). Calls are sequential, one per viewport in
+    plan order.
     """
 
     def detect(self, frame, viewport: Viewport) -> list[Skeleton]: ...
@@ -310,28 +318,32 @@ def merge_score(b1: BoundingBox, b2: BoundingBox, image_width: float) -> float:
     return inter / min(b1.area, b2.area)
 
 
-def _adjacent_pairs(n: int) -> set[frozenset[int]]:
-    return {frozenset((i, (i + 1) % n)) for i in range(n)} - {frozenset((0,))}
+# A viewport plan: the viewports to process, in order, and the index
+# pairs of viewports whose detections may be duplicates of each other.
+Plan = tuple[tuple[Viewport, ...], frozenset[frozenset[int]]]
+
+
+def cyclic_pairs(n: int) -> frozenset[frozenset[int]]:
+    """Index pairs (i, i + 1 mod n) of n cyclically ordered viewports."""
+    return frozenset(frozenset((i, (i + 1) % n)) for i in range(n)) - {frozenset((0,))}
 
 
 def fuse_duplicates(
     dets: Sequence[tuple[Skeleton, int]],
-    layout: TileLayout,
+    adjacent: frozenset[frozenset[int]],
+    image_width: float,
     sigma1: float = DEFAULT_MERGE_THRESHOLD,
-    image_width: Optional[float] = None,
 ) -> list[Skeleton]:
-    """Collapse duplicate detections from cyclically adjacent viewports.
+    """Collapse duplicate detections from adjacent viewports.
 
     Args:
         dets: (skeleton, source viewport index) pairs with skeletons
             already in full-image coordinates.
-        layout: the viewport layout the detections came from; only the
-            cyclic adjacency of its viewports is used.
+        adjacent: index pairs of viewports that may see the same
+            person; detections from any other pair never merge.
+        image_width: panorama width, for wrap-aware torso boxes.
         sigma1: containment-score threshold at or above which two boxes
             are considered the same person.
-        image_width: panorama width; defaults to the extent covered by
-            the layout (first viewport origin + per-tile step), and must
-            be supplied when the layout does not span the panorama.
 
     Skeleton pairs whose torso boxes score >= sigma1 are grouped
     transitively (union-find) and each group keeps its most complete
@@ -339,9 +351,6 @@ def fuse_duplicates(
     confidence, then by (viewport index, anchor column) for
     determinism. Output is ordered by (viewport index, anchor column).
     """
-    if image_width is None:
-        vp = layout.viewports[0]
-        image_width = (vp.width - layout.overlap) * layout.n_tiles
     items = list(dets)
     boxes: list[Optional[BoundingBox]] = []
     for sk, _ in items:
@@ -363,7 +372,6 @@ def fuse_duplicates(
         if ri != rj:
             parent[rj] = ri
 
-    allowed = _adjacent_pairs(len(layout.viewports))
     for i in range(len(items)):
         if boxes[i] is None:
             continue
@@ -371,7 +379,7 @@ def fuse_duplicates(
             if boxes[j] is None:
                 continue
             vi, vj = items[i][1], items[j][1]
-            if vi == vj or frozenset((vi, vj)) not in allowed:
+            if vi == vj or frozenset((vi, vj)) not in adjacent:
                 continue
             if merge_score(boxes[i], boxes[j], image_width) >= sigma1:
                 union(i, j)
@@ -400,50 +408,75 @@ def dereference(sk: Skeleton, viewport: Viewport, image_width: float) -> Skeleto
     return Skeleton(joints)
 
 
-def run_tiles(
+def run_viewports(
     frame,
     detector: DetectorPort,
-    layout: TileLayout,
-    cam: CameraModel,
+    viewports: Sequence[Viewport],
+    adjacent: frozenset[frozenset[int]],
+    image_width: float,
     sigma1: float = DEFAULT_MERGE_THRESHOLD,
-    parallel: bool = True,
 ) -> DetectionResult:
-    """Run the detector once per tile and fuse overlap duplicates.
+    """Run the detector once per viewport, in plan order, and fuse
+    duplicates between adjacent viewports.
 
-    Tiles are dispatched concurrently when ``parallel`` is set; results
-    are always collected in tile order, so the output is independent of
-    completion order. A failing tile is reported in ``errors`` while the
-    remaining tiles' detections are still fused and returned.
+    A viewport whose detect call or dereference raises is reported in
+    ``errors``; the other viewports' detections are still returned. A
+    single-viewport plan returns its detections in detector order,
+    unfused.
     """
-    n = len(layout.viewports)
-    results: list[list[Skeleton]] = [[] for _ in range(n)]
+    tagged: list[tuple[Skeleton, int]] = []
     errors: dict[int, str] = {}
-
-    def work(idx: int) -> list[Skeleton]:
-        return detector.detect(frame, layout.viewports[idx])
-
-    if parallel and n > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            futures = [pool.submit(work, i) for i in range(n)]
-        for i, fut in enumerate(futures):
-            try:
-                results[i] = fut.result()
-            except Exception as exc:  # noqa: BLE001 - surfaced per tile
-                errors[i] = f"{type(exc).__name__}: {exc}"
-    else:
-        for i in range(n):
-            try:
-                results[i] = work(i)
-            except Exception as exc:  # noqa: BLE001
-                errors[i] = f"{type(exc).__name__}: {exc}"
-
-    tagged = [
-        (dereference(sk, layout.viewports[i], cam.image_width), i)
-        for i in range(n)
-        for sk in results[i]
-    ]
-    fused = fuse_duplicates(tagged, layout, sigma1, image_width=cam.image_width)
+    for i, vp in enumerate(viewports):
+        try:
+            found = [(dereference(sk, vp, image_width), i) for sk in detector.detect(frame, vp)]
+        except Exception as exc:  # noqa: BLE001 - surfaced per viewport
+            errors[i] = f"{type(exc).__name__}: {exc}"
+        else:
+            tagged.extend(found)
+    if len(viewports) == 1:
+        return DetectionResult(detections=[sk for sk, _ in tagged], errors=errors)
+    fused = fuse_duplicates(tagged, adjacent, image_width, sigma1)
     return DetectionResult(detections=fused, errors=errors)
+
+
+def _finite_number(value) -> bool:
+    # JSON true/false arrive as bools, which are ints to Python
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+@dataclass(frozen=True)
+class TilesConfig:
+    """Settings for the tiles strategy. ``overlap`` None means 150 px
+    scaled to the image width; ``row_range`` None means the +-60 degree
+    elevation band. Bounds that depend on the camera are checked by
+    ``build_tiles``."""
+
+    n_tiles: int = 3
+    overlap: Optional[float] = None
+    merge_threshold: float = DEFAULT_MERGE_THRESHOLD
+    row_range: Optional[tuple[float, float]] = None
+
+    def __post_init__(self) -> None:
+        n = self.n_tiles
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+            raise ConfigError(f"n_tiles must be an integer >= 2, got {n!r}")
+        if not _finite_number(self.merge_threshold) or not 0.0 < self.merge_threshold <= 1.0:
+            raise ConfigError(f"merge threshold must be in (0, 1], got {self.merge_threshold!r}")
+        if self.overlap is not None and not _finite_number(self.overlap):
+            raise ConfigError(f"overlap must be a number, got {self.overlap!r}")
+        if self.row_range is not None and not (
+            isinstance(self.row_range, tuple)
+            and len(self.row_range) == 2
+            and all(_finite_number(v) for v in self.row_range)
+        ):
+            raise ConfigError(f"row range must be two numbers, got {self.row_range!r}")
+
+
+def plan_tiles(cam: CameraModel, cfg: TilesConfig) -> Plan:
+    """The ``build_tiles`` viewports with their cyclic pairs. The plan
+    does not depend on the target prediction."""
+    viewports = build_tiles(cam, cfg.n_tiles, cfg.overlap, cfg.row_range).viewports
+    return viewports, cyclic_pairs(len(viewports))
 
 
 @dataclass(frozen=True)
@@ -491,44 +524,15 @@ def roi_viewport(center: ImagePoint, cam: CameraModel, cfg: RoiConfig) -> Viewpo
     )
 
 
-def run_roi(
-    frame,
-    detector: DetectorPort,
-    target_prediction: Optional[ImagePoint],
-    cam: CameraModel,
-    cfg: RoiConfig = RoiConfig(),
-) -> DetectionResult:
-    """Downscaled full-frame pass plus a full-resolution crop on the
-    predicted target, with duplicate fusion between the two.
-
-    Without a target prediction (first frame, or target lost) only the
-    downscaled pass runs.
-    """
-    full_vp = fullframe_viewport(cam, cfg)
-    viewports = [full_vp]
-    if target_prediction is not None:
-        viewports.append(roi_viewport(target_prediction, cam, cfg))
-
-    results: list[list[Skeleton]] = [[] for _ in viewports]
-    errors: dict[int, str] = {}
-    for i, vp in enumerate(viewports):
-        try:
-            results[i] = detector.detect(frame, vp)
-        except Exception as exc:  # noqa: BLE001
-            errors[i] = f"{type(exc).__name__}: {exc}"
-
-    tagged = [
-        (dereference(sk, viewports[i], cam.image_width), i)
-        for i in range(len(viewports))
-        for sk in results[i]
-    ]
-    if len(viewports) == 1:
-        return DetectionResult(detections=[sk for sk, _ in tagged], errors=errors)
-    pseudo = TileLayout(viewports=tuple(viewports), overlap=0.0, n_tiles=len(viewports))
-    fused = fuse_duplicates(
-        tagged, pseudo, cfg.merge_threshold, image_width=cam.image_width
-    )
-    return DetectionResult(detections=fused, errors=errors)
+def plan_roi(cam: CameraModel, cfg: RoiConfig, prediction: Optional[ImagePoint]) -> Plan:
+    """The downscaled full frame, plus a full-resolution crop on the
+    predicted target paired with it for fusion. Without a prediction
+    (first frame, target lost, or the fullframe strategy) only the
+    downscaled pass is planned."""
+    full = fullframe_viewport(cam, cfg)
+    if prediction is None:
+        return (full,), frozenset()
+    return (full, roi_viewport(prediction, cam, cfg)), cyclic_pairs(2)
 
 
 def select_target(dets: Sequence[Detection], image_width: float) -> Detection:

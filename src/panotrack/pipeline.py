@@ -6,7 +6,7 @@ record and one tracks record are emitted per frame. Memory use is
 independent of the stream length.
 
 Strategies:
-    tiles      overlapping vertical tiles, concurrent dispatch, fusion
+    tiles      overlapping vertical tiles, fusion across the overlaps
     roi        downscaled full frame + full-resolution crop on the target
     fullframe  downscaled full frame only (the naive baseline)
 """
@@ -22,10 +22,10 @@ from .detect import (
     DetectionResult,
     DetectorPort,
     RoiConfig,
-    TileLayout,
-    build_tiles,
-    run_roi,
-    run_tiles,
+    TilesConfig,
+    plan_roi,
+    plan_tiles,
+    run_viewports,
 )
 from .exceptions import ConfigError
 from .geometry import CameraModel, ImagePoint, world_to_image
@@ -36,15 +36,6 @@ from .tracker import PanoTracker, TrackerConfig, TrackStatus
 logger = logging.getLogger(__name__)
 
 STRATEGIES = ("tiles", "roi", "fullframe")
-
-
-@dataclass(frozen=True)
-class TilesConfig:
-    n_tiles: int = 3
-    overlap: Optional[float] = None  # None: 150 px scaled to the image width
-    merge_threshold: float = 0.9
-    row_range: Optional[tuple[float, float]] = None
-    parallel: bool = True
 
 
 @dataclass
@@ -58,8 +49,9 @@ class FrameOutput:
 
 
 class StrategyRunner:
-    """Applies one detection strategy per frame and tracks the target
-    prediction the roi strategy needs."""
+    """Plans each frame's viewports for one detection strategy and runs
+    them through the detector. The tiles plan is fixed, so it is made
+    once; roi plans a crop on the target prediction of each frame."""
 
     def __init__(
         self,
@@ -74,30 +66,19 @@ class StrategyRunner:
         self.strategy = strategy
         self.cam = cam
         self.detector = detector
-        self.tiles_cfg = tiles_cfg
         self.roi_cfg = roi_cfg
-        self.layout: Optional[TileLayout] = None
-        if strategy == "tiles":
-            self.layout = build_tiles(
-                cam,
-                n_tiles=tiles_cfg.n_tiles,
-                overlap=tiles_cfg.overlap,
-                row_range=tiles_cfg.row_range,
-            )
+        self.tiles_plan = plan_tiles(cam, tiles_cfg) if strategy == "tiles" else None
+        self.merge_threshold = (tiles_cfg if strategy == "tiles" else roi_cfg).merge_threshold
 
     def detect(self, frame, target_prediction: Optional[ImagePoint]) -> DetectionResult:
-        if self.strategy == "tiles":
-            return run_tiles(
-                frame,
-                self.detector,
-                self.layout,
-                self.cam,
-                sigma1=self.tiles_cfg.merge_threshold,
-                parallel=self.tiles_cfg.parallel,
-            )
-        if self.strategy == "roi":
-            return run_roi(frame, self.detector, target_prediction, self.cam, self.roi_cfg)
-        return run_roi(frame, self.detector, None, self.cam, self.roi_cfg)
+        if self.tiles_plan is not None:
+            viewports, adjacent = self.tiles_plan
+        else:
+            prediction = target_prediction if self.strategy == "roi" else None
+            viewports, adjacent = plan_roi(self.cam, self.roi_cfg, prediction)
+        return run_viewports(
+            frame, self.detector, viewports, adjacent, self.cam.image_width, self.merge_threshold
+        )
 
 
 def target_prediction(tracker: PanoTracker, cam: CameraModel) -> Optional[ImagePoint]:

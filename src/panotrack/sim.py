@@ -11,7 +11,8 @@ downscaled passes), optionally occludes agents hidden behind nearer
 ones, and perturbs joints with Gaussian pixel noise.
 
 Randomness is drawn from a substream keyed by (seed, frame index,
-viewport), so concurrent tile dispatch cannot reorder it.
+viewport), so a viewport's detections do not depend on which other
+viewports the frame's plan holds or on their order.
 """
 
 from __future__ import annotations
@@ -342,7 +343,7 @@ class SyntheticDetector:
 
     The random substream for each call is derived from (seed, frame
     index, viewport geometry), making the detector deterministic and
-    safe for concurrent per-tile dispatch.
+    independent of the order in which viewports are processed.
     """
 
     def __init__(

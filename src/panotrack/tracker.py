@@ -38,6 +38,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -139,6 +140,11 @@ class TrackerConfig:
             raise ConfigError(f"initial variance needs {STATE_DIM} entries")
         if self.spawn_suppression_px < 0:
             raise ConfigError("spawn suppression radius must be >= 0")
+        gate = self.mahalanobis_gate
+        if gate is not None and (
+            isinstance(gate, bool) or not isinstance(gate, numbers.Real) or not gate >= 0
+        ):
+            raise ConfigError(f"mahalanobis gate must be null or a number >= 0, got {gate!r}")
 
 
 class TrackStatus(str, enum.Enum):

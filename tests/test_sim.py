@@ -146,14 +146,14 @@ class TestDetectability:
         assert len(out) == 1
 
     def test_roi_pass_sees_six_meter_target_fullframe_does_not(self, cam):
-        from panotrack.detect import RoiConfig, run_roi
+        from panotrack.detect import RoiConfig, plan_roi, run_viewports
 
         state = make_state(6.0, 0.0)
         det = SyntheticDetector(NoiseModel(), DetectabilityConfig(48), seed=0)
         snap = snapshot(cam, state)
         neck = project_agent(state, cam).neck
-        with_roi = run_roi(snap, det, neck, cam, RoiConfig())
-        without = run_roi(snap, det, None, cam, RoiConfig())
+        with_roi = run_viewports(snap, det, *plan_roi(cam, RoiConfig(), neck), cam.image_width)
+        without = run_viewports(snap, det, *plan_roi(cam, RoiConfig(), None), cam.image_width)
         assert len(with_roi.detections) == 1
         assert len(without.detections) == 0
 
