@@ -17,7 +17,6 @@ from .detect import (
     DetectorPort,
     RoiConfig,
     Skeleton,
-    TileLayout,
     TilesConfig,
     Viewport,
     build_tiles,
@@ -69,8 +68,6 @@ from .sim import (
     run_scenario,
 )
 from .tracker import (
-    FullBodyMeasurement,
-    NeckOnlyMeasurement,
     PanoTracker,
     Track,
     TrackerConfig,
@@ -78,10 +75,7 @@ from .tracker import (
     TrackStatus,
     UkfParams,
     associate,
-    predict,
     project_to_image,
-    update,
-    wrap_correct,
 )
 
 __version__ = "0.1.0"

@@ -147,6 +147,19 @@ def cmd_track(args: argparse.Namespace) -> int:
     tiles_cfg = _tiles_config(config.get("tiles", {}))
     roi_cfg = _roi_config(config.get("roi", {}))
 
+    # every check that needs no frame runs before the outputs open
+    if scenario_path:
+        scenario = load_scenario(scenario_path)
+        if seed is not None:
+            scenario = dataclasses.replace(scenario, seed=int(seed))
+        frames = (
+            output
+            for output, _ in run_simulated(scenario, strategy, tracker_cfg, tiles_cfg, roi_cfg)
+        )
+    else:
+        camera = CameraModel.from_dict(config.get("camera", {}))
+        frames = run_offline(read_jsonl(detections_path), camera, tracker_cfg)
+
     detections_file = out / "detections.jsonl"
     tracks_file = out / "tracks.jsonl"
     latencies: list[float] = []
@@ -155,19 +168,6 @@ def cmd_track(args: argparse.Namespace) -> int:
     with open(detections_file, "w", encoding="utf-8") as det_fh, open(
         tracks_file, "w", encoding="utf-8"
     ) as trk_fh:
-        if scenario_path:
-            scenario = load_scenario(scenario_path)
-            if seed is not None:
-                scenario = dataclasses.replace(scenario, seed=int(seed))
-            frames = (
-                output
-                for output, _ in run_simulated(
-                    scenario, strategy, tracker_cfg, tiles_cfg, roi_cfg
-                )
-            )
-        else:
-            camera = CameraModel.from_dict(config.get("camera", {}))
-            frames = run_offline(read_jsonl(detections_path), camera, tracker_cfg)
         for output in frames:
             det_fh.write(json.dumps(output.detections) + "\n")
             trk_fh.write(json.dumps(output.tracks) + "\n")

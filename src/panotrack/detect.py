@@ -195,16 +195,6 @@ class Viewport:
         return offset < self.width
 
 
-@dataclass(frozen=True)
-class TileLayout:
-    """Ordered viewports covering the panorama; cyclically adjacent
-    viewports share ``overlap`` pixels in x."""
-
-    viewports: tuple[Viewport, ...]
-    overlap: float
-    n_tiles: int
-
-
 class DetectorPort(Protocol):
     """Injected skeleton detector.
 
@@ -248,7 +238,7 @@ def build_tiles(
     n_tiles: int = 3,
     overlap: Optional[float] = None,
     row_range: Optional[tuple[float, float]] = None,
-) -> TileLayout:
+) -> tuple[Viewport, ...]:
     """Plan n equal vertical tiles with cyclic pairwise overlap.
 
     Tile i spans columns [i * W/n, (i + 1) * W/n + overlap); the last
@@ -271,7 +261,7 @@ def build_tiles(
     if not 0 <= y0 < y1 <= cam.image_height:
         raise ConfigError(f"row range {row_range} outside image")
     step = cam.image_width / n_tiles
-    viewports = tuple(
+    return tuple(
         Viewport(
             origin_x=(i * step) % cam.image_width,
             origin_y=y0,
@@ -281,7 +271,6 @@ def build_tiles(
         )
         for i in range(n_tiles)
     )
-    return TileLayout(viewports=viewports, overlap=overlap, n_tiles=n_tiles)
 
 
 def torso_bbox(sk: Skeleton, image_width: float) -> BoundingBox:
@@ -475,7 +464,7 @@ class TilesConfig:
 def plan_tiles(cam: CameraModel, cfg: TilesConfig) -> Plan:
     """The ``build_tiles`` viewports with their cyclic pairs. The plan
     does not depend on the target prediction."""
-    viewports = build_tiles(cam, cfg.n_tiles, cfg.overlap, cfg.row_range).viewports
+    viewports = build_tiles(cam, cfg.n_tiles, cfg.overlap, cfg.row_range)
     return viewports, cyclic_pairs(len(viewports))
 
 
@@ -498,9 +487,16 @@ class RoiConfig:
 
 
 def fullframe_viewport(cam: CameraModel, cfg: RoiConfig) -> Viewport:
+    """The downscaled full-frame pass. Checks every roi size against
+    the camera, so a run can make it once before its first frame."""
     scale = cfg.full_width / cam.image_width
     if scale > 1.0:
         raise ConfigError("processed full-frame size exceeds the native size")
+    if cfg.roi_width > cam.image_width or cfg.roi_height > cam.image_height:
+        raise ConfigError(
+            f"roi crop {cfg.roi_width}x{cfg.roi_height} exceeds the "
+            f"{cam.image_width}x{cam.image_height} image"
+        )
     return Viewport(
         origin_x=0.0,
         origin_y=0.0,
@@ -524,12 +520,13 @@ def roi_viewport(center: ImagePoint, cam: CameraModel, cfg: RoiConfig) -> Viewpo
     )
 
 
-def plan_roi(cam: CameraModel, cfg: RoiConfig, prediction: Optional[ImagePoint]) -> Plan:
-    """The downscaled full frame, plus a full-resolution crop on the
-    predicted target paired with it for fusion. Without a prediction
-    (first frame, target lost, or the fullframe strategy) only the
-    downscaled pass is planned."""
-    full = fullframe_viewport(cam, cfg)
+def plan_roi(
+    full: Viewport, cam: CameraModel, cfg: RoiConfig, prediction: Optional[ImagePoint]
+) -> Plan:
+    """The downscaled full frame ``full`` (from ``fullframe_viewport``),
+    plus a full-resolution crop on the predicted target paired with it
+    for fusion. Without a prediction (first frame, target lost, or the
+    fullframe strategy) only the downscaled pass is planned."""
     if prediction is None:
         return (full,), frozenset()
     return (full, roi_viewport(prediction, cam, cfg)), cyclic_pairs(2)

@@ -23,6 +23,7 @@ from .detect import (
     DetectorPort,
     RoiConfig,
     TilesConfig,
+    fullframe_viewport,
     plan_roi,
     plan_tiles,
     run_viewports,
@@ -50,8 +51,10 @@ class FrameOutput:
 
 class StrategyRunner:
     """Plans each frame's viewports for one detection strategy and runs
-    them through the detector. The tiles plan is fixed, so it is made
-    once; roi plans a crop on the target prediction of each frame."""
+    them through the detector. The tiles plan and the downscaled full
+    frame are fixed, so they are made, and their sizes checked against
+    the camera, once; roi plans a crop on the target prediction of each
+    frame."""
 
     def __init__(
         self,
@@ -67,15 +70,19 @@ class StrategyRunner:
         self.cam = cam
         self.detector = detector
         self.roi_cfg = roi_cfg
-        self.tiles_plan = plan_tiles(cam, tiles_cfg) if strategy == "tiles" else None
-        self.merge_threshold = (tiles_cfg if strategy == "tiles" else roi_cfg).merge_threshold
+        if strategy == "tiles":
+            self.tiles_plan = plan_tiles(cam, tiles_cfg)
+            self.merge_threshold = tiles_cfg.merge_threshold
+        else:
+            self.full = fullframe_viewport(cam, roi_cfg)
+            self.merge_threshold = roi_cfg.merge_threshold
 
     def detect(self, frame, target_prediction: Optional[ImagePoint]) -> DetectionResult:
-        if self.tiles_plan is not None:
+        if self.strategy == "tiles":
             viewports, adjacent = self.tiles_plan
         else:
             prediction = target_prediction if self.strategy == "roi" else None
-            viewports, adjacent = plan_roi(self.cam, self.roi_cfg, prediction)
+            viewports, adjacent = plan_roi(self.full, self.cam, self.roi_cfg, prediction)
         return run_viewports(
             frame, self.detector, viewports, adjacent, self.cam.image_width, self.merge_threshold
         )
@@ -99,13 +106,20 @@ def run_simulated(
     seed: Optional[int] = None,
 ) -> Iterator[tuple[FrameOutput, Optional[dict]]]:
     """Run strategy + tracker over a scenario, yielding per-frame
-    outputs paired with the ground-truth record (None off-schedule)."""
+    outputs paired with the ground-truth record (None off-schedule).
+    The runner and tracker are built, and their configs checked, when
+    this is called; the frames are produced lazily."""
     if seed is not None and seed != scenario.seed:
         scenario = dataclass_replace_seed(scenario, seed)
-    cam = scenario.cam
     detector = SyntheticDetector.for_scenario(scenario)
-    runner = StrategyRunner(strategy, cam, detector, tiles_cfg, roi_cfg)
-    tracker = PanoTracker(cam, tracker_cfg)
+    runner = StrategyRunner(strategy, scenario.cam, detector, tiles_cfg, roi_cfg)
+    return _simulated_frames(scenario, runner, PanoTracker(scenario.cam, tracker_cfg))
+
+
+def _simulated_frames(
+    scenario: Scenario, runner: StrategyRunner, tracker: PanoTracker
+) -> Iterator[tuple[FrameOutput, Optional[dict]]]:
+    cam = scenario.cam
     dt = 1.0 / scenario.fps
     prediction = None
     for snapshot, gt in run_scenario(scenario):

@@ -6,6 +6,18 @@ a full covariance, propagated by a constant-velocity model and updated
 against pixel measurements of the ankle midpoint and neck (or the neck
 alone when the ankles are occluded).
 
+The filter has one batched core: ``predict`` propagates a list of
+tracks and ``update`` corrects a list of tracks against an (n, d)
+measurement array, in one set of numpy calls each. A measurement is a
+sequence of (column, row) pixel pairs: d = 4 for the ankle midpoint
+and neck, d = 2 for the neck alone. Its seam columns are therefore the
+even entries, (0, 2) for d = 4 and (0,) for d = 2. ``PanoTracker.step``
+groups its matches by d, so it calls ``update`` at most twice a frame.
+Every track keeps the Cholesky factor of its covariance, set at spawn
+and stored with each posterior; a posterior that is non-finite, or
+whose covariance no jitter repairs, is not stored and the track is
+reported as diverged.
+
 The panorama's horizontal periodicity enters the filter in the
 measurement space only. Near the seam, the sigma points' image
 projections fall on both sides of the panorama; averaging the raw
@@ -46,7 +58,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .detect import Detection
+from .detect import Detection, _finite_number
 from .exceptions import ConfigError, FilterDivergenceError, GeometryError
 from .geometry import (
     CameraModel,
@@ -61,6 +73,28 @@ STATE_DIM = 5
 H_N_RANGE = (0.5, 2.5)
 
 _FORBIDDEN = 1e12  # assignment cost for gated-out pairs
+
+
+def _check_number(name: str, value, low: Optional[float] = None, strict: bool = False) -> None:
+    """Raise ConfigError unless value is a finite real (not a bool)
+    and, when low is given, above it (strict) or at least it."""
+    if not _finite_number(value) or (
+        low is not None and (value <= low if strict else value < low)
+    ):
+        bound = "" if low is None else f" {'>' if strict else '>='} {low:g}"
+        raise ConfigError(f"{name} must be a finite number{bound}, got {value!r}")
+
+
+def _check_variances(name: str, values, strict: bool) -> None:
+    if not isinstance(values, tuple) or len(values) != STATE_DIM:
+        raise ConfigError(f"{name} needs a tuple of {STATE_DIM} numbers, got {values!r}")
+    for v in values:
+        _check_number(name, v, 0.0, strict)
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,12 +115,11 @@ class UkfParams:
     measurement_noise: float = 4.0  # pixel variance per measured coordinate
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
-        if len(self.process_noise) != STATE_DIM:
-            raise ConfigError(f"process noise needs {STATE_DIM} entries")
-        if any(q < 0 for q in self.process_noise) or self.measurement_noise <= 0:
-            raise ConfigError("noise variances must be positive")
+        _check_number("alpha", self.alpha, 0.0, strict=True)
+        _check_number("beta", self.beta)
+        _check_number("kappa", self.kappa)
+        _check_variances("process noise", self.process_noise, strict=False)
+        _check_number("measurement noise", self.measurement_noise, 0.0, strict=True)
         lam = self.alpha**2 * (STATE_DIM + self.kappa) - STATE_DIM
         if STATE_DIM + lam <= 0:
             raise ConfigError("alpha/kappa give a non-positive sigma spread")
@@ -132,19 +165,14 @@ class TrackerConfig:
     spawn_suppression_px: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.gate_px <= 0:
-            raise ConfigError("gate must be positive")
-        if self.confirm_hits < 1 or self.lose_after_misses < 1:
-            raise ConfigError("lifecycle constants must be >= 1")
-        if len(self.initial_variance) != STATE_DIM:
-            raise ConfigError(f"initial variance needs {STATE_DIM} entries")
-        if self.spawn_suppression_px < 0:
-            raise ConfigError("spawn suppression radius must be >= 0")
-        gate = self.mahalanobis_gate
-        if gate is not None and (
-            isinstance(gate, bool) or not isinstance(gate, numbers.Real) or not gate >= 0
-        ):
-            raise ConfigError(f"mahalanobis gate must be null or a number >= 0, got {gate!r}")
+        _check_number("gate", self.gate_px, 0.0, strict=True)
+        _check_count("confirm_hits", self.confirm_hits)
+        _check_count("lose_after_misses", self.lose_after_misses)
+        _check_variances("initial variance", self.initial_variance, strict=True)
+        _check_number("jitter floor", self.jitter_floor, 0.0, strict=True)
+        _check_number("spawn suppression radius", self.spawn_suppression_px, 0.0)
+        if self.mahalanobis_gate is not None:
+            _check_number("mahalanobis gate", self.mahalanobis_gate, 0.0)
 
 
 class TrackStatus(str, enum.Enum):
@@ -169,30 +197,6 @@ class TrackState:
         return cls(*(float(v) for v in a))
 
 
-@dataclass(frozen=True)
-class FullBodyMeasurement:
-    ankle_mid: ImagePoint
-    neck: ImagePoint
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.ankle_mid.x, self.ankle_mid.y, self.neck.x, self.neck.y])
-
-    column_indices = (0, 2)
-
-
-@dataclass(frozen=True)
-class NeckOnlyMeasurement:
-    neck: ImagePoint
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.neck.x, self.neck.y])
-
-    column_indices = (0,)
-
-
-Measurement = FullBodyMeasurement | NeckOnlyMeasurement
-
-
 @dataclass
 class Track:
     id: int
@@ -204,7 +208,8 @@ class Track:
     frames_since_update: int = 0
     is_target: bool = False
     age: int = 0
-    # Cholesky factor of `covariance`, maintained by predict/update
+    # Cholesky factor of `covariance`: set at spawn, stored with every
+    # posterior, and required by predict and update
     cov_factor: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
@@ -217,36 +222,22 @@ class Track:
 
 
 def unwrap_columns(xs: np.ndarray, image_width: float) -> np.ndarray:
-    """Shift columns that fell on the low side of the seam up by one
-    image width, whenever the raw column spread exceeds half the
-    width. Valid because any one person's projections span far less
-    than half the panorama."""
+    """Along the last axis, shift columns that fell on the low side of
+    the seam up by one image width, wherever the raw column spread
+    exceeds half the width. Valid because any one person's projections
+    span far less than half the panorama."""
     xs = np.asarray(xs, dtype=float)
-    if xs.size and float(xs.max() - xs.min()) > image_width / 2.0:
-        return np.where(xs < image_width / 2.0, xs + image_width, xs)
-    return xs
+    half = image_width / 2.0
+    split = (xs.max(axis=-1) - xs.min(axis=-1)) > half
+    return np.where(split[..., None] & (xs < half), xs + image_width, xs)
 
 
-def wrap_correct(
-    points: Sequence[ImagePoint], image_width: float
-) -> tuple[list[ImagePoint], ImagePoint]:
-    """Seam-correct a cloud of image points: returns the unwrapped
-    points and their mean with the column reduced into [0, width)."""
-    if not points:
-        raise ConfigError("wrap_correct needs at least one point")
-    xs = unwrap_columns(np.array([p.x for p in points]), image_width)
-    ys = np.array([p.y for p in points])
-    shifted = [ImagePoint(float(x), float(p.y)) for x, p in zip(xs, points)]
-    mean = ImagePoint(float(xs.mean()) % image_width, float(ys.mean()))
-    return shifted, mean
-
-
-def project_to_image(state: TrackState, cam: CameraModel) -> FullBodyMeasurement:
-    """Predicted pixel measurement of a track state: the ankle midpoint
-    at the camera's ankle-plane height and the neck at h_n."""
+def project_to_image(state: TrackState, cam: CameraModel) -> tuple[ImagePoint, ImagePoint]:
+    """(ankle midpoint, neck) pixels of a track state: the ankle
+    midpoint at the camera's ankle-plane height and the neck at h_n."""
     ankle = world_to_image(WorldPoint(state.x, state.y, cam.ankle_height), cam)
     neck = world_to_image(WorldPoint(state.x, state.y, state.h_n), cam)
-    return FullBodyMeasurement(ankle_mid=ankle, neck=neck)
+    return ankle, neck
 
 
 def _measurement_matrix(
@@ -284,84 +275,93 @@ def _spd_factor(cov: np.ndarray, jitter_floor: float) -> tuple[np.ndarray, np.nd
     raise FilterDivergenceError("covariance is not positive definite")
 
 
-def _track_factor(track: Track, jitter_floor: float) -> np.ndarray:
-    """Cholesky factor of the track covariance, reusing the cached one
-    when predict/update already verified it."""
-    if track.cov_factor is None:
-        track.covariance, track.cov_factor = _spd_factor(track.covariance, jitter_floor)
-    return track.cov_factor
-
-
-def _sigma_points_from_factor(mean: np.ndarray, root: np.ndarray, scale: float) -> np.ndarray:
-    """(2n+1, n) scaled sigma points around the mean."""
-    offsets = scale * root.T  # rows are scaled covariance-root directions
-    return np.vstack([mean, mean + offsets, mean - offsets])
-
-
-def _sigma_points(mean: np.ndarray, cov: np.ndarray, scale: float, jitter_floor: float) -> np.ndarray:
-    _, root = _spd_factor(cov, jitter_floor)
-    return _sigma_points_from_factor(mean, root, scale)
-
-
-def predicted_measurement(
-    track: Track,
-    cam: CameraModel,
-    params: UkfParams,
-    neck_only: bool = False,
-    wrap_correction: bool = True,
-    jitter_floor: float = 1e-9,
-) -> np.ndarray:
-    """The measurement the filter expects for a track: the weighted mean
-    of the sigma-point projections, with columns seam-corrected (when
-    enabled) and reduced into [0, width)."""
-    wm, _, scale = params.weights()
-    pts = _sigma_points(track.mean, track.covariance, scale, jitter_floor)
-    z_pts = _measurement_matrix(pts, cam, neck_only)
-    cols = (0,) if neck_only else (0, 2)
-    if wrap_correction:
-        for col in cols:
-            z_pts[:, col] = unwrap_columns(z_pts[:, col], cam.image_width)
-    z = wm @ z_pts
-    for col in cols:
-        z[col] = z[col] % cam.image_width
-    return z
+def _sigma_points(means: np.ndarray, factors: np.ndarray, scale: float) -> np.ndarray:
+    """(n, 2k+1, k) scaled sigma points around n means of dimension k,
+    from the (n, k, k) Cholesky factors of their covariances."""
+    offsets = scale * factors.transpose(0, 2, 1)  # rows: scaled root directions
+    center = means[:, None, :]
+    return np.concatenate([center, center + offsets, center - offsets], axis=1)
 
 
 def _clamp_height(mean: np.ndarray) -> None:
     mean[4] = min(max(mean[4], H_N_RANGE[0]), H_N_RANGE[1])
 
 
-def predict(track: Track, dt: float, params: UkfParams, jitter_floor: float = 1e-9) -> None:
-    """Constant-velocity propagation of the track state and covariance
-    through sigma points, plus process noise scaled by dt. Raises
-    FilterDivergenceError when the covariance cannot be repaired."""
+def _store_posterior(
+    tracks: Sequence[Track],
+    means: np.ndarray,
+    covs: np.ndarray,
+    store: Sequence[bool],
+    jitter_floor: float,
+) -> list[int]:
+    """Store each posterior flagged in ``store`` on its track, with the
+    Cholesky factor of its symmetrized covariance: one batched
+    factorization, or a jitter repair per track when any member of the
+    stack fails. Returns the indices of tracks that diverged, whose
+    posterior is non-finite or cannot be repaired; nothing is stored
+    for them."""
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
+    try:
+        roots = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        roots = None
+    diverged: list[int] = []
+    for i, t in enumerate(tracks):
+        if not store[i]:
+            continue
+        if not finite[i]:
+            diverged.append(i)
+            continue
+        if roots is not None:
+            cov, root = covs[i], roots[i]
+        else:
+            try:
+                cov, root = _spd_factor(covs[i], jitter_floor)
+            except FilterDivergenceError:
+                diverged.append(i)
+                continue
+        t.mean, t.covariance, t.cov_factor = means[i], cov, root
+        _clamp_height(t.mean)
+    return diverged
+
+
+def predict(
+    tracks: Sequence[Track], dt: float, params: UkfParams, jitter_floor: float = 1e-9
+) -> list[int]:
+    """Constant-velocity propagation of every track's state and
+    covariance through sigma points, plus process noise scaled by dt.
+    Returns the indices of tracks that diverged (left unchanged)."""
     if dt <= 0:
         raise ConfigError(f"dt must be positive, got {dt}")
+    if not tracks:
+        return []
     wm, wc, scale = params.weights()
-    pts = _sigma_points_from_factor(
-        track.mean, _track_factor(track, jitter_floor), scale
+    pts = _sigma_points(
+        np.stack([t.mean for t in tracks]), np.stack([t.cov_factor for t in tracks]), scale
     )
-    pts[:, 0] += pts[:, 2] * dt
-    pts[:, 1] += pts[:, 3] * dt
-    mean = wm @ pts
-    d = pts - mean
-    cov = d.T @ (wc[:, None] * d) + params._process_noise_diag * dt
-    track.mean = mean
-    _clamp_height(track.mean)
-    track.covariance, track.cov_factor = _spd_factor(cov, jitter_floor)
+    pts[:, :, 0] += pts[:, :, 2] * dt
+    pts[:, :, 1] += pts[:, :, 3] * dt
+    means = np.einsum("w,nwd->nd", wm, pts)
+    d = pts - means[:, None, :]
+    covs = np.einsum("w,nwi,nwj->nij", wc, d, d) + params._process_noise_diag * dt
+    return _store_posterior(tracks, means, covs, [True] * len(tracks), jitter_floor)
 
 
 def update(
-    track: Track,
-    meas: Measurement,
+    tracks: Sequence[Track],
+    z_obs: np.ndarray,
     cam: CameraModel,
     params: UkfParams,
     wrap_correction: bool = True,
     mahalanobis_gate: Optional[float] = None,
     jitter_floor: float = 1e-9,
-) -> bool:
-    """UKF measurement update; returns False when the innovation fails
-    the configured Mahalanobis bound (state left untouched).
+) -> tuple[list[bool], list[int]]:
+    """UKF measurement update of track i against row i of the (n, d)
+    measurement array, d = 4 (ankle midpoint, neck) or d = 2 (neck).
+    Returns per-track acceptance flags, False where the innovation
+    fails the Mahalanobis bound (that track is left untouched), and the
+    indices of accepted tracks that diverged (also left untouched).
 
     With wrap correction on, predicted-measurement sigma columns are
     unwrapped before the moments are formed and the innovation columns
@@ -369,174 +369,41 @@ def update(
     and plain differences are used (the behaviour of a tracker unaware
     of the panorama seam).
     """
-    neck_only = isinstance(meas, NeckOnlyMeasurement)
-    wm, wc, scale = params.weights()
-    pts = _sigma_points_from_factor(
-        track.mean, _track_factor(track, jitter_floor), scale
-    )
-    z_pts = _measurement_matrix(pts, cam, neck_only)
-
-    if wrap_correction:
-        for col in meas.column_indices:
-            z_pts[:, col] = unwrap_columns(z_pts[:, col], cam.image_width)
-
-    z_pred = wm @ z_pts
-    dz = z_pts - z_pred
-    s_cov = dz.T @ (wc[:, None] * dz) + params._measurement_cov[len(z_pred)]
-    t_cov = (pts - track.mean).T @ (wc[:, None] * dz)
-
-    z_obs = meas.vector()
-    innovation = z_obs - z_pred
-    if wrap_correction:
-        for col in meas.column_indices:
-            innovation[col] = signed_wrap_diff(z_obs[col], z_pred[col], cam.image_width)
-
-    # one solve yields both the whitened innovation and the Kalman gain
-    solved = np.linalg.solve(s_cov, np.column_stack([innovation, t_cov.T]))
-    if mahalanobis_gate is not None and float(innovation @ solved[:, 0]) > mahalanobis_gate:
-        return False
-
-    gain = solved[:, 1:].T
-    track.mean = track.mean + gain @ innovation
-    _clamp_height(track.mean)
-    cov = track.covariance - gain @ s_cov @ gain.T
-    track.covariance, track.cov_factor = _spd_factor(cov, jitter_floor)
-    return True
-
-
-def _batched_predict(
-    tracks: list[Track], dt: float, params: UkfParams, jitter_floor: float
-) -> list[int]:
-    """Vectorized predict over all tracks at once (numerically identical
-    math to ``predict``, one set of numpy calls for the whole stack).
-    Returns the indices of tracks whose covariance could not be kept
-    positive definite."""
-    if not tracks:
-        return []
-    wm, wc, scale = params.weights()
-    means = np.stack([t.mean for t in tracks])
-    diverged: list[int] = []
-
-    if all(t.cov_factor is not None for t in tracks):
-        factors = np.stack([t.cov_factor for t in tracks])
-    else:
-        factors = np.empty((len(tracks), STATE_DIM, STATE_DIM))
-        for i, t in enumerate(tracks):
-            try:
-                factors[i] = _track_factor(t, jitter_floor)
-            except FilterDivergenceError:
-                diverged.append(i)
-                factors[i] = np.eye(STATE_DIM)  # placeholder, track is dropped
-
-    offsets = scale * factors.transpose(0, 2, 1)
-    center = means[:, None, :]
-    pts = np.concatenate([center, center + offsets, center - offsets], axis=1)
-    pts[:, :, 0] += pts[:, :, 2] * dt
-    pts[:, :, 1] += pts[:, :, 3] * dt
-    new_means = np.einsum("w,nwd->nd", wm, pts)
-    d = pts - new_means[:, None, :]
-    new_covs = np.einsum("w,nwi,nwj->nij", wc, d, d) + params._process_noise_diag * dt
-    new_covs = 0.5 * (new_covs + new_covs.transpose(0, 2, 1))
-
-    try:
-        roots = np.linalg.cholesky(new_covs)
-    except np.linalg.LinAlgError:
-        roots = None
-    for i, t in enumerate(tracks):
-        if i in diverged:
-            continue
-        t.mean = new_means[i]
-        _clamp_height(t.mean)
-        if roots is not None:
-            t.covariance, t.cov_factor = new_covs[i], roots[i]
-        else:
-            try:
-                t.covariance, t.cov_factor = _spd_factor(new_covs[i], jitter_floor)
-            except FilterDivergenceError:
-                diverged.append(i)
-    return diverged
-
-
-def _batched_update_fullbody(
-    tracks: list[Track],
-    measurements: list[FullBodyMeasurement],
-    cam: CameraModel,
-    params: UkfParams,
-    wrap_correction: bool,
-    mahalanobis_gate: Optional[float],
-    jitter_floor: float,
-) -> tuple[list[bool], list[int]]:
-    """Vectorized full-body update for matched (track, measurement)
-    pairs; same math as ``update``. Returns per-pair acceptance flags
-    and indices of tracks that diverged while storing the posterior."""
-    n = len(tracks)
-    if n == 0:
-        return [], []
+    n, dim = z_obs.shape
     wm, wc, scale = params.weights()
     w = cam.image_width
     means = np.stack([t.mean for t in tracks])
-    factors = np.stack([t.cov_factor for t in tracks])  # maintained by predict
-    covs = np.stack([t.covariance for t in tracks])
-
-    offsets = scale * factors.transpose(0, 2, 1)
-    center = means[:, None, :]
-    pts = np.concatenate([center, center + offsets, center - offsets], axis=1)
-    n_sigma = pts.shape[1]
-    z_pts = _measurement_matrix(pts.reshape(-1, STATE_DIM), cam, neck_only=False)
-    z_pts = z_pts.reshape(n, n_sigma, 4)
+    pts = _sigma_points(means, np.stack([t.cov_factor for t in tracks]), scale)
+    z_pts = _measurement_matrix(pts.reshape(-1, STATE_DIM), cam, neck_only=dim == 2)
+    z_pts = z_pts.reshape(n, pts.shape[1], dim)
 
     if wrap_correction:
-        for col in (0, 2):
-            zc = z_pts[:, :, col]
-            split = (zc.max(axis=1) - zc.min(axis=1)) > w / 2.0
-            z_pts[:, :, col] = np.where(split[:, None] & (zc < w / 2.0), zc + w, zc)
+        for col in range(0, dim, 2):
+            z_pts[:, :, col] = unwrap_columns(z_pts[:, :, col], w)
 
     z_pred = np.einsum("w,nwd->nd", wm, z_pts)
     dz = z_pts - z_pred[:, None, :]
-    s_cov = np.einsum("w,nwi,nwj->nij", wc, dz, dz) + params._measurement_cov[4]
+    s_cov = np.einsum("w,nwi,nwj->nij", wc, dz, dz) + params._measurement_cov[dim]
     t_cov = np.einsum("w,nwi,nwj->nij", wc, pts - means[:, None, :], dz)
 
-    z_obs = np.stack([m.vector() for m in measurements])
     innovation = z_obs - z_pred
     if wrap_correction:
-        for col in (0, 2):
-            d = innovation[:, col]
-            innovation[:, col] = w / 2.0 - (w / 2.0 - d) % w
+        innovation[:, ::2] = signed_wrap_diff(z_obs[:, ::2], z_pred[:, ::2], w)
 
-    rhs = np.concatenate(
-        [innovation[:, :, None], t_cov.transpose(0, 2, 1)], axis=2
-    )
+    # one solve yields both the whitened innovation and the Kalman gain
+    rhs = np.concatenate([innovation[:, :, None], t_cov.transpose(0, 2, 1)], axis=2)
     solved = np.linalg.solve(s_cov, rhs)
-    maha = np.einsum("ni,ni->n", innovation, solved[:, :, 0])
-    accepted = (
-        [True] * n
-        if mahalanobis_gate is None
-        else [bool(v <= mahalanobis_gate) for v in maha]
-    )
+    if mahalanobis_gate is None:
+        accepted = [True] * n
+    else:
+        maha = np.einsum("ni,ni->n", innovation, solved[:, :, 0])
+        accepted = [bool(v <= mahalanobis_gate) for v in maha]
 
     gain = solved[:, :, 1:].transpose(0, 2, 1)
     new_means = means + np.einsum("nij,nj->ni", gain, innovation)
+    covs = np.stack([t.covariance for t in tracks])
     new_covs = covs - gain @ s_cov @ gain.transpose(0, 2, 1)
-    new_covs = 0.5 * (new_covs + new_covs.transpose(0, 2, 1))
-    try:
-        roots = np.linalg.cholesky(new_covs)
-    except np.linalg.LinAlgError:
-        roots = None
-
-    diverged: list[int] = []
-    for i, t in enumerate(tracks):
-        if not accepted[i]:
-            continue
-        t.mean = new_means[i]
-        _clamp_height(t.mean)
-        if roots is not None:
-            t.covariance, t.cov_factor = new_covs[i], roots[i]
-        else:
-            try:
-                t.covariance, t.cov_factor = _spd_factor(new_covs[i], jitter_floor)
-            except FilterDivergenceError:
-                diverged.append(i)
-    return accepted, diverged
+    return accepted, _store_posterior(tracks, new_means, new_covs, accepted, jitter_floor)
 
 
 @dataclass
@@ -610,17 +477,18 @@ def associate(
 
 def measurement_from_detection(
     det: Detection, image_width: float
-) -> Optional[Measurement]:
-    """Full-body measurement when neck and at least one ankle are
-    present, neck-only when the ankles are occluded, None without a
-    neck."""
+) -> Optional[np.ndarray]:
+    """Measurement vector of a detection: (ankle column, ankle row,
+    neck column, neck row) when the neck and at least one ankle are
+    present, (neck column, neck row) when the ankles are occluded,
+    None without a neck."""
     neck = det.neck
     if neck is None:
         return None
     ankle = det.ankle_midpoint(image_width)
     if ankle is None:
-        return NeckOnlyMeasurement(neck=neck)
-    return FullBodyMeasurement(ankle_mid=ankle, neck=neck)
+        return np.array([neck.x, neck.y])
+    return np.array([ankle.x, ankle.y, neck.x, neck.y])
 
 
 class PanoTracker:
@@ -659,18 +527,16 @@ class PanoTracker:
             return None
         mean = np.array([w.x, w.y, 0.0, 0.0, w.z])
         _clamp_height(mean)
-        track = Track(
-            id=self._next_id,
-            mean=mean,
-            covariance=np.diag(self.config.initial_variance).astype(float),
+        cov, root = _spd_factor(
+            np.diag(self.config.initial_variance).astype(float), self.config.jitter_floor
         )
+        track = Track(id=self._next_id, mean=mean, covariance=cov, cov_factor=root)
         self._next_id += 1
         return track
 
     def _prominence(self, track: Track) -> tuple[float, float]:
-        meas = project_to_image(track.state, self.cam)
-        height_px = abs(meas.ankle_mid.y - meas.neck.y)
-        return (-height_px, meas.neck.x)
+        ankle, neck = project_to_image(track.state, self.cam)
+        return (-abs(ankle.y - neck.y), neck.x)
 
     def _maintain_target(self) -> None:
         if any(t.is_target and t.status != TrackStatus.LOST for t in self.tracks):
@@ -696,7 +562,7 @@ class PanoTracker:
         that were lost this frame) sorted by id."""
         cfg = self.config
 
-        for i in _batched_predict(self.tracks, dt, cfg.ukf, cfg.jitter_floor):
+        for i in predict(self.tracks, dt, cfg.ukf, cfg.jitter_floor):
             self.tracks[i].status = TrackStatus.LOST
         for track in self.tracks:
             track.age += 1
@@ -706,50 +572,29 @@ class PanoTracker:
         assignment = associate(active, dets, self.cam, cfg.gate_px)
 
         missed = set(assignment.unmatched_tracks)
-        full_tis: list[int] = []
-        full_meas: list[FullBodyMeasurement] = []
+        # matched detections always carry a neck (association anchors on
+        # it); one batched update per measurement size
+        by_dim: dict[int, list[tuple[int, np.ndarray]]] = {}
         for ti, di in assignment.pairs:
-            # matched detections always carry a neck (association anchors on it)
-            meas = measurement_from_detection(dets[di], self.cam.image_width)
-            if isinstance(meas, FullBodyMeasurement):
-                full_tis.append(ti)
-                full_meas.append(meas)
-                continue
-            track = active[ti]
-            try:
-                accepted = update(
-                    track,
-                    meas,
-                    self.cam,
-                    cfg.ukf,
-                    wrap_correction=cfg.wrap_correction,
-                    mahalanobis_gate=cfg.mahalanobis_gate,
-                    jitter_floor=cfg.jitter_floor,
-                )
-            except FilterDivergenceError:
-                track.status = TrackStatus.LOST
-                continue
-            if accepted:
-                self._register_hit(track)
-            else:
-                missed.add(ti)
-
-        accepted_flags, diverged = _batched_update_fullbody(
-            [active[ti] for ti in full_tis],
-            full_meas,
-            self.cam,
-            cfg.ukf,
-            cfg.wrap_correction,
-            cfg.mahalanobis_gate,
-            cfg.jitter_floor,
-        )
-        for k, ti in enumerate(full_tis):
-            if k in diverged:
-                active[ti].status = TrackStatus.LOST
-            elif accepted_flags[k]:
-                self._register_hit(active[ti])
-            else:
-                missed.add(ti)
+            z = measurement_from_detection(dets[di], self.cam.image_width)
+            by_dim.setdefault(len(z), []).append((ti, z))
+        for group in by_dim.values():
+            accepted, diverged = update(
+                [active[ti] for ti, _ in group],
+                np.array([z for _, z in group]),
+                self.cam,
+                cfg.ukf,
+                cfg.wrap_correction,
+                cfg.mahalanobis_gate,
+                cfg.jitter_floor,
+            )
+            for k, (ti, _) in enumerate(group):
+                if k in diverged:
+                    active[ti].status = TrackStatus.LOST
+                elif accepted[k]:
+                    self._register_hit(active[ti])
+                else:
+                    missed.add(ti)
 
         for ti in missed:
             track = active[ti]

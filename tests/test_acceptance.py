@@ -110,7 +110,7 @@ def test_criterion_1_geometry_round_trip():
 def test_criterion_2_fusion():
     # a person standing in the first tile overlap is detected twice and
     # fused to exactly one detection at the 0.9 threshold
-    layout = build_tiles(CAM)
+    viewports = build_tiles(CAM)
     theta = math.radians(180.0 - CAM.deg_per_px_x * 700.0)  # column 700
     state = AgentState(
         agent=Agent(id=0, trajectory=WaypointTrajectory(points=((0, 0),))),
@@ -128,12 +128,12 @@ def test_criterion_2_fusion():
     snap = FrameSnapshot(index=0, t=0.0, cam=CAM, agents=(state,))
     raw = [
         (dereference(sk, vp, CAM.image_width), i)
-        for i, vp in enumerate(layout.viewports)
+        for i, vp in enumerate(viewports)
         for sk in detector.detect(snap, vp)
     ]
     assert len(raw) == 2, "expected duplicate detections in the overlap zone"
-    pairs = cyclic_pairs(len(layout.viewports))
-    result = run_viewports(snap, detector, layout.viewports, pairs, CAM.image_width, 0.9)
+    pairs = cyclic_pairs(len(viewports))
+    result = run_viewports(snap, detector, viewports, pairs, CAM.image_width, 0.9)
     assert len(result.detections) == 1
 
     # idempotence over randomized detection sets
@@ -236,7 +236,7 @@ def test_criterion_4_gnn_optimality():
         res = associate(tracks, dets, CAM, gate)
         cost = np.zeros((n, m))
         for i, tr in enumerate(tracks):
-            pred = project_to_image(tr.state, CAM).neck
+            pred = project_to_image(tr.state, CAM)[1]
             for j, det in enumerate(dets):
                 cost[i, j] = wrap_distance(pred, det.neck, CAM.image_width)
         total = sum(cost[i, j] for i, j in res.pairs)

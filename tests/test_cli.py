@@ -227,6 +227,51 @@ class TestTrack:
         assert main(["track", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "tracks.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "tracker",
+        [
+            '{"initial_variance": [1e400, 1e400, 1e400, 1e400, 1e400]}',
+            '{"process_noise": [1e400, 1e400, 1e400, 1e400, 1e400]}',
+            '{"measurement_noise": 1e400}',
+            '{"alpha": 1e400}',
+            '{"initial_variance": [-1, -1, -1, -1, -1]}',
+            '{"initial_variance": ["a", "a", "a", "a", "a"]}',
+            '{"confirm_hits": 2.5}',
+        ],
+        ids=[
+            "inf_initial_variance",
+            "inf_process_noise",
+            "inf_measurement_noise",
+            "inf_alpha",
+            "negative_initial_variance",
+            "string_initial_variance",
+            "fractional_confirm_hits",
+        ],
+    )
+    def test_invalid_tracker_number_exits_2(self, tmp_path, tracker):
+        # JSON reads 1e400 as infinity; the config text is written raw
+        scenario = short_scenario(tmp_path)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(f'{{"scenario": {json.dumps(str(scenario))}, "tracker": {tracker}}}')
+        out = tmp_path / "o"
+        assert main(["track", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "tracks.jsonl").exists()
+        for written in out.iterdir():
+            text = written.read_text()
+            assert "NaN" not in text and "Infinity" not in text
+
+    @pytest.mark.parametrize(
+        "roi", [{"roi_height": 2000}, {"roi_width": 4000}, {"full_width": 4000}]
+    )
+    @pytest.mark.parametrize("strategy", ["roi", "fullframe"])
+    def test_roi_sizes_beyond_camera_exit_2(self, tmp_path, roi, strategy):
+        scenario = short_scenario(tmp_path)
+        cfg = run_config(tmp_path, scenario, strategy=strategy, extra={"roi": roi})
+        out = tmp_path / "o"
+        assert main(["track", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "tracks.jsonl").exists()
+        assert not (out / "detections.jsonl").exists()
+
 
 class TestEval:
     def test_end_to_end_report(self, tmp_path, capsys):

@@ -85,38 +85,38 @@ class TestSkeleton:
 
 class TestBuildTiles:
     def test_reference_layout(self, cam):
-        layout = build_tiles(cam, n_tiles=3, overlap=150)
-        xs = [(vp.origin_x, vp.width) for vp in layout.viewports]
+        viewports = build_tiles(cam, n_tiles=3, overlap=150)
+        xs = [(vp.origin_x, vp.width) for vp in viewports]
         assert xs == [(0, 790), (640, 790), (1280, 790)]
         # all cyclic pairs, including the seam pair, overlap by 150
         for i in range(3):
-            a = layout.viewports[i]
-            b = layout.viewports[(i + 1) % 3]
+            a = viewports[i]
+            b = viewports[(i + 1) % 3]
             lo = (b.origin_x - a.origin_x) % 1920
             assert a.width - lo == pytest.approx(150)
 
     def test_zero_overlap_partitions(self, cam):
-        layout = build_tiles(cam, n_tiles=3, overlap=0)
-        assert [vp.width for vp in layout.viewports] == [640, 640, 640]
+        viewports = build_tiles(cam, n_tiles=3, overlap=0)
+        assert [vp.width for vp in viewports] == [640, 640, 640]
 
     def test_small_instance(self):
         cam = CameraModel(image_width=100, image_height=50, mount_height=1.2)
-        layout = build_tiles(cam, n_tiles=2, overlap=10, row_range=(0, 50))
-        assert [(vp.origin_x, vp.width) for vp in layout.viewports] == [
+        viewports = build_tiles(cam, n_tiles=2, overlap=10, row_range=(0, 50))
+        assert [(vp.origin_x, vp.width) for vp in viewports] == [
             (0, 60),
             (50, 60),
         ]
 
     def test_row_range_default(self, cam):
-        layout = build_tiles(cam)
-        vp = layout.viewports[0]
+        viewports = build_tiles(cam)
+        vp = viewports[0]
         assert (vp.origin_y, vp.origin_y + vp.height) == (160, 800)
         assert default_row_range(cam) == (160, 800)
 
     def test_full_column_coverage(self, cam):
-        layout = build_tiles(cam, n_tiles=3, overlap=150)
+        viewports = build_tiles(cam, n_tiles=3, overlap=150)
         for x in range(0, 1920, 7):
-            assert any(vp.contains_column(x, 1920) for vp in layout.viewports)
+            assert any(vp.contains_column(x, 1920) for vp in viewports)
 
     @pytest.mark.parametrize("kwargs", [{"n_tiles": 1}, {"overlap": 700}, {"overlap": -1}])
     def test_invalid(self, cam, kwargs):
@@ -301,7 +301,8 @@ def run_tiles(det, cam):
 
 
 def run_roi(det, cam, prediction):
-    return run_viewports(None, det, *plan_roi(cam, RoiConfig(), prediction), cam.image_width)
+    full = fullframe_viewport(cam, RoiConfig())
+    return run_viewports(None, det, *plan_roi(full, cam, RoiConfig(), prediction), cam.image_width)
 
 
 class TestRunTiles:

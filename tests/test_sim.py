@@ -146,14 +146,15 @@ class TestDetectability:
         assert len(out) == 1
 
     def test_roi_pass_sees_six_meter_target_fullframe_does_not(self, cam):
-        from panotrack.detect import RoiConfig, plan_roi, run_viewports
+        from panotrack.detect import RoiConfig, fullframe_viewport, plan_roi, run_viewports
 
         state = make_state(6.0, 0.0)
         det = SyntheticDetector(NoiseModel(), DetectabilityConfig(48), seed=0)
         snap = snapshot(cam, state)
         neck = project_agent(state, cam).neck
-        with_roi = run_viewports(snap, det, *plan_roi(cam, RoiConfig(), neck), cam.image_width)
-        without = run_viewports(snap, det, *plan_roi(cam, RoiConfig(), None), cam.image_width)
+        full = fullframe_viewport(cam, RoiConfig())
+        with_roi = run_viewports(snap, det, *plan_roi(full, cam, RoiConfig(), neck), cam.image_width)
+        without = run_viewports(snap, det, *plan_roi(full, cam, RoiConfig(), None), cam.image_width)
         assert len(with_roi.detections) == 1
         assert len(without.detections) == 0
 
@@ -190,11 +191,11 @@ class TestSyntheticDetect:
         assert out == []  # person at theta=90 -> column 480, outside [0, 300)
 
     def test_duplicates_in_tile_overlap(self, cam):
-        layout = build_tiles(cam)
+        viewports = build_tiles(cam)
         state = make_state(*_world_at_column(700, 2.0))
         det = SyntheticDetector(NoiseModel(), DetectabilityConfig(), seed=1)
         snap = snapshot(cam, state)
-        per_tile = [det.detect(snap, vp) for vp in layout.viewports]
+        per_tile = [det.detect(snap, vp) for vp in viewports]
         assert sum(len(d) for d in per_tile) == 2  # seen by tiles A and B
 
     def test_occlusion(self, cam):

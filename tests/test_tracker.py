@@ -5,11 +5,11 @@ import pytest
 
 from panotrack.detect import skeleton
 from panotrack.exceptions import ConfigError
-from panotrack.geometry import ImagePoint, localize, wrap_distance
+import panotrack.tracker
+from panotrack.geometry import WorldPoint, localize, world_to_image, wrap_distance
 from panotrack.sim import Agent, AgentState, Body, WaypointTrajectory, project_agent
 from panotrack.tracker import (
-    FullBodyMeasurement,
-    NeckOnlyMeasurement,
+    H_N_RANGE,
     PanoTracker,
     Track,
     TrackerConfig,
@@ -19,11 +19,9 @@ from panotrack.tracker import (
     associate,
     measurement_from_detection,
     predict,
-    predicted_measurement,
     project_to_image,
     unwrap_columns,
     update,
-    wrap_correct,
 )
 from panotrack.tracker import _measurement_matrix  # dual-path consistency check
 
@@ -31,12 +29,84 @@ BODY = Body(height=1.7, ankle_height=0.1, neck_drop=0.25)
 NECK_Z = BODY.height - BODY.neck_drop
 
 
+def new_track(track_id, mean, cov):
+    """A track as the tracker keeps it, with the Cholesky factor that
+    predict and update require."""
+    return Track(id=track_id, mean=mean, covariance=cov, cov_factor=np.linalg.cholesky(cov))
+
+
 def make_track(x, y, vx=0.0, vy=0.0, h_n=NECK_Z, var=(0.01, 0.01, 0.04, 0.04, 0.001)):
-    return Track(
-        id=1,
-        mean=np.array([x, y, vx, vy, h_n], dtype=float),
-        covariance=np.diag(var).astype(float),
-    )
+    return new_track(1, np.array([x, y, vx, vy, h_n], dtype=float), np.diag(var).astype(float))
+
+
+def update_one(track, z, cam, params, **kwargs):
+    """The batched update on one track; returns its acceptance flag."""
+    accepted, diverged = update([track], np.asarray(z, dtype=float)[None], cam, params, **kwargs)
+    assert diverged == []
+    return accepted[0]
+
+
+# --- test-only reference: a plain per-track UKF ----------------------------
+
+
+def ref_sigma_points(mean, cov, params):
+    wm, wc, scale = params.weights()
+    offsets = scale * np.linalg.cholesky(cov).T
+    return np.vstack([mean, mean + offsets, mean - offsets]), wm, wc
+
+
+def ref_predict(mean, cov, dt, params):
+    pts, wm, wc = ref_sigma_points(mean, cov, params)
+    pts[:, 0] += pts[:, 2] * dt
+    pts[:, 1] += pts[:, 3] * dt
+    m = wm @ pts
+    d = pts - m
+    p = d.T @ (wc[:, None] * d) + np.diag(params.process_noise) * dt
+    m[4] = min(max(m[4], H_N_RANGE[0]), H_N_RANGE[1])
+    return m, p
+
+
+def ref_measure(state, cam, dim):
+    """Scalar measurement model: (ankle column, ankle row, neck column,
+    neck row) for dim 4, the neck alone for dim 2."""
+    neck = world_to_image(WorldPoint(state[0], state[1], state[4]), cam)
+    if dim == 2:
+        return [neck.x, neck.y]
+    ankle = world_to_image(WorldPoint(state[0], state[1], cam.ankle_height), cam)
+    return [ankle.x, ankle.y, neck.x, neck.y]
+
+
+def ref_predicted_measurement(mean, cov, cam, params, dim, wrap_correction=True):
+    """(sigma points, their measurements, predicted measurement); sigma
+    columns that straddle the seam are unwrapped first."""
+    pts, wm, _ = ref_sigma_points(mean, cov, params)
+    z_pts = np.array([ref_measure(p, cam, dim) for p in pts])
+    half = cam.image_width / 2
+    for c in range(0, dim, 2) if wrap_correction else ():
+        col = z_pts[:, c]
+        if col.max() - col.min() > half:
+            z_pts[:, c] = np.where(col < half, col + cam.image_width, col)
+    return pts, z_pts, wm @ z_pts
+
+
+def ref_update(mean, cov, z, cam, params, wrap_correction=True):
+    """(posterior mean, posterior covariance, squared Mahalanobis
+    distance of the innovation)."""
+    dim = len(z)
+    wc = params.weights()[1]
+    pts, z_pts, z_pred = ref_predicted_measurement(mean, cov, cam, params, dim, wrap_correction)
+    dz = z_pts - z_pred
+    s = dz.T @ (wc[:, None] * dz) + params.measurement_noise * np.eye(dim)
+    t = (pts - mean).T @ (wc[:, None] * dz)
+    nu = np.asarray(z, dtype=float) - z_pred
+    if wrap_correction:
+        w = cam.image_width
+        nu[::2] = (nu[::2] + w / 2) % w - w / 2
+    gain = t @ np.linalg.inv(s)
+    m = mean + gain @ nu
+    m[4] = min(max(m[4], H_N_RANGE[0]), H_N_RANGE[1])
+    p = cov - gain @ s @ gain.T
+    return m, 0.5 * (p + p.T), float(nu @ np.linalg.solve(s, nu))
 
 
 def agent_detection(x, y, cam, height=1.7):
@@ -55,54 +125,31 @@ def world_at_column(column, rho, cam):
 
 
 class TestWrapCorrect:
-    def test_seam_split_shifts_low_side(self):
-        pts = [ImagePoint(1900, 0), ImagePoint(1910, 0), ImagePoint(10, 0)]
-        shifted, mean = wrap_correct(pts, 1920)
-        assert [p.x for p in shifted] == [1900, 1910, 1930]
-        assert mean.x == pytest.approx(5740 / 3)
-
-    def test_mean_reduced_modulo_width(self):
-        pts = [ImagePoint(1910, 0), ImagePoint(1915, 0), ImagePoint(5, 0)]
-        shifted, mean = wrap_correct(pts, 1920)
-        assert [p.x for p in shifted] == [1910, 1915, 1925]
-        assert mean.x == pytest.approx(5750 / 3)
-        # a cloud past the seam wraps its mean back into [0, W)
-        pts = [ImagePoint(1918, 0), ImagePoint(1919, 0), ImagePoint(4, 0)]
-        _, mean = wrap_correct(pts, 1920)
-        assert mean.x == pytest.approx((1918 + 1919 + 1924) / 3 % 1920)
-
-    def test_no_split_untouched(self):
-        pts = [ImagePoint(900, 1), ImagePoint(950, 2), ImagePoint(1000, 3)]
-        shifted, mean = wrap_correct(pts, 1920)
-        assert [p.x for p in shifted] == [900, 950, 1000]
-        assert mean == pytest.approx((950, 2))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            wrap_correct([], 1920)
-
     def test_unwrap_columns_rule(self):
         xs = np.array([1900.0, 1910.0, 10.0])
         assert unwrap_columns(xs, 1920).tolist() == [1900, 1910, 1930]
         xs = np.array([100.0, 200.0])
         assert unwrap_columns(xs, 1920).tolist() == [100, 200]
+        # along the last axis: each row is unwrapped on its own spread
+        xs = np.array([[1900.0, 1910.0, 10.0], [100.0, 200.0, 300.0]])
+        assert unwrap_columns(xs, 1920).tolist() == [[1900, 1910, 1930], [100, 200, 300]]
 
 
 class TestProjectToImage:
     def test_reference_state(self, cam):
-        meas = project_to_image(TrackState(1.1, 0, 0, 0, 1.4188036041176237), cam)
-        assert meas.ankle_mid.x == pytest.approx(960)
-        assert meas.ankle_mid.y == pytest.approx(720)
-        assert meas.neck.y == pytest.approx(420, abs=1e-9)
+        ankle, neck = project_to_image(TrackState(1.1, 0, 0, 0, 1.4188036041176237), cam)
+        assert ankle.x == pytest.approx(960)
+        assert ankle.y == pytest.approx(720)
+        assert neck.y == pytest.approx(420, abs=1e-9)
 
     def test_side_axis(self, cam):
-        meas = project_to_image(TrackState(0, 2.0, 0, 0, 1.5), cam)
-        assert meas.neck.x == pytest.approx(480)
+        _, neck = project_to_image(TrackState(0, 2.0, 0, 0, 1.5), cam)
+        assert neck.x == pytest.approx(480)
 
     def test_round_trips_with_localize(self, cam):
         state = TrackState(1.7, -2.3, 0, 0, 1.52)
-        meas = project_to_image(state, cam)
-        w = localize(meas.ankle_mid, meas.neck, cam)
+        ankle, neck = project_to_image(state, cam)
+        w = localize(ankle, neck, cam)
         assert w.x == pytest.approx(state.x, abs=1e-9)
         assert w.y == pytest.approx(state.y, abs=1e-9)
         assert w.z == pytest.approx(state.h_n, abs=1e-9)
@@ -118,16 +165,16 @@ class TestProjectToImage:
         )
         z = _measurement_matrix(states, cam, neck_only=False)
         for i, row in enumerate(states):
-            meas = project_to_image(TrackState.from_array(row), cam)
-            assert z[i, 0] == pytest.approx(meas.ankle_mid.x, abs=1e-9)
-            assert z[i, 1] == pytest.approx(meas.ankle_mid.y, abs=1e-9)
-            assert z[i, 2] == pytest.approx(meas.neck.x, abs=1e-9)
-            assert z[i, 3] == pytest.approx(meas.neck.y, abs=1e-9)
+            ankle, neck = project_to_image(TrackState.from_array(row), cam)
+            assert z[i, 0] == pytest.approx(ankle.x, abs=1e-9)
+            assert z[i, 1] == pytest.approx(ankle.y, abs=1e-9)
+            assert z[i, 2] == pytest.approx(neck.x, abs=1e-9)
+            assert z[i, 3] == pytest.approx(neck.y, abs=1e-9)
 
 
 class TestBatchedPathsMatchScalar:
-    """step() runs vectorized predict/update over all tracks; they must
-    agree with the scalar reference operations."""
+    """step() runs the batched predict/update over all tracks; they
+    must agree with the plain per-track reference above."""
 
     def _random_tracks(self, rng, n):
         tracks = []
@@ -145,95 +192,104 @@ class TestBatchedPathsMatchScalar:
                 mean[0] += 2.0
             a = rng.normal(0, 0.1, (5, 5))
             cov = np.diag([0.02, 0.02, 0.1, 0.1, 0.01]) + 0.001 * (a @ a.T)
-            tracks.append(Track(id=k + 1, mean=mean, covariance=cov))
+            tracks.append(new_track(k + 1, mean, cov))
         return tracks
 
-    def test_predict_equivalence(self, cam):
-        from panotrack.tracker import _batched_predict
+    @staticmethod
+    def _measurements(tracks, cam, dim, rng=None, col_shifts=None):
+        """Detections near each track (a world offset drawn from rng, or
+        a column shift in pixels), as (n, dim) measurement rows."""
+        rows = []
+        for k, t in enumerate(tracks):
+            if col_shifts is None:
+                x, y = t.mean[0] + rng.normal(0, 0.05), t.mean[1] + rng.normal(0, 0.05)
+            else:
+                col = project_to_image(t.state, cam)[1].x + col_shifts[k]
+                x, y = world_at_column(col % 1920, math.hypot(t.mean[0], t.mean[1]), cam)
+            z = measurement_from_detection(agent_detection(x, y, cam), cam.image_width)
+            rows.append(z if dim == 4 else z[2:])
+        return np.array(rows)
 
+    def _assert_update_matches(self, tracks, z_obs, cam, gate=None):
+        params = UkfParams()
+        before = [(t.mean.copy(), t.covariance.copy()) for t in tracks]
+        accepted, diverged = update(tracks, z_obs, cam, params, mahalanobis_gate=gate)
+        assert diverged == []
+        for t, (mean0, cov0), z, ok in zip(tracks, before, z_obs, accepted):
+            mean, cov, maha = ref_update(mean0, cov0, z, cam, params)
+            assert ok == (gate is None or maha <= gate)
+            if ok:
+                assert t.mean == pytest.approx(mean, abs=1e-9)
+                assert np.allclose(t.covariance, cov, atol=1e-10)
+                assert np.allclose(t.cov_factor @ t.cov_factor.T, t.covariance, atol=1e-12)
+            else:
+                assert np.array_equal(t.mean, mean0)
+                assert np.array_equal(t.covariance, cov0)
+        return accepted
+
+    def test_predict_equivalence(self, cam):
         rng = np.random.default_rng(9)
-        scalar = self._random_tracks(rng, 6)
-        batched = [
-            Track(id=t.id, mean=t.mean.copy(), covariance=t.covariance.copy())
-            for t in scalar
-        ]
-        for t in scalar:
-            predict(t, 1 / 30, UkfParams())
-        assert _batched_predict(batched, 1 / 30, UkfParams(), 1e-9) == []
-        for s, b in zip(scalar, batched):
-            assert b.mean == pytest.approx(s.mean, abs=1e-10)
-            assert np.allclose(b.covariance, s.covariance, atol=1e-12)
+        tracks = self._random_tracks(rng, 6)
+        expected = [ref_predict(t.mean, t.covariance, 1 / 30, UkfParams()) for t in tracks]
+        assert predict(tracks, 1 / 30, UkfParams()) == []
+        for t, (mean, cov) in zip(tracks, expected):
+            assert t.mean == pytest.approx(mean, abs=1e-10)
+            assert np.allclose(t.covariance, cov, atol=1e-12)
 
     def test_update_equivalence(self, cam):
-        from panotrack.tracker import _batched_predict, _batched_update_fullbody
-
         rng = np.random.default_rng(10)
-        scalar = self._random_tracks(rng, 6)
-        batched = [
-            Track(id=t.id, mean=t.mean.copy(), covariance=t.covariance.copy())
-            for t in scalar
-        ]
-        for t in scalar:
-            predict(t, 1 / 30, UkfParams())
-        _batched_predict(batched, 1 / 30, UkfParams(), 1e-9)
-        measurements = []
-        for t in scalar:
-            det = agent_detection(
-                t.mean[0] + rng.normal(0, 0.05), t.mean[1] + rng.normal(0, 0.05), cam
-            )
-            measurements.append(measurement_from_detection(det, cam.image_width))
-        for t, m in zip(scalar, measurements):
-            assert update(t, m, cam, UkfParams())
-        accepted, diverged = _batched_update_fullbody(
-            batched, measurements, cam, UkfParams(), True, None, 1e-9
-        )
-        assert accepted == [True] * len(batched) and diverged == []
-        for s, b in zip(scalar, batched):
-            assert b.mean == pytest.approx(s.mean, abs=1e-9)
-            assert np.allclose(b.covariance, s.covariance, atol=1e-10)
+        tracks = self._random_tracks(rng, 6)
+        predict(tracks, 1 / 30, UkfParams())
+        z_obs = self._measurements(tracks, cam, 4, rng)
+        assert self._assert_update_matches(tracks, z_obs, cam) == [True] * len(tracks)
+
+    def test_neck_only_update_equivalence(self, cam):
+        rng = np.random.default_rng(12)
+        tracks = self._random_tracks(rng, 6)
+        predict(tracks, 1 / 30, UkfParams())
+        z_obs = self._measurements(tracks, cam, 2, rng)
+        assert z_obs.shape == (6, 2)
+        assert self._assert_update_matches(tracks, z_obs, cam) == [True] * len(tracks)
 
     def test_update_equivalence_at_seam(self, cam):
-        from panotrack.tracker import _batched_update_fullbody
-
-        seam_tracks = []
-        for k, col in enumerate([1918.0, 2.0, 1910.0]):
-            x, y = world_at_column(col, 2.0 + k, cam)
-            tr = make_track(x, y, var=(0.02, 0.02, 0.1, 0.1, 0.01))
-            tr.id = k + 1
-            seam_tracks.append(tr)
-        copies = [
-            Track(id=t.id, mean=t.mean.copy(), covariance=t.covariance.copy())
-            for t in seam_tracks
-        ]
-        meas = []
-        for t, col_shift in zip(seam_tracks, [6.0, -5.0, 14.0]):
-            base = project_to_image(t.state, cam).neck.x + col_shift
-            x, y = world_at_column(base % 1920, math.hypot(t.mean[0], t.mean[1]), cam)
-            meas.append(
-                measurement_from_detection(agent_detection(x, y, cam), cam.image_width)
+        for dim in (4, 2):
+            seam_tracks = []
+            for k, col in enumerate([1918.0, 2.0, 1910.0]):
+                x, y = world_at_column(col, 2.0 + k, cam)
+                tr = make_track(x, y, var=(0.02, 0.02, 0.1, 0.1, 0.01))
+                tr.id = k + 1
+                seam_tracks.append(tr)
+            z_obs = self._measurements(seam_tracks, cam, dim, col_shifts=[6.0, -5.0, 14.0])
+            predict(seam_tracks, 1 / 30, UkfParams())
+            # the sigma columns of the track at 1918 straddle the seam
+            _, z_pts, _ = ref_predicted_measurement(
+                seam_tracks[0].mean, seam_tracks[0].covariance, cam, UkfParams(), dim
             )
-        for t, m in zip(seam_tracks, meas):
-            predict(t, 1 / 30, UkfParams())
-            update(t, m, cam, UkfParams())
-        from panotrack.tracker import _batched_predict
+            assert z_pts[:, 0].max() > 1920
+            self._assert_update_matches(seam_tracks, z_obs, cam)
 
-        _batched_predict(copies, 1 / 30, UkfParams(), 1e-9)
-        _batched_update_fullbody(copies, meas, cam, UkfParams(), True, None, 1e-9)
-        for s, b in zip(seam_tracks, copies):
-            assert b.mean == pytest.approx(s.mean, abs=1e-9)
+    def test_mixed_batch_gate_rejects_only_failing_track(self, cam):
+        rng = np.random.default_rng(13)
+        for dim in (4, 2):
+            tracks = self._random_tracks(rng, 4)
+            z_obs = self._measurements(tracks, cam, dim, rng)
+            # track 2's detection is 60 px off its prediction
+            z_obs[2, ::2] = (z_obs[2, ::2] + 60.0) % 1920
+            accepted = self._assert_update_matches(tracks, z_obs, cam, gate=9.0)
+            assert accepted == [True, True, False, True]
 
 
 class TestPredict:
     def test_stationary_position_unchanged(self):
         tr = make_track(2.0, 1.0)
         before = tr.covariance.copy()
-        predict(tr, 0.5, UkfParams())
+        predict([tr], 0.5, UkfParams())
         assert tr.mean[:2] == pytest.approx([2.0, 1.0], abs=1e-12)
         assert np.trace(tr.covariance) > np.trace(before)
 
     def test_constant_velocity(self):
         tr = make_track(1.0, 0.0, vx=0.5, vy=0.0)
-        predict(tr, 1.0, UkfParams())
+        predict([tr], 1.0, UkfParams())
         assert tr.mean[0] == pytest.approx(1.5, abs=1e-12)
         assert tr.mean[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -243,7 +299,7 @@ class TestPredict:
             tr = make_track(*rng.uniform(-4, 4, 2), h_n=1.6)
             trace = np.trace(tr.covariance)
             for _ in range(10):
-                predict(tr, 1 / 30, UkfParams())
+                predict([tr], 1 / 30, UkfParams())
                 new_trace = np.trace(tr.covariance)
                 assert new_trace > trace
                 trace = new_trace
@@ -251,24 +307,30 @@ class TestPredict:
     def test_covariance_spd_after_predict(self):
         tr = make_track(3.0, -1.0, vx=1.0)
         for _ in range(50):
-            predict(tr, 1 / 30, UkfParams())
+            predict([tr], 1 / 30, UkfParams())
             assert np.linalg.eigvalsh(tr.covariance).min() > 0
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ConfigError):
-            predict(make_track(1, 1), 0.0, UkfParams())
+            predict([make_track(1, 1)], 0.0, UkfParams())
+
+    def test_non_finite_posterior_diverges_and_is_not_stored(self):
+        tracks = [make_track(2.0, 1.0), make_track(1.0, -2.0, vx=1e308)]
+        before = tracks[1].mean.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert predict(tracks, 10.0, UkfParams()) == [1]
+        assert tracks[0].mean[:2] == pytest.approx([2.0, 1.0], abs=1e-12)
+        assert np.array_equal(tracks[1].mean, before)
 
 
 class TestUpdate:
     def test_zero_innovation_keeps_state(self, cam):
         tr = make_track(2.0, 1.0)
-        z = predicted_measurement(tr, cam, UkfParams())
-        meas = FullBodyMeasurement(
-            ankle_mid=ImagePoint(z[0], z[1]), neck=ImagePoint(z[2], z[3])
-        )
+        _, _, z = ref_predicted_measurement(tr.mean, tr.covariance, cam, UkfParams(), 4)
+        z[::2] %= cam.image_width
         before = tr.mean.copy()
         diag_before = np.diag(tr.covariance).copy()
-        assert update(tr, meas, cam, UkfParams())
+        assert update_one(tr, z, cam, UkfParams())
         assert tr.mean == pytest.approx(before, abs=1e-9)
         assert np.all(np.diag(tr.covariance) <= diag_before + 1e-15)
 
@@ -279,10 +341,10 @@ class TestUpdate:
         det = agent_detection(*world_at_column(5.0, 2.0, cam), cam)
         meas = measurement_from_detection(det, cam.image_width)
         before = tr.mean.copy()
-        assert update(tr, meas, cam, UkfParams(), wrap_correction=True)
+        assert update_one(tr, meas, cam, UkfParams(), wrap_correction=True)
         moved = np.linalg.norm(tr.mean[:2] - before[:2])
         assert moved < 0.2  # a 10 px innovation nudges, not flings
-        after = project_to_image(tr.state, cam).neck
+        after = project_to_image(tr.state, cam)[1]
         assert wrap_distance(after, det.neck, cam.image_width) < 10.0
 
     def test_naive_difference_wrecks_the_state(self, cam):
@@ -291,16 +353,16 @@ class TestUpdate:
         det = agent_detection(*world_at_column(5.0, 2.0, cam), cam)
         meas = measurement_from_detection(det, cam.image_width)
         before = tr.mean.copy()
-        update(tr, meas, cam, UkfParams(), wrap_correction=False)
+        update_one(tr, meas, cam, UkfParams(), wrap_correction=False)
         moved = np.linalg.norm(tr.mean[:2] - before[:2])
         assert moved > 1.0  # the -1910 px innovation drags the state away
 
     def test_neck_only_update(self, cam):
         tr = make_track(2.05, 0.0, h_n=NECK_Z)
         det = agent_detection(2.0, 0.0, cam)
-        neck_meas = NeckOnlyMeasurement(neck=det.neck)
+        neck_meas = [det.neck.x, det.neck.y]
         before = abs(tr.mean[0] - 2.0)
-        assert update(tr, neck_meas, cam, UkfParams())
+        assert update_one(tr, neck_meas, cam, UkfParams())
         assert abs(tr.mean[0] - 2.0) < before
 
     def test_mahalanobis_gate_rejects(self, cam):
@@ -308,7 +370,7 @@ class TestUpdate:
         det = agent_detection(2.0, 1.5, cam)  # far off prediction
         meas = measurement_from_detection(det, cam.image_width)
         before = tr.mean.copy()
-        accepted = update(tr, meas, cam, UkfParams(), mahalanobis_gate=9.0)
+        accepted = update_one(tr, meas, cam, UkfParams(), mahalanobis_gate=9.0)
         assert not accepted
         assert tr.mean == pytest.approx(before)
 
@@ -316,11 +378,11 @@ class TestUpdate:
         rng = np.random.default_rng(11)
         tr = make_track(2.0, 0.5)
         for i in range(40):
-            predict(tr, 1 / 30, UkfParams())
+            predict([tr], 1 / 30, UkfParams())
             det = agent_detection(
                 2.0 + rng.normal(0, 0.01), 0.5 + rng.normal(0, 0.01), cam
             )
-            update(tr, measurement_from_detection(det, cam.image_width), cam, UkfParams())
+            update_one(tr, measurement_from_detection(det, cam.image_width), cam, UkfParams())
             assert np.linalg.eigvalsh(tr.covariance).min() > 0
 
 
@@ -367,7 +429,7 @@ class TestAssociate:
         det = agent_detection(*world_at_column(5.0, 2.0, cam), cam)
         res = associate([tr], [det], cam, gate=150.0)
         assert res.pairs == [(0, 0)]
-        pred = project_to_image(tr.state, cam).neck
+        pred = project_to_image(tr.state, cam)[1]
         assert wrap_distance(pred, det.neck, cam.image_width) == pytest.approx(
             10.0, abs=0.5
         )
@@ -451,7 +513,7 @@ def assert_matches_brute_force(tracks, dets, cam, gate):
     res = associate(tracks, dets, cam, gate)
     cost = np.full((n, m), math.inf)
     for i, tr in enumerate(tracks):
-        pred = project_to_image(tr.state, cam).neck
+        pred = project_to_image(tr.state, cam)[1]
         for j, det in enumerate(dets):
             if det.neck is not None:
                 cost[i, j] = wrap_distance(pred, det.neck, cam.image_width)
@@ -588,7 +650,7 @@ class TestStep:
         for _ in range(5):
             tracker.step([det], 1 / 30)
         assert len(tracker.tracks) == 1
-        assert project_to_image(tracker.tracks[0].state, cam).neck.x == pytest.approx(
+        assert project_to_image(tracker.tracks[0].state, cam)[1].x == pytest.approx(
             1918.0, abs=0.5
         )
 
@@ -638,6 +700,26 @@ class TestStep:
         tr = out[0]
         assert tr.status == TrackStatus.CONFIRMED
         assert tr.frames_since_update == 0
+
+    def test_one_update_call_per_measurement_size(self, cam, monkeypatch):
+        people = [(2.0, 0.0), (-2.0, 1.0), (0.5, 3.0), (1.0, -3.0)]
+        tracker = PanoTracker(cam, TrackerConfig())
+        for _ in range(3):
+            tracker.step([agent_detection(x, y, cam) for x, y in people], 1 / 30)
+        calls = []
+        batched_update = panotrack.tracker.update
+
+        def counting_update(tracks, z_obs, *args):
+            calls.append(z_obs.shape)
+            return batched_update(tracks, z_obs, *args)
+
+        monkeypatch.setattr(panotrack.tracker, "update", counting_update)
+        dets = [agent_detection(x, y, cam) for x, y in people]
+        # the last two people show only their necks
+        dets[2:] = [skeleton({"neck": (d.neck.x, d.neck.y, 1.0)}) for d in dets[2:]]
+        out = tracker.step(dets, 1 / 30)
+        assert sorted(calls) == [(2, 2), (2, 4)]
+        assert [t.hits for t in out] == [4, 4, 4, 4]
 
     def test_seam_crossing_keeps_single_id(self, cam):
         history = run_walker(
