@@ -47,6 +47,8 @@ JOINT_NAMES = (
     "right_hip",
 )
 
+_JOINT_NAME_SET = frozenset(JOINT_NAMES)
+
 TORSO_JOINTS = ("neck", "left_shoulder", "right_shoulder", "left_hip", "right_hip")
 
 DEFAULT_TILE_OVERLAP = 150  # px at 1920 width; scaled for other widths
@@ -62,10 +64,11 @@ class Joint(tuple):
     def __new__(cls, point: ImagePoint, confidence: float):
         if not 0.0 <= confidence <= 1.0:
             raise ConfigError(f"confidence must be in [0, 1], got {confidence}")
-        point = ImagePoint(*point)
+        if not isinstance(point, ImagePoint):
+            point = ImagePoint(*point)
         if not (math.isfinite(point.x) and math.isfinite(point.y)):
             raise ConfigError(f"joint coordinates must be finite, got {tuple(point)}")
-        return super().__new__(cls, (point, float(confidence)))
+        return tuple.__new__(cls, (point, float(confidence)))
 
     @property
     def point(self) -> ImagePoint:
@@ -89,8 +92,8 @@ class Skeleton:
     def __post_init__(self) -> None:
         if not self.joints:
             raise DegenerateSkeletonError("skeleton has no joints")
-        unknown = set(self.joints) - set(JOINT_NAMES)
-        if unknown:
+        if not _JOINT_NAME_SET.issuperset(self.joints):
+            unknown = set(self.joints) - _JOINT_NAME_SET
             raise ConfigError(f"unknown joint names: {sorted(unknown)}")
 
     def joint_point(self, name: str) -> Optional[ImagePoint]:

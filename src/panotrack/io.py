@@ -12,7 +12,7 @@ frame. Tracks JSONL mirrors the tracker output: `{"frame", "t",
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .detect import Skeleton, skeleton
 from .exceptions import InputError
@@ -22,7 +22,14 @@ from .tracker import Track
 
 
 def read_jsonl(path: str) -> Iterator[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
+    """The records of a JSONL file, one dict per non-blank line. The
+    file is opened by this call, so a missing file fails here and not
+    at the first record; the records are read as they are drawn."""
+    return _records(open(path, "r", encoding="utf-8"), path)
+
+
+def _records(fh: TextIO, path: str) -> Iterator[dict]:
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -46,8 +53,8 @@ def detections_record(frame: int, t: float, dets: Sequence[Skeleton]) -> dict:
         "detections": [
             {
                 "joints": {
-                    name: [j.point.x, j.point.y, j.confidence]
-                    for name, j in sorted(sk.joints.items())
+                    name: [x, y, c]
+                    for name, ((x, y), c) in sorted(sk.joints.items())
                 }
             }
             for sk in dets
@@ -58,10 +65,9 @@ def detections_record(frame: int, t: float, dets: Sequence[Skeleton]) -> dict:
 def detections_from_record(record: dict) -> list[Skeleton]:
     try:
         return [
-            skeleton({name: tuple(v) for name, v in d["joints"].items()})
-            for d in record["detections"]
+            skeleton(d["joints"]) for d in record["detections"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed detection record: {exc}") from exc
 
 

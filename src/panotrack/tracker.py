@@ -39,15 +39,16 @@ pairs within the pixel gate and, among those, minimizes the total
 wrap-aware distance. Each frame builds one cost matrix: the active
 tracks' necks are projected in a single vectorized call, and the
 distances to all detection necks are formed by broadcasting, with the
-column difference taken the short way around the seam. A detection
-without a neck enters as a NaN row, which never passes the gate. Spawn
-suppression measures unmatched detections against the live tracks'
-necks the same way.
+column difference taken the short way around the seam. Distances are
+evaluated only inside the gate: a pair whose column or row gap alone
+exceeds it reads +inf, as does a detection without a neck (a NaN row),
+so neither can pass. Spawn suppression measures unmatched detections
+against the live tracks' necks the same way, with its own radius as
+the limit.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 import numbers
@@ -173,6 +174,10 @@ class TrackerConfig:
         _check_number("spawn suppression radius", self.spawn_suppression_px, 0.0)
         if self.mahalanobis_gate is not None:
             _check_number("mahalanobis gate", self.mahalanobis_gate, 0.0)
+        if not isinstance(self.wrap_correction, bool):
+            raise ConfigError(
+                f"wrap correction must be true or false, got {self.wrap_correction!r}"
+            )
 
 
 class TrackStatus(str, enum.Enum):
@@ -219,6 +224,17 @@ class Track:
     @property
     def world_position(self) -> WorldPoint:
         return WorldPoint(float(self.mean[0]), float(self.mean[1]), float(self.mean[4]))
+
+
+def _snapshot(track: Track) -> Track:
+    """A copy of the track with its own mean and covariance, so that no
+    in-place write on one side reaches the other. The Cholesky factor
+    is shared: the tracker only ever replaces it."""
+    copy = object.__new__(Track)
+    copy.__dict__.update(
+        track.__dict__, mean=track.mean.copy(), covariance=track.covariance.copy()
+    )
+    return copy
 
 
 def unwrap_columns(xs: np.ndarray, image_width: float) -> np.ndarray:
@@ -283,10 +299,6 @@ def _sigma_points(means: np.ndarray, factors: np.ndarray, scale: float) -> np.nd
     return np.concatenate([center, center + offsets, center - offsets], axis=1)
 
 
-def _clamp_height(mean: np.ndarray) -> None:
-    mean[4] = min(max(mean[4], H_N_RANGE[0]), H_N_RANGE[1])
-
-
 def _store_posterior(
     tracks: Sequence[Track],
     means: np.ndarray,
@@ -299,9 +311,10 @@ def _store_posterior(
     factorization, or a jitter repair per track when any member of the
     stack fails. Returns the indices of tracks that diverged, whose
     posterior is non-finite or cannot be repaired; nothing is stored
-    for them."""
+    for them. The heights in ``means`` are clamped in place."""
     covs = 0.5 * (covs + covs.transpose(0, 2, 1))
-    finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
+    finite = (np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))).tolist()
+    np.clip(means[:, 4], *H_N_RANGE, out=means[:, 4])  # after the check: it maps inf into range
     try:
         roots = np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
@@ -322,7 +335,6 @@ def _store_posterior(
                 diverged.append(i)
                 continue
         t.mean, t.covariance, t.cov_factor = means[i], cov, root
-        _clamp_height(t.mean)
     return diverged
 
 
@@ -431,12 +443,26 @@ def _detection_necks(dets: Sequence[Detection]) -> np.ndarray:
     return necks
 
 
-def _wrap_distances(a: np.ndarray, b: np.ndarray, image_width: float) -> np.ndarray:
+def _wrap_distances(
+    a: np.ndarray, b: np.ndarray, image_width: float, limit: float
+) -> np.ndarray:
     """(len(a), len(b)) distances between two (k, 2) pixel arrays, the
-    column component measured the short way around the seam."""
-    dx = np.abs(a[:, None, 0] - b[None, :, 0]) % image_width
-    dx = np.minimum(dx, image_width - dx)
-    return np.hypot(dx, a[:, None, 1] - b[None, :, 1])
+    column component measured the short way around the seam. Only
+    pairs whose column and row gaps are both within ``limit`` are
+    evaluated; every other entry, and every entry of a NaN row, is
+    +inf."""
+    # in place where possible: at 200 x 200 each full array is 320 kB
+    dx = a[:, None, 0] - b[None, :, 0]
+    np.abs(dx, out=dx)
+    # columns in [0, W] differ by at most W, and such a gap needs no
+    # reduction; only a column outside that range makes a larger one
+    if (dx > image_width).any():
+        dx %= image_width
+    np.minimum(dx, image_width - dx, out=dx)
+    dy = a[:, None, 1] - b[None, :, 1]
+    np.abs(dy, out=dy)
+    near = np.maximum(dx, dy) <= limit  # False for NaN
+    return np.hypot(dx, dy, out=np.full(dx.shape, np.inf), where=near)
 
 
 def associate(
@@ -460,9 +486,9 @@ def associate(
         return Assignment([], list(range(n)), list(range(m)))
 
     dist = _wrap_distances(
-        _track_necks(tracks, cam), _detection_necks(dets), cam.image_width
+        _track_necks(tracks, cam), _detection_necks(dets), cam.image_width, gate
     )
-    cost = np.where(dist <= gate, dist, _FORBIDDEN)  # NaN (no neck) fails the gate
+    cost = np.where(dist <= gate, dist, _FORBIDDEN)  # +inf (no neck) fails the gate
 
     rows, cols = linear_sum_assignment(cost)
     pairs = [(int(i), int(j)) for i, j in zip(rows, cols) if cost[i, j] < _FORBIDDEN]
@@ -525,8 +551,8 @@ class PanoTracker:
             w = localize(ankle, neck, self.cam)
         except GeometryError:
             return None
-        mean = np.array([w.x, w.y, 0.0, 0.0, w.z])
-        _clamp_height(mean)
+        lo, hi = H_N_RANGE
+        mean = np.array([w.x, w.y, 0.0, 0.0, min(max(w.z, lo), hi)])
         cov, root = _spd_factor(
             np.diag(self.config.initial_variance).astype(float), self.config.jitter_floor
         )
@@ -611,9 +637,10 @@ class PanoTracker:
                 _detection_necks([dets[di] for di in unmatched]),
                 _track_necks(live, self.cam),
                 self.cam.image_width,
+                cfg.spawn_suppression_px,
             )
             # a detection near a live track's neck is a residual duplicate
-            # of someone already tracked; NaN (no neck) never suppresses
+            # of someone already tracked; +inf (no neck) never suppresses
             suppressed = (dist < cfg.spawn_suppression_px).any(axis=1)
             for di, skip in zip(unmatched, suppressed):
                 if skip:
@@ -625,9 +652,6 @@ class PanoTracker:
         self._maintain_target()
 
         # emit value snapshots so stored frames are immune to later mutation
-        snapshot = [
-            dataclasses.replace(t, mean=t.mean.copy(), covariance=t.covariance.copy())
-            for t in sorted(self.tracks, key=lambda t: t.id)
-        ]
+        snapshot = [_snapshot(t) for t in sorted(self.tracks, key=lambda t: t.id)]
         self.tracks = [t for t in self.tracks if t.status != TrackStatus.LOST]
         return snapshot

@@ -227,6 +227,27 @@ class TestTrack:
         assert main(["track", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "tracks.jsonl").exists()
 
+    @pytest.mark.parametrize("flag", ["false", 1, None])
+    def test_non_bool_wrap_correction_exits_2(self, tmp_path, flag):
+        # a non-empty string is truthy: "false" used to run with the correction on
+        scenario = short_scenario(tmp_path)
+        cfg = run_config(tmp_path, scenario, extra={"tracker": {"wrap_correction": flag}})
+        out = tmp_path / "o"
+        assert main(["track", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "tracks.jsonl").exists()
+
+    def test_missing_detections_input_leaves_old_outputs(self, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        earlier = {"tracks.jsonl": b'{"frame": 0}\n', "detections.jsonl": b'{"frame": 1}\n'}
+        for name, data in earlier.items():
+            (out / name).write_bytes(data)
+        cfg = tmp_path / "offline.json"
+        cfg.write_text(json.dumps({"detections": str(tmp_path / "missing.jsonl")}))
+        assert main(["track", "--config", str(cfg), "--out", str(out)]) == 2
+        for name, data in earlier.items():
+            assert (out / name).read_bytes() == data
+
     @pytest.mark.parametrize(
         "tracker",
         [

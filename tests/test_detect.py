@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from panotrack.detect import (
     BoundingBox,
+    Joint,
     RoiConfig,
     Skeleton,
     TilesConfig,
@@ -65,6 +66,20 @@ class TestSkeleton:
     def test_rejects_non_finite(self, joint):
         with pytest.raises(ConfigError):
             skeleton({"neck": joint})
+
+    @pytest.mark.parametrize("point", [(3, 4.5), [3, 4.5], ImagePoint(3, 4.5)])
+    def test_joint_accepts_tuple_list_or_image_point(self, point):
+        joint = Joint(point, 0.5)
+        assert type(joint.point) is ImagePoint
+        assert joint.point == ImagePoint(3, 4.5) and joint.confidence == 0.5
+
+    @pytest.mark.parametrize(
+        "wrap", [tuple, list, lambda p: ImagePoint(*p)], ids=["tuple", "list", "image_point"]
+    )
+    @pytest.mark.parametrize("point", [(math.nan, 2), (1, math.inf)])
+    def test_joint_rejects_non_finite_in_any_form(self, wrap, point):
+        with pytest.raises(ConfigError):
+            Joint(wrap(point), 1.0)
 
     def test_ankle_midpoint_plain(self):
         sk = skeleton({"left_ankle": (100, 700), "right_ankle": (120, 710)})

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panotrack.detect import skeleton
 from panotrack.exceptions import ConfigError
 import panotrack.tracker
-from panotrack.geometry import WorldPoint, localize, world_to_image, wrap_distance
+from panotrack.geometry import ImagePoint, WorldPoint, localize, world_to_image, wrap_distance
 from panotrack.sim import Agent, AgentState, Body, WaypointTrajectory, project_agent
 from panotrack.tracker import (
     H_N_RANGE,
@@ -24,6 +26,7 @@ from panotrack.tracker import (
     update,
 )
 from panotrack.tracker import _measurement_matrix  # dual-path consistency check
+from panotrack.tracker import _store_posterior, _wrap_distances
 
 BODY = Body(height=1.7, ankle_height=0.1, neck_drop=0.25)
 NECK_Z = BODY.height - BODY.neck_drop
@@ -322,6 +325,14 @@ class TestPredict:
         assert tracks[0].mean[:2] == pytest.approx([2.0, 1.0], abs=1e-12)
         assert np.array_equal(tracks[1].mean, before)
 
+    def test_infinite_height_diverges_rather_than_clamped(self):
+        # the height clamp would map inf into range; finiteness is read first
+        track = make_track(2.0, 1.0)
+        before = track.mean.copy()
+        means = np.array([[2.0, 1.0, 0.0, 0.0, math.inf]])
+        assert _store_posterior([track], means, track.covariance[None], [True], 1e-9) == [0]
+        assert np.array_equal(track.mean, before)
+
 
 class TestUpdate:
     def test_zero_innovation_keeps_state(self, cam):
@@ -388,7 +399,28 @@ class TestUpdate:
 
 def brute_force_assignment(cost: np.ndarray, gate: float):
     """All injective partial matchings; maximize matches then minimize
-    total cost. Returns (n_matched, total_cost)."""
+    total cost. Returns (n_matched, total_cost). Tracks that share no
+    gated detection, even through others, cannot compete, so each
+    connected component of the gate graph is searched on its own."""
+    gated = cost <= gate
+    unseen = set(range(cost.shape[0]))
+    matched, total = 0, 0.0
+    while unseen:
+        stack, rows = [unseen.pop()], []
+        while stack:
+            i = stack.pop()
+            rows.append(i)
+            linked = {k for k in unseen if (gated[i] & gated[k]).any()}
+            unseen -= linked
+            stack.extend(linked)
+        rows.sort()
+        cols = np.flatnonzero(gated[rows].any(axis=0))
+        count, cost_sum = _exhaustive_assignment(cost[np.ix_(rows, cols)], gate)
+        matched, total = matched + count, total + cost_sum
+    return matched, total
+
+
+def _exhaustive_assignment(cost: np.ndarray, gate: float):
     n, m = cost.shape
     best = (0, 0.0)
 
@@ -483,6 +515,18 @@ class TestAssociate:
                 dets.append(det)
             assert_matches_brute_force(tracks, dets, cam, gate=100.0)
 
+    def test_matches_brute_force_on_a_50_person_crowd(self, cam):
+        rng = np.random.default_rng(50)
+        tracks, dets = [], []
+        for _ in range(50):
+            x, y = world_at_column(rng.uniform(0, 1920), rng.uniform(1.5, 6.0), cam)
+            tracks.append(make_track(x + rng.normal(0, 0.1), y + rng.normal(0, 0.1)))
+            dets.append(agent_detection(x, y, cam))
+        # at this gate the people fall into gate-graph components of up
+        # to 6 tracks, 11 of them contested, which exhaustive search can
+        # still cover
+        assert_matches_brute_force(tracks, dets, cam, gate=40.0)
+
     def test_no_tracks(self, cam):
         dets = [agent_detection(2.0, 0.0, cam), agent_detection(-2.0, 0.0, cam)]
         res = associate([], dets, cam, gate=150.0)
@@ -503,6 +547,62 @@ class TestAssociate:
         res = associate(tracks, dets, cam, gate=150.0)
         assert res.pairs == []
         assert res.unmatched_tracks == [0, 1] and res.unmatched_dets == [0, 1]
+
+
+W = 1920
+
+
+@st.composite
+def gated_distance_case(draw):
+    """(a, b, limit, pairs at the limit): two pixel lists mixing columns
+    anywhere in [-W, 2W), columns either side of the seam and neckless
+    (NaN) rows, plus integer pairs whose distance is the limit exactly,
+    straight or across the seam."""
+    limit = draw(st.integers(1, 400))
+    column = st.one_of(
+        st.floats(-W, 2 * W, exclude_max=True),
+        st.floats(W - 60, W),
+        st.floats(0, 60),
+    )
+    point = st.one_of(st.tuples(column, st.floats(0, 960)), st.just((math.nan, math.nan)))
+    a = draw(st.lists(point, min_size=1, max_size=6))
+    b = draw(st.lists(point, max_size=6))
+    at_limit = []
+    for _ in range(draw(st.integers(0, 3))):
+        x, y = draw(st.integers(-W, 2 * W - 1)), draw(st.integers(0, 960))
+        dx, dy = draw(
+            st.sampled_from([(limit, 0), (-limit, 0), (0, limit), (0, -limit)])
+            | st.sampled_from([(W - limit, 0), (limit - W, 0)])  # across the seam
+        )
+        at_limit.append((len(a), len(b)))
+        a.append((float(x), float(y)))
+        b.append((float(x + dx), float(y + dy)))
+    return a, b, float(limit), at_limit
+
+
+class TestWrapDistances:
+    @settings(max_examples=300, deadline=None)
+    @given(gated_distance_case())
+    def test_exact_inside_the_limit_and_above_it_outside(self, case):
+        a, b, limit, at_limit = case
+        pixels = [np.array(points, dtype=float).reshape(-1, 2) for points in (a, b)]
+        got = _wrap_distances(*pixels, W, limit)
+        assert got.shape == (len(a), len(b))
+        for i, p in enumerate(a):
+            for j, q in enumerate(b):
+                ref = wrap_distance(ImagePoint(*p), ImagePoint(*q), W)
+                if ref <= limit:  # NaN (neckless) is never within the limit
+                    # np.hypot and math.hypot may differ in the last bit
+                    assert got[i, j] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+                else:
+                    assert got[i, j] > limit
+        for i, j in at_limit:
+            assert got[i, j] == limit
+
+    def test_column_gap_beyond_the_width_is_reduced(self):
+        # 2000 lies outside [0, W]: the gap 1990 is 70 the short way round
+        got = _wrap_distances(np.array([[10.0, 5.0]]), np.array([[2000.0, 5.0]]), W, 100.0)
+        assert got.tolist() == [[70.0]]
 
 
 def assert_matches_brute_force(tracks, dets, cam, gate):
@@ -720,6 +820,27 @@ class TestStep:
         out = tracker.step(dets, 1 / 30)
         assert sorted(calls) == [(2, 2), (2, 4)]
         assert [t.hits for t in out] == [4, 4, 4, 4]
+
+    def test_snapshots_are_isolated_from_the_live_tracks(self, cam):
+        tracker = PanoTracker(cam, TrackerConfig())
+        for _ in range(2):
+            snap = tracker.step([agent_detection(2.0, 0.0, cam)], 1 / 30)[0]
+        live = tracker.tracks[0]
+        kept = (live.mean.copy(), live.covariance.copy(), live.hits, live.status)
+
+        snap.mean[0] += 5.0
+        snap.covariance[0, 0] = 99.0
+        snap.hits, snap.status = 100, TrackStatus.LOST
+        assert np.array_equal(live.mean, kept[0]) and np.array_equal(live.covariance, kept[1])
+        assert (live.hits, live.status) == kept[2:]
+
+        stored = tracker.step([agent_detection(2.0, 0.0, cam)], 1 / 30)[0]
+        frozen = (stored.mean.copy(), stored.covariance.copy(), stored.hits, stored.age)
+        tracker.step([agent_detection(2.1, 0.0, cam)], 1 / 30)
+        assert not np.array_equal(live.mean, frozen[0])  # the live track moved on
+        assert np.array_equal(stored.mean, frozen[0])
+        assert np.array_equal(stored.covariance, frozen[1])
+        assert (stored.hits, stored.age) == frozen[2:]
 
     def test_seam_crossing_keeps_single_id(self, cam):
         history = run_walker(
