@@ -26,7 +26,6 @@ from .detect import (
     plan_roi,
     plan_tiles,
     run_viewports,
-    select_target,
     skeleton,
     torso_bbox,
 )
@@ -37,7 +36,6 @@ from .exceptions import (
     FilterDivergenceError,
     GeometryError,
     InputError,
-    NoTargetError,
     PanotrackError,
 )
 from .geometry import (

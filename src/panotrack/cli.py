@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from .detect import RoiConfig, TilesConfig
-from .exceptions import ConfigError, FilterDivergenceError, InputError, PanotrackError
+from .exceptions import ConfigError, InputError, PanotrackError
 from .geometry import CameraModel, localization_sensitivity
 from .io import (
     read_jsonl,
@@ -276,9 +276,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (InputError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except FilterDivergenceError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME_ERROR
     except PanotrackError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR

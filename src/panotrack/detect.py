@@ -30,12 +30,11 @@ scale and are de-referenced to full-image coordinates here.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Protocol, Sequence
 
-from .exceptions import ConfigError, DegenerateSkeletonError, NoTargetError
-from .geometry import CameraModel, ImagePoint, cyclic_interval_overlap
+from .exceptions import ConfigError, DegenerateSkeletonError
+from .geometry import CameraModel, ImagePoint, _finite_number, _integer, cyclic_interval_overlap
 
 JOINT_NAMES = (
     "neck",
@@ -431,11 +430,6 @@ def run_viewports(
     return DetectionResult(detections=fused, errors=errors)
 
 
-def _finite_number(value) -> bool:
-    # JSON true/false arrive as bools, which are ints to Python
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
 @dataclass(frozen=True)
 class TilesConfig:
     """Settings for the tiles strategy. ``overlap`` None means 150 px
@@ -450,7 +444,7 @@ class TilesConfig:
 
     def __post_init__(self) -> None:
         n = self.n_tiles
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+        if not _integer(n) or n < 2:
             raise ConfigError(f"n_tiles must be an integer >= 2, got {n!r}")
         if not _finite_number(self.merge_threshold) or not 0.0 < self.merge_threshold <= 1.0:
             raise ConfigError(f"merge threshold must be in (0, 1], got {self.merge_threshold!r}")
@@ -534,19 +528,3 @@ def plan_roi(
         return (full,), frozenset()
     return (full, roi_viewport(prediction, cam, cfg)), cyclic_pairs(2)
 
-
-def select_target(dets: Sequence[Detection], image_width: float) -> Detection:
-    """Pick the detection with the largest torso box (the nearest,
-    most prominent person); ties go to the smallest anchor column.
-    Detections without a valid torso box rank last (area 0)."""
-    if not dets:
-        raise NoTargetError("no detections to promote")
-
-    def key(sk: Skeleton):
-        try:
-            area = torso_bbox(sk, image_width).area
-        except DegenerateSkeletonError:
-            area = 0.0
-        return (-area, sk.reference_x())
-
-    return min(dets, key=key)

@@ -21,10 +21,6 @@ class DegenerateSkeletonError(PanotrackError):
     """Skeleton lacks the joints required by an operation."""
 
 
-class NoTargetError(PanotrackError):
-    """Target selection requested on an empty detection list."""
-
-
 class FilterDivergenceError(PanotrackError):
     """Track covariance could not be kept positive definite."""
 

@@ -27,12 +27,21 @@ mapping.
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .exceptions import AboveHorizonError, ConfigError, GeometryError
+
+
+# JSON true/false arrive as bools, which are ints to Python
+def _finite_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class ImagePoint(NamedTuple):
@@ -74,8 +83,14 @@ class CameraModel:
     ankle_height: float = 0.10
 
     def __post_init__(self) -> None:
-        if self.image_width <= 0 or self.image_height <= 0:
-            raise ConfigError("image dimensions must be positive")
+        for name in ("image_width", "image_height"):
+            v = getattr(self, name)
+            if not _integer(v) or v < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
+        for name in ("fov_h", "fov_v", "mount_height", "ankle_height"):
+            v = getattr(self, name)
+            if not _finite_number(v):
+                raise ConfigError(f"{name} must be a finite number, got {v!r}")
         if not 0.0 < self.fov_h <= 360.0:
             raise ConfigError(f"fov_h must be in (0, 360], got {self.fov_h}")
         if not 0.0 < self.fov_v <= 180.0:
@@ -99,18 +114,13 @@ class CameraModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CameraModel":
+        if not isinstance(d, dict):
+            raise ConfigError(f"camera must be an object, got {d!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown camera fields: {sorted(unknown)}")
         return cls(**d)
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
-    @classmethod
-    def from_json(cls, s: str) -> "CameraModel":
-        return cls.from_dict(json.loads(s))
 
 
 def wrap_degrees(theta: float) -> float:

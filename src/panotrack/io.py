@@ -22,9 +22,10 @@ from .tracker import Track
 
 
 def read_jsonl(path: str) -> Iterator[dict]:
-    """The records of a JSONL file, one dict per non-blank line. The
-    file is opened by this call, so a missing file fails here and not
-    at the first record; the records are read as they are drawn."""
+    """The records of a JSONL file, one dict per non-blank line; a line
+    that is not a JSON object raises InputError. The file is opened by
+    this call, so a missing file fails here and not at the first
+    record; the records are read as they are drawn."""
     return _records(open(path, "r", encoding="utf-8"), path)
 
 
@@ -35,9 +36,12 @@ def _records(fh: TextIO, path: str) -> Iterator[dict]:
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+            if not isinstance(record, dict):
+                raise InputError(f"{path}:{lineno}: expected a JSON object")
+            yield record
 
 
 def write_jsonl(path: str, records: Iterable[dict]) -> None:
@@ -64,9 +68,10 @@ def detections_record(frame: int, t: float, dets: Sequence[Skeleton]) -> dict:
 
 def detections_from_record(record: dict) -> list[Skeleton]:
     try:
-        return [
-            skeleton(d["joints"]) for d in record["detections"]
-        ]
+        dets = record["detections"]
+        if not isinstance(dets, list):
+            raise TypeError(f"detections must be a list, got {dets!r}")
+        return [skeleton(d["joints"]) for d in dets]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed detection record: {exc}") from exc
 

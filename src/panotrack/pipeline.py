@@ -13,6 +13,7 @@ Strategies:
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import time
 from dataclasses import dataclass
@@ -28,9 +29,9 @@ from .detect import (
     plan_tiles,
     run_viewports,
 )
-from .exceptions import ConfigError
-from .geometry import CameraModel, ImagePoint, world_to_image
-from .io import detections_record, tracks_record
+from .exceptions import ConfigError, InputError, PanotrackError
+from .geometry import CameraModel, ImagePoint, _finite_number, _integer, world_to_image
+from .io import detections_from_record, detections_record, tracks_record
 from .sim import Scenario, SyntheticDetector, run_scenario
 from .tracker import PanoTracker, TrackerConfig, TrackStatus
 
@@ -110,7 +111,7 @@ def run_simulated(
     The runner and tracker are built, and their configs checked, when
     this is called; the frames are produced lazily."""
     if seed is not None and seed != scenario.seed:
-        scenario = dataclass_replace_seed(scenario, seed)
+        scenario = dataclasses.replace(scenario, seed=seed)
     detector = SyntheticDetector.for_scenario(scenario)
     runner = StrategyRunner(strategy, scenario.cam, detector, tiles_cfg, roi_cfg)
     return _simulated_frames(scenario, runner, PanoTracker(scenario.cam, tracker_cfg))
@@ -147,18 +148,20 @@ def run_offline(
     tracker_cfg: TrackerConfig = TrackerConfig(),
     fallback_fps: float = 30.0,
 ) -> Iterator[FrameOutput]:
-    """Track over an externally produced detections JSONL stream."""
-    from .io import detections_from_record
-
+    """Track over an externally produced detections JSONL stream. A
+    malformed record raises InputError naming its 1-based position in
+    the stream."""
     tracker = PanoTracker(cam, tracker_cfg)
     prev_t: Optional[float] = None
-    for record in detection_records:
-        frame = int(record["frame"])
-        t = float(record["t"])
+    for n, record in enumerate(detection_records, start=1):
+        start = time.perf_counter()
+        try:
+            frame, t = _frame_and_time(record)
+            dets = detections_from_record(record)
+        except PanotrackError as exc:
+            raise InputError(f"detections record {n}: {exc}") from exc
         dt = (t - prev_t) if prev_t is not None and t > prev_t else 1.0 / fallback_fps
         prev_t = t
-        start = time.perf_counter()
-        dets = detections_from_record(record)
         tracks = tracker.step(dets, dt)
         latency = time.perf_counter() - start
         yield FrameOutput(
@@ -171,10 +174,13 @@ def run_offline(
         )
 
 
-def dataclass_replace_seed(scenario: Scenario, seed: int) -> Scenario:
-    import dataclasses
-
-    return dataclasses.replace(scenario, seed=seed)
+def _frame_and_time(record: dict) -> tuple[int, float]:
+    frame, t = record.get("frame"), record.get("t")
+    if not _integer(frame):
+        raise InputError(f"frame must be an integer, got {frame!r}")
+    if not _finite_number(t):
+        raise InputError(f"t must be a finite number, got {t!r}")
+    return int(frame), float(t)
 
 
 def log_latency_percentiles(latencies_s: Sequence[float]) -> None:

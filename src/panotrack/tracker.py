@@ -33,25 +33,29 @@ Both are controlled by the ``wrap_correction`` flag so the effect is
 testable; association always measures image distance the short way
 around the seam.
 
+``PanoTracker.step`` reads each detection's joints once a frame, into
+one (m, 4) array of ankle-midpoint and neck pixels with NaN where a
+joint is absent. Association, the measurements, spawn suppression and
+spawning all read that array.
+
 Association is global nearest neighbour on the neck column/row: the
 optimal one-to-one assignment (Hungarian) that maximizes the number of
 pairs within the pixel gate and, among those, minimizes the total
 wrap-aware distance. Each frame builds one cost matrix: the active
 tracks' necks are projected in a single vectorized call, and the
-distances to all detection necks are formed by broadcasting, with the
-column difference taken the short way around the seam. Distances are
-evaluated only inside the gate: a pair whose column or row gap alone
-exceeds it reads +inf, as does a detection without a neck (a NaN row),
-so neither can pass. Spawn suppression measures unmatched detections
-against the live tracks' necks the same way, with its own radius as
-the limit.
+distances to the frame's neck columns are formed by broadcasting, with
+the column difference taken the short way around the seam. Distances
+are evaluated only inside the gate: a pair whose column or row gap
+alone exceeds it reads +inf, as does a detection without a neck (a NaN
+row), so neither can pass. Spawn suppression measures unmatched
+detections against the live tracks' necks the same way, with its own
+radius as the limit.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -59,12 +63,14 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .detect import Detection, _finite_number
+from .detect import Detection
 from .exceptions import ConfigError, FilterDivergenceError, GeometryError
 from .geometry import (
     CameraModel,
     ImagePoint,
     WorldPoint,
+    _finite_number,
+    _integer,
     localize,
     signed_wrap_diff,
     world_to_image,
@@ -94,7 +100,7 @@ def _check_variances(name: str, values, strict: bool) -> None:
 
 
 def _check_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+    if not _integer(value) or value < 1:
         raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
 
@@ -194,9 +200,6 @@ class TrackState:
     vy: float
     h_n: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.vx, self.vy, self.h_n])
-
     @classmethod
     def from_array(cls, a: np.ndarray) -> "TrackState":
         return cls(*(float(v) for v in a))
@@ -210,9 +213,7 @@ class Track:
     status: TrackStatus = TrackStatus.TENTATIVE
     hits: int = 1  # consecutive accepted updates (spawn counts as one)
     consecutive_misses: int = 0
-    frames_since_update: int = 0
     is_target: bool = False
-    age: int = 0
     # Cholesky factor of `covariance`: set at spawn, stored with every
     # posterior, and required by predict and update
     cov_factor: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
@@ -432,15 +433,18 @@ def _track_necks(tracks: Sequence[Track], cam: CameraModel) -> np.ndarray:
     return _measurement_matrix(means, cam, neck_only=True)
 
 
-def _detection_necks(dets: Sequence[Detection]) -> np.ndarray:
-    """(m, 2) neck pixels of the detections; NaN rows for detections
-    without a neck, so every distance to them is NaN."""
-    necks = np.full((len(dets), 2), np.nan)
+def _detection_pixels(dets: Sequence[Detection], image_width: float) -> np.ndarray:
+    """(m, 4) pixels of the detections: ankle-midpoint column and row,
+    then neck column and row, NaN where the joints are absent."""
+    pix = np.full((len(dets), 4), np.nan)
     for j, det in enumerate(dets):
+        ankle = det.ankle_midpoint(image_width)
+        if ankle is not None:
+            pix[j, :2] = ankle
         neck = det.neck
         if neck is not None:
-            necks[j] = neck
-    return necks
+            pix[j, 2:] = neck
+    return pix
 
 
 def _wrap_distances(
@@ -467,27 +471,26 @@ def _wrap_distances(
 
 def associate(
     tracks: Sequence[Track],
-    dets: Sequence[Detection],
+    det_necks: np.ndarray,
     cam: CameraModel,
     gate: float,
 ) -> Assignment:
     """Global nearest neighbour between predicted neck positions and
-    detection necks under the wrap-aware image distance.
+    the (m, 2) detection neck pixels under the wrap-aware image
+    distance.
 
     Finds the one-to-one assignment that first maximizes the number of
     pairs within the gate and then minimizes their total distance
     (Hungarian method on a matrix where gated-out pairs carry a
-    prohibitive cost). Detections without a neck joint are never
+    prohibitive cost). A NaN row (a detection without a neck) is never
     matched. Ties are resolved deterministically by the (track, det)
     ordering of the inputs.
     """
-    n, m = len(tracks), len(dets)
+    n, m = len(tracks), len(det_necks)
     if n == 0 or m == 0:
         return Assignment([], list(range(n)), list(range(m)))
 
-    dist = _wrap_distances(
-        _track_necks(tracks, cam), _detection_necks(dets), cam.image_width, gate
-    )
+    dist = _wrap_distances(_track_necks(tracks, cam), det_necks, cam.image_width, gate)
     cost = np.where(dist <= gate, dist, _FORBIDDEN)  # +inf (no neck) fails the gate
 
     rows, cols = linear_sum_assignment(cost)
@@ -499,22 +502,6 @@ def associate(
         unmatched_tracks=[i for i in range(n) if i not in matched_t],
         unmatched_dets=[j for j in range(m) if j not in matched_d],
     )
-
-
-def measurement_from_detection(
-    det: Detection, image_width: float
-) -> Optional[np.ndarray]:
-    """Measurement vector of a detection: (ankle column, ankle row,
-    neck column, neck row) when the neck and at least one ankle are
-    present, (neck column, neck row) when the ankles are occluded,
-    None without a neck."""
-    neck = det.neck
-    if neck is None:
-        return None
-    ankle = det.ankle_midpoint(image_width)
-    if ankle is None:
-        return np.array([neck.x, neck.y])
-    return np.array([ankle.x, ankle.y, neck.x, neck.y])
 
 
 class PanoTracker:
@@ -542,13 +529,15 @@ class PanoTracker:
         self.tracks: list[Track] = []
         self._next_id = 1
 
-    def _spawn(self, det: Detection) -> Optional[Track]:
-        neck = det.neck
-        ankle = det.ankle_midpoint(self.cam.image_width)
-        if neck is None or ankle is None:
+    def _spawn(self, pix: np.ndarray) -> Optional[Track]:
+        """A tentative track at the person seen in one (4,) row of
+        detection pixels; None when a joint is missing or the ankle
+        does not localize."""
+        if np.isnan(pix).any():
             return None
+        ax, ay, nx, ny = pix.tolist()
         try:
-            w = localize(ankle, neck, self.cam)
+            w = localize(ImagePoint(ax, ay), ImagePoint(nx, ny), self.cam)
         except GeometryError:
             return None
         lo, hi = H_N_RANGE
@@ -576,7 +565,6 @@ class PanoTracker:
     def _register_hit(self, track: Track) -> None:
         track.hits += 1
         track.consecutive_misses = 0
-        track.frames_since_update = 0
         if (
             track.status == TrackStatus.TENTATIVE
             and track.hits >= self.config.confirm_hits
@@ -590,19 +578,19 @@ class PanoTracker:
 
         for i in predict(self.tracks, dt, cfg.ukf, cfg.jitter_floor):
             self.tracks[i].status = TrackStatus.LOST
-        for track in self.tracks:
-            track.age += 1
 
+        pix = _detection_pixels(dets, self.cam.image_width)
         active = [t for t in self.tracks if t.status != TrackStatus.LOST]
         active.sort(key=lambda t: t.id)
-        assignment = associate(active, dets, self.cam, cfg.gate_px)
+        assignment = associate(active, pix[:, 2:], self.cam, cfg.gate_px)
 
         missed = set(assignment.unmatched_tracks)
         # matched detections always carry a neck (association anchors on
-        # it); one batched update per measurement size
+        # it); the measurement is the whole row, or the neck alone when
+        # the ankles are absent; one batched update per measurement size
         by_dim: dict[int, list[tuple[int, np.ndarray]]] = {}
         for ti, di in assignment.pairs:
-            z = measurement_from_detection(dets[di], self.cam.image_width)
+            z = pix[di] if not np.isnan(pix[di, 0]) else pix[di, 2:]
             by_dim.setdefault(len(z), []).append((ti, z))
         for group in by_dim.values():
             accepted, diverged = update(
@@ -626,7 +614,6 @@ class PanoTracker:
             track = active[ti]
             track.hits = 0
             track.consecutive_misses += 1
-            track.frames_since_update += 1
             if track.consecutive_misses >= cfg.lose_after_misses:
                 track.status = TrackStatus.LOST
 
@@ -634,7 +621,7 @@ class PanoTracker:
         if unmatched:
             live = [t for t in self.tracks if t.status != TrackStatus.LOST]
             dist = _wrap_distances(
-                _detection_necks([dets[di] for di in unmatched]),
+                pix[unmatched, 2:],
                 _track_necks(live, self.cam),
                 self.cam.image_width,
                 cfg.spawn_suppression_px,
@@ -645,7 +632,7 @@ class PanoTracker:
             for di, skip in zip(unmatched, suppressed):
                 if skip:
                     continue
-                spawned = self._spawn(dets[di])
+                spawned = self._spawn(pix[di])
                 if spawned is not None:
                     self.tracks.append(spawned)
 

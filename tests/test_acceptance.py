@@ -50,6 +50,7 @@ from panotrack.tracker import (
     PanoTracker,
     Track,
     TrackerConfig,
+    _detection_pixels,
     associate,
     project_to_image,
 )
@@ -233,7 +234,8 @@ def test_criterion_4_gnn_optimality():
             )
             dets.append(project_agent(state, CAM))
 
-        res = associate(tracks, dets, CAM, gate)
+        necks = _detection_pixels(dets, CAM.image_width)[:, 2:]
+        res = associate(tracks, necks, CAM, gate)
         cost = np.zeros((n, m))
         for i, tr in enumerate(tracks):
             pred = project_to_image(tr.state, CAM)[1]

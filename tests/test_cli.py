@@ -29,6 +29,12 @@ def short_scenario(tmp_path, duration=2.0, noise=1.0, name="short.json"):
     return path
 
 
+def offline_config(tmp_path, detections_path, camera=None):
+    path = tmp_path / "offline.json"
+    path.write_text(json.dumps({"detections": str(detections_path), "camera": camera or {}}))
+    return path
+
+
 def run_config(tmp_path, scenario_path, strategy="tiles", extra=None):
     cfg = {"scenario": str(scenario_path), "strategy": strategy}
     cfg.update(extra or {})
@@ -175,6 +181,54 @@ class TestTrack:
         assert main(["track", "--config", str(cfg), "--out", str(out)]) == 2
         for name in ("detections.jsonl", "tracks.jsonl"):
             assert "NaN" not in (out / name).read_text()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"t": 0.0, "detections": []}', "detections record 1: frame must be an integer"),
+            ('{"frame": 0, "t": "x", "detections": []}', "detections record 1: t must be a finite"),
+            ("[1, 2]", "bad.jsonl:1: expected a JSON object"),
+            ('{"frame": 0, "t": 0.0, "detections": {}}', "detections record 1: malformed"),
+            (
+                '{"frame": 0, "t": 0.0, "detections": [{"joints": {}}]}',
+                "detections record 1: skeleton has no joints",
+            ),
+        ],
+        ids=["no_frame", "string_t", "not_an_object", "detections_object", "empty_joints"],
+    )
+    def test_malformed_detections_record_exits_2(self, tmp_path, capsys, line, message):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert main(["track", "--config", str(offline_config(tmp_path, bad)), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "camera",
+        [
+            {"image_width": "1920"},
+            {"image_height": 960.0},
+            {"image_width": True},
+            {"mount_height": float("inf")},
+            {"fov_h": "360"},
+        ],
+        ids=["string_width", "float_height", "bool_width", "inf_mount_height", "string_fov"],
+    )
+    def test_invalid_camera_exits_2(self, tmp_path, camera):
+        scenario = short_scenario(tmp_path)
+        first = tmp_path / "first"
+        assert main(["track", "--scenario", str(scenario), "--out", str(first)]) == 0
+        cfg = offline_config(tmp_path, first / "detections.jsonl", camera)
+        out = tmp_path / "offline"
+        assert main(["track", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "tracks.jsonl").exists()
+        assert not (out / "detections.jsonl").exists()
+
+        camera_file = tmp_path / "camera.json"
+        camera_file.write_text(json.dumps(camera))
+        sens = tmp_path / "sens"
+        assert main(["sensitivity", "--camera", str(camera_file), "--out", str(sens)]) == 2
+        assert not (sens / "sensitivity.csv").exists()
 
     def test_both_inputs_rejected(self, tmp_path):
         scenario = short_scenario(tmp_path)

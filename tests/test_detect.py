@@ -21,15 +21,10 @@ from panotrack.detect import (
     plan_tiles,
     roi_viewport,
     run_viewports,
-    select_target,
     skeleton,
     torso_bbox,
 )
-from panotrack.exceptions import (
-    ConfigError,
-    DegenerateSkeletonError,
-    NoTargetError,
-)
+from panotrack.exceptions import ConfigError, DegenerateSkeletonError
 from panotrack.geometry import CameraModel, ImagePoint
 
 
@@ -421,22 +416,3 @@ class TestRunRoi:
         assert full.neck.x == pytest.approx(30.0)
         assert full.neck.y == pytest.approx(15.0)
 
-
-class TestSelectTarget:
-    def test_single(self, cam):
-        sk = torso(100, 400)
-        assert select_target([sk], 1920) is sk
-
-    def test_prefers_larger_box(self, cam):
-        near = torso(500, 400, w=80, h=120)
-        far = torso(100, 400, w=20, h=30)
-        assert select_target([far, near], 1920) is near
-
-    def test_tie_breaks_smaller_x(self, cam):
-        a = torso(100, 400)
-        b = torso(500, 400)
-        assert select_target([b, a], 1920) is a
-
-    def test_empty_raises(self):
-        with pytest.raises(NoTargetError):
-            select_target([], 1920)

@@ -38,14 +38,27 @@ class TestCameraModel:
             {"fov_v": 200.0},
             {"mount_height": 0.05, "ankle_height": 0.1},
             {"ankle_height": -0.1},
+            {"image_width": "1920"},
+            {"image_width": True},
+            {"image_height": 960.0},
+            {"image_height": 0},
+            {"fov_h": "360"},
+            {"fov_v": math.nan},
+            {"mount_height": math.inf},
+            {"ankle_height": False},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             CameraModel(**kwargs)
 
-    def test_json_round_trip(self, cam):
-        assert CameraModel.from_json(cam.to_json()) == cam
+    def test_dict_round_trip(self, cam):
+        assert CameraModel.from_dict(cam.to_dict()) == cam
+
+    @pytest.mark.parametrize("d", [5, [1920], None])
+    def test_from_dict_rejects_non_object(self, d):
+        with pytest.raises(ConfigError):
+            CameraModel.from_dict(d)
 
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(ConfigError):

@@ -59,6 +59,11 @@ class TestDetectionsRecord:
         with pytest.raises(InputError):
             detections_from_record({"detections": [{"joints": {"neck": value}}]})
 
+    @pytest.mark.parametrize("detections", [{}, None, "x"], ids=["object", "null", "string"])
+    def test_detections_not_a_list_raises_input_error(self, detections):
+        with pytest.raises(InputError):
+            detections_from_record({"detections": detections})
+
     def test_joints_not_an_object_raises_input_error(self):
         with pytest.raises(InputError):
             detections_from_record({"detections": [{"joints": [[1, 2, 0.5]]}]})
@@ -78,4 +83,11 @@ class TestReadJsonl:
         path = tmp_path / "r.jsonl"
         path.write_text('{"frame": 0}\n{"frame": \n')
         with pytest.raises(InputError, match=":2: invalid JSON"):
+            list(read_jsonl(str(path)))
+
+    @pytest.mark.parametrize("line", ["[1, 2]", "3", '"frame"', "null"])
+    def test_line_that_is_not_an_object_names_its_number(self, tmp_path, line):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"frame": 0}\n\n' + line + "\n")
+        with pytest.raises(InputError, match=":3: expected a JSON object"):
             list(read_jsonl(str(path)))

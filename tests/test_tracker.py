@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from panotrack.detect import skeleton
@@ -19,14 +19,13 @@ from panotrack.tracker import (
     TrackStatus,
     UkfParams,
     associate,
-    measurement_from_detection,
     predict,
     project_to_image,
     unwrap_columns,
     update,
 )
 from panotrack.tracker import _measurement_matrix  # dual-path consistency check
-from panotrack.tracker import _store_posterior, _wrap_distances
+from panotrack.tracker import _detection_pixels, _store_posterior, _wrap_distances
 
 BODY = Body(height=1.7, ankle_height=0.1, neck_drop=0.25)
 NECK_Z = BODY.height - BODY.neck_drop
@@ -40,6 +39,18 @@ def new_track(track_id, mean, cov):
 
 def make_track(x, y, vx=0.0, vy=0.0, h_n=NECK_Z, var=(0.01, 0.01, 0.04, 0.04, 0.001)):
     return new_track(1, np.array([x, y, vx, vy, h_n], dtype=float), np.diag(var).astype(float))
+
+
+def pixel_row(det, cam):
+    """The (4,) ankle-midpoint and neck pixel row of one detection, as
+    step reads it; the full-body measurement of a detection that has
+    both joints."""
+    return _detection_pixels([det], cam.image_width)[0]
+
+
+def necks(dets, cam):
+    """The (m, 2) neck pixels that step passes to associate."""
+    return _detection_pixels(dets, cam.image_width)[:, 2:]
 
 
 def update_one(track, z, cam, params, **kwargs):
@@ -209,7 +220,7 @@ class TestBatchedPathsMatchScalar:
             else:
                 col = project_to_image(t.state, cam)[1].x + col_shifts[k]
                 x, y = world_at_column(col % 1920, math.hypot(t.mean[0], t.mean[1]), cam)
-            z = measurement_from_detection(agent_detection(x, y, cam), cam.image_width)
+            z = pixel_row(agent_detection(x, y, cam), cam)
             rows.append(z if dim == 4 else z[2:])
         return np.array(rows)
 
@@ -350,7 +361,7 @@ class TestUpdate:
         x, y = world_at_column(1915.0, 2.0, cam)
         tr = make_track(x, y)
         det = agent_detection(*world_at_column(5.0, 2.0, cam), cam)
-        meas = measurement_from_detection(det, cam.image_width)
+        meas = pixel_row(det, cam)
         before = tr.mean.copy()
         assert update_one(tr, meas, cam, UkfParams(), wrap_correction=True)
         moved = np.linalg.norm(tr.mean[:2] - before[:2])
@@ -362,7 +373,7 @@ class TestUpdate:
         x, y = world_at_column(1915.0, 2.0, cam)
         tr = make_track(x, y)
         det = agent_detection(*world_at_column(5.0, 2.0, cam), cam)
-        meas = measurement_from_detection(det, cam.image_width)
+        meas = pixel_row(det, cam)
         before = tr.mean.copy()
         update_one(tr, meas, cam, UkfParams(), wrap_correction=False)
         moved = np.linalg.norm(tr.mean[:2] - before[:2])
@@ -379,7 +390,7 @@ class TestUpdate:
     def test_mahalanobis_gate_rejects(self, cam):
         tr = make_track(2.0, 0.0)
         det = agent_detection(2.0, 1.5, cam)  # far off prediction
-        meas = measurement_from_detection(det, cam.image_width)
+        meas = pixel_row(det, cam)
         before = tr.mean.copy()
         accepted = update_one(tr, meas, cam, UkfParams(), mahalanobis_gate=9.0)
         assert not accepted
@@ -393,7 +404,7 @@ class TestUpdate:
             det = agent_detection(
                 2.0 + rng.normal(0, 0.01), 0.5 + rng.normal(0, 0.01), cam
             )
-            update_one(tr, measurement_from_detection(det, cam.image_width), cam, UkfParams())
+            update_one(tr, pixel_row(det, cam), cam, UkfParams())
             assert np.linalg.eigvalsh(tr.covariance).min() > 0
 
 
@@ -444,14 +455,14 @@ class TestAssociate:
     def test_single_pair_within_gate(self, cam):
         tr = make_track(2.0, 0.0)
         det = agent_detection(2.02, 0.0, cam)
-        res = associate([tr], [det], cam, gate=150.0)
+        res = associate([tr], necks([det], cam), cam, gate=150.0)
         assert res.pairs == [(0, 0)]
         assert res.unmatched_tracks == [] and res.unmatched_dets == []
 
     def test_out_of_gate_unmatched(self, cam):
         tr = make_track(2.0, 0.0)
         det = agent_detection(-2.0, 0.0, cam)  # opposite side of the camera
-        res = associate([tr], [det], cam, gate=150.0)
+        res = associate([tr], necks([det], cam), cam, gate=150.0)
         assert res.pairs == []
         assert res.unmatched_tracks == [0] and res.unmatched_dets == [0]
 
@@ -459,7 +470,7 @@ class TestAssociate:
         x, y = world_at_column(1915.0, 2.0, cam)
         tr = make_track(x, y, h_n=NECK_Z)
         det = agent_detection(*world_at_column(5.0, 2.0, cam), cam)
-        res = associate([tr], [det], cam, gate=150.0)
+        res = associate([tr], necks([det], cam), cam, gate=150.0)
         assert res.pairs == [(0, 0)]
         pred = project_to_image(tr.state, cam)[1]
         assert wrap_distance(pred, det.neck, cam.image_width) == pytest.approx(
@@ -469,7 +480,7 @@ class TestAssociate:
     def test_neckless_detection_never_matches(self, cam):
         tr = make_track(2.0, 0.0)
         det = skeleton({"left_ankle": (960, 700), "right_ankle": (965, 700)})
-        res = associate([tr], [det], cam, gate=150.0)
+        res = associate([tr], necks([det], cam), cam, gate=150.0)
         assert res.pairs == []
         assert res.unmatched_dets == [0]
 
@@ -478,7 +489,7 @@ class TestAssociate:
         t2 = make_track(2.0, -0.1)
         d1 = agent_detection(2.0, -0.12, cam)
         d2 = agent_detection(2.0, 0.12, cam)
-        res = associate([t1, t2], [d1, d2], cam, gate=150.0)
+        res = associate([t1, t2], necks([d1, d2], cam), cam, gate=150.0)
         assert sorted(res.pairs) == [(0, 1), (1, 0)]
 
     def test_matches_brute_force_on_random_instances(self, cam):
@@ -529,12 +540,13 @@ class TestAssociate:
 
     def test_no_tracks(self, cam):
         dets = [agent_detection(2.0, 0.0, cam), agent_detection(-2.0, 0.0, cam)]
-        res = associate([], dets, cam, gate=150.0)
+        res = associate([], necks(dets, cam), cam, gate=150.0)
         assert res.pairs == [] and res.unmatched_tracks == []
         assert res.unmatched_dets == [0, 1]
 
     def test_no_detections(self, cam):
-        res = associate([make_track(2.0, 0.0), make_track(-2.0, 0.0)], [], cam, gate=150.0)
+        tracks = [make_track(2.0, 0.0), make_track(-2.0, 0.0)]
+        res = associate(tracks, necks([], cam), cam, gate=150.0)
         assert res.pairs == [] and res.unmatched_dets == []
         assert res.unmatched_tracks == [0, 1]
 
@@ -544,7 +556,7 @@ class TestAssociate:
             skeleton({"left_ankle": (960, 700), "right_ankle": (965, 700)}),
             skeleton({"left_hip": (0, 600), "right_hip": (1915, 600)}),
         ]
-        res = associate(tracks, dets, cam, gate=150.0)
+        res = associate(tracks, necks(dets, cam), cam, gate=150.0)
         assert res.pairs == []
         assert res.unmatched_tracks == [0, 1] and res.unmatched_dets == [0, 1]
 
@@ -605,12 +617,48 @@ class TestWrapDistances:
         assert got.tolist() == [[70.0]]
 
 
+# columns anywhere in [0, W], and near either side of the seam; rows
+# anywhere in the image; integer or float, as a detections file holds them
+pixel_point = st.tuples(
+    st.one_of(
+        st.integers(0, W), st.floats(0, W), st.floats(W - 30, W), st.floats(0, 30)
+    ),
+    st.one_of(st.integers(0, 960), st.floats(0, 960)),
+)
+partial_skeleton = (
+    st.fixed_dictionaries(
+        {},
+        optional={
+            name: pixel_point for name in ("neck", "left_ankle", "right_ankle", "left_hip")
+        },
+    )
+    .filter(bool)
+    .map(skeleton)
+)
+
+
+class TestDetectionPixels:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(partial_skeleton, max_size=6))
+    # ankles either side of the seam, midpoint on column 0
+    @example([skeleton({"neck": (2, 300), "left_ankle": (1915, 700), "right_ankle": (5, 702)})])
+    def test_rows_equal_the_scalar_joints(self, dets):
+        pix = _detection_pixels(dets, W)
+        assert pix.shape == (len(dets), 4)
+        for row, det in zip(pix, dets):
+            for got, ref in ((row[:2], det.ankle_midpoint(W)), (row[2:], det.neck)):
+                if ref is None:
+                    assert np.isnan(got).all()
+                else:
+                    assert got.tolist() == [float(ref.x), float(ref.y)]
+
+
 def assert_matches_brute_force(tracks, dets, cam, gate):
     """associate against exhaustive search over a cost matrix built with
     the scalar projection and scalar wrap distance; neckless detections
     cost infinity."""
     n, m = len(tracks), len(dets)
-    res = associate(tracks, dets, cam, gate)
+    res = associate(tracks, necks(dets, cam), cam, gate)
     cost = np.full((n, m), math.inf)
     for i, tr in enumerate(tracks):
         pred = project_to_image(tr.state, cam)[1]
@@ -785,6 +833,22 @@ class TestStep:
         assert tracker.step([det], 1 / 30) == []
         assert tracker.tracks == []
 
+    @pytest.mark.parametrize(
+        "missing", [("neck",), ("left_ankle", "right_ankle")], ids=["no_neck", "no_ankle"]
+    )
+    def test_unmatched_detection_without_neck_or_ankle_spawns_nothing(self, cam, missing):
+        tracker = PanoTracker(cam, TrackerConfig())
+        other = agent_detection(-2.0, 1.0, cam)
+        for _ in range(3):
+            tracker.step([other], 1 / 30)
+        full = agent_detection(2.0, 0.0, cam)
+        part = skeleton(
+            {n: (j.point.x, j.point.y, 1.0) for n, j in full.joints.items() if n not in missing}
+        )
+        out = tracker.step([other, part], 1 / 30)
+        assert [t.id for t in out] == [1]
+        assert len(tracker.tracks) == 1
+
     def test_neck_only_keeps_track_confirmed(self, cam):
         cam_w = cam.image_width
         cfg = TrackerConfig()
@@ -799,7 +863,7 @@ class TestStep:
             out = tracker.step([neckonly], 1 / 30)
         tr = out[0]
         assert tr.status == TrackStatus.CONFIRMED
-        assert tr.frames_since_update == 0
+        assert tr.consecutive_misses == 0
 
     def test_one_update_call_per_measurement_size(self, cam, monkeypatch):
         people = [(2.0, 0.0), (-2.0, 1.0), (0.5, 3.0), (1.0, -3.0)]
@@ -835,12 +899,17 @@ class TestStep:
         assert (live.hits, live.status) == kept[2:]
 
         stored = tracker.step([agent_detection(2.0, 0.0, cam)], 1 / 30)[0]
-        frozen = (stored.mean.copy(), stored.covariance.copy(), stored.hits, stored.age)
+        frozen = (
+            stored.mean.copy(),
+            stored.covariance.copy(),
+            stored.hits,
+            stored.consecutive_misses,
+        )
         tracker.step([agent_detection(2.1, 0.0, cam)], 1 / 30)
         assert not np.array_equal(live.mean, frozen[0])  # the live track moved on
         assert np.array_equal(stored.mean, frozen[0])
         assert np.array_equal(stored.covariance, frozen[1])
-        assert (stored.hits, stored.age) == frozen[2:]
+        assert (stored.hits, stored.consecutive_misses) == frozen[2:]
 
     def test_seam_crossing_keeps_single_id(self, cam):
         history = run_walker(
