@@ -22,7 +22,7 @@ from typing import Optional
 
 from .detect import RoiConfig, TilesConfig
 from .exceptions import ConfigError, InputError, PanotrackError
-from .geometry import CameraModel, localization_sensitivity
+from .geometry import CameraModel, from_dict, localization_sensitivity
 from .io import (
     read_jsonl,
     write_error_curve_csv,
@@ -56,37 +56,17 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
 
 
-def _tracker_config(d: dict) -> TrackerConfig:
+def _tracker_config(d) -> TrackerConfig:
+    """Split the flat tracker block into UkfParams and the TrackerConfig
+    rest. ``ukf`` is a field of TrackerConfig, not a key of the block."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"tracker must be an object, got {d!r}")
+    if "ukf" in d:
+        raise ConfigError("unknown tracker keys: ['ukf']")
     ukf_keys = {f.name for f in dataclasses.fields(UkfParams)}
-    cfg_keys = {f.name for f in dataclasses.fields(TrackerConfig)} - {"ukf"}
-    unknown = set(d) - ukf_keys - cfg_keys
-    if unknown:
-        raise InputError(f"unknown tracker config keys: {sorted(unknown)}")
-    # JSON arrays arrive as lists; the config dataclasses hold tuples
-    d = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
-    try:
-        ukf = UkfParams(**{k: v for k, v in d.items() if k in ukf_keys})
-        return TrackerConfig(ukf=ukf, **{k: v for k, v in d.items() if k in cfg_keys})
-    except ConfigError:
-        raise
-    except TypeError as exc:
-        raise InputError(f"invalid tracker config: {exc}") from exc
-
-
-def _tiles_config(d: dict) -> TilesConfig:
-    try:
-        if "row_range" in d and d["row_range"] is not None:
-            d = dict(d, row_range=tuple(d["row_range"]))
-        return TilesConfig(**d)
-    except TypeError as exc:
-        raise InputError(f"invalid tiles config: {exc}") from exc
-
-
-def _roi_config(d: dict) -> RoiConfig:
-    try:
-        return RoiConfig(**d)
-    except TypeError as exc:
-        raise InputError(f"invalid roi config: {exc}") from exc
+    ukf = from_dict(UkfParams, {k: v for k, v in d.items() if k in ukf_keys}, "tracker")
+    rest = {k: v for k, v in d.items() if k not in ukf_keys}
+    return from_dict(TrackerConfig, dict(rest, ukf=ukf), "tracker")
 
 
 def _out_dir(path: Optional[str]) -> Path:
@@ -144,14 +124,14 @@ def cmd_track(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else config.get("seed")
     out = _out_dir(args.out or config.get("out"))
     tracker_cfg = _tracker_config(config.get("tracker", {}))
-    tiles_cfg = _tiles_config(config.get("tiles", {}))
-    roi_cfg = _roi_config(config.get("roi", {}))
+    tiles_cfg = from_dict(TilesConfig, config.get("tiles", {}), "tiles")
+    roi_cfg = from_dict(RoiConfig, config.get("roi", {}), "roi")
 
     # every check that needs no frame runs before the outputs open
     if scenario_path:
         scenario = load_scenario(scenario_path)
         if seed is not None:
-            scenario = dataclasses.replace(scenario, seed=int(seed))
+            scenario = dataclasses.replace(scenario, seed=seed)
         frames = (
             output
             for output, _ in run_simulated(scenario, strategy, tracker_cfg, tiles_cfg, roi_cfg)

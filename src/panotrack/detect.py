@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Protocol, Sequence
 
 from .exceptions import ConfigError, DegenerateSkeletonError
-from .geometry import CameraModel, ImagePoint, _finite_number, _integer, cyclic_interval_overlap
+from .geometry import CameraModel, ImagePoint, check_number, cyclic_interval_overlap
 
 JOINT_NAMES = (
     "neck",
@@ -220,9 +220,6 @@ class DetectionResult:
     @property
     def partial(self) -> bool:
         return bool(self.errors)
-
-    def __iter__(self):
-        return iter(self.detections)
 
     def __len__(self) -> int:
         return len(self.detections)
@@ -443,19 +440,12 @@ class TilesConfig:
     row_range: Optional[tuple[float, float]] = None
 
     def __post_init__(self) -> None:
-        n = self.n_tiles
-        if not _integer(n) or n < 2:
-            raise ConfigError(f"n_tiles must be an integer >= 2, got {n!r}")
-        if not _finite_number(self.merge_threshold) or not 0.0 < self.merge_threshold <= 1.0:
-            raise ConfigError(f"merge threshold must be in (0, 1], got {self.merge_threshold!r}")
-        if self.overlap is not None and not _finite_number(self.overlap):
-            raise ConfigError(f"overlap must be a number, got {self.overlap!r}")
-        if self.row_range is not None and not (
-            isinstance(self.row_range, tuple)
-            and len(self.row_range) == 2
-            and all(_finite_number(v) for v in self.row_range)
-        ):
-            raise ConfigError(f"row range must be two numbers, got {self.row_range!r}")
+        check_number("n_tiles", self.n_tiles, 2, integer=True)
+        if self.overlap is not None:
+            check_number("overlap", self.overlap, 0.0)
+        check_number("merge_threshold", self.merge_threshold, 0.0, 1.0, strict=True)
+        if self.row_range is not None:
+            check_number("row_range", self.row_range, 0.0, length=2)
 
 
 def plan_tiles(cam: CameraModel, cfg: TilesConfig) -> Plan:
@@ -477,10 +467,9 @@ class RoiConfig:
     merge_threshold: float = DEFAULT_MERGE_THRESHOLD
 
     def __post_init__(self) -> None:
-        if min(self.roi_width, self.roi_height, self.full_width, self.full_height) <= 0:
-            raise ConfigError("roi/full sizes must be positive")
-        if not 0.0 < self.merge_threshold <= 1.0:
-            raise ConfigError("merge threshold must be in (0, 1]")
+        for name in ("roi_width", "roi_height", "full_width", "full_height"):
+            check_number(name, getattr(self, name), 1, integer=True)
+        check_number("merge_threshold", self.merge_threshold, 0.0, 1.0, strict=True)
 
 
 def fullframe_viewport(cam: CameraModel, cfg: RoiConfig) -> Viewport:

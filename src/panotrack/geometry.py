@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
-from typing import NamedTuple
+from dataclasses import MISSING, dataclass, fields
+from typing import NamedTuple, Optional
 
-from .exceptions import AboveHorizonError, ConfigError, GeometryError
+from .exceptions import AboveHorizonError, ConfigError, GeometryError, InputError
 
 
 # JSON true/false arrive as bools, which are ints to Python
@@ -42,6 +42,73 @@ def _finite_number(value) -> bool:
 
 def _integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_number(
+    name: str, value, low: Optional[float] = None, high: Optional[float] = None, *,
+    strict: bool = False, integer: bool = False, length: Optional[int] = None,
+) -> None:
+    """The config number rule. Raise ConfigError unless value is a
+    finite real that is not a bool (an integer when ``integer``), at
+    least ``low`` (above it when ``strict``) and at most ``high``.
+    With ``length``, value must be a tuple of that many such numbers."""
+    if length is None:
+        items = (value,)
+    else:
+        items = value if isinstance(value, tuple) and len(value) == length else ()
+    kind = _integer if integer else _finite_number
+    if items and all(
+        kind(v)
+        and (low is None or (v > low if strict else v >= low))
+        and (high is None or v <= high)
+        for v in items
+    ):
+        return
+    what = "integer" if integer else "finite number"
+    what = f"an {what}" if length is None else f"a list of {length} {what}s"
+    if low is not None:
+        what += f" {'>' if strict else '>='} {low:g}"
+    if high is not None:
+        what += f" and <= {high:g}"
+    raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
+def check_flag(name: str, value) -> None:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+
+
+def _tuples(value):
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+def from_dict(cls, d, what: str, **parse):
+    """Build the config dataclass ``cls`` from the JSON object ``d``.
+
+    JSON arrays become tuples, nested ones too; ``parse`` maps a field
+    name to the reader of its value (for nested objects), and the
+    dataclass checks the values it is given. A ``d`` that is not an
+    object, or an unknown key, raises ConfigError; a missing required
+    key raises InputError.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be an object, got {d!r}")
+    known = fields(cls)
+    unknown = set(d) - {f.name for f in known}
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [
+        f.name
+        for f in known
+        if f.name not in d and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise InputError(f"{what} is missing required keys: {missing}")
+    values = {k: _tuples(v) for k, v in d.items()}
+    for name, read in parse.items():
+        if name in values:
+            values[name] = read(values[name])
+    return cls(**values)
 
 
 class ImagePoint(NamedTuple):
@@ -83,23 +150,12 @@ class CameraModel:
     ankle_height: float = 0.10
 
     def __post_init__(self) -> None:
-        for name in ("image_width", "image_height"):
-            v = getattr(self, name)
-            if not _integer(v) or v < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
-        for name in ("fov_h", "fov_v", "mount_height", "ankle_height"):
-            v = getattr(self, name)
-            if not _finite_number(v):
-                raise ConfigError(f"{name} must be a finite number, got {v!r}")
-        if not 0.0 < self.fov_h <= 360.0:
-            raise ConfigError(f"fov_h must be in (0, 360], got {self.fov_h}")
-        if not 0.0 < self.fov_v <= 180.0:
-            raise ConfigError(f"fov_v must be in (0, 180], got {self.fov_v}")
-        if not self.mount_height > self.ankle_height >= 0.0:
-            raise ConfigError(
-                "mount_height must exceed ankle_height and ankle_height be >= 0, "
-                f"got {self.mount_height} and {self.ankle_height}"
-            )
+        check_number("image_width", self.image_width, 1, integer=True)
+        check_number("image_height", self.image_height, 1, integer=True)
+        check_number("fov_h", self.fov_h, 0.0, 360.0, strict=True)
+        check_number("fov_v", self.fov_v, 0.0, 180.0, strict=True)
+        check_number("ankle_height", self.ankle_height, 0.0)
+        check_number("mount_height", self.mount_height, self.ankle_height, strict=True)
 
     @property
     def deg_per_px_x(self) -> float:
@@ -114,13 +170,7 @@ class CameraModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CameraModel":
-        if not isinstance(d, dict):
-            raise ConfigError(f"camera must be an object, got {d!r}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown camera fields: {sorted(unknown)}")
-        return cls(**d)
+        return from_dict(cls, d, "camera")
 
 
 def wrap_degrees(theta: float) -> float:

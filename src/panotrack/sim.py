@@ -21,7 +21,7 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -32,7 +32,10 @@ from .geometry import (
     CameraModel,
     ImagePoint,
     WorldPoint,
+    check_flag,
+    check_number,
     cyclic_interval_overlap,
+    from_dict,
     world_to_image,
 )
 
@@ -43,14 +46,16 @@ MIN_AGENT_RANGE = 0.3  # m; agents closer to the camera axis are degenerate
 class CircleTrajectory:
     """Constant-speed circular path around ``center``."""
 
+    radius: float
     center: tuple[float, float] = (0.0, 0.0)
-    radius: float = 2.0
     angular_speed: float = 30.0  # deg/s, positive = counterclockwise
     start_angle: float = 0.0  # deg
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise ConfigError("circle radius must be positive")
+        check_number("radius", self.radius, 0.0, strict=True)
+        check_number("center", self.center, length=2)
+        check_number("angular_speed", self.angular_speed)
+        check_number("start_angle", self.start_angle)
 
     def pose(self, t: float) -> tuple[float, float, float]:
         ang = math.radians(self.start_angle + self.angular_speed * t)
@@ -69,10 +74,11 @@ class WaypointTrajectory:
     speed: float = 1.0  # m/s
 
     def __post_init__(self) -> None:
-        if not self.points:
-            raise ConfigError("waypoint trajectory needs at least one point")
-        if self.speed <= 0:
-            raise ConfigError("speed must be positive")
+        if not isinstance(self.points, tuple) or not self.points:
+            raise ConfigError(f"points must be a list of at least one point, got {self.points!r}")
+        for p in self.points:
+            check_number("waypoint", p, length=2)
+        check_number("speed", self.speed, 0.0, strict=True)
 
     def pose(self, t: float) -> tuple[float, float, float]:
         pts = self.points
@@ -105,10 +111,9 @@ class Body:
     neck_drop: float = 0.25  # m below the top of the head
 
     def __post_init__(self) -> None:
-        if not 1.4 <= self.height <= 2.1:
-            raise ConfigError(f"height must be in [1.4, 2.1] m, got {self.height}")
-        if min(self.ankle_height, self.shoulder_half_width, self.hip_half_width, self.neck_drop) < 0:
-            raise ConfigError("body dimensions must be non-negative")
+        check_number("height", self.height, 1.4, 2.1)
+        for name in ("ankle_height", "shoulder_half_width", "hip_half_width", "neck_drop"):
+            check_number(name, getattr(self, name), 0.0)
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,9 @@ class Agent:
     id: int
     trajectory: Trajectory
     body: Body = Body()
+
+    def __post_init__(self) -> None:
+        check_number("agent id", self.id, integer=True)
 
 
 @dataclass(frozen=True)
@@ -130,10 +138,9 @@ class NoiseModel:
     occlusion_enabled: bool = False
 
     def __post_init__(self) -> None:
-        if self.joint_sigma < 0:
-            raise ConfigError("joint sigma must be >= 0")
-        if not 0.0 <= self.miss_prob <= 1.0:
-            raise ConfigError("miss probability must be in [0, 1]")
+        check_number("joint_sigma", self.joint_sigma, 0.0)
+        check_number("miss_prob", self.miss_prob, 0.0, 1.0)
+        check_flag("occlusion_enabled", self.occlusion_enabled)
 
 
 @dataclass(frozen=True)
@@ -147,16 +154,15 @@ class DetectabilityConfig:
     min_person_pixels: float = 48.0
 
     def __post_init__(self) -> None:
-        if self.min_person_pixels <= 0:
-            raise ConfigError("min_person_pixels must be positive")
+        check_number("min_person_pixels", self.min_person_pixels, 0.0, strict=True)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    cam: CameraModel
     fps: float
     duration: float
     agents: tuple[Agent, ...]
+    cam: CameraModel = CameraModel()
     noise: NoiseModel = NoiseModel()
     detect_cfg: DetectabilityConfig = DetectabilityConfig()
     seed: int = 0
@@ -165,12 +171,13 @@ class Scenario:
     annotate_from: int = 0
 
     def __post_init__(self) -> None:
-        if self.fps <= 0 or self.duration <= 0:
-            raise ConfigError("fps and duration must be positive")
+        check_number("fps", self.fps, 0.0, strict=True)
+        check_number("duration", self.duration, 0.0, strict=True)
+        check_number("seed", self.seed, 0, integer=True)
+        check_number("annotate_every", self.annotate_every, 1, integer=True)
+        check_number("annotate_from", self.annotate_from, 0, integer=True)
         if not self.agents:
             raise ConfigError("scenario needs at least one agent")
-        if self.annotate_every < 1 or self.annotate_from < 0:
-            raise ConfigError("invalid annotation schedule")
         ids = [a.id for a in self.agents]
         if len(set(ids)) != len(ids):
             raise ConfigError("agent ids must be unique")
@@ -439,21 +446,28 @@ def _trajectory_to_dict(traj: Trajectory) -> dict:
     }
 
 
-def _trajectory_from_dict(d: dict) -> Trajectory:
-    kind = d.get("type")
-    if kind == "circle":
-        return CircleTrajectory(
-            center=tuple(d.get("center", (0.0, 0.0))),
-            radius=d["radius"],
-            angular_speed=d.get("angular_speed", 30.0),
-            start_angle=d.get("start_angle", 0.0),
-        )
-    if kind == "waypoints":
-        return WaypointTrajectory(
-            points=tuple(tuple(p) for p in d["points"]),
-            speed=d.get("speed", 1.0),
-        )
-    raise InputError(f"unknown trajectory type: {kind!r}")
+def _trajectory_from_dict(d) -> Trajectory:
+    kind = d.get("type") if isinstance(d, dict) else None
+    if kind not in ("circle", "waypoints"):
+        raise InputError(f"trajectory needs a type of 'circle' or 'waypoints', got {d!r}")
+    cls = CircleTrajectory if kind == "circle" else WaypointTrajectory
+    return from_dict(cls, {k: v for k, v in d.items() if k != "type"}, "trajectory")
+
+
+def _agent_from_dict(d) -> Agent:
+    return from_dict(
+        Agent,
+        d,
+        "agent",
+        trajectory=_trajectory_from_dict,
+        body=lambda b: from_dict(Body, b, "body"),
+    )
+
+
+def _agents_from_json(agents) -> tuple[Agent, ...]:
+    if not isinstance(agents, tuple):
+        raise ConfigError(f"agents must be a list, got {agents!r}")
+    return tuple(map(_agent_from_dict, agents))
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -465,22 +479,12 @@ def scenario_to_dict(s: Scenario) -> dict:
             {
                 "id": a.id,
                 "trajectory": _trajectory_to_dict(a.trajectory),
-                "body": {
-                    "height": a.body.height,
-                    "ankle_height": a.body.ankle_height,
-                    "shoulder_half_width": a.body.shoulder_half_width,
-                    "hip_half_width": a.body.hip_half_width,
-                    "neck_drop": a.body.neck_drop,
-                },
+                "body": asdict(a.body),
             }
             for a in s.agents
         ],
-        "noise": {
-            "joint_sigma": s.noise.joint_sigma,
-            "miss_prob": s.noise.miss_prob,
-            "occlusion_enabled": s.noise.occlusion_enabled,
-        },
-        "detect_cfg": {"min_person_pixels": s.detect_cfg.min_person_pixels},
+        "noise": asdict(s.noise),
+        "detect_cfg": asdict(s.detect_cfg),
         "seed": s.seed,
         "annotate_every": s.annotate_every,
         "annotate_from": s.annotate_from,
@@ -491,35 +495,18 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    try:
-        agents = tuple(
-            Agent(
-                id=a["id"],
-                trajectory=_trajectory_from_dict(a["trajectory"]),
-                body=Body(**a.get("body", {})),
-            )
-            for a in d["agents"]
-        )
-        return Scenario(
-            cam=CameraModel.from_dict(d.get("cam", {})),
-            fps=d["fps"],
-            duration=d["duration"],
-            agents=agents,
-            noise=NoiseModel(**d.get("noise", {})),
-            detect_cfg=DetectabilityConfig(**d.get("detect_cfg", {})),
-            seed=d.get("seed", 0),
-            camera_trajectory=(
-                _trajectory_from_dict(d["camera_trajectory"])
-                if "camera_trajectory" in d
-                else None
-            ),
-            annotate_every=d.get("annotate_every", 1),
-            annotate_from=d.get("annotate_from", 0),
-        )
-    except KeyError as exc:
-        raise InputError(f"scenario is missing required field {exc}") from exc
-    except TypeError as exc:
-        raise InputError(f"scenario has an invalid field: {exc}") from exc
+    """Read a scenario object; ``camera_trajectory: null`` is the
+    default, no camera motion."""
+    return from_dict(
+        Scenario,
+        d,
+        "scenario",
+        cam=CameraModel.from_dict,
+        agents=_agents_from_json,
+        noise=lambda n: from_dict(NoiseModel, n, "noise"),
+        detect_cfg=lambda c: from_dict(DetectabilityConfig, c, "detect_cfg"),
+        camera_trajectory=lambda t: None if t is None else _trajectory_from_dict(t),
+    )
 
 
 def load_scenario(path: str) -> Scenario:

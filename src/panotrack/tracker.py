@@ -69,8 +69,8 @@ from .geometry import (
     CameraModel,
     ImagePoint,
     WorldPoint,
-    _finite_number,
-    _integer,
+    check_flag,
+    check_number,
     localize,
     signed_wrap_diff,
     world_to_image,
@@ -80,28 +80,10 @@ STATE_DIM = 5
 H_N_RANGE = (0.5, 2.5)
 
 _FORBIDDEN = 1e12  # assignment cost for gated-out pairs
-
-
-def _check_number(name: str, value, low: Optional[float] = None, strict: bool = False) -> None:
-    """Raise ConfigError unless value is a finite real (not a bool)
-    and, when low is given, above it (strict) or at least it."""
-    if not _finite_number(value) or (
-        low is not None and (value <= low if strict else value < low)
-    ):
-        bound = "" if low is None else f" {'>' if strict else '>='} {low:g}"
-        raise ConfigError(f"{name} must be a finite number{bound}, got {value!r}")
-
-
-def _check_variances(name: str, values, strict: bool) -> None:
-    if not isinstance(values, tuple) or len(values) != STATE_DIM:
-        raise ConfigError(f"{name} needs a tuple of {STATE_DIM} numbers, got {values!r}")
-    for v in values:
-        _check_number(name, v, 0.0, strict)
-
-
-def _check_count(name: str, value) -> None:
-    if not _integer(value) or value < 1:
-        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+# largest initial_variance entry: a standard deviation of 1 km (or
+# 1 km/s). From about 1e100 the sigma points swamp the mean in floating
+# point and the first projection fails.
+MAX_INITIAL_VARIANCE = 1e6
 
 
 @dataclass(frozen=True)
@@ -122,11 +104,11 @@ class UkfParams:
     measurement_noise: float = 4.0  # pixel variance per measured coordinate
 
     def __post_init__(self) -> None:
-        _check_number("alpha", self.alpha, 0.0, strict=True)
-        _check_number("beta", self.beta)
-        _check_number("kappa", self.kappa)
-        _check_variances("process noise", self.process_noise, strict=False)
-        _check_number("measurement noise", self.measurement_noise, 0.0, strict=True)
+        check_number("alpha", self.alpha, 0.0, strict=True)
+        check_number("beta", self.beta)
+        check_number("kappa", self.kappa)
+        check_number("process_noise", self.process_noise, 0.0, length=STATE_DIM)
+        check_number("measurement_noise", self.measurement_noise, 0.0, strict=True)
         lam = self.alpha**2 * (STATE_DIM + self.kappa) - STATE_DIM
         if STATE_DIM + lam <= 0:
             raise ConfigError("alpha/kappa give a non-positive sigma spread")
@@ -172,18 +154,18 @@ class TrackerConfig:
     spawn_suppression_px: float = 30.0
 
     def __post_init__(self) -> None:
-        _check_number("gate", self.gate_px, 0.0, strict=True)
-        _check_count("confirm_hits", self.confirm_hits)
-        _check_count("lose_after_misses", self.lose_after_misses)
-        _check_variances("initial variance", self.initial_variance, strict=True)
-        _check_number("jitter floor", self.jitter_floor, 0.0, strict=True)
-        _check_number("spawn suppression radius", self.spawn_suppression_px, 0.0)
+        check_number("gate_px", self.gate_px, 0.0, strict=True)
+        check_number("confirm_hits", self.confirm_hits, 1, integer=True)
+        check_number("lose_after_misses", self.lose_after_misses, 1, integer=True)
+        check_number(
+            "initial_variance", self.initial_variance, 0.0, MAX_INITIAL_VARIANCE,
+            strict=True, length=STATE_DIM,
+        )
+        check_number("jitter_floor", self.jitter_floor, 0.0, strict=True)
+        check_number("spawn_suppression_px", self.spawn_suppression_px, 0.0)
         if self.mahalanobis_gate is not None:
-            _check_number("mahalanobis gate", self.mahalanobis_gate, 0.0)
-        if not isinstance(self.wrap_correction, bool):
-            raise ConfigError(
-                f"wrap correction must be true or false, got {self.wrap_correction!r}"
-            )
+            check_number("mahalanobis_gate", self.mahalanobis_gate, 0.0)
+        check_flag("wrap_correction", self.wrap_correction)
 
 
 class TrackStatus(str, enum.Enum):

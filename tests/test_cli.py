@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from panotrack.cli import main
+from panotrack.detect import RoiConfig, TilesConfig
 from panotrack.io import read_jsonl
 from panotrack.tracker import TrackerConfig, UkfParams
 
@@ -12,10 +13,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 
 
-def readme_tracker_config():
-    """The "tracker" block of the README's run-config reference."""
+def readme_block(name):
+    """A block of the README's run-config reference, such as "tracker"."""
     text = (ROOT / "README.md").read_text()
-    start = text.index("{", text.index('"tracker": {'))
+    start = text.index("{", text.index(f'"{name}": {{'))
     return json.loads(text[start : text.index("}", start) + 1])
 
 
@@ -255,7 +256,7 @@ class TestTrack:
         assert main(["track", "--config", str(cfg), "--out", str(out)]) == 0
 
     def test_every_documented_tracker_key_accepted(self, tmp_path):
-        documented = readme_tracker_config()
+        documented = readme_block("tracker")
         fields = {f.name for f in dataclasses.fields(UkfParams)}
         fields |= {f.name for f in dataclasses.fields(TrackerConfig)} - {"ukf"}
         assert set(documented) == fields
@@ -267,6 +268,23 @@ class TestTrack:
         bare = tmp_path / "bare"
         assert main(["track", "--scenario", str(scenario), "--out", str(bare)]) == 0
         assert (out / "tracks.jsonl").read_bytes() == (bare / "tracks.jsonl").read_bytes()
+
+    @pytest.mark.parametrize(
+        "block, cls, strategy", [("tiles", TilesConfig, "tiles"), ("roi", RoiConfig, "roi")]
+    )
+    def test_every_documented_viewport_key_accepted(self, tmp_path, block, cls, strategy):
+        documented = readme_block(block)
+        assert set(documented) == {f.name for f in dataclasses.fields(cls)}
+        scenario = SCENARIOS / "seam_walker.json"
+        cfg = run_config(tmp_path, scenario, strategy, extra={block: documented})
+        out = tmp_path / "documented"
+        assert main(["track", "--config", str(cfg), "--out", str(out)]) == 0
+        # the README shows the defaults, so the output matches a bare run
+        bare = tmp_path / "bare"
+        cfg = run_config(tmp_path, scenario, strategy)
+        assert main(["track", "--config", str(cfg), "--out", str(bare)]) == 0
+        for name in ("tracks.jsonl", "detections.jsonl"):
+            assert (out / name).read_bytes() == (bare / name).read_bytes()
 
     def test_unknown_tracker_key_rejected(self, tmp_path):
         scenario = short_scenario(tmp_path)
@@ -312,6 +330,8 @@ class TestTrack:
             '{"initial_variance": [-1, -1, -1, -1, -1]}',
             '{"initial_variance": ["a", "a", "a", "a", "a"]}',
             '{"confirm_hits": 2.5}',
+            '{"initial_variance": [1e100, 1e100, 1e100, 1e100, 1e100]}',
+            '{"initial_variance": [1e300, 1e300, 1e300, 1e300, 1e300]}',
         ],
         ids=[
             "inf_initial_variance",
@@ -321,6 +341,8 @@ class TestTrack:
             "negative_initial_variance",
             "string_initial_variance",
             "fractional_confirm_hits",
+            "initial_variance_1e100",
+            "initial_variance_1e300",
         ],
     )
     def test_invalid_tracker_number_exits_2(self, tmp_path, tracker):
@@ -334,6 +356,11 @@ class TestTrack:
         for written in out.iterdir():
             text = written.read_text()
             assert "NaN" not in text and "Infinity" not in text
+
+    def test_initial_variance_at_its_bound_runs(self, tmp_path):
+        scenario = short_scenario(tmp_path)
+        cfg = run_config(tmp_path, scenario, extra={"tracker": {"initial_variance": [1e6] * 5}})
+        assert main(["track", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize(
         "roi", [{"roi_height": 2000}, {"roi_width": 4000}, {"full_width": 4000}]
@@ -424,3 +451,98 @@ class TestSensitivity:
         assert (
             main(["sensitivity", "--distances", "a,b", "--out", str(tmp_path)]) == 2
         )
+
+
+# one-field edits of circle_2m, made 1 s long: (key path, JSON value text)
+TRAJECTORY = ("agents", 0, "trajectory")
+SCENARIO_EDITS = {
+    "occlusion_string": (("noise", "occlusion_enabled"), '"false"'),
+    "nan_joint_sigma": (("noise", "joint_sigma"), "NaN"),
+    "nan_min_person_pixels": (("detect_cfg", "min_person_pixels"), "NaN"),
+    "inf_fps": (("fps",), "Infinity"),
+    "nan_duration": (("duration",), "NaN"),
+    "string_seed": (("seed",), '"x"'),
+    "fractional_seed": (("seed",), "1.5"),
+    "nan_radius": ((*TRAJECTORY, "radius"), "NaN"),
+    "inf_angular_speed": ((*TRAJECTORY, "angular_speed"), "Infinity"),
+    "fractional_annotate_every": (("annotate_every",), "1.5"),
+}
+# run-config edits: (strategy, key path, JSON value text)
+RUN_CONFIG_EDITS = {
+    "string_run_seed": ("tiles", ("seed",), '"x"'),
+    "fractional_run_seed": ("tiles", ("seed",), "1.7"),
+    "nan_roi_width": ("roi", ("roi", "roi_width"), "NaN"),
+    "nan_roi_height": ("roi", ("roi", "roi_height"), "NaN"),
+    "nan_full_height": ("fullframe", ("roi", "full_height"), "NaN"),
+    "bool_full_width": ("fullframe", ("roi", "full_width"), "true"),
+}
+OUTPUTS = {
+    "track": ("tracks.jsonl", "detections.jsonl"),
+    "simulate": ("ground_truth.jsonl", "scenario.json"),
+}
+
+
+def edited_json(d, path, value):
+    """d as JSON text with the entry at the key path set to the raw
+    JSON value text, which may be NaN or Infinity."""
+    d = json.loads(json.dumps(d))
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = "@@VALUE@@"
+    return json.dumps(d).replace('"@@VALUE@@"', value)
+
+
+def one_second_scenario(tmp_path, path=None, value=None, name="scenario.json"):
+    d = json.loads((SCENARIOS / "circle_2m.json").read_text())
+    d["duration"] = 1.0
+    scenario = tmp_path / name
+    scenario.write_text(json.dumps(d) if path is None else edited_json(d, path, value))
+    return scenario
+
+
+def run_cli(command, out, *args):
+    return main([command, "--out", str(out), *args])
+
+
+def outputs_written(command, out):
+    return [name for name in OUTPUTS[command] if (out / name).exists()]
+
+
+class TestConfigBoundary:
+    """A bad config value exits 2 before any output file is opened."""
+
+    @pytest.mark.parametrize("command", ["track", "simulate"])
+    @pytest.mark.parametrize("edit", sorted(SCENARIO_EDITS))
+    def test_bad_scenario_value_exits_2(self, tmp_path, command, edit):
+        scenario = one_second_scenario(tmp_path, *SCENARIO_EDITS[edit])
+        out = tmp_path / "out"
+        assert run_cli(command, out, "--scenario", str(scenario)) == 2
+        assert outputs_written(command, out) == []
+
+    @pytest.mark.parametrize("command", ["track", "simulate"])
+    def test_negative_seed_flag_exits_2(self, tmp_path, command):
+        scenario = one_second_scenario(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli(command, out, "--scenario", str(scenario), "--seed", "-1") == 2
+        assert outputs_written(command, out) == []
+
+    @pytest.mark.parametrize("edit", sorted(RUN_CONFIG_EDITS))
+    def test_bad_run_config_value_exits_2(self, tmp_path, edit):
+        strategy, path, value = RUN_CONFIG_EDITS[edit]
+        d = {"scenario": str(one_second_scenario(tmp_path)), "strategy": strategy, "roi": {}}
+        config = tmp_path / "config.json"
+        config.write_text(edited_json(d, path, value))
+        out = tmp_path / "out"
+        assert run_cli("track", out, "--config", str(config)) == 2
+        assert outputs_written("track", out) == []
+
+    @pytest.mark.parametrize("command", ["track", "simulate"])
+    def test_null_camera_trajectory_is_the_default(self, tmp_path, command):
+        # null is the JSON spelling of the default, no camera motion
+        plain = one_second_scenario(tmp_path)
+        null = one_second_scenario(tmp_path, ("camera_trajectory",), "null", name="null.json")
+        assert run_cli(command, tmp_path / "plain", "--scenario", str(plain)) == 0
+        assert run_cli(command, tmp_path / "null", "--scenario", str(null)) == 0
+        for name in OUTPUTS[command]:
+            assert (tmp_path / "null" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()

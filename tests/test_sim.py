@@ -1,11 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from panotrack.detect import Viewport, build_tiles
+from panotrack.detect import RoiConfig, TilesConfig, Viewport, build_tiles
 from panotrack.exceptions import ConfigError, GeometryError, InputError
-from panotrack.geometry import CameraModel, localize
+from panotrack.geometry import CameraModel, from_dict, localize
 from panotrack.sim import (
     Agent,
     AgentState,
@@ -309,3 +311,49 @@ class TestRunScenario:
         d["agents"][0]["trajectory"]["type"] = "spline"
         with pytest.raises(InputError):
             scenario_from_dict(d)
+
+
+CIRCLE_2M = Path(__file__).resolve().parent.parent / "scenarios" / "circle_2m.json"
+
+
+@pytest.mark.parametrize(
+    "level",
+    ["scenario", "agent", "trajectory", "body", "noise", "detect_cfg", "camera", "tiles", "roi"],
+)
+def test_unknown_key_rejected_at_every_level(level):
+    d = json.loads(CIRCLE_2M.read_text())
+    agent = d["agents"][0]
+    objects = {
+        "scenario": d,
+        "agent": agent,
+        "trajectory": agent["trajectory"],
+        "body": agent["body"],
+        "noise": d["noise"],
+        "detect_cfg": d["detect_cfg"],
+        "camera": d["cam"],
+        "tiles": {},
+        "roi": {},
+    }
+    objects[level]["bogus"] = 1
+    with pytest.raises(ConfigError, match=r"unknown \w+ keys: \['bogus'\]"):
+        if level == "tiles":
+            from_dict(TilesConfig, objects[level], level)
+        elif level == "roi":
+            from_dict(RoiConfig, objects[level], level)
+        else:
+            scenario_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("fps",), ("agents",), ("agents", 0, "id"), ("agents", 0, "trajectory", "radius")],
+)
+def test_missing_required_key_is_input_error(path):
+    d = json.loads(CIRCLE_2M.read_text())
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    del target[path[-1]]
+    with pytest.raises(InputError, match=f"missing required keys: \\['{path[-1]}'\\]"):
+        scenario_from_dict(d)
+
