@@ -71,7 +71,6 @@ from .tracker import (
     TrackerConfig,
     TrackState,
     TrackStatus,
-    UkfParams,
     associate,
     project_to_image,
 )

@@ -38,7 +38,7 @@ from .pipeline import (
     run_simulated,
 )
 from .sim import load_scenario, scenario_to_dict
-from .tracker import TrackerConfig, UkfParams
+from .tracker import TrackerConfig
 
 logger = logging.getLogger(__name__)
 
@@ -54,19 +54,6 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path}: no such file") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
-
-
-def _tracker_config(d) -> TrackerConfig:
-    """Split the flat tracker block into UkfParams and the TrackerConfig
-    rest. ``ukf`` is a field of TrackerConfig, not a key of the block."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"tracker must be an object, got {d!r}")
-    if "ukf" in d:
-        raise ConfigError("unknown tracker keys: ['ukf']")
-    ukf_keys = {f.name for f in dataclasses.fields(UkfParams)}
-    ukf = from_dict(UkfParams, {k: v for k, v in d.items() if k in ukf_keys}, "tracker")
-    rest = {k: v for k, v in d.items() if k not in ukf_keys}
-    return from_dict(TrackerConfig, dict(rest, ukf=ukf), "tracker")
 
 
 def _out_dir(path: Optional[str]) -> Path:
@@ -98,6 +85,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_track(args: argparse.Namespace) -> int:
     config = _load_json(args.config) if args.config else {}
+    if not isinstance(config, dict):
+        raise InputError(f"run config must be an object, got {config!r}")
     known = {
         "scenario",
         "detections",
@@ -112,6 +101,11 @@ def cmd_track(args: argparse.Namespace) -> int:
     unknown = set(config) - known
     if unknown:
         raise InputError(f"unknown config keys: {sorted(unknown)}")
+    # checked even where a flag overrides the value
+    for key in ("scenario", "detections", "out"):
+        value = config.get(key)
+        if value is not None and not (isinstance(value, str) and value):
+            raise InputError(f"{key} must be a non-empty string or null, got {value!r}")
 
     scenario_path = args.scenario or config.get("scenario")
     detections_path = config.get("detections")
@@ -123,7 +117,7 @@ def cmd_track(args: argparse.Namespace) -> int:
         raise InputError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     seed = args.seed if args.seed is not None else config.get("seed")
     out = _out_dir(args.out or config.get("out"))
-    tracker_cfg = _tracker_config(config.get("tracker", {}))
+    tracker_cfg = from_dict(TrackerConfig, config.get("tracker", {}), "tracker")
     tiles_cfg = from_dict(TilesConfig, config.get("tiles", {}), "tiles")
     roi_cfg = from_dict(RoiConfig, config.get("roi", {}), "roi")
 

@@ -458,16 +458,16 @@ def plan_tiles(cam: CameraModel, cfg: TilesConfig) -> Plan:
 @dataclass(frozen=True)
 class RoiConfig:
     """Sizes for the roi strategy: the full-resolution crop and the
-    processed size of the downscaled full-frame pass."""
+    processed width of the downscaled full-frame pass (its height
+    follows from the camera's aspect ratio)."""
 
     roi_width: int = 576
     roi_height: int = 192
     full_width: int = 640
-    full_height: int = 320
     merge_threshold: float = DEFAULT_MERGE_THRESHOLD
 
     def __post_init__(self) -> None:
-        for name in ("roi_width", "roi_height", "full_width", "full_height"):
+        for name in ("roi_width", "roi_height", "full_width"):
             check_number(name, getattr(self, name), 1, integer=True)
         check_number("merge_threshold", self.merge_threshold, 0.0, 1.0, strict=True)
 

@@ -13,7 +13,6 @@ Strategies:
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import time
 from dataclasses import dataclass
@@ -38,6 +37,9 @@ from .tracker import PanoTracker, TrackerConfig, TrackStatus
 logger = logging.getLogger(__name__)
 
 STRATEGIES = ("tiles", "roi", "fullframe")
+# the frame rate an offline run assumes for its first frame and for a
+# timestamp that does not advance
+FALLBACK_FPS = 30.0
 
 
 @dataclass
@@ -104,14 +106,11 @@ def run_simulated(
     tracker_cfg: TrackerConfig = TrackerConfig(),
     tiles_cfg: TilesConfig = TilesConfig(),
     roi_cfg: RoiConfig = RoiConfig(),
-    seed: Optional[int] = None,
 ) -> Iterator[tuple[FrameOutput, Optional[dict]]]:
     """Run strategy + tracker over a scenario, yielding per-frame
     outputs paired with the ground-truth record (None off-schedule).
     The runner and tracker are built, and their configs checked, when
     this is called; the frames are produced lazily."""
-    if seed is not None and seed != scenario.seed:
-        scenario = dataclasses.replace(scenario, seed=seed)
     detector = SyntheticDetector.for_scenario(scenario)
     runner = StrategyRunner(strategy, scenario.cam, detector, tiles_cfg, roi_cfg)
     return _simulated_frames(scenario, runner, PanoTracker(scenario.cam, tracker_cfg))
@@ -146,7 +145,6 @@ def run_offline(
     detection_records: Iterator[dict],
     cam: CameraModel,
     tracker_cfg: TrackerConfig = TrackerConfig(),
-    fallback_fps: float = 30.0,
 ) -> Iterator[FrameOutput]:
     """Track over an externally produced detections JSONL stream. A
     malformed record raises InputError naming its 1-based position in
@@ -160,7 +158,7 @@ def run_offline(
             dets = detections_from_record(record)
         except PanotrackError as exc:
             raise InputError(f"detections record {n}: {exc}") from exc
-        dt = (t - prev_t) if prev_t is not None and t > prev_t else 1.0 / fallback_fps
+        dt = (t - prev_t) if prev_t is not None and t > prev_t else 1.0 / FALLBACK_FPS
         prev_t = t
         tracks = tracker.step(dets, dt)
         latency = time.perf_counter() - start

@@ -173,6 +173,7 @@ class Scenario:
     def __post_init__(self) -> None:
         check_number("fps", self.fps, 0.0, strict=True)
         check_number("duration", self.duration, 0.0, strict=True)
+        check_number("fps * duration", self.fps * self.duration)
         check_number("seed", self.seed, 0, integer=True)
         check_number("annotate_every", self.annotate_every, 1, integer=True)
         check_number("annotate_from", self.annotate_from, 0, integer=True)

@@ -29,9 +29,9 @@ image and wreck the estimate. Two corrections keep the update sound:
   whenever the raw column spread exceeds half the width), and
 * the innovation's column components use the signed cyclic difference.
 
-Both are controlled by the ``wrap_correction`` flag so the effect is
-testable; association always measures image distance the short way
-around the seam.
+Both are controlled by the config's ``wrap_correction`` flag so the
+effect is testable; association always measures image distance the
+short way around the seam.
 
 ``PanoTracker.step`` reads each detection's joints once a frame, into
 one (m, 4) array of ankle-midpoint and neck pixels with NaN where a
@@ -87,13 +87,13 @@ MAX_INITIAL_VARIANCE = 1e6
 
 
 @dataclass(frozen=True)
-class UkfParams:
-    """Scaled sigma-point parameters and noise levels.
+class TrackerConfig:
+    """The filter's sigma-point parameters and noise levels, and the
+    tracking constants.
 
     Standard scaled construction with a small spread (alpha = 0.1)
     around the mean, velocity-dominant process noise suited to walking
-    people, and a few-pixel measurement noise. See TrackerConfig for
-    the tracking constants.
+    people, and a few-pixel measurement noise.
     """
 
     alpha: float = 0.1
@@ -102,6 +102,16 @@ class UkfParams:
     # per-second state variances: x, y, vx, vy, h_n
     process_noise: tuple[float, ...] = (0.05, 0.05, 0.5, 0.5, 0.01)
     measurement_noise: float = 4.0  # pixel variance per measured coordinate
+    gate_px: float = 150.0  # association gate, image pixels
+    confirm_hits: int = 3  # consecutive hits before a track confirms
+    lose_after_misses: int = 15  # consecutive misses before a track is lost
+    wrap_correction: bool = True  # seam handling in the UKF update
+    mahalanobis_gate: Optional[float] = None  # squared bound; None = no gating
+    initial_variance: tuple[float, ...] = (0.25, 0.25, 1.0, 1.0, 0.04)
+    jitter_floor: float = 1e-9  # smallest repair jitter added to a non-SPD covariance
+    # an unmatched detection this close (px) to an active track's
+    # prediction is treated as a residual duplicate, not a new person
+    spawn_suppression_px: float = 30.0
 
     def __post_init__(self) -> None:
         check_number("alpha", self.alpha, 0.0, strict=True)
@@ -112,6 +122,18 @@ class UkfParams:
         lam = self.alpha**2 * (STATE_DIM + self.kappa) - STATE_DIM
         if STATE_DIM + lam <= 0:
             raise ConfigError("alpha/kappa give a non-positive sigma spread")
+        check_number("gate_px", self.gate_px, 0.0, strict=True)
+        check_number("confirm_hits", self.confirm_hits, 1, integer=True)
+        check_number("lose_after_misses", self.lose_after_misses, 1, integer=True)
+        check_number(
+            "initial_variance", self.initial_variance, 0.0, MAX_INITIAL_VARIANCE,
+            strict=True, length=STATE_DIM,
+        )
+        check_number("jitter_floor", self.jitter_floor, 0.0, strict=True)
+        check_number("spawn_suppression_px", self.spawn_suppression_px, 0.0)
+        if self.mahalanobis_gate is not None:
+            check_number("mahalanobis_gate", self.mahalanobis_gate, 0.0)
+        check_flag("wrap_correction", self.wrap_correction)
 
     def weights(self) -> tuple[np.ndarray, np.ndarray, float]:
         """(mean weights, covariance weights, spread scale sqrt(n+lambda));
@@ -137,35 +159,6 @@ class UkfParams:
         return {
             dim: self.measurement_noise * np.eye(dim) for dim in (2, 4)
         }
-
-
-@dataclass(frozen=True)
-class TrackerConfig:
-    ukf: UkfParams = UkfParams()
-    gate_px: float = 150.0  # association gate, image pixels
-    confirm_hits: int = 3  # consecutive hits before a track confirms
-    lose_after_misses: int = 15  # consecutive misses before a track is lost
-    wrap_correction: bool = True  # seam handling in the UKF update
-    mahalanobis_gate: Optional[float] = None  # squared bound; None = no gating
-    initial_variance: tuple[float, ...] = (0.25, 0.25, 1.0, 1.0, 0.04)
-    jitter_floor: float = 1e-9  # smallest repair jitter added to a non-SPD covariance
-    # an unmatched detection this close (px) to an active track's
-    # prediction is treated as a residual duplicate, not a new person
-    spawn_suppression_px: float = 30.0
-
-    def __post_init__(self) -> None:
-        check_number("gate_px", self.gate_px, 0.0, strict=True)
-        check_number("confirm_hits", self.confirm_hits, 1, integer=True)
-        check_number("lose_after_misses", self.lose_after_misses, 1, integer=True)
-        check_number(
-            "initial_variance", self.initial_variance, 0.0, MAX_INITIAL_VARIANCE,
-            strict=True, length=STATE_DIM,
-        )
-        check_number("jitter_floor", self.jitter_floor, 0.0, strict=True)
-        check_number("spawn_suppression_px", self.spawn_suppression_px, 0.0)
-        if self.mahalanobis_gate is not None:
-            check_number("mahalanobis_gate", self.mahalanobis_gate, 0.0)
-        check_flag("wrap_correction", self.wrap_correction)
 
 
 class TrackStatus(str, enum.Enum):
@@ -321,9 +314,7 @@ def _store_posterior(
     return diverged
 
 
-def predict(
-    tracks: Sequence[Track], dt: float, params: UkfParams, jitter_floor: float = 1e-9
-) -> list[int]:
+def predict(tracks: Sequence[Track], dt: float, cfg: TrackerConfig) -> list[int]:
     """Constant-velocity propagation of every track's state and
     covariance through sigma points, plus process noise scaled by dt.
     Returns the indices of tracks that diverged (left unchanged)."""
@@ -331,7 +322,7 @@ def predict(
         raise ConfigError(f"dt must be positive, got {dt}")
     if not tracks:
         return []
-    wm, wc, scale = params.weights()
+    wm, wc, scale = cfg.weights()
     pts = _sigma_points(
         np.stack([t.mean for t in tracks]), np.stack([t.cov_factor for t in tracks]), scale
     )
@@ -339,66 +330,61 @@ def predict(
     pts[:, :, 1] += pts[:, :, 3] * dt
     means = np.einsum("w,nwd->nd", wm, pts)
     d = pts - means[:, None, :]
-    covs = np.einsum("w,nwi,nwj->nij", wc, d, d) + params._process_noise_diag * dt
-    return _store_posterior(tracks, means, covs, [True] * len(tracks), jitter_floor)
+    covs = np.einsum("w,nwi,nwj->nij", wc, d, d) + cfg._process_noise_diag * dt
+    return _store_posterior(tracks, means, covs, [True] * len(tracks), cfg.jitter_floor)
 
 
 def update(
-    tracks: Sequence[Track],
-    z_obs: np.ndarray,
-    cam: CameraModel,
-    params: UkfParams,
-    wrap_correction: bool = True,
-    mahalanobis_gate: Optional[float] = None,
-    jitter_floor: float = 1e-9,
+    tracks: Sequence[Track], z_obs: np.ndarray, cam: CameraModel, cfg: TrackerConfig
 ) -> tuple[list[bool], list[int]]:
     """UKF measurement update of track i against row i of the (n, d)
     measurement array, d = 4 (ankle midpoint, neck) or d = 2 (neck).
     Returns per-track acceptance flags, False where the innovation
-    fails the Mahalanobis bound (that track is left untouched), and the
-    indices of accepted tracks that diverged (also left untouched).
+    fails the config's Mahalanobis bound (that track is left
+    untouched), and the indices of accepted tracks that diverged (also
+    left untouched).
 
-    With wrap correction on, predicted-measurement sigma columns are
+    With the config's wrap correction on, predicted-measurement sigma columns are
     unwrapped before the moments are formed and the innovation columns
     use the signed cyclic difference; with it off the raw projections
     and plain differences are used (the behaviour of a tracker unaware
     of the panorama seam).
     """
     n, dim = z_obs.shape
-    wm, wc, scale = params.weights()
+    wm, wc, scale = cfg.weights()
     w = cam.image_width
     means = np.stack([t.mean for t in tracks])
     pts = _sigma_points(means, np.stack([t.cov_factor for t in tracks]), scale)
     z_pts = _measurement_matrix(pts.reshape(-1, STATE_DIM), cam, neck_only=dim == 2)
     z_pts = z_pts.reshape(n, pts.shape[1], dim)
 
-    if wrap_correction:
+    if cfg.wrap_correction:
         for col in range(0, dim, 2):
             z_pts[:, :, col] = unwrap_columns(z_pts[:, :, col], w)
 
     z_pred = np.einsum("w,nwd->nd", wm, z_pts)
     dz = z_pts - z_pred[:, None, :]
-    s_cov = np.einsum("w,nwi,nwj->nij", wc, dz, dz) + params._measurement_cov[dim]
+    s_cov = np.einsum("w,nwi,nwj->nij", wc, dz, dz) + cfg._measurement_cov[dim]
     t_cov = np.einsum("w,nwi,nwj->nij", wc, pts - means[:, None, :], dz)
 
     innovation = z_obs - z_pred
-    if wrap_correction:
+    if cfg.wrap_correction:
         innovation[:, ::2] = signed_wrap_diff(z_obs[:, ::2], z_pred[:, ::2], w)
 
     # one solve yields both the whitened innovation and the Kalman gain
     rhs = np.concatenate([innovation[:, :, None], t_cov.transpose(0, 2, 1)], axis=2)
     solved = np.linalg.solve(s_cov, rhs)
-    if mahalanobis_gate is None:
+    if cfg.mahalanobis_gate is None:
         accepted = [True] * n
     else:
         maha = np.einsum("ni,ni->n", innovation, solved[:, :, 0])
-        accepted = [bool(v <= mahalanobis_gate) for v in maha]
+        accepted = [bool(v <= cfg.mahalanobis_gate) for v in maha]
 
     gain = solved[:, :, 1:].transpose(0, 2, 1)
     new_means = means + np.einsum("nij,nj->ni", gain, innovation)
     covs = np.stack([t.covariance for t in tracks])
     new_covs = covs - gain @ s_cov @ gain.transpose(0, 2, 1)
-    return accepted, _store_posterior(tracks, new_means, new_covs, accepted, jitter_floor)
+    return accepted, _store_posterior(tracks, new_means, new_covs, accepted, cfg.jitter_floor)
 
 
 @dataclass
@@ -558,7 +544,7 @@ class PanoTracker:
         that were lost this frame) sorted by id."""
         cfg = self.config
 
-        for i in predict(self.tracks, dt, cfg.ukf, cfg.jitter_floor):
+        for i in predict(self.tracks, dt, cfg):
             self.tracks[i].status = TrackStatus.LOST
 
         pix = _detection_pixels(dets, self.cam.image_width)
@@ -576,13 +562,7 @@ class PanoTracker:
             by_dim.setdefault(len(z), []).append((ti, z))
         for group in by_dim.values():
             accepted, diverged = update(
-                [active[ti] for ti, _ in group],
-                np.array([z for _, z in group]),
-                self.cam,
-                cfg.ukf,
-                cfg.wrap_correction,
-                cfg.mahalanobis_gate,
-                cfg.jitter_floor,
+                [active[ti] for ti, _ in group], np.array([z for _, z in group]), self.cam, cfg
             )
             for k, (ti, _) in enumerate(group):
                 if k in diverged:

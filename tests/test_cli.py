@@ -7,7 +7,7 @@ import pytest
 from panotrack.cli import main
 from panotrack.detect import RoiConfig, TilesConfig
 from panotrack.io import read_jsonl
-from panotrack.tracker import TrackerConfig, UkfParams
+from panotrack.tracker import TrackerConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -255,24 +255,15 @@ class TestTrack:
         out = tmp_path / "custom"
         assert main(["track", "--config", str(cfg), "--out", str(out)]) == 0
 
-    def test_every_documented_tracker_key_accepted(self, tmp_path):
-        documented = readme_block("tracker")
-        fields = {f.name for f in dataclasses.fields(UkfParams)}
-        fields |= {f.name for f in dataclasses.fields(TrackerConfig)} - {"ukf"}
-        assert set(documented) == fields
-        scenario = short_scenario(tmp_path)
-        cfg = run_config(tmp_path, scenario, extra={"tracker": documented})
-        out = tmp_path / "documented"
-        assert main(["track", "--config", str(cfg), "--out", str(out)]) == 0
-        # the README shows the defaults, so the output matches a bare run
-        bare = tmp_path / "bare"
-        assert main(["track", "--scenario", str(scenario), "--out", str(bare)]) == 0
-        assert (out / "tracks.jsonl").read_bytes() == (bare / "tracks.jsonl").read_bytes()
-
     @pytest.mark.parametrize(
-        "block, cls, strategy", [("tiles", TilesConfig, "tiles"), ("roi", RoiConfig, "roi")]
+        "block, cls, strategy",
+        [
+            ("tiles", TilesConfig, "tiles"),
+            ("roi", RoiConfig, "roi"),
+            ("tracker", TrackerConfig, "tiles"),
+        ],
     )
-    def test_every_documented_viewport_key_accepted(self, tmp_path, block, cls, strategy):
+    def test_every_documented_config_key_accepted(self, tmp_path, block, cls, strategy):
         documented = readme_block(block)
         assert set(documented) == {f.name for f in dataclasses.fields(cls)}
         scenario = SCENARIOS / "seam_walker.json"
@@ -288,8 +279,10 @@ class TestTrack:
 
     def test_unknown_tracker_key_rejected(self, tmp_path):
         scenario = short_scenario(tmp_path)
-        cfg = run_config(tmp_path, scenario, extra={"tracker": {"gate": 80.0}})
-        assert main(["track", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        # the tracker block is flat: "ukf" is no key of it
+        for tracker in ({"gate": 80.0}, {"ukf": {}}):
+            cfg = run_config(tmp_path, scenario, extra={"tracker": tracker})
+            assert main(["track", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("gate", ["9", True, -1.0])
     def test_invalid_mahalanobis_gate_exits_2(self, tmp_path, gate):
@@ -473,8 +466,15 @@ RUN_CONFIG_EDITS = {
     "fractional_run_seed": ("tiles", ("seed",), "1.7"),
     "nan_roi_width": ("roi", ("roi", "roi_width"), "NaN"),
     "nan_roi_height": ("roi", ("roi", "roi_height"), "NaN"),
-    "nan_full_height": ("fullframe", ("roi", "full_height"), "NaN"),
+    "nan_full_width": ("fullframe", ("roi", "full_width"), "NaN"),
     "bool_full_width": ("fullframe", ("roi", "full_width"), "true"),
+    "int_scenario": ("tiles", ("scenario",), "7"),
+    "list_scenario": ("tiles", ("scenario",), '["scenario.json"]'),
+    "empty_scenario": ("tiles", ("scenario",), '""'),
+    "int_detections": ("tiles", ("detections",), "3"),
+    "list_detections": ("tiles", ("detections",), '["detections.jsonl"]'),
+    "int_out": ("tiles", ("out",), "5"),
+    "empty_out": ("tiles", ("out",), '""'),
 }
 OUTPUTS = {
     "track": ("tracks.jsonl", "detections.jsonl"),
@@ -530,12 +530,38 @@ class TestConfigBoundary:
     @pytest.mark.parametrize("edit", sorted(RUN_CONFIG_EDITS))
     def test_bad_run_config_value_exits_2(self, tmp_path, edit):
         strategy, path, value = RUN_CONFIG_EDITS[edit]
-        d = {"scenario": str(one_second_scenario(tmp_path)), "strategy": strategy, "roi": {}}
+        scenario = str(one_second_scenario(tmp_path))
+        d = {"scenario": scenario, "strategy": strategy, "roi": {}}
+        if path == ("detections",):
+            del d["scenario"]
         config = tmp_path / "config.json"
         config.write_text(edited_json(d, path, value))
         out = tmp_path / "out"
-        assert run_cli("track", out, "--config", str(config)) == 2
+        # --scenario and --out override the config's values, which are
+        # checked all the same (run_cli always passes --out)
+        flags = ["--scenario", scenario] if path == ("scenario",) else []
+        assert run_cli("track", out, "--config", str(config), *flags) == 2
         assert outputs_written("track", out) == []
+
+    @pytest.mark.parametrize("text", ["5", "[]", "null"])
+    def test_run_config_not_an_object_exits_2(self, tmp_path, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        out = tmp_path / "out"
+        scenario = str(one_second_scenario(tmp_path))
+        assert run_cli("track", out, "--config", str(config), "--scenario", scenario) == 2
+        assert outputs_written("track", out) == []
+
+    @pytest.mark.parametrize("command", ["track", "simulate"])
+    def test_overflowing_frame_count_exits_2(self, tmp_path, command):
+        # fps and duration each pass alone; their product is infinite
+        d = json.loads((SCENARIOS / "circle_2m.json").read_text())
+        d.update(fps=1e300, duration=1e300)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(d))
+        out = tmp_path / "out"
+        assert run_cli(command, out, "--scenario", str(scenario)) == 2
+        assert outputs_written(command, out) == []
 
     @pytest.mark.parametrize("command", ["track", "simulate"])
     def test_null_camera_trajectory_is_the_default(self, tmp_path, command):

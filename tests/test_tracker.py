@@ -17,7 +17,6 @@ from panotrack.tracker import (
     TrackerConfig,
     TrackState,
     TrackStatus,
-    UkfParams,
     associate,
     predict,
     project_to_image,
@@ -53,9 +52,9 @@ def necks(dets, cam):
     return _detection_pixels(dets, cam.image_width)[:, 2:]
 
 
-def update_one(track, z, cam, params, **kwargs):
+def update_one(track, z, cam, cfg):
     """The batched update on one track; returns its acceptance flag."""
-    accepted, diverged = update([track], np.asarray(z, dtype=float)[None], cam, params, **kwargs)
+    accepted, diverged = update([track], np.asarray(z, dtype=float)[None], cam, cfg)
     assert diverged == []
     return accepted[0]
 
@@ -63,19 +62,19 @@ def update_one(track, z, cam, params, **kwargs):
 # --- test-only reference: a plain per-track UKF ----------------------------
 
 
-def ref_sigma_points(mean, cov, params):
-    wm, wc, scale = params.weights()
+def ref_sigma_points(mean, cov, cfg):
+    wm, wc, scale = cfg.weights()
     offsets = scale * np.linalg.cholesky(cov).T
     return np.vstack([mean, mean + offsets, mean - offsets]), wm, wc
 
 
-def ref_predict(mean, cov, dt, params):
-    pts, wm, wc = ref_sigma_points(mean, cov, params)
+def ref_predict(mean, cov, dt, cfg):
+    pts, wm, wc = ref_sigma_points(mean, cov, cfg)
     pts[:, 0] += pts[:, 2] * dt
     pts[:, 1] += pts[:, 3] * dt
     m = wm @ pts
     d = pts - m
-    p = d.T @ (wc[:, None] * d) + np.diag(params.process_noise) * dt
+    p = d.T @ (wc[:, None] * d) + np.diag(cfg.process_noise) * dt
     m[4] = min(max(m[4], H_N_RANGE[0]), H_N_RANGE[1])
     return m, p
 
@@ -90,30 +89,31 @@ def ref_measure(state, cam, dim):
     return [ankle.x, ankle.y, neck.x, neck.y]
 
 
-def ref_predicted_measurement(mean, cov, cam, params, dim, wrap_correction=True):
-    """(sigma points, their measurements, predicted measurement); sigma
-    columns that straddle the seam are unwrapped first."""
-    pts, wm, _ = ref_sigma_points(mean, cov, params)
+def ref_predicted_measurement(mean, cov, cam, cfg, dim):
+    """(sigma points, their measurements, predicted measurement); with
+    the config's wrap correction, sigma columns that straddle the seam
+    are unwrapped first."""
+    pts, wm, _ = ref_sigma_points(mean, cov, cfg)
     z_pts = np.array([ref_measure(p, cam, dim) for p in pts])
     half = cam.image_width / 2
-    for c in range(0, dim, 2) if wrap_correction else ():
+    for c in range(0, dim, 2) if cfg.wrap_correction else ():
         col = z_pts[:, c]
         if col.max() - col.min() > half:
             z_pts[:, c] = np.where(col < half, col + cam.image_width, col)
     return pts, z_pts, wm @ z_pts
 
 
-def ref_update(mean, cov, z, cam, params, wrap_correction=True):
+def ref_update(mean, cov, z, cam, cfg):
     """(posterior mean, posterior covariance, squared Mahalanobis
     distance of the innovation)."""
     dim = len(z)
-    wc = params.weights()[1]
-    pts, z_pts, z_pred = ref_predicted_measurement(mean, cov, cam, params, dim, wrap_correction)
+    wc = cfg.weights()[1]
+    pts, z_pts, z_pred = ref_predicted_measurement(mean, cov, cam, cfg, dim)
     dz = z_pts - z_pred
-    s = dz.T @ (wc[:, None] * dz) + params.measurement_noise * np.eye(dim)
+    s = dz.T @ (wc[:, None] * dz) + cfg.measurement_noise * np.eye(dim)
     t = (pts - mean).T @ (wc[:, None] * dz)
     nu = np.asarray(z, dtype=float) - z_pred
-    if wrap_correction:
+    if cfg.wrap_correction:
         w = cam.image_width
         nu[::2] = (nu[::2] + w / 2) % w - w / 2
     gain = t @ np.linalg.inv(s)
@@ -225,12 +225,12 @@ class TestBatchedPathsMatchScalar:
         return np.array(rows)
 
     def _assert_update_matches(self, tracks, z_obs, cam, gate=None):
-        params = UkfParams()
+        cfg = TrackerConfig(mahalanobis_gate=gate)
         before = [(t.mean.copy(), t.covariance.copy()) for t in tracks]
-        accepted, diverged = update(tracks, z_obs, cam, params, mahalanobis_gate=gate)
+        accepted, diverged = update(tracks, z_obs, cam, cfg)
         assert diverged == []
         for t, (mean0, cov0), z, ok in zip(tracks, before, z_obs, accepted):
-            mean, cov, maha = ref_update(mean0, cov0, z, cam, params)
+            mean, cov, maha = ref_update(mean0, cov0, z, cam, cfg)
             assert ok == (gate is None or maha <= gate)
             if ok:
                 assert t.mean == pytest.approx(mean, abs=1e-9)
@@ -244,8 +244,8 @@ class TestBatchedPathsMatchScalar:
     def test_predict_equivalence(self, cam):
         rng = np.random.default_rng(9)
         tracks = self._random_tracks(rng, 6)
-        expected = [ref_predict(t.mean, t.covariance, 1 / 30, UkfParams()) for t in tracks]
-        assert predict(tracks, 1 / 30, UkfParams()) == []
+        expected = [ref_predict(t.mean, t.covariance, 1 / 30, TrackerConfig()) for t in tracks]
+        assert predict(tracks, 1 / 30, TrackerConfig()) == []
         for t, (mean, cov) in zip(tracks, expected):
             assert t.mean == pytest.approx(mean, abs=1e-10)
             assert np.allclose(t.covariance, cov, atol=1e-12)
@@ -253,14 +253,14 @@ class TestBatchedPathsMatchScalar:
     def test_update_equivalence(self, cam):
         rng = np.random.default_rng(10)
         tracks = self._random_tracks(rng, 6)
-        predict(tracks, 1 / 30, UkfParams())
+        predict(tracks, 1 / 30, TrackerConfig())
         z_obs = self._measurements(tracks, cam, 4, rng)
         assert self._assert_update_matches(tracks, z_obs, cam) == [True] * len(tracks)
 
     def test_neck_only_update_equivalence(self, cam):
         rng = np.random.default_rng(12)
         tracks = self._random_tracks(rng, 6)
-        predict(tracks, 1 / 30, UkfParams())
+        predict(tracks, 1 / 30, TrackerConfig())
         z_obs = self._measurements(tracks, cam, 2, rng)
         assert z_obs.shape == (6, 2)
         assert self._assert_update_matches(tracks, z_obs, cam) == [True] * len(tracks)
@@ -274,10 +274,10 @@ class TestBatchedPathsMatchScalar:
                 tr.id = k + 1
                 seam_tracks.append(tr)
             z_obs = self._measurements(seam_tracks, cam, dim, col_shifts=[6.0, -5.0, 14.0])
-            predict(seam_tracks, 1 / 30, UkfParams())
+            predict(seam_tracks, 1 / 30, TrackerConfig())
             # the sigma columns of the track at 1918 straddle the seam
             _, z_pts, _ = ref_predicted_measurement(
-                seam_tracks[0].mean, seam_tracks[0].covariance, cam, UkfParams(), dim
+                seam_tracks[0].mean, seam_tracks[0].covariance, cam, TrackerConfig(), dim
             )
             assert z_pts[:, 0].max() > 1920
             self._assert_update_matches(seam_tracks, z_obs, cam)
@@ -297,13 +297,13 @@ class TestPredict:
     def test_stationary_position_unchanged(self):
         tr = make_track(2.0, 1.0)
         before = tr.covariance.copy()
-        predict([tr], 0.5, UkfParams())
+        predict([tr], 0.5, TrackerConfig())
         assert tr.mean[:2] == pytest.approx([2.0, 1.0], abs=1e-12)
         assert np.trace(tr.covariance) > np.trace(before)
 
     def test_constant_velocity(self):
         tr = make_track(1.0, 0.0, vx=0.5, vy=0.0)
-        predict([tr], 1.0, UkfParams())
+        predict([tr], 1.0, TrackerConfig())
         assert tr.mean[0] == pytest.approx(1.5, abs=1e-12)
         assert tr.mean[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -313,7 +313,7 @@ class TestPredict:
             tr = make_track(*rng.uniform(-4, 4, 2), h_n=1.6)
             trace = np.trace(tr.covariance)
             for _ in range(10):
-                predict([tr], 1 / 30, UkfParams())
+                predict([tr], 1 / 30, TrackerConfig())
                 new_trace = np.trace(tr.covariance)
                 assert new_trace > trace
                 trace = new_trace
@@ -321,18 +321,18 @@ class TestPredict:
     def test_covariance_spd_after_predict(self):
         tr = make_track(3.0, -1.0, vx=1.0)
         for _ in range(50):
-            predict([tr], 1 / 30, UkfParams())
+            predict([tr], 1 / 30, TrackerConfig())
             assert np.linalg.eigvalsh(tr.covariance).min() > 0
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ConfigError):
-            predict([make_track(1, 1)], 0.0, UkfParams())
+            predict([make_track(1, 1)], 0.0, TrackerConfig())
 
     def test_non_finite_posterior_diverges_and_is_not_stored(self):
         tracks = [make_track(2.0, 1.0), make_track(1.0, -2.0, vx=1e308)]
         before = tracks[1].mean.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            assert predict(tracks, 10.0, UkfParams()) == [1]
+            assert predict(tracks, 10.0, TrackerConfig()) == [1]
         assert tracks[0].mean[:2] == pytest.approx([2.0, 1.0], abs=1e-12)
         assert np.array_equal(tracks[1].mean, before)
 
@@ -348,11 +348,11 @@ class TestPredict:
 class TestUpdate:
     def test_zero_innovation_keeps_state(self, cam):
         tr = make_track(2.0, 1.0)
-        _, _, z = ref_predicted_measurement(tr.mean, tr.covariance, cam, UkfParams(), 4)
+        _, _, z = ref_predicted_measurement(tr.mean, tr.covariance, cam, TrackerConfig(), 4)
         z[::2] %= cam.image_width
         before = tr.mean.copy()
         diag_before = np.diag(tr.covariance).copy()
-        assert update_one(tr, z, cam, UkfParams())
+        assert update_one(tr, z, cam, TrackerConfig())
         assert tr.mean == pytest.approx(before, abs=1e-9)
         assert np.all(np.diag(tr.covariance) <= diag_before + 1e-15)
 
@@ -363,7 +363,7 @@ class TestUpdate:
         det = agent_detection(*world_at_column(5.0, 2.0, cam), cam)
         meas = pixel_row(det, cam)
         before = tr.mean.copy()
-        assert update_one(tr, meas, cam, UkfParams(), wrap_correction=True)
+        assert update_one(tr, meas, cam, TrackerConfig(wrap_correction=True))
         moved = np.linalg.norm(tr.mean[:2] - before[:2])
         assert moved < 0.2  # a 10 px innovation nudges, not flings
         after = project_to_image(tr.state, cam)[1]
@@ -375,7 +375,7 @@ class TestUpdate:
         det = agent_detection(*world_at_column(5.0, 2.0, cam), cam)
         meas = pixel_row(det, cam)
         before = tr.mean.copy()
-        update_one(tr, meas, cam, UkfParams(), wrap_correction=False)
+        update_one(tr, meas, cam, TrackerConfig(wrap_correction=False))
         moved = np.linalg.norm(tr.mean[:2] - before[:2])
         assert moved > 1.0  # the -1910 px innovation drags the state away
 
@@ -384,7 +384,7 @@ class TestUpdate:
         det = agent_detection(2.0, 0.0, cam)
         neck_meas = [det.neck.x, det.neck.y]
         before = abs(tr.mean[0] - 2.0)
-        assert update_one(tr, neck_meas, cam, UkfParams())
+        assert update_one(tr, neck_meas, cam, TrackerConfig())
         assert abs(tr.mean[0] - 2.0) < before
 
     def test_mahalanobis_gate_rejects(self, cam):
@@ -392,19 +392,36 @@ class TestUpdate:
         det = agent_detection(2.0, 1.5, cam)  # far off prediction
         meas = pixel_row(det, cam)
         before = tr.mean.copy()
-        accepted = update_one(tr, meas, cam, UkfParams(), mahalanobis_gate=9.0)
+        accepted = update_one(tr, meas, cam, TrackerConfig(mahalanobis_gate=9.0))
         assert not accepted
         assert tr.mean == pytest.approx(before)
+
+    def test_config_jitter_floor_repairs_the_posterior(self, cam):
+        # the gain comes from the Cholesky factor alone, so a stored
+        # covariance below the one the factor implies lowers the
+        # posterior by the same amount: here to an eigenvalue of -1e-6
+        z = pixel_row(agent_detection(2.02, 0.48, cam), cam)
+        probe = make_track(2.0, 0.5)
+        assert update_one(probe, z, cam, TrackerConfig())
+        evals, evecs = np.linalg.eigh(probe.covariance)
+        drop = (evals[0] + 1e-6) * np.outer(evecs[:, 0], evecs[:, 0])
+        tr = make_track(2.0, 0.5)
+        tr.covariance = tr.covariance - drop
+        assert update_one(tr, z, cam, TrackerConfig(jitter_floor=1e-3))
+        # the default floor would need only 1e-5 of the 1e-9 * 100**k steps
+        expected = probe.covariance - drop + 1e-3 * np.eye(5)
+        assert np.allclose(tr.covariance, expected, rtol=0, atol=1e-12)
+        assert np.allclose(tr.cov_factor @ tr.cov_factor.T, tr.covariance, atol=1e-12)
 
     def test_covariance_spd_after_updates(self, cam):
         rng = np.random.default_rng(11)
         tr = make_track(2.0, 0.5)
         for i in range(40):
-            predict([tr], 1 / 30, UkfParams())
+            predict([tr], 1 / 30, TrackerConfig())
             det = agent_detection(
                 2.0 + rng.normal(0, 0.01), 0.5 + rng.normal(0, 0.01), cam
             )
-            update_one(tr, pixel_row(det, cam), cam, UkfParams())
+            update_one(tr, pixel_row(det, cam), cam, TrackerConfig())
             assert np.linalg.eigvalsh(tr.covariance).min() > 0
 
 
