@@ -22,7 +22,7 @@ from typing import Optional
 
 from .detect import RoiConfig, TilesConfig
 from .exceptions import ConfigError, InputError, PanotrackError
-from .geometry import CameraModel, from_dict, localization_sensitivity
+from .geometry import CameraModel, check_number, from_dict, localization_sensitivity
 from .io import (
     read_jsonl,
     write_error_curve_csv,
@@ -115,7 +115,13 @@ def cmd_track(args: argparse.Namespace) -> int:
     strategy = args.strategy or config.get("strategy", "tiles")
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    # seed and camera are checked whichever input is given, though only
+    # a scenario reads the seed and only detections read the camera
     seed = args.seed if args.seed is not None else config.get("seed")
+    for value in (config.get("seed"), seed):
+        if value is not None:
+            check_number("seed", value, 0, integer=True)
+    camera = CameraModel.from_dict(config.get("camera", {}))
     out = _out_dir(args.out or config.get("out"))
     tracker_cfg = from_dict(TrackerConfig, config.get("tracker", {}), "tracker")
     tiles_cfg = from_dict(TilesConfig, config.get("tiles", {}), "tiles")
@@ -131,7 +137,6 @@ def cmd_track(args: argparse.Namespace) -> int:
             for output, _ in run_simulated(scenario, strategy, tracker_cfg, tiles_cfg, roi_cfg)
         )
     else:
-        camera = CameraModel.from_dict(config.get("camera", {}))
         frames = run_offline(read_jsonl(detections_path), camera, tracker_cfg)
 
     detections_file = out / "detections.jsonl"

@@ -65,7 +65,10 @@ def check_number(
     ):
         return
     what = "integer" if integer else "finite number"
-    what = f"an {what}" if length is None else f"a list of {length} {what}s"
+    if length is None:
+        what = f"an {what}" if integer else f"a {what}"
+    else:
+        what = f"a list of {length} {what}s"
     if low is not None:
         what += f" {'>' if strict else '>='} {low:g}"
     if high is not None:

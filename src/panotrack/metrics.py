@@ -5,7 +5,9 @@ All metrics are computed over the annotated frames of a ground-truth
 stream. A frame counts as matched when a target-flagged track lies
 within a world-distance radius of the annotated target position; the
 0.5 m default reflects the accuracy a guiding robot needs to keep a
-person alongside.
+person alongside. A record field the matching reads that is missing or
+of the wrong type raises InputError naming the record's 1-based
+position in its stream.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .exceptions import ConfigError, InputError
-from .geometry import WorldPoint
+from .geometry import WorldPoint, _finite_number, _integer, check_number
 
 DEFAULT_MATCH_RADIUS = 0.5  # meters
 
@@ -84,11 +86,19 @@ class EvalReport:
         }
 
 
-def _target_gt(record: dict) -> Optional[dict]:
-    for agent in record.get("agents", []):
-        if agent.get("is_target"):
-            return agent
-    return None
+def _field(record: dict, key: str, where: str, integer: bool = False, default=None):
+    value = record.get(key, default)
+    if not (_integer if integer else _finite_number)(value):
+        kind = "an integer" if integer else "a finite number"
+        raise InputError(f"{where}: {key} must be {kind}, got {value!r}")
+    return value
+
+
+def _objects(record: dict, key: str, where: str) -> list[dict]:
+    items = record.get(key, [])
+    if not (isinstance(items, list) and all(isinstance(item, dict) for item in items)):
+        raise InputError(f"{where}: {key} must be a list of objects, got {items!r}")
+    return items
 
 
 def match_frames(
@@ -103,23 +113,35 @@ def match_frames(
     Ground truth may be sparse, but every annotated frame must exist in
     the track stream.
     """
-    if match_radius <= 0:
-        raise ConfigError("match radius must be positive")
-    tracks_by_frame = {int(r["frame"]): r for r in track_records}
+    check_number("match radius", match_radius, 0.0, strict=True)
+    tracks_by_frame = {
+        _field(r, "frame", f"tracks record {n}", integer=True): (n, r)
+        for n, r in enumerate(track_records, start=1)
+    }
     matches = []
-    for record in gt_records:
-        frame = int(record["frame"])
+    for n, record in enumerate(gt_records, start=1):
+        where = f"ground-truth record {n}"
+        frame = _field(record, "frame", where, integer=True)
         if frame not in tracks_by_frame:
-            raise InputError(f"annotated frame {frame} missing from track stream")
-        target = _target_gt(record)
+            raise InputError(f"{where}: annotated frame {frame} missing from track stream")
+        target = next(
+            (a for a in _objects(record, "agents", where) if a.get("is_target")), None
+        )
         if target is None:
             continue
-        gt_pos = WorldPoint(float(target["x"]), float(target["y"]), 0.0)
+        gt_pos = WorldPoint(
+            float(_field(target, "x", f"{where} target")),
+            float(_field(target, "y", f"{where} target")),
+            0.0,
+        )
+        track_n, track_record = tracks_by_frame[frame]
+        where_tr = f"tracks record {track_n} target track"
         best = None
-        for tr in tracks_by_frame[frame].get("tracks", []):
+        for tr in _objects(track_record, "tracks", f"tracks record {track_n}"):
             if not tr.get("is_target"):
                 continue
-            d = math.hypot(tr["x"] - gt_pos.x, tr["y"] - gt_pos.y)
+            x, y = _field(tr, "x", where_tr), _field(tr, "y", where_tr)
+            d = math.hypot(x - gt_pos.x, y - gt_pos.y)
             if d <= match_radius and (best is None or d < best[0]):
                 best = (d, tr)
         if best is None:
@@ -131,8 +153,12 @@ def match_frames(
                     frame=frame,
                     matched=True,
                     gt_pos=gt_pos,
-                    track_id=int(tr["id"]),
-                    est_pos=WorldPoint(float(tr["x"]), float(tr["y"]), float(tr.get("h", 0.0))),
+                    track_id=_field(tr, "id", where_tr, integer=True),
+                    est_pos=WorldPoint(
+                        float(tr["x"]),
+                        float(tr["y"]),
+                        float(_field(tr, "h", where_tr, default=0.0)),
+                    ),
                 )
             )
     return matches
@@ -176,8 +202,7 @@ def error_vs_distance(
     matches: Sequence[FrameMatch], bin_width: float = 1.0
 ) -> list[ErrorBin]:
     """Per-range-bin mean error, matched count, and miss rate."""
-    if bin_width <= 0:
-        raise ConfigError("bin width must be positive")
+    check_number("bin width", bin_width, 0.0, strict=True)
     bins: dict[int, list[FrameMatch]] = {}
     for m in matches:
         bins.setdefault(int(m.gt_range // bin_width), []).append(m)

@@ -8,7 +8,10 @@ skeletons, applies a resolution-dependent detectability cutoff (people
 whose projected body height at the processed scale is too small are
 missed, reproducing the way small far-away people disappear from
 downscaled passes), optionally occludes agents hidden behind nearer
-ones, and perturbs joints with Gaussian pixel noise.
+ones, and perturbs joints with Gaussian pixel noise. A frame is
+projected once: each agent's skeleton, body height and occlusion are
+computed on the frame snapshot the first time they are needed, and
+every viewport and the ground truth read them from there.
 
 Randomness is drawn from a substream keyed by (seed, frame index,
 viewport), so a viewport's detections do not depend on which other
@@ -22,6 +25,7 @@ import math
 import struct
 import zlib
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -202,16 +206,6 @@ class AgentState:
         return math.hypot(self.x, self.y)
 
 
-@dataclass(frozen=True)
-class FrameSnapshot:
-    """Opaque frame handle consumed by the synthetic detector."""
-
-    index: int
-    t: float
-    cam: CameraModel
-    agents: tuple[AgentState, ...]
-
-
 def project_agent(state: AgentState, cam: CameraModel) -> Skeleton:
     """Noise-free skeleton of an agent.
 
@@ -271,20 +265,48 @@ def _azimuth_interval(state: AgentState) -> tuple[float, float]:
     return theta - half, 2.0 * half
 
 
-def _occluded(state: AgentState, others: tuple[AgentState, ...]) -> bool:
-    start, length = _azimuth_interval(state)
-    if length <= 0:
-        return False
-    for other in others:
-        if other.agent.id == state.agent.id:
-            continue
-        if other.ground_range >= state.ground_range:
-            continue
-        o_start, o_length = _azimuth_interval(other)
-        overlap = cyclic_interval_overlap(start, length, o_start, o_length, 360.0)
-        if overlap > 0.5 * length:
-            return True
-    return False
+@dataclass(frozen=True)
+class FrameSnapshot:
+    """One simulated frame: the camera and the agents' poses, rendered
+    once. The per-agent facts below, in ``agents`` order, are computed
+    on first use and cached on the snapshot, so each viewport the
+    detector runs on the frame and its ground-truth record read the
+    same projection. An agent under the camera makes ``skeletons``
+    raise GeometryError on every access."""
+
+    index: int
+    t: float
+    cam: CameraModel
+    agents: tuple[AgentState, ...]
+
+    @cached_property
+    def skeletons(self) -> tuple[Skeleton, ...]:
+        """Each agent's noise-free skeleton at full resolution."""
+        return tuple(project_agent(state, self.cam) for state in self.agents)
+
+    @cached_property
+    def body_heights_px(self) -> tuple[float, ...]:
+        """Each agent's full-resolution projected body height."""
+        return tuple(projected_body_height_px(state, self.cam) for state in self.agents)
+
+    @cached_property
+    def occluded(self) -> tuple[bool, ...]:
+        """Whether a strictly nearer agent covers more than half of each
+        agent's azimuth footprint."""
+        footprints = [
+            (state.agent.id, state.ground_range, *_azimuth_interval(state))
+            for state in self.agents
+        ]
+        return tuple(
+            length > 0
+            and any(
+                o_id != a_id
+                and o_range < a_range
+                and cyclic_interval_overlap(start, length, o_start, o_length, 360.0) > 0.5 * length
+                for o_id, o_range, o_start, o_length in footprints
+            )
+            for a_id, a_range, start, length in footprints
+        )
 
 
 def synthetic_detect(
@@ -305,14 +327,14 @@ def synthetic_detect(
     noise; joints drop out with miss_prob, the two ankles jointly.
     """
     cam = snapshot.cam
+    heights = snapshot.body_heights_px
     out = []
-    for state in snapshot.agents:
-        sk = project_agent(state, cam)
+    for i, sk in enumerate(snapshot.skeletons):
         if not viewport.contains_column(sk.neck.x, cam.image_width):
             continue
-        if projected_body_height_px(state, cam) * viewport.scale < detect_cfg.min_person_pixels:
+        if heights[i] * viewport.scale < detect_cfg.min_person_pixels:
             continue
-        if noise.occlusion_enabled and _occluded(state, snapshot.agents):
+        if noise.occlusion_enabled and snapshot.occluded[i]:
             continue
 
         drop_ankles = rng.random() < noise.miss_prob
@@ -393,8 +415,7 @@ def ground_truth_record(scenario: Scenario, snapshot: FrameSnapshot) -> dict:
     noise-free joints; agent 0 in declaration order is the target."""
     target_id = scenario.agents[0].id
     agents = []
-    for state in snapshot.agents:
-        sk = project_agent(state, scenario.cam)
+    for state, sk in zip(snapshot.agents, snapshot.skeletons):
         agents.append(
             {
                 "id": state.agent.id,

@@ -543,6 +543,34 @@ class TestConfigBoundary:
         assert run_cli("track", out, "--config", str(config), *flags) == 2
         assert outputs_written("track", out) == []
 
+    def test_camera_checked_with_scenario_input(self, tmp_path):
+        # a scenario brings its own camera; the block is checked all the same
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "scenario": str(one_second_scenario(tmp_path)),
+                    "camera": {"image_width": "bad", "nonsense": 1},
+                }
+            )
+        )
+        out = tmp_path / "out"
+        assert run_cli("track", out, "--config", str(config)) == 2
+        assert outputs_written("track", out) == []
+
+    @pytest.mark.parametrize(
+        "seed, flags", [('"x"', []), ("0", ["--seed", "-1"])], ids=["config", "flag"]
+    )
+    def test_seed_checked_with_detections_input(self, tmp_path, seed, flags):
+        # detections need no seed; a bad one is rejected all the same
+        detections = tmp_path / "detections.jsonl"
+        detections.write_text(json.dumps({"frame": 0, "t": 0.0, "detections": []}) + "\n")
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"detections": {json.dumps(str(detections))}, "seed": {seed}}}')
+        out = tmp_path / "out"
+        assert run_cli("track", out, "--config", str(config), *flags) == 2
+        assert outputs_written("track", out) == []
+
     @pytest.mark.parametrize("text", ["5", "[]", "null"])
     def test_run_config_not_an_object_exits_2(self, tmp_path, text):
         config = tmp_path / "config.json"
@@ -572,3 +600,59 @@ class TestConfigBoundary:
         assert run_cli(command, tmp_path / "null", "--scenario", str(null)) == 0
         for name in OUTPUTS[command]:
             assert (tmp_path / "null" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def eval_inputs(tmp_path, gt_edit=None, track_edit=None):
+    """One annotated frame and its tracks record, the target matched,
+    each record changed in place by its edit."""
+    gt = {"frame": 0, "t": 0.0, "agents": [{"id": 0, "x": 2.0, "y": 0.0, "is_target": True}]}
+    tracks = {
+        "frame": 0,
+        "t": 0.0,
+        "tracks": [{"id": 1, "x": 2.0, "y": 0.0, "h": 1.6, "is_target": True}],
+    }
+    for record, edit in ((gt, gt_edit), (tracks, track_edit)):
+        if edit:
+            edit(record)
+    paths = tmp_path / "gt.jsonl", tmp_path / "tracks.jsonl"
+    for path, record in zip(paths, (gt, tracks)):
+        path.write_text(json.dumps(record) + "\n")
+    return ["--gt", str(paths[0]), "--tracks", str(paths[1])]
+
+
+EVAL_BOUNDARY = {
+    "gt_without_frame": (
+        dict(gt_edit=lambda r: r.pop("frame")),
+        [],
+        "ground-truth record 1: frame must be an integer, got None",
+    ),
+    "string_target_x": (
+        dict(gt_edit=lambda r: r["agents"][0].update(x="a")),
+        [],
+        "ground-truth record 1 target: x must be a finite number, got 'a'",
+    ),
+    "string_track_x": (
+        dict(track_edit=lambda r: r["tracks"][0].update(x="1")),
+        [],
+        "tracks record 1 target track: x must be a finite number, got '1'",
+    ),
+    "nan_radius": ({}, ["--radius", "nan"], "match radius must be a finite number > 0"),
+    "inf_bin_width": ({}, ["--bin-width", "inf"], "bin width must be a finite number > 0"),
+}
+
+
+class TestEvalBoundary:
+    """A malformed record or option exits 2, naming it, before the
+    report is written."""
+
+    def test_clean_inputs_match(self, tmp_path, capsys):
+        assert run_cli("eval", tmp_path / "out", *eval_inputs(tmp_path)) == 0
+        assert "m1=1.0000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", sorted(EVAL_BOUNDARY))
+    def test_bad_eval_input_exits_2(self, tmp_path, capsys, case):
+        edits, flags, message = EVAL_BOUNDARY[case]
+        out = tmp_path / "out"
+        assert run_cli("eval", out, *eval_inputs(tmp_path, **edits), *flags) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "report.json").exists()

@@ -1,13 +1,25 @@
+import itertools
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from panotrack.detect import RoiConfig, TilesConfig, Viewport, build_tiles
+from panotrack import sim
+from panotrack.detect import (
+    RoiConfig,
+    TilesConfig,
+    Viewport,
+    build_tiles,
+    fullframe_viewport,
+    plan_roi,
+)
 from panotrack.exceptions import ConfigError, GeometryError, InputError
-from panotrack.geometry import CameraModel, from_dict, localize
+from panotrack.geometry import CameraModel, cyclic_interval_overlap, from_dict, localize
+from panotrack.pipeline import STRATEGIES, run_simulated
 from panotrack.sim import (
     Agent,
     AgentState,
@@ -357,3 +369,175 @@ def test_missing_required_key_is_input_error(path):
     with pytest.raises(InputError, match=f"missing required keys: \\['{path[-1]}'\\]"):
         scenario_from_dict(d)
 
+
+
+def crowd_scenario(n_agents=8, **kwargs):
+    """Circling agents at staggered ranges, with noise, dropout and
+    occlusion, 10 frames long."""
+    agents = tuple(
+        Agent(
+            id=i,
+            trajectory=CircleTrajectory(
+                radius=1.5 + 0.35 * i, angular_speed=30.0 * (-1) ** i, start_angle=20.0 * i
+            ),
+        )
+        for i in range(n_agents)
+    )
+    defaults = dict(
+        fps=10.0,
+        duration=1.0,
+        agents=agents,
+        noise=NoiseModel(joint_sigma=1.5, miss_prob=0.1, occlusion_enabled=True),
+        seed=3,
+    )
+    defaults.update(kwargs)
+    return Scenario(**defaults)
+
+
+class TestFrameRenderedOnce:
+    """Each frame is projected once, whatever the viewports and the
+    annotation schedule."""
+
+    @pytest.mark.parametrize("annotate_every", [1, 3])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_one_projection_per_agent_per_frame(self, monkeypatch, strategy, annotate_every):
+        projected, viewports = [], []
+
+        def counted_project(state, cam):
+            projected.append(state.agent.id)
+            return project_agent(state, cam)
+
+        def counted_detect(viewport, *args):
+            viewports.append(viewport)
+            return synthetic_detect(viewport, *args)
+
+        monkeypatch.setattr(sim, "project_agent", counted_project)
+        monkeypatch.setattr(sim, "synthetic_detect", counted_detect)
+        scenario = crowd_scenario(annotate_every=annotate_every)
+        frames = list(run_simulated(scenario, strategy))
+        n = scenario.n_frames
+        assert len(frames) == n == 10
+        assert sum(gt is not None for _, gt in frames) == (10 if annotate_every == 1 else 4)
+        # viewports per frame: three tiles; the full pass, plus the crop
+        # once the target is tracked; the full pass alone
+        if strategy == "roi":
+            assert n < len(viewports) < 2 * n
+        else:
+            assert len(viewports) == {"tiles": 3 * n, "fullframe": n}[strategy]
+        assert sorted(projected) == sorted(a.id for a in scenario.agents for _ in range(n))
+
+    def test_viewports_read_the_same_render_in_any_order(self, cam):
+        scenario = crowd_scenario(n_agents=12)
+        det = SyntheticDetector.for_scenario(scenario)
+        states = agent_states(scenario, 0.4)
+        full = fullframe_viewport(cam, RoiConfig())
+        crop_plan, _ = plan_roi(full, cam, RoiConfig(), project_agent(states[0], cam).neck)
+        viewports = [*build_tiles(cam), *crop_plan]
+
+        def fresh():
+            return FrameSnapshot(index=4, t=0.4, cam=cam, agents=states)
+
+        alone = [det.detect(fresh(), vp) for vp in viewports]
+        shared = fresh()
+        forward = [det.detect(shared, vp) for vp in viewports]
+        shared = fresh()
+        backward = [det.detect(shared, vp) for vp in reversed(viewports)][::-1]
+        assert forward == alone
+        assert backward == alone
+        # every rule is in play: some agent is tall enough for a
+        # full-resolution pass but not for the 1/3 full-frame pass, and
+        # some agent is occluded
+        assert len(viewports) == 5 and all(alone)
+        min_px = scenario.detect_cfg.min_person_pixels
+        assert any(h * full.scale < min_px <= h for h in fresh().body_heights_px)
+        assert any(fresh().occluded)
+
+
+def reference_occluded(states):
+    """The occlusion rule, agent by agent, recomputing every range and
+    interval: a strictly nearer agent of another id covers more than
+    half of the agent's azimuth interval."""
+
+    def interval(s):
+        theta = math.degrees(math.atan2(s.y, s.x))
+        half = math.degrees(math.atan2(s.agent.body.shoulder_half_width, math.hypot(s.x, s.y)))
+        return theta - half, 2.0 * half
+
+    flags = []
+    for s in states:
+        start, length = interval(s)
+        flags.append(
+            length > 0
+            and any(
+                o.agent.id != s.agent.id
+                and math.hypot(o.x, o.y) < math.hypot(s.x, s.y)
+                and cyclic_interval_overlap(start, length, *interval(o), 360.0) > 0.5 * length
+                for o in states
+            )
+        )
+    return tuple(flags)
+
+
+# behind the camera, next to the +-180 degree seam
+SEAM_POINTS = [(-2.0, 1e-3), (-2.0, -1e-3), (-2.5, 0.0), (-1.5, 0.2), (-3.0, -0.3)]
+
+
+@st.composite
+def crowds(draw):
+    coord = st.floats(-6.0, 6.0, allow_nan=False)
+    point = st.one_of(st.sampled_from(SEAM_POINTS), st.tuples(coord, coord)).filter(
+        lambda p: math.hypot(*p) > 0.5
+    )
+    points = draw(st.lists(point, min_size=1, max_size=7))
+    # a mirror image across the x axis has exactly the same range, and
+    # behind the camera it lies on the other side of the seam
+    points += [(x, -y) for x, y in draw(st.lists(st.sampled_from(points), max_size=3))]
+    widths = st.sampled_from([0.0, 0.2, 0.45])
+    return tuple(
+        AgentState(
+            agent=Agent(
+                id=i,
+                trajectory=WaypointTrajectory(points=(p,)),
+                body=Body(shoulder_half_width=draw(widths)),
+            ),
+            x=p[0],
+            y=p[1],
+            heading=0.0,
+        )
+        for i, p in enumerate(points)
+    )
+
+
+@given(crowds())
+@settings(max_examples=300, deadline=None)
+def test_cached_occlusion_matches_reference(states):
+    frame = FrameSnapshot(index=0, t=0.0, cam=CameraModel(), agents=states)
+    assert frame.occluded == reference_occluded(states)
+
+
+class TestUnderCamera:
+    """An agent within MIN_AGENT_RANGE of the camera axis fails every
+    viewport of its frame, and fails the run on an annotated frame."""
+
+    def scenario(self, **kwargs):
+        agents = (
+            Agent(id=0, trajectory=CircleTrajectory(radius=2.0)),
+            # range 1 - 0.2 i at frame i: under the camera from frame 4
+            Agent(id=1, trajectory=WaypointTrajectory(points=((1.0, 0.0), (0.0, 0.0)), speed=2.0)),
+        )
+        return Scenario(fps=10.0, duration=0.8, agents=agents, **kwargs)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_unannotated_frame_is_partial(self, strategy):
+        # only frame 0 is annotated
+        frames = [out for out, _ in run_simulated(self.scenario(annotate_every=100), strategy)]
+        assert [out.partial for out in frames] == [False] * 4 + [True] * 4
+        assert all(out.detections["detections"] == [] for out in frames[4:])
+        assert all(out.detections["detections"] for out in frames[:4])
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_annotated_frame_raises(self, strategy):
+        frames = run_simulated(self.scenario(), strategy)
+        assert [out.partial for out, _ in itertools.islice(frames, 4)] == [False] * 4
+        with pytest.raises(GeometryError, match="agent 1 at range 0.200 m is under the camera"):
+            next(frames)
