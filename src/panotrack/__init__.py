@@ -68,6 +68,7 @@ from .sim import (
 from .tracker import (
     PanoTracker,
     Track,
+    TrackSnapshot,
     TrackerConfig,
     TrackState,
     TrackStatus,

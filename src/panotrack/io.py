@@ -18,7 +18,7 @@ from .detect import Skeleton, skeleton
 from .exceptions import InputError
 from .geometry import CameraModel, world_to_image
 from .metrics import ErrorBin, EvalReport
-from .tracker import Track
+from .tracker import TrackSnapshot
 
 
 def read_jsonl(path: str) -> Iterator[dict]:
@@ -76,7 +76,9 @@ def detections_from_record(record: dict) -> list[Skeleton]:
         raise InputError(f"malformed detection record: {exc}") from exc
 
 
-def tracks_record(frame: int, t: float, tracks: Sequence[Track], cam: CameraModel) -> dict:
+def tracks_record(
+    frame: int, t: float, tracks: Sequence[TrackSnapshot], cam: CameraModel
+) -> dict:
     out = []
     for tr in tracks:
         img = world_to_image(tr.world_position, cam)

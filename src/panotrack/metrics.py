@@ -111,17 +111,26 @@ def match_frames(
     A frame is matched when a target-flagged track's (x, y) lies within
     match_radius of the annotated target; the nearest such track wins.
     Ground truth may be sparse, but every annotated frame must exist in
-    the track stream.
+    the track stream. A frame number may appear once in each stream.
     """
     check_number("match radius", match_radius, 0.0, strict=True)
-    tracks_by_frame = {
-        _field(r, "frame", f"tracks record {n}", integer=True): (n, r)
-        for n, r in enumerate(track_records, start=1)
-    }
+    tracks_by_frame: dict[int, tuple[int, dict]] = {}
+    for n, r in enumerate(track_records, start=1):
+        frame = _field(r, "frame", f"tracks record {n}", integer=True)
+        if frame in tracks_by_frame:
+            first = tracks_by_frame[frame][0]
+            raise InputError(f"tracks record {n}: frame {frame} repeats tracks record {first}")
+        tracks_by_frame[frame] = (n, r)
+    gt_seen: dict[int, int] = {}
     matches = []
     for n, record in enumerate(gt_records, start=1):
         where = f"ground-truth record {n}"
         frame = _field(record, "frame", where, integer=True)
+        if frame in gt_seen:
+            raise InputError(
+                f"{where}: frame {frame} repeats ground-truth record {gt_seen[frame]}"
+            )
+        gt_seen[frame] = n
         if frame not in tracks_by_frame:
             raise InputError(f"{where}: annotated frame {frame} missing from track stream")
         target = next(

@@ -32,7 +32,7 @@ from .exceptions import ConfigError, InputError, PanotrackError
 from .geometry import CameraModel, ImagePoint, _finite_number, _integer, world_to_image
 from .io import detections_from_record, detections_record, tracks_record
 from .sim import Scenario, SyntheticDetector, run_scenario
-from .tracker import PanoTracker, TrackerConfig, TrackStatus
+from .tracker import PanoTracker, TrackerConfig, TrackSnapshot, TrackStatus
 
 logger = logging.getLogger(__name__)
 
@@ -91,10 +91,12 @@ class StrategyRunner:
         )
 
 
-def target_prediction(tracker: PanoTracker, cam: CameraModel) -> Optional[ImagePoint]:
+def target_prediction(
+    tracks: Sequence[TrackSnapshot], cam: CameraModel
+) -> Optional[ImagePoint]:
     """Image position at which the roi strategy should center its crop:
-    the current target track's projected neck."""
-    for track in tracker.tracks:
+    the projected neck of the target among a step's tracks."""
+    for track in tracks:
         if track.is_target and track.status != TrackStatus.LOST:
             return world_to_image(track.world_position, cam)
     return None
@@ -127,7 +129,7 @@ def _simulated_frames(
         result = runner.detect(snapshot, prediction)
         tracks = tracker.step(result.detections, dt)
         latency = time.perf_counter() - start
-        prediction = target_prediction(tracker, cam)
+        prediction = target_prediction(tracks, cam)
         yield (
             FrameOutput(
                 frame=snapshot.index,
@@ -147,19 +149,23 @@ def run_offline(
     tracker_cfg: TrackerConfig = TrackerConfig(),
 ) -> Iterator[FrameOutput]:
     """Track over an externally produced detections JSONL stream. A
-    malformed record raises InputError naming its 1-based position in
-    the stream."""
+    malformed record, or one whose frame number is not greater than the
+    previous record's, raises InputError naming its 1-based position in
+    the stream; gaps in the frame numbers are allowed."""
     tracker = PanoTracker(cam, tracker_cfg)
+    prev_frame: Optional[int] = None
     prev_t: Optional[float] = None
     for n, record in enumerate(detection_records, start=1):
         start = time.perf_counter()
         try:
             frame, t = _frame_and_time(record)
+            if prev_frame is not None and frame <= prev_frame:
+                raise InputError(f"frame {frame} does not follow frame {prev_frame}")
             dets = detections_from_record(record)
         except PanotrackError as exc:
             raise InputError(f"detections record {n}: {exc}") from exc
         dt = (t - prev_t) if prev_t is not None and t > prev_t else 1.0 / FALLBACK_FPS
-        prev_t = t
+        prev_frame, prev_t = frame, t
         tracks = tracker.step(dets, dt)
         latency = time.perf_counter() - start
         yield FrameOutput(

@@ -6,17 +6,22 @@ a full covariance, propagated by a constant-velocity model and updated
 against pixel measurements of the ankle midpoint and neck (or the neck
 alone when the ankles are occluded).
 
-The filter has one batched core: ``predict`` propagates a list of
-tracks and ``update`` corrects a list of tracks against an (n, d)
-measurement array, in one set of numpy calls each. A measurement is a
-sequence of (column, row) pixel pairs: d = 4 for the ankle midpoint
-and neck, d = 2 for the neck alone. Its seam columns are therefore the
-even entries, (0, 2) for d = 4 and (0,) for d = 2. ``PanoTracker.step``
-groups its matches by d, so it calls ``update`` at most twice a frame.
-Every track keeps the Cholesky factor of its covariance, set at spawn
-and stored with each posterior; a posterior that is non-finite, or
-whose covariance no jitter repairs, is not stored and the track is
-reported as diverged.
+``PanoTracker`` keeps the filter state in three row-aligned arrays,
+``means`` (n, 5), ``covs`` (n, 5, 5) and their Cholesky ``factors``
+(n, 5, 5), row i belonging to ``tracks[i]``; tracks are in id order
+and carry only their lifecycle. A spawn appends rows, and the tracks
+lost in a step are dropped at its end by a compaction that copies the
+arrays, so the snapshots a step returns hold rows never written again.
+
+The filter has one batched core on such arrays: ``predict`` propagates
+all rows and ``update`` corrects a subset of rows against an (n, d)
+measurement array. A measurement is a sequence of (column, row) pixel
+pairs: d = 4 for the ankle midpoint and neck, d = 2 for the neck
+alone, so its seam columns are the even entries. ``step`` groups its
+matches by d, so it calls ``update`` at most twice a frame. Both
+return the rows to keep and a mask of the rows they changed; a row
+whose posterior is non-finite, or whose covariance no jitter repairs,
+comes back as it went in and its track is reported as diverged.
 
 The panorama's horizontal periodicity enters the filter in the
 measurement space only. Near the seam, the sigma points' image
@@ -36,20 +41,10 @@ short way around the seam.
 ``PanoTracker.step`` reads each detection's joints once a frame, into
 one (m, 4) array of ankle-midpoint and neck pixels with NaN where a
 joint is absent. Association, the measurements, spawn suppression and
-spawning all read that array.
-
-Association is global nearest neighbour on the neck column/row: the
-optimal one-to-one assignment (Hungarian) that maximizes the number of
-pairs within the pixel gate and, among those, minimizes the total
-wrap-aware distance. Each frame builds one cost matrix: the active
-tracks' necks are projected in a single vectorized call, and the
-distances to the frame's neck columns are formed by broadcasting, with
-the column difference taken the short way around the seam. Distances
-are evaluated only inside the gate: a pair whose column or row gap
-alone exceeds it reads +inf, as does a detection without a neck (a NaN
-row), so neither can pass. Spawn suppression measures unmatched
-detections against the live tracks' necks the same way, with its own
-radius as the limit.
+spawning all read that array. Association is global nearest neighbour
+on the neck pixels (``associate``); spawn suppression measures
+unmatched detections against the live tracks' necks with the same
+gated, wrap-aware distance, with its own radius as the limit.
 """
 
 from __future__ import annotations
@@ -182,35 +177,28 @@ class TrackState:
 
 @dataclass
 class Track:
+    """The lifecycle of one track. Its filter state is the row of the
+    tracker's arrays at the track's position in ``PanoTracker.tracks``."""
+
     id: int
-    mean: np.ndarray  # (5,)
-    covariance: np.ndarray  # (5, 5)
     status: TrackStatus = TrackStatus.TENTATIVE
     hits: int = 1  # consecutive accepted updates (spawn counts as one)
     consecutive_misses: int = 0
     is_target: bool = False
-    # Cholesky factor of `covariance`: set at spawn, stored with every
-    # posterior, and required by predict and update
-    cov_factor: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
-    @property
-    def state(self) -> TrackState:
-        return TrackState.from_array(self.mean)
+
+@dataclass
+class TrackSnapshot(Track):
+    """A track as ``PanoTracker.step`` reports it: its lifecycle fields
+    and its state at the end of the step, rows of arrays the tracker
+    no longer writes."""
+
+    mean: np.ndarray = field(kw_only=True)  # (5,)
+    covariance: np.ndarray = field(kw_only=True)  # (5, 5)
 
     @property
     def world_position(self) -> WorldPoint:
         return WorldPoint(float(self.mean[0]), float(self.mean[1]), float(self.mean[4]))
-
-
-def _snapshot(track: Track) -> Track:
-    """A copy of the track with its own mean and covariance, so that no
-    in-place write on one side reaches the other. The Cholesky factor
-    is shared: the tracker only ever replaces it."""
-    copy = object.__new__(Track)
-    copy.__dict__.update(
-        track.__dict__, mean=track.mean.copy(), covariance=track.covariance.copy()
-    )
-    return copy
 
 
 def unwrap_columns(xs: np.ndarray, image_width: float) -> np.ndarray:
@@ -275,74 +263,72 @@ def _sigma_points(means: np.ndarray, factors: np.ndarray, scale: float) -> np.nd
     return np.concatenate([center, center + offsets, center - offsets], axis=1)
 
 
+States = tuple[np.ndarray, np.ndarray, np.ndarray]  # means, covariances, their factors
+
+
 def _store_posterior(
-    tracks: Sequence[Track],
-    means: np.ndarray,
-    covs: np.ndarray,
-    store: Sequence[bool],
+    prior: States, means: np.ndarray, covs: np.ndarray, store: np.ndarray,
     jitter_floor: float,
-) -> list[int]:
-    """Store each posterior flagged in ``store`` on its track, with the
-    Cholesky factor of its symmetrized covariance: one batched
-    factorization, or a jitter repair per track when any member of the
-    stack fails. Returns the indices of tracks that diverged, whose
-    posterior is non-finite or cannot be repaired; nothing is stored
-    for them. The heights in ``means`` are clamped in place."""
+) -> tuple[States, np.ndarray]:
+    """The rows to keep of a batch of posteriors, and the mask of rows
+    stored: those flagged in ``store`` whose posterior is finite and
+    admits a Cholesky factor. A stored row is the posterior, its height
+    clamped and its covariance symmetrized, with that factor; every
+    other row is its ``prior`` (means, covariances, factors) unchanged,
+    and a flagged one diverged. One batched factorization serves every
+    row; only when a member of the stack fails is each flagged row
+    repaired with jitter on its own."""
     covs = 0.5 * (covs + covs.transpose(0, 2, 1))
-    finite = (np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))).tolist()
+    stored = store & np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
     np.clip(means[:, 4], *H_N_RANGE, out=means[:, 4])  # after the check: it maps inf into range
     try:
-        roots = np.linalg.cholesky(covs)
+        factors = np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
-        roots = None
-    diverged: list[int] = []
-    for i, t in enumerate(tracks):
-        if not store[i]:
-            continue
-        if not finite[i]:
-            diverged.append(i)
-            continue
-        if roots is not None:
-            cov, root = covs[i], roots[i]
-        else:
+        factors = np.zeros_like(covs)
+        for i in np.flatnonzero(stored):
             try:
-                cov, root = _spd_factor(covs[i], jitter_floor)
+                covs[i], factors[i] = _spd_factor(covs[i], jitter_floor)
             except FilterDivergenceError:
-                diverged.append(i)
-                continue
-        t.mean, t.covariance, t.cov_factor = means[i], cov, root
-    return diverged
+                stored[i] = False
+    for i in (~stored).nonzero()[0]:
+        means[i], covs[i], factors[i] = prior[0][i], prior[1][i], prior[2][i]
+    return (means, covs, factors), stored
 
 
-def predict(tracks: Sequence[Track], dt: float, cfg: TrackerConfig) -> list[int]:
-    """Constant-velocity propagation of every track's state and
-    covariance through sigma points, plus process noise scaled by dt.
-    Returns the indices of tracks that diverged (left unchanged)."""
+def predict(
+    means: np.ndarray, covs: np.ndarray, factors: np.ndarray, dt: float, cfg: TrackerConfig
+) -> tuple[States, np.ndarray]:
+    """Constant-velocity propagation of (n, 5) states, with their
+    (n, 5, 5) covariances and Cholesky factors, through sigma points,
+    plus process noise scaled by dt. Returns the states to keep and the
+    mask of rows predicted; a row outside it diverged and is returned
+    unchanged."""
     if dt <= 0:
         raise ConfigError(f"dt must be positive, got {dt}")
-    if not tracks:
-        return []
+    every = np.ones(len(means), dtype=bool)
+    if not len(means):
+        return (means, covs, factors), every
     wm, wc, scale = cfg.weights()
-    pts = _sigma_points(
-        np.stack([t.mean for t in tracks]), np.stack([t.cov_factor for t in tracks]), scale
-    )
+    pts = _sigma_points(means, factors, scale)
     pts[:, :, 0] += pts[:, :, 2] * dt
     pts[:, :, 1] += pts[:, :, 3] * dt
-    means = np.einsum("w,nwd->nd", wm, pts)
-    d = pts - means[:, None, :]
-    covs = np.einsum("w,nwi,nwj->nij", wc, d, d) + cfg._process_noise_diag * dt
-    return _store_posterior(tracks, means, covs, [True] * len(tracks), cfg.jitter_floor)
+    new_means = np.einsum("w,nwd->nd", wm, pts)
+    d = pts - new_means[:, None, :]
+    new_covs = np.einsum("w,nwi,nwj->nij", wc, d, d) + cfg._process_noise_diag * dt
+    return _store_posterior((means, covs, factors), new_means, new_covs, every, cfg.jitter_floor)
 
 
 def update(
-    tracks: Sequence[Track], z_obs: np.ndarray, cam: CameraModel, cfg: TrackerConfig
-) -> tuple[list[bool], list[int]]:
-    """UKF measurement update of track i against row i of the (n, d)
-    measurement array, d = 4 (ankle midpoint, neck) or d = 2 (neck).
-    Returns per-track acceptance flags, False where the innovation
-    fails the config's Mahalanobis bound (that track is left
-    untouched), and the indices of accepted tracks that diverged (also
-    left untouched).
+    means: np.ndarray, covs: np.ndarray, factors: np.ndarray, z_obs: np.ndarray,
+    cam: CameraModel, cfg: TrackerConfig,
+) -> tuple[States, np.ndarray, np.ndarray]:
+    """UKF measurement update of state i (row i of the (n, 5) means,
+    (n, 5, 5) covariances and their factors) against row i of the
+    (n, d) measurement array, d = 4 (ankle midpoint, neck) or d = 2
+    (neck). Returns the states to keep, the acceptance mask, False
+    where the innovation fails the config's Mahalanobis bound, and the
+    mask of rows updated; a row outside it is returned unchanged, and
+    an accepted one diverged.
 
     With the config's wrap correction on, predicted-measurement sigma columns are
     unwrapped before the moments are formed and the innovation columns
@@ -353,8 +339,7 @@ def update(
     n, dim = z_obs.shape
     wm, wc, scale = cfg.weights()
     w = cam.image_width
-    means = np.stack([t.mean for t in tracks])
-    pts = _sigma_points(means, np.stack([t.cov_factor for t in tracks]), scale)
+    pts = _sigma_points(means, factors, scale)
     z_pts = _measurement_matrix(pts.reshape(-1, STATE_DIM), cam, neck_only=dim == 2)
     z_pts = z_pts.reshape(n, pts.shape[1], dim)
 
@@ -375,30 +360,26 @@ def update(
     rhs = np.concatenate([innovation[:, :, None], t_cov.transpose(0, 2, 1)], axis=2)
     solved = np.linalg.solve(s_cov, rhs)
     if cfg.mahalanobis_gate is None:
-        accepted = [True] * n
+        accepted = np.ones(n, dtype=bool)
     else:
         maha = np.einsum("ni,ni->n", innovation, solved[:, :, 0])
-        accepted = [bool(v <= cfg.mahalanobis_gate) for v in maha]
+        accepted = maha <= cfg.mahalanobis_gate
 
     gain = solved[:, :, 1:].transpose(0, 2, 1)
     new_means = means + np.einsum("nij,nj->ni", gain, innovation)
-    covs = np.stack([t.covariance for t in tracks])
     new_covs = covs - gain @ s_cov @ gain.transpose(0, 2, 1)
-    return accepted, _store_posterior(tracks, new_means, new_covs, accepted, cfg.jitter_floor)
+    kept, stored = _store_posterior(
+        (means, covs, factors), new_means, new_covs, accepted, cfg.jitter_floor
+    )
+    return kept, accepted, stored
 
 
 @dataclass
 class Assignment:
-    pairs: list[tuple[int, int]]
+    tracks: np.ndarray  # matched track indices, ascending
+    dets: np.ndarray  # the detection matched to each
     unmatched_tracks: list[int]
     unmatched_dets: list[int]
-
-
-def _track_necks(tracks: Sequence[Track], cam: CameraModel) -> np.ndarray:
-    """(n, 2) predicted neck pixels of the tracks, one vectorized
-    projection for all of them."""
-    means = np.array([t.mean for t in tracks]).reshape(-1, STATE_DIM)
-    return _measurement_matrix(means, cam, neck_only=True)
 
 
 def _detection_pixels(dets: Sequence[Detection], image_width: float) -> np.ndarray:
@@ -438,14 +419,11 @@ def _wrap_distances(
 
 
 def associate(
-    tracks: Sequence[Track],
-    det_necks: np.ndarray,
-    cam: CameraModel,
-    gate: float,
+    means: np.ndarray, det_necks: np.ndarray, cam: CameraModel, gate: float
 ) -> Assignment:
-    """Global nearest neighbour between predicted neck positions and
-    the (m, 2) detection neck pixels under the wrap-aware image
-    distance.
+    """Global nearest neighbour between the predicted neck positions of
+    (n, 5) track states and the (m, 2) detection neck pixels under the
+    wrap-aware image distance.
 
     Finds the one-to-one assignment that first maximizes the number of
     pairs within the gate and then minimizes their total distance
@@ -454,19 +432,22 @@ def associate(
     matched. Ties are resolved deterministically by the (track, det)
     ordering of the inputs.
     """
-    n, m = len(tracks), len(det_necks)
+    n, m = len(means), len(det_necks)
     if n == 0 or m == 0:
-        return Assignment([], list(range(n)), list(range(m)))
+        none = np.empty(0, dtype=int)
+        return Assignment(none, none, list(range(n)), list(range(m)))
 
-    dist = _wrap_distances(_track_necks(tracks, cam), det_necks, cam.image_width, gate)
+    track_necks = _measurement_matrix(means, cam, neck_only=True)
+    dist = _wrap_distances(track_necks, det_necks, cam.image_width, gate)
     cost = np.where(dist <= gate, dist, _FORBIDDEN)  # +inf (no neck) fails the gate
 
-    rows, cols = linear_sum_assignment(cost)
-    pairs = [(int(i), int(j)) for i, j in zip(rows, cols) if cost[i, j] < _FORBIDDEN]
-    matched_t = {i for i, _ in pairs}
-    matched_d = {j for _, j in pairs}
+    rows, cols = linear_sum_assignment(cost)  # rows ascending
+    within = cost[rows, cols] < _FORBIDDEN
+    rows, cols = rows[within], cols[within]
+    matched_t, matched_d = set(rows.tolist()), set(cols.tolist())
     return Assignment(
-        pairs=pairs,
+        tracks=rows,
+        dets=cols,
         unmatched_tracks=[i for i in range(n) if i not in matched_t],
         unmatched_dets=[j for j in range(m) if j not in matched_d],
     )
@@ -495,40 +476,51 @@ class PanoTracker:
         self.cam = cam
         self.config = config
         self.tracks: list[Track] = []
+        # filter state, row i belonging to tracks[i]
+        self.means = np.empty((0, STATE_DIM))
+        self.covs = np.empty((0, STATE_DIM, STATE_DIM))
+        self.factors = np.empty((0, STATE_DIM, STATE_DIM))
         self._next_id = 1
 
-    def _spawn(self, pix: np.ndarray) -> Optional[Track]:
-        """A tentative track at the person seen in one (4,) row of
-        detection pixels; None when a joint is missing or the ankle
-        does not localize."""
-        if np.isnan(pix).any():
-            return None
-        ax, ay, nx, ny = pix.tolist()
-        try:
-            w = localize(ImagePoint(ax, ay), ImagePoint(nx, ny), self.cam)
-        except GeometryError:
-            return None
+    def _spawn(self, pix: np.ndarray) -> None:
+        """Append a tentative track, and its rows, for each person seen
+        in the (k, 4) rows of detection pixels, skipping a row with a
+        joint missing or an ankle that does not localize."""
         lo, hi = H_N_RANGE
-        mean = np.array([w.x, w.y, 0.0, 0.0, min(max(w.z, lo), hi)])
+        means = []
+        for ax, ay, nx, ny in pix[~np.isnan(pix).any(axis=1)].tolist():
+            try:
+                w = localize(ImagePoint(ax, ay), ImagePoint(nx, ny), self.cam)
+            except GeometryError:
+                continue
+            means.append([w.x, w.y, 0.0, 0.0, min(max(w.z, lo), hi)])
+        if not means:
+            return
+        k = len(means)
         cov, root = _spd_factor(
             np.diag(self.config.initial_variance).astype(float), self.config.jitter_floor
         )
-        track = Track(id=self._next_id, mean=mean, covariance=cov, cov_factor=root)
-        self._next_id += 1
-        return track
+        self.means = np.concatenate([self.means, means])
+        self.covs = np.concatenate([self.covs, np.broadcast_to(cov, (k, *cov.shape))])
+        self.factors = np.concatenate([self.factors, np.broadcast_to(root, (k, *root.shape))])
+        self.tracks.extend(Track(id=self._next_id + i) for i in range(k))
+        self._next_id += k
 
-    def _prominence(self, track: Track) -> tuple[float, float]:
-        ankle, neck = project_to_image(track.state, self.cam)
+    def _rows(self, rows: np.ndarray) -> States:
+        """Copies of the given rows of the filter arrays."""
+        return tuple(a.take(rows, axis=0) for a in (self.means, self.covs, self.factors))
+
+    def _prominence(self, row: int) -> tuple[float, float]:
+        ankle, neck = project_to_image(TrackState.from_array(self.means[row]), self.cam)
         return (-abs(ankle.y - neck.y), neck.x)
 
     def _maintain_target(self) -> None:
         if any(t.is_target and t.status != TrackStatus.LOST for t in self.tracks):
             return
-        candidates = [t for t in self.tracks if t.status == TrackStatus.CONFIRMED]
+        candidates = [i for i, t in enumerate(self.tracks) if t.status == TrackStatus.CONFIRMED]
         if not candidates:
             return
-        chosen = min(candidates, key=self._prominence)
-        chosen.is_target = True
+        self.tracks[min(candidates, key=self._prominence)].is_target = True
 
     def _register_hit(self, track: Track) -> None:
         track.hits += 1
@@ -539,41 +531,45 @@ class PanoTracker:
         ):
             track.status = TrackStatus.CONFIRMED
 
-    def step(self, dets: Sequence[Detection], dt: float) -> list[Track]:
-        """Advance one frame; returns the current tracks (including any
-        that were lost this frame) sorted by id."""
+    def step(self, dets: Sequence[Detection], dt: float) -> list[TrackSnapshot]:
+        """Advance one frame; returns snapshots of the current tracks
+        (including any that were lost this frame) sorted by id."""
         cfg = self.config
+        tracks = self.tracks
 
-        for i in predict(self.tracks, dt, cfg):
-            self.tracks[i].status = TrackStatus.LOST
+        (self.means, self.covs, self.factors), predicted = predict(
+            self.means, self.covs, self.factors, dt, cfg
+        )
+        for i in (~predicted).nonzero()[0]:
+            tracks[i].status = TrackStatus.LOST
+        active = predicted.nonzero()[0]
 
         pix = _detection_pixels(dets, self.cam.image_width)
-        active = [t for t in self.tracks if t.status != TrackStatus.LOST]
-        active.sort(key=lambda t: t.id)
-        assignment = associate(active, pix[:, 2:], self.cam, cfg.gate_px)
+        necks = pix[:, 2:]
+        assignment = associate(self.means.take(active, axis=0), necks, self.cam, cfg.gate_px)
 
-        missed = set(assignment.unmatched_tracks)
+        missed = active[assignment.unmatched_tracks].tolist()
         # matched detections always carry a neck (association anchors on
         # it); the measurement is the whole row, or the neck alone when
         # the ankles are absent; one batched update per measurement size
-        by_dim: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for ti, di in assignment.pairs:
-            z = pix[di] if not np.isnan(pix[di, 0]) else pix[di, 2:]
-            by_dim.setdefault(len(z), []).append((ti, z))
-        for group in by_dim.values():
-            accepted, diverged = update(
-                [active[ti] for ti, _ in group], np.array([z for _, z in group]), self.cam, cfg
-            )
-            for k, (ti, _) in enumerate(group):
-                if k in diverged:
-                    active[ti].status = TrackStatus.LOST
-                elif accepted[k]:
-                    self._register_hit(active[ti])
+        matched, z_full = active[assignment.tracks], pix[assignment.dets]
+        full = ~np.isnan(z_full[:, 0])
+        for batch, cols in ((full, slice(None)), (~full, slice(2, None))):
+            rows = matched[batch]
+            if not len(rows):
+                continue
+            kept, accepted, stored = update(*self._rows(rows), z_full[batch, cols], self.cam, cfg)
+            self.means[rows], self.covs[rows], self.factors[rows] = kept
+            for i, ok, updated in zip(rows.tolist(), accepted.tolist(), stored.tolist()):
+                if not ok:
+                    missed.append(i)
+                elif updated:
+                    self._register_hit(tracks[i])
                 else:
-                    missed.add(ti)
+                    tracks[i].status = TrackStatus.LOST
 
-        for ti in missed:
-            track = active[ti]
+        for i in missed:
+            track = tracks[i]
             track.hits = 0
             track.consecutive_misses += 1
             if track.consecutive_misses >= cfg.lose_after_misses:
@@ -581,26 +577,30 @@ class PanoTracker:
 
         unmatched = assignment.unmatched_dets
         if unmatched:
-            live = [t for t in self.tracks if t.status != TrackStatus.LOST]
+            live = [i for i, t in enumerate(tracks) if t.status != TrackStatus.LOST]
             dist = _wrap_distances(
-                pix[unmatched, 2:],
-                _track_necks(live, self.cam),
+                necks[unmatched],
+                _measurement_matrix(self.means[live], self.cam, neck_only=True),
                 self.cam.image_width,
                 cfg.spawn_suppression_px,
             )
             # a detection near a live track's neck is a residual duplicate
             # of someone already tracked; +inf (no neck) never suppresses
             suppressed = (dist < cfg.spawn_suppression_px).any(axis=1)
-            for di, skip in zip(unmatched, suppressed):
-                if skip:
-                    continue
-                spawned = self._spawn(pix[di])
-                if spawned is not None:
-                    self.tracks.append(spawned)
+            self._spawn(pix[unmatched][~suppressed])
 
         self._maintain_target()
 
-        # emit value snapshots so stored frames are immune to later mutation
-        snapshot = [_snapshot(t) for t in sorted(self.tracks, key=lambda t: t.id)]
-        self.tracks = [t for t in self.tracks if t.status != TrackStatus.LOST]
+        snapshot = [
+            TrackSnapshot(
+                t.id, t.status, t.hits, t.consecutive_misses, t.is_target, mean=m, covariance=c
+            )
+            for t, m, c in zip(self.tracks, self.means, self.covs)
+        ]
+        # the compaction copies the arrays, so the snapshots' rows are
+        # never written again
+        kept = np.array([t.status != TrackStatus.LOST for t in self.tracks], dtype=bool)
+        kept = kept.nonzero()[0]
+        self.tracks = [self.tracks[i] for i in kept.tolist()]
+        self.means, self.covs, self.factors = self._rows(kept)
         return snapshot

@@ -48,7 +48,7 @@ from panotrack.sim import (
 )
 from panotrack.tracker import (
     PanoTracker,
-    Track,
+    TrackState,
     TrackerConfig,
     _detection_pixels,
     associate,
@@ -209,19 +209,11 @@ def test_criterion_4_gnn_optimality():
                 return float(rng.uniform(-40, 40) % 1920)
             return float(rng.uniform(0, 1920))
 
-        tracks = []
+        means = np.empty((n, 5))
         for k in range(n):
             col, rho = column(), rng.uniform(1.0, 6.0)
             theta = math.radians(180.0 - CAM.deg_per_px_x * col)
-            tracks.append(
-                Track(
-                    id=k + 1,
-                    mean=np.array(
-                        [rho * math.cos(theta), rho * math.sin(theta), 0, 0, 1.45]
-                    ),
-                    covariance=np.diag([0.01, 0.01, 0.1, 0.1, 0.01]),
-                )
-            )
+            means[k] = [rho * math.cos(theta), rho * math.sin(theta), 0, 0, 1.45]
         dets = []
         for _ in range(m):
             col, rho = column(), rng.uniform(1.0, 6.0)
@@ -235,16 +227,17 @@ def test_criterion_4_gnn_optimality():
             dets.append(project_agent(state, CAM))
 
         necks = _detection_pixels(dets, CAM.image_width)[:, 2:]
-        res = associate(tracks, necks, CAM, gate)
+        res = associate(means, necks, CAM, gate)
+        pairs = list(zip(res.tracks.tolist(), res.dets.tolist()))
         cost = np.zeros((n, m))
-        for i, tr in enumerate(tracks):
-            pred = project_to_image(tr.state, CAM)[1]
+        for i, mean in enumerate(means):
+            pred = project_to_image(TrackState.from_array(mean), CAM)[1]
             for j, det in enumerate(dets):
                 cost[i, j] = wrap_distance(pred, det.neck, CAM.image_width)
-        total = sum(cost[i, j] for i, j in res.pairs)
-        assert all(cost[i, j] <= gate for i, j in res.pairs)
+        total = sum(cost[i, j] for i, j in pairs)
+        assert all(cost[i, j] <= gate for i, j in pairs)
         best_count, best_total = _brute_force(cost, gate)
-        assert len(res.pairs) == best_count
+        assert len(pairs) == best_count
         assert total == pytest.approx(best_total, abs=1e-9)
 
 

@@ -194,8 +194,19 @@ class TestTrack:
                 '{"frame": 0, "t": 0.0, "detections": [{"joints": {}}]}',
                 "detections record 1: skeleton has no joints",
             ),
+            (
+                '{"frame": 4, "t": 0.0, "detections": []}\n{"frame": 4, "t": 0.1, "detections": []}',
+                "detections record 2: frame 4 does not follow frame 4",
+            ),
+            (
+                '{"frame": 4, "t": 0.0, "detections": []}\n{"frame": 3, "t": 0.1, "detections": []}',
+                "detections record 2: frame 3 does not follow frame 4",
+            ),
         ],
-        ids=["no_frame", "string_t", "not_an_object", "detections_object", "empty_joints"],
+        ids=[
+            "no_frame", "string_t", "not_an_object", "detections_object", "empty_joints",
+            "repeated_frame", "decreasing_frame",
+        ],
     )
     def test_malformed_detections_record_exits_2(self, tmp_path, capsys, line, message):
         bad = tmp_path / "bad.jsonl"
@@ -203,6 +214,21 @@ class TestTrack:
         out = tmp_path / "out"
         assert main(["track", "--config", str(offline_config(tmp_path, bad)), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        # the bad record is never tracked: only the records before it are written
+        assert len((out / "tracks.jsonl").read_text().splitlines()) == line.count("\n")
+
+    def test_gaps_in_frame_numbers_are_allowed(self, tmp_path):
+        records = tmp_path / "gaps.jsonl"
+        records.write_text(
+            "".join(
+                json.dumps({"frame": frame, "t": frame / 30, "detections": []}) + "\n"
+                for frame in (0, 2, 7)
+            )
+        )
+        out = tmp_path / "out"
+        assert main(["track", "--config", str(offline_config(tmp_path, records)), "--out", str(out)]) == 0
+        frames = [r["frame"] for r in read_jsonl(str(out / "tracks.jsonl"))]
+        assert frames == [0, 2, 7]
 
     @pytest.mark.parametrize(
         "camera",
@@ -648,6 +674,28 @@ class TestEvalBoundary:
     def test_clean_inputs_match(self, tmp_path, capsys):
         assert run_cli("eval", tmp_path / "out", *eval_inputs(tmp_path)) == 0
         assert "m1=1.0000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "stream, repeat, message",
+        [
+            ("gt", None, "ground-truth record 2: frame 0 repeats ground-truth record 1"),
+            (
+                "tracks",
+                {"frame": 0, "t": 0.0, "tracks": []},
+                "tracks record 2: frame 0 repeats tracks record 1",
+            ),
+        ],
+        ids=["gt", "tracks"],
+    )
+    def test_repeated_frame_exits_2(self, tmp_path, capsys, stream, repeat, message):
+        args = eval_inputs(tmp_path)
+        path = Path(args[args.index(f"--{stream}") + 1])
+        first = path.read_text()
+        path.write_text(first + (json.dumps(repeat) + "\n" if repeat else first))
+        out = tmp_path / "out"
+        assert run_cli("eval", out, *args) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("case", sorted(EVAL_BOUNDARY))
     def test_bad_eval_input_exits_2(self, tmp_path, capsys, case):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,12 +9,18 @@ from hypothesis import strategies as st
 from panotrack.detect import skeleton
 from panotrack.exceptions import ConfigError
 import panotrack.tracker
-from panotrack.geometry import ImagePoint, WorldPoint, localize, world_to_image, wrap_distance
+from panotrack.geometry import (
+    CameraModel,
+    ImagePoint,
+    WorldPoint,
+    localize,
+    world_to_image,
+    wrap_distance,
+)
 from panotrack.sim import Agent, AgentState, Body, WaypointTrajectory, project_agent
 from panotrack.tracker import (
     H_N_RANGE,
     PanoTracker,
-    Track,
     TrackerConfig,
     TrackState,
     TrackStatus,
@@ -30,10 +37,58 @@ BODY = Body(height=1.7, ankle_height=0.1, neck_drop=0.25)
 NECK_Z = BODY.height - BODY.neck_drop
 
 
+@dataclass
+class Row:
+    """One track's filter state, as a row of the tracker's arrays holds
+    it: the mean, the covariance and the Cholesky factor that predict
+    and update require."""
+
+    id: int
+    mean: np.ndarray
+    covariance: np.ndarray
+    cov_factor: np.ndarray
+
+    @property
+    def state(self):
+        return TrackState.from_array(self.mean)
+
+
 def new_track(track_id, mean, cov):
-    """A track as the tracker keeps it, with the Cholesky factor that
-    predict and update require."""
-    return Track(id=track_id, mean=mean, covariance=cov, cov_factor=np.linalg.cholesky(cov))
+    return Row(track_id, mean, cov, np.linalg.cholesky(cov))
+
+
+def stacked(rows):
+    """The (n, 5) means, (n, 5, 5) covariances and factors of the rows."""
+    return (
+        np.array([r.mean for r in rows]).reshape(-1, 5),
+        np.array([r.covariance for r in rows]).reshape(-1, 5, 5),
+        np.array([r.cov_factor for r in rows]).reshape(-1, 5, 5),
+    )
+
+
+def store_rows(rows, kept):
+    """Write the states a batch returns back to the rows, as step does."""
+    for r, mean, cov, root in zip(rows, *kept):
+        r.mean, r.covariance, r.cov_factor = mean, cov, root
+
+
+def predict_rows(rows, dt, cfg):
+    """The batched predict on the rows; returns the diverged indices."""
+    kept, predicted = predict(*stacked(rows), dt, cfg)
+    store_rows(rows, kept)
+    return np.flatnonzero(~predicted).tolist()
+
+
+def update_rows(rows, z_obs, cam, cfg):
+    """The batched update on the rows; returns the acceptance flags and
+    the indices of accepted rows that diverged."""
+    kept, accepted, updated = update(*stacked(rows), z_obs, cam, cfg)
+    store_rows(rows, kept)
+    return accepted.tolist(), np.flatnonzero(accepted & ~updated).tolist()
+
+
+def pairs(assignment):
+    return list(zip(assignment.tracks.tolist(), assignment.dets.tolist()))
 
 
 def make_track(x, y, vx=0.0, vy=0.0, h_n=NECK_Z, var=(0.01, 0.01, 0.04, 0.04, 0.001)):
@@ -54,7 +109,7 @@ def necks(dets, cam):
 
 def update_one(track, z, cam, cfg):
     """The batched update on one track; returns its acceptance flag."""
-    accepted, diverged = update([track], np.asarray(z, dtype=float)[None], cam, cfg)
+    accepted, diverged = update_rows([track], np.asarray(z, dtype=float)[None], cam, cfg)
     assert diverged == []
     return accepted[0]
 
@@ -227,7 +282,7 @@ class TestBatchedPathsMatchScalar:
     def _assert_update_matches(self, tracks, z_obs, cam, gate=None):
         cfg = TrackerConfig(mahalanobis_gate=gate)
         before = [(t.mean.copy(), t.covariance.copy()) for t in tracks]
-        accepted, diverged = update(tracks, z_obs, cam, cfg)
+        accepted, diverged = update_rows(tracks, z_obs, cam, cfg)
         assert diverged == []
         for t, (mean0, cov0), z, ok in zip(tracks, before, z_obs, accepted):
             mean, cov, maha = ref_update(mean0, cov0, z, cam, cfg)
@@ -245,7 +300,7 @@ class TestBatchedPathsMatchScalar:
         rng = np.random.default_rng(9)
         tracks = self._random_tracks(rng, 6)
         expected = [ref_predict(t.mean, t.covariance, 1 / 30, TrackerConfig()) for t in tracks]
-        assert predict(tracks, 1 / 30, TrackerConfig()) == []
+        assert predict_rows(tracks, 1 / 30, TrackerConfig()) == []
         for t, (mean, cov) in zip(tracks, expected):
             assert t.mean == pytest.approx(mean, abs=1e-10)
             assert np.allclose(t.covariance, cov, atol=1e-12)
@@ -253,14 +308,14 @@ class TestBatchedPathsMatchScalar:
     def test_update_equivalence(self, cam):
         rng = np.random.default_rng(10)
         tracks = self._random_tracks(rng, 6)
-        predict(tracks, 1 / 30, TrackerConfig())
+        predict_rows(tracks, 1 / 30, TrackerConfig())
         z_obs = self._measurements(tracks, cam, 4, rng)
         assert self._assert_update_matches(tracks, z_obs, cam) == [True] * len(tracks)
 
     def test_neck_only_update_equivalence(self, cam):
         rng = np.random.default_rng(12)
         tracks = self._random_tracks(rng, 6)
-        predict(tracks, 1 / 30, TrackerConfig())
+        predict_rows(tracks, 1 / 30, TrackerConfig())
         z_obs = self._measurements(tracks, cam, 2, rng)
         assert z_obs.shape == (6, 2)
         assert self._assert_update_matches(tracks, z_obs, cam) == [True] * len(tracks)
@@ -274,7 +329,7 @@ class TestBatchedPathsMatchScalar:
                 tr.id = k + 1
                 seam_tracks.append(tr)
             z_obs = self._measurements(seam_tracks, cam, dim, col_shifts=[6.0, -5.0, 14.0])
-            predict(seam_tracks, 1 / 30, TrackerConfig())
+            predict_rows(seam_tracks, 1 / 30, TrackerConfig())
             # the sigma columns of the track at 1918 straddle the seam
             _, z_pts, _ = ref_predicted_measurement(
                 seam_tracks[0].mean, seam_tracks[0].covariance, cam, TrackerConfig(), dim
@@ -297,13 +352,13 @@ class TestPredict:
     def test_stationary_position_unchanged(self):
         tr = make_track(2.0, 1.0)
         before = tr.covariance.copy()
-        predict([tr], 0.5, TrackerConfig())
+        predict_rows([tr], 0.5, TrackerConfig())
         assert tr.mean[:2] == pytest.approx([2.0, 1.0], abs=1e-12)
         assert np.trace(tr.covariance) > np.trace(before)
 
     def test_constant_velocity(self):
         tr = make_track(1.0, 0.0, vx=0.5, vy=0.0)
-        predict([tr], 1.0, TrackerConfig())
+        predict_rows([tr], 1.0, TrackerConfig())
         assert tr.mean[0] == pytest.approx(1.5, abs=1e-12)
         assert tr.mean[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -313,7 +368,7 @@ class TestPredict:
             tr = make_track(*rng.uniform(-4, 4, 2), h_n=1.6)
             trace = np.trace(tr.covariance)
             for _ in range(10):
-                predict([tr], 1 / 30, TrackerConfig())
+                predict_rows([tr], 1 / 30, TrackerConfig())
                 new_trace = np.trace(tr.covariance)
                 assert new_trace > trace
                 trace = new_trace
@@ -321,18 +376,18 @@ class TestPredict:
     def test_covariance_spd_after_predict(self):
         tr = make_track(3.0, -1.0, vx=1.0)
         for _ in range(50):
-            predict([tr], 1 / 30, TrackerConfig())
+            predict_rows([tr], 1 / 30, TrackerConfig())
             assert np.linalg.eigvalsh(tr.covariance).min() > 0
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ConfigError):
-            predict([make_track(1, 1)], 0.0, TrackerConfig())
+            predict_rows([make_track(1, 1)], 0.0, TrackerConfig())
 
     def test_non_finite_posterior_diverges_and_is_not_stored(self):
         tracks = [make_track(2.0, 1.0), make_track(1.0, -2.0, vx=1e308)]
         before = tracks[1].mean.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            assert predict(tracks, 10.0, TrackerConfig()) == [1]
+            assert predict_rows(tracks, 10.0, TrackerConfig()) == [1]
         assert tracks[0].mean[:2] == pytest.approx([2.0, 1.0], abs=1e-12)
         assert np.array_equal(tracks[1].mean, before)
 
@@ -341,7 +396,11 @@ class TestPredict:
         track = make_track(2.0, 1.0)
         before = track.mean.copy()
         means = np.array([[2.0, 1.0, 0.0, 0.0, math.inf]])
-        assert _store_posterior([track], means, track.covariance[None], [True], 1e-9) == [0]
+        kept, stored = _store_posterior(
+            stacked([track]), means, track.covariance[None], np.array([True]), 1e-9
+        )
+        assert np.flatnonzero(~stored).tolist() == [0]
+        store_rows([track], kept)
         assert np.array_equal(track.mean, before)
 
 
@@ -413,11 +472,31 @@ class TestUpdate:
         assert np.allclose(tr.covariance, expected, rtol=0, atol=1e-12)
         assert np.allclose(tr.cov_factor @ tr.cov_factor.T, tr.covariance, atol=1e-12)
 
+    def test_unrepairable_posterior_leaves_its_row_and_the_batch_is_stored(self, cam):
+        # the second covariance lies far below the one its factor implies,
+        # so its posterior fails the batched factorization and every jitter
+        z = pixel_row(agent_detection(2.02, 0.48, cam), cam)
+        alone, good, bad = make_track(2.0, 0.5), make_track(2.0, 0.5), make_track(-1.0, 2.0)
+        bad.covariance = -1e6 * np.eye(5)
+        z_bad = pixel_row(agent_detection(-1.0, 2.02, cam), cam)
+        before = bad.mean.copy(), bad.covariance.copy(), bad.cov_factor.copy()
+        assert update_one(alone, z, cam, TrackerConfig())
+        assert update_rows([good, bad], np.array([z, z_bad]), cam, TrackerConfig()) == (
+            [True, True], [1]
+        )
+        for got, want in zip(
+            (good.mean, good.covariance, good.cov_factor),
+            (alone.mean, alone.covariance, alone.cov_factor),
+        ):
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+        for got, want in zip((bad.mean, bad.covariance, bad.cov_factor), before):
+            assert np.array_equal(got, want)
+
     def test_covariance_spd_after_updates(self, cam):
         rng = np.random.default_rng(11)
         tr = make_track(2.0, 0.5)
         for i in range(40):
-            predict([tr], 1 / 30, TrackerConfig())
+            predict_rows([tr], 1 / 30, TrackerConfig())
             det = agent_detection(
                 2.0 + rng.normal(0, 0.01), 0.5 + rng.normal(0, 0.01), cam
             )
@@ -472,23 +551,23 @@ class TestAssociate:
     def test_single_pair_within_gate(self, cam):
         tr = make_track(2.0, 0.0)
         det = agent_detection(2.02, 0.0, cam)
-        res = associate([tr], necks([det], cam), cam, gate=150.0)
-        assert res.pairs == [(0, 0)]
+        res = associate(stacked([tr])[0], necks([det], cam), cam, gate=150.0)
+        assert pairs(res) == [(0, 0)]
         assert res.unmatched_tracks == [] and res.unmatched_dets == []
 
     def test_out_of_gate_unmatched(self, cam):
         tr = make_track(2.0, 0.0)
         det = agent_detection(-2.0, 0.0, cam)  # opposite side of the camera
-        res = associate([tr], necks([det], cam), cam, gate=150.0)
-        assert res.pairs == []
+        res = associate(stacked([tr])[0], necks([det], cam), cam, gate=150.0)
+        assert pairs(res) == []
         assert res.unmatched_tracks == [0] and res.unmatched_dets == [0]
 
     def test_seam_pair_matches_cheaply(self, cam):
         x, y = world_at_column(1915.0, 2.0, cam)
         tr = make_track(x, y, h_n=NECK_Z)
         det = agent_detection(*world_at_column(5.0, 2.0, cam), cam)
-        res = associate([tr], necks([det], cam), cam, gate=150.0)
-        assert res.pairs == [(0, 0)]
+        res = associate(stacked([tr])[0], necks([det], cam), cam, gate=150.0)
+        assert pairs(res) == [(0, 0)]
         pred = project_to_image(tr.state, cam)[1]
         assert wrap_distance(pred, det.neck, cam.image_width) == pytest.approx(
             10.0, abs=0.5
@@ -497,8 +576,8 @@ class TestAssociate:
     def test_neckless_detection_never_matches(self, cam):
         tr = make_track(2.0, 0.0)
         det = skeleton({"left_ankle": (960, 700), "right_ankle": (965, 700)})
-        res = associate([tr], necks([det], cam), cam, gate=150.0)
-        assert res.pairs == []
+        res = associate(stacked([tr])[0], necks([det], cam), cam, gate=150.0)
+        assert pairs(res) == []
         assert res.unmatched_dets == [0]
 
     def test_swap_configuration_is_optimal(self, cam):
@@ -506,8 +585,8 @@ class TestAssociate:
         t2 = make_track(2.0, -0.1)
         d1 = agent_detection(2.0, -0.12, cam)
         d2 = agent_detection(2.0, 0.12, cam)
-        res = associate([t1, t2], necks([d1, d2], cam), cam, gate=150.0)
-        assert sorted(res.pairs) == [(0, 1), (1, 0)]
+        res = associate(stacked([t1, t2])[0], necks([d1, d2], cam), cam, gate=150.0)
+        assert sorted(pairs(res)) == [(0, 1), (1, 0)]
 
     def test_matches_brute_force_on_random_instances(self, cam):
         rng = np.random.default_rng(21)
@@ -557,14 +636,14 @@ class TestAssociate:
 
     def test_no_tracks(self, cam):
         dets = [agent_detection(2.0, 0.0, cam), agent_detection(-2.0, 0.0, cam)]
-        res = associate([], necks(dets, cam), cam, gate=150.0)
-        assert res.pairs == [] and res.unmatched_tracks == []
+        res = associate(stacked([])[0], necks(dets, cam), cam, gate=150.0)
+        assert pairs(res) == [] and res.unmatched_tracks == []
         assert res.unmatched_dets == [0, 1]
 
     def test_no_detections(self, cam):
         tracks = [make_track(2.0, 0.0), make_track(-2.0, 0.0)]
-        res = associate(tracks, necks([], cam), cam, gate=150.0)
-        assert res.pairs == [] and res.unmatched_dets == []
+        res = associate(stacked(tracks)[0], necks([], cam), cam, gate=150.0)
+        assert pairs(res) == [] and res.unmatched_dets == []
         assert res.unmatched_tracks == [0, 1]
 
     def test_all_detections_neckless(self, cam):
@@ -573,8 +652,8 @@ class TestAssociate:
             skeleton({"left_ankle": (960, 700), "right_ankle": (965, 700)}),
             skeleton({"left_hip": (0, 600), "right_hip": (1915, 600)}),
         ]
-        res = associate(tracks, necks(dets, cam), cam, gate=150.0)
-        assert res.pairs == []
+        res = associate(stacked(tracks)[0], necks(dets, cam), cam, gate=150.0)
+        assert pairs(res) == []
         assert res.unmatched_tracks == [0, 1] and res.unmatched_dets == [0, 1]
 
 
@@ -675,19 +754,19 @@ def assert_matches_brute_force(tracks, dets, cam, gate):
     the scalar projection and scalar wrap distance; neckless detections
     cost infinity."""
     n, m = len(tracks), len(dets)
-    res = associate(tracks, necks(dets, cam), cam, gate)
+    res = associate(stacked(tracks)[0], necks(dets, cam), cam, gate)
     cost = np.full((n, m), math.inf)
     for i, tr in enumerate(tracks):
         pred = project_to_image(tr.state, cam)[1]
         for j, det in enumerate(dets):
             if det.neck is not None:
                 cost[i, j] = wrap_distance(pred, det.neck, cam.image_width)
-    assert all(cost[i, j] <= gate for i, j in res.pairs)
+    assert all(cost[i, j] <= gate for i, j in pairs(res))
     best = brute_force_assignment(cost, gate)
-    assert len(res.pairs) == best[0]
-    assert sum(cost[i, j] for i, j in res.pairs) == pytest.approx(best[1], abs=1e-9)
-    assert res.unmatched_tracks == sorted(set(range(n)) - {i for i, _ in res.pairs})
-    assert res.unmatched_dets == sorted(set(range(m)) - {j for _, j in res.pairs})
+    assert len(pairs(res)) == best[0]
+    assert sum(cost[i, j] for i, j in pairs(res)) == pytest.approx(best[1], abs=1e-9)
+    assert res.unmatched_tracks == sorted(set(range(n)) - {i for i, _ in pairs(res)})
+    assert res.unmatched_dets == sorted(set(range(m)) - {j for _, j in pairs(res)})
 
 
 def run_walker(
@@ -815,7 +894,7 @@ class TestStep:
         for _ in range(5):
             tracker.step([det], 1 / 30)
         assert len(tracker.tracks) == 1
-        assert project_to_image(tracker.tracks[0].state, cam)[1].x == pytest.approx(
+        assert project_to_image(TrackState.from_array(tracker.means[0]), cam)[1].x == pytest.approx(
             1918.0, abs=0.5
         )
 
@@ -890,9 +969,9 @@ class TestStep:
         calls = []
         batched_update = panotrack.tracker.update
 
-        def counting_update(tracks, z_obs, *args):
+        def counting_update(means, covs, factors, z_obs, *args):
             calls.append(z_obs.shape)
-            return batched_update(tracks, z_obs, *args)
+            return batched_update(means, covs, factors, z_obs, *args)
 
         monkeypatch.setattr(panotrack.tracker, "update", counting_update)
         dets = [agent_detection(x, y, cam) for x, y in people]
@@ -907,12 +986,13 @@ class TestStep:
         for _ in range(2):
             snap = tracker.step([agent_detection(2.0, 0.0, cam)], 1 / 30)[0]
         live = tracker.tracks[0]
-        kept = (live.mean.copy(), live.covariance.copy(), live.hits, live.status)
+        kept = (tracker.means[0].copy(), tracker.covs[0].copy(), live.hits, live.status)
 
         snap.mean[0] += 5.0
         snap.covariance[0, 0] = 99.0
         snap.hits, snap.status = 100, TrackStatus.LOST
-        assert np.array_equal(live.mean, kept[0]) and np.array_equal(live.covariance, kept[1])
+        assert np.array_equal(tracker.means[0], kept[0])
+        assert np.array_equal(tracker.covs[0], kept[1])
         assert (live.hits, live.status) == kept[2:]
 
         stored = tracker.step([agent_detection(2.0, 0.0, cam)], 1 / 30)[0]
@@ -923,7 +1003,7 @@ class TestStep:
             stored.consecutive_misses,
         )
         tracker.step([agent_detection(2.1, 0.0, cam)], 1 / 30)
-        assert not np.array_equal(live.mean, frozen[0])  # the live track moved on
+        assert not np.array_equal(tracker.means[0], frozen[0])  # the live track moved on
         assert np.array_equal(stored.mean, frozen[0])
         assert np.array_equal(stored.covariance, frozen[1])
         assert (stored.hits, stored.consecutive_misses) == frozen[2:]
@@ -949,3 +1029,85 @@ class TestStep:
         )
         target_ids = {t.id for tracks in history for t in tracks if t.is_target}
         assert len(target_ids) >= 2
+
+
+@st.composite
+def crowd_lifecycle(draw):
+    """(spots, frames, diverge_from): up to 6 people standing at a
+    (column, range) each; per frame, whether each one is seen whole,
+    by the neck alone or not at all, so tracks spawn, miss, are lost
+    and spawn anew; and the frame from which the first update batch of
+    two or more tracks is made to diverge in its first row."""
+    n = draw(st.integers(1, 6))
+    spots = [
+        (320.0 * k + draw(st.floats(0, 280)), draw(st.floats(1.5, 5.0))) for k in range(n)
+    ]
+    seen = st.lists(st.sampled_from(["whole", "neck", "none"]), min_size=n, max_size=n)
+    frames = draw(st.lists(seen, min_size=1, max_size=12))
+    return spots, frames, draw(st.integers(0, len(frames) - 1))
+
+
+class TestRowAlignment:
+    """The filter arrays stay aligned with the tracks through spawns,
+    misses, losses and a divergence inside an update batch, and the
+    snapshots a step returns never change afterwards."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(crowd_lifecycle())
+    @example(([(100.0, 2.0), (500.0, 3.0), (900.0, 2.5)], [["whole"] * 3] * 4, 2))
+    def test_arrays_follow_the_tracks(self, case):
+        spots, frames, diverge_from = case
+        cam = CameraModel()
+        tracker = PanoTracker(cam, TrackerConfig(confirm_hits=2, lose_after_misses=2))
+        real_update = panotrack.tracker.update
+        forced = []  # (first mean, first covariance, kept, updated) of the forced batch
+
+        def diverging_update(means, covs, factors, z_obs, *args):
+            if not forced and frame >= diverge_from and len(means) >= 2:
+                z_obs = z_obs.copy()
+                z_obs[0] = np.nan  # a non-finite posterior for the first row alone
+                kept, accepted, updated = real_update(means, covs, factors, z_obs, *args)
+                assert accepted.all() and updated.tolist() == [False] + [True] * (len(means) - 1)
+                forced.append((means[0].copy(), covs[0].copy(), kept, updated))
+                return kept, accepted, updated
+            return real_update(means, covs, factors, z_obs, *args)
+
+        history = []  # every snapshot returned, with copies of its values
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(panotrack.tracker, "update", diverging_update)
+            for frame, seen in enumerate(frames):
+                dets = []
+                for (col, rho), how in zip(spots, seen):
+                    det = agent_detection(*world_at_column(col + 0.5 * frame, rho, cam), cam)
+                    if how == "neck":
+                        det = skeleton({"neck": (det.neck.x, det.neck.y, 1.0)})
+                    if how != "none":
+                        dets.append(det)
+                n_forced = len(forced)
+                snaps = tracker.step(dets, 1 / 30)
+
+                n = len(tracker.tracks)
+                assert tracker.means.shape == (n, 5)
+                assert tracker.covs.shape == tracker.factors.shape == (n, 5, 5)
+                for root, cov in zip(tracker.factors, tracker.covs):
+                    assert np.allclose(root @ root.T, cov, rtol=1e-9, atol=1e-12)
+                live = [s for s in snaps if s.status != TrackStatus.LOST]
+                assert [s.id for s in live] == [t.id for t in tracker.tracks]
+                assert [s.id for s in snaps] == sorted(s.id for s in snaps)
+                assert np.array_equal(np.reshape([s.mean for s in live], (-1, 5)), tracker.means)
+
+                if len(forced) > n_forced:
+                    mean0, cov0, (means, covs, _), updated = forced[-1]
+                    diverged = [s for s in snaps if np.array_equal(s.mean, mean0)]
+                    assert len(diverged) == 1 and diverged[0].status == TrackStatus.LOST
+                    assert np.array_equal(diverged[0].covariance, cov0)
+                    for k in np.flatnonzero(updated):
+                        assert any(
+                            np.array_equal(s.mean, means[k]) and np.array_equal(s.covariance, covs[k])
+                            for s in snaps
+                        )
+
+                history += [(s, s.mean.copy(), s.covariance.copy(), s.hits) for s in snaps]
+                for s, mean, cov, hits in history:
+                    assert np.array_equal(s.mean, mean) and np.array_equal(s.covariance, cov)
+                    assert s.hits == hits
