@@ -21,6 +21,7 @@ from .detect import (
     Viewport,
     build_tiles,
     cyclic_pairs,
+    detection_pixels,
     fuse_duplicates,
     merge_score,
     plan_roi,

@@ -33,6 +33,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Protocol, Sequence
 
+import numpy as np
+
 from .exceptions import ConfigError, DegenerateSkeletonError
 from .geometry import CameraModel, ImagePoint, check_number, cyclic_interval_overlap
 
@@ -53,6 +55,38 @@ TORSO_JOINTS = ("neck", "left_shoulder", "right_shoulder", "left_hip", "right_hi
 DEFAULT_TILE_OVERLAP = 150  # px at 1920 width; scaled for other widths
 DEFAULT_MERGE_THRESHOLD = 0.9
 DEFAULT_TILE_FOV_BAND = 60.0  # tiles keep rows with |elevation| <= this
+NO_PIXEL = (math.nan, math.nan)  # the column and row of an absent joint
+
+
+def check_joint(x, y, confidence=1.0) -> float:
+    """The joint rule, the confidence 1.0 when absent: finite coordinates
+    and a confidence in [0, 1], which is returned as a float."""
+    if not 0.0 <= confidence <= 1.0:
+        raise ConfigError(f"confidence must be in [0, 1], got {confidence}")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ConfigError(f"joint coordinates must be finite, got {(x, y)}")
+    return float(confidence)
+
+
+def check_joint_names(names) -> None:
+    """A skeleton's joints: at least one, each with a known name."""
+    if not names:
+        raise DegenerateSkeletonError("skeleton has no joints")
+    if not _JOINT_NAME_SET.issuperset(names):
+        unknown = set(names) - _JOINT_NAME_SET
+        raise ConfigError(f"unknown joint names: {sorted(unknown)}")
+
+
+def ankle_midpoint(a, b, image_width: float) -> Optional[ImagePoint]:
+    """Wrap-aware midpoint of two ankle pixels, each a (column, row, ...)
+    sequence or None when absent; one ankle alone is its own midpoint."""
+    if a is None or b is None:
+        one = a or b
+        return None if one is None else ImagePoint(one[0], one[1])
+    dx = abs(a[0] - b[0])
+    bx = b[0] + image_width if dx > image_width / 2 and b[0] < a[0] else b[0]
+    ax = a[0] + image_width if dx > image_width / 2 and a[0] < b[0] else a[0]
+    return ImagePoint(((ax + bx) / 2.0) % image_width, (a[1] + b[1]) / 2.0)
 
 
 class Joint(tuple):
@@ -61,13 +95,9 @@ class Joint(tuple):
     __slots__ = ()
 
     def __new__(cls, point: ImagePoint, confidence: float):
-        if not 0.0 <= confidence <= 1.0:
-            raise ConfigError(f"confidence must be in [0, 1], got {confidence}")
         if not isinstance(point, ImagePoint):
             point = ImagePoint(*point)
-        if not (math.isfinite(point.x) and math.isfinite(point.y)):
-            raise ConfigError(f"joint coordinates must be finite, got {tuple(point)}")
-        return tuple.__new__(cls, (point, float(confidence)))
+        return tuple.__new__(cls, (point, check_joint(point.x, point.y, confidence)))
 
     @property
     def point(self) -> ImagePoint:
@@ -89,11 +119,7 @@ class Skeleton:
     joints: dict[str, Joint]
 
     def __post_init__(self) -> None:
-        if not self.joints:
-            raise DegenerateSkeletonError("skeleton has no joints")
-        if not _JOINT_NAME_SET.issuperset(self.joints):
-            unknown = set(self.joints) - _JOINT_NAME_SET
-            raise ConfigError(f"unknown joint names: {sorted(unknown)}")
+        check_joint_names(self.joints)
 
     def joint_point(self, name: str) -> Optional[ImagePoint]:
         j = self.joints.get(name)
@@ -102,23 +128,6 @@ class Skeleton:
     @property
     def neck(self) -> Optional[ImagePoint]:
         return self.joint_point("neck")
-
-    def ankle_midpoint(self, image_width: float) -> Optional[ImagePoint]:
-        """Wrap-aware midpoint of the present ankle joints."""
-        ankles = [
-            self.joints[n].point
-            for n in ("left_ankle", "right_ankle")
-            if n in self.joints
-        ]
-        if not ankles:
-            return None
-        if len(ankles) == 1:
-            return ankles[0]
-        a, b = ankles
-        dx = abs(a.x - b.x)
-        bx = b.x + image_width if dx > image_width / 2 and b.x < a.x else b.x
-        ax = a.x + image_width if dx > image_width / 2 and a.x < b.x else a.x
-        return ImagePoint(((ax + bx) / 2.0) % image_width, (a.y + b.y) / 2.0)
 
     def joint_count(self) -> int:
         return len(self.joints)
@@ -143,13 +152,20 @@ def skeleton(joints: dict[str, tuple[float, float] | tuple[float, float, float]]
     """Convenience constructor: {name: (x, y)} or {name: (x, y, conf)}."""
     built = {}
     for name, value in joints.items():
-        if len(value) == 2:
-            x, y = value
-            conf = 1.0
-        else:
-            x, y, conf = value
-        built[name] = Joint(ImagePoint(x, y), conf)
+        conf = check_joint(*value)
+        built[name] = Joint(ImagePoint(value[0], value[1]), conf)
     return Skeleton(built)
+
+
+def detection_pixels(dets: Sequence[Detection], image_width: float) -> np.ndarray:
+    """(m, 4) pixels of the detections: ankle-midpoint column and row,
+    then neck column and row, NaN where the joints are absent."""
+    rows = []
+    for det in dets:
+        get = det.joint_point
+        ankle = ankle_midpoint(get("left_ankle"), get("right_ankle"), image_width)
+        rows.append((*(ankle or NO_PIXEL), *(get("neck") or NO_PIXEL)))
+    return np.array(rows, dtype=float).reshape(-1, 4)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ and CSV curves.
 Detections JSONL is the plug-in boundary for a real skeleton detector:
 one object per frame, `{"frame": int, "t": seconds, "detections":
 [{"joints": {name: [x, y, conf]}}]}` with coordinates in the full-image
-frame. Tracks JSONL mirrors the tracker output: `{"frame", "t",
-"tracks": [{"id", "x", "y", "h", "img_x", "img_y", "status",
-"is_target"}]}`.
+frame. The offline reader normalizes each record as it checks it:
+joint names in sorted order, the confidence as a float (1.0 when
+absent), the coordinates kept as given. Tracks JSONL mirrors the
+tracker output: `{"frame", "t", "tracks": [{"id", "x", "y", "h",
+"img_x", "img_y", "status", "is_target"}]}`.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from __future__ import annotations
 import json
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .detect import Skeleton, skeleton
-from .exceptions import InputError
+import numpy as np
+
+from .detect import NO_PIXEL, Skeleton, ankle_midpoint, check_joint, check_joint_names
+from .exceptions import InputError, PanotrackError
 from .geometry import CameraModel, world_to_image
 from .metrics import ErrorBin, EvalReport
 from .tracker import TrackSnapshot
@@ -66,14 +70,28 @@ def detections_record(frame: int, t: float, dets: Sequence[Skeleton]) -> dict:
     }
 
 
-def detections_from_record(record: dict) -> list[Skeleton]:
+def detections_from_record(record: dict, image_width: float) -> tuple[list[dict], np.ndarray]:
+    """A record's detections, normalized to ``{"joints": {name: [x, y,
+    conf]}}`` in name order, and their (m, 4) pixels for
+    ``PanoTracker.step``, in one pass; a broken rule raises InputError."""
     try:
         dets = record["detections"]
         if not isinstance(dets, list):
             raise TypeError(f"detections must be a list, got {dets!r}")
-        return [skeleton(d["joints"]) for d in dets]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        out, rows = [], []
+        for d in dets:
+            joints = d["joints"]
+            check_joint_names(joints)
+            norm = {n: [v[0], v[1], check_joint(*v)] for n, v in sorted(joints.items())}
+            out.append({"joints": norm})
+            ankle = ankle_midpoint(norm.get("left_ankle"), norm.get("right_ankle"), image_width)
+            neck = norm.get("neck")
+            rows.append((*(ankle or NO_PIXEL), *(neck[:2] if neck else NO_PIXEL)))
+    except PanotrackError as exc:
+        raise InputError(str(exc)) from exc
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed detection record: {exc}") from exc
+    return out, np.array(rows, dtype=float).reshape(-1, 4)
 
 
 def tracks_record(

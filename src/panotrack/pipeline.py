@@ -23,6 +23,7 @@ from .detect import (
     DetectorPort,
     RoiConfig,
     TilesConfig,
+    detection_pixels,
     fullframe_viewport,
     plan_roi,
     plan_tiles,
@@ -37,9 +38,7 @@ from .tracker import PanoTracker, TrackerConfig, TrackSnapshot, TrackStatus
 logger = logging.getLogger(__name__)
 
 STRATEGIES = ("tiles", "roi", "fullframe")
-# the frame rate an offline run assumes for its first frame and for a
-# timestamp that does not advance
-FALLBACK_FPS = 30.0
+FIRST_FRAME_FPS = 30.0  # sets the time step of an offline run's first frame
 
 
 @dataclass
@@ -127,7 +126,7 @@ def _simulated_frames(
     for snapshot, gt in run_scenario(scenario):
         start = time.perf_counter()
         result = runner.detect(snapshot, prediction)
-        tracks = tracker.step(result.detections, dt)
+        tracks = tracker.step(detection_pixels(result.detections, cam.image_width), dt)
         latency = time.perf_counter() - start
         prediction = target_prediction(tracks, cam)
         yield (
@@ -149,9 +148,10 @@ def run_offline(
     tracker_cfg: TrackerConfig = TrackerConfig(),
 ) -> Iterator[FrameOutput]:
     """Track over an externally produced detections JSONL stream. A
-    malformed record, or one whose frame number is not greater than the
-    previous record's, raises InputError naming its 1-based position in
-    the stream; gaps in the frame numbers are allowed."""
+    malformed record, or one whose frame number or timestamp is not
+    greater than the previous record's, raises InputError naming its
+    1-based position in the stream; gaps in the frame numbers are
+    allowed."""
     tracker = PanoTracker(cam, tracker_cfg)
     prev_frame: Optional[int] = None
     prev_t: Optional[float] = None
@@ -161,17 +161,19 @@ def run_offline(
             frame, t = _frame_and_time(record)
             if prev_frame is not None and frame <= prev_frame:
                 raise InputError(f"frame {frame} does not follow frame {prev_frame}")
-            dets = detections_from_record(record)
+            if prev_t is not None and t <= prev_t:
+                raise InputError(f"t {t} does not follow t {prev_t}")
+            dets, pix = detections_from_record(record, cam.image_width)
         except PanotrackError as exc:
             raise InputError(f"detections record {n}: {exc}") from exc
-        dt = (t - prev_t) if prev_t is not None and t > prev_t else 1.0 / FALLBACK_FPS
+        dt = 1.0 / FIRST_FRAME_FPS if prev_t is None else t - prev_t
         prev_frame, prev_t = frame, t
-        tracks = tracker.step(dets, dt)
+        tracks = tracker.step(pix, dt)
         latency = time.perf_counter() - start
         yield FrameOutput(
             frame=frame,
             t=t,
-            detections=detections_record(frame, t, dets),
+            detections={"frame": frame, "t": t, "detections": dets},
             tracks=tracks_record(frame, t, tracks, cam),
             latency_s=latency,
             partial=False,

@@ -38,13 +38,13 @@ Both are controlled by the config's ``wrap_correction`` flag so the
 effect is testable; association always measures image distance the
 short way around the seam.
 
-``PanoTracker.step`` reads each detection's joints once a frame, into
-one (m, 4) array of ankle-midpoint and neck pixels with NaN where a
-joint is absent. Association, the measurements, spawn suppression and
-spawning all read that array. Association is global nearest neighbour
-on the neck pixels (``associate``); spawn suppression measures
-unmatched detections against the live tracks' necks with the same
-gated, wrap-aware distance, with its own radius as the limit.
+``PanoTracker.step`` takes a frame's detections as one (m, 4) array
+of ankle-midpoint and neck pixels, NaN where a joint is absent.
+Association, the measurements, spawn suppression and spawning all
+read that array. Association is global nearest neighbour on the neck
+pixels (``associate``); spawn suppression measures unmatched
+detections against the live tracks' necks with the same gated,
+wrap-aware distance, with its own radius as the limit.
 """
 
 from __future__ import annotations
@@ -53,12 +53,11 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .detect import Detection
 from .exceptions import ConfigError, FilterDivergenceError, GeometryError
 from .geometry import (
     CameraModel,
@@ -382,20 +381,6 @@ class Assignment:
     unmatched_dets: list[int]
 
 
-def _detection_pixels(dets: Sequence[Detection], image_width: float) -> np.ndarray:
-    """(m, 4) pixels of the detections: ankle-midpoint column and row,
-    then neck column and row, NaN where the joints are absent."""
-    pix = np.full((len(dets), 4), np.nan)
-    for j, det in enumerate(dets):
-        ankle = det.ankle_midpoint(image_width)
-        if ankle is not None:
-            pix[j, :2] = ankle
-        neck = det.neck
-        if neck is not None:
-            pix[j, 2:] = neck
-    return pix
-
-
 def _wrap_distances(
     a: np.ndarray, b: np.ndarray, image_width: float, limit: float
 ) -> np.ndarray:
@@ -455,7 +440,9 @@ def associate(
 
 class PanoTracker:
     """Frame-by-frame tracker: predict, associate, update, manage
-    track lifecycle and the designated target.
+    track lifecycle and the designated target. ``step`` takes a frame's
+    detections as (m, 4) pixels, one row each: ankle-midpoint column and
+    row, then neck column and row, NaN where absent.
 
     Tracks confirm after ``confirm_hits`` consecutive hits and are lost
     after ``lose_after_misses`` consecutive misses. Lost tracks are
@@ -531,9 +518,10 @@ class PanoTracker:
         ):
             track.status = TrackStatus.CONFIRMED
 
-    def step(self, dets: Sequence[Detection], dt: float) -> list[TrackSnapshot]:
-        """Advance one frame; returns snapshots of the current tracks
-        (including any that were lost this frame) sorted by id."""
+    def step(self, pix: np.ndarray, dt: float) -> list[TrackSnapshot]:
+        """Advance one frame on its detections' (m, 4) pixels; returns
+        snapshots of the current tracks (including any that were lost
+        this frame) sorted by id."""
         cfg = self.config
         tracks = self.tracks
 
@@ -544,7 +532,6 @@ class PanoTracker:
             tracks[i].status = TrackStatus.LOST
         active = predicted.nonzero()[0]
 
-        pix = _detection_pixels(dets, self.cam.image_width)
         necks = pix[:, 2:]
         assignment = associate(self.means.take(active, axis=0), necks, self.cam, cfg.gate_px)
 

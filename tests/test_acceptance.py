@@ -19,7 +19,13 @@ import numpy as np
 import pytest
 
 from panotrack.cli import main as cli_main
-from panotrack.detect import build_tiles, cyclic_pairs, fuse_duplicates, skeleton
+from panotrack.detect import (
+    build_tiles,
+    cyclic_pairs,
+    detection_pixels,
+    fuse_duplicates,
+    skeleton,
+)
 from panotrack.geometry import (
     CameraModel,
     WorldPoint,
@@ -50,7 +56,6 @@ from panotrack.tracker import (
     PanoTracker,
     TrackState,
     TrackerConfig,
-    _detection_pixels,
     associate,
     project_to_image,
 )
@@ -226,7 +231,7 @@ def test_criterion_4_gnn_optimality():
             )
             dets.append(project_agent(state, CAM))
 
-        necks = _detection_pixels(dets, CAM.image_width)[:, 2:]
+        necks = detection_pixels(dets, CAM.image_width)[:, 2:]
         res = associate(means, necks, CAM, gate)
         pairs = list(zip(res.tracks.tolist(), res.dets.tolist()))
         cost = np.zeros((n, m))
@@ -334,13 +339,13 @@ def test_criterion_8_latency():
         return out
 
     for i in range(10):
-        tracker.step(detections(i), 1 / 30)
+        tracker.step(detection_pixels(detections(i), CAM.image_width), 1 / 30)
     assert len(tracker.tracks) == 10
     frames = [detections(10 + i) for i in range(300)]
     latencies = []
     for dets in frames:
         t0 = time.perf_counter()
-        tracker.step(dets, 1 / 30)
+        tracker.step(detection_pixels(dets, CAM.image_width), 1 / 30)
         latencies.append(time.perf_counter() - t0)
     median_ms = float(np.median(latencies) * 1000)
     assert median_ms <= 1.0, f"median step latency {median_ms:.3f} ms"

@@ -202,10 +202,23 @@ class TestTrack:
                 '{"frame": 4, "t": 0.0, "detections": []}\n{"frame": 3, "t": 0.1, "detections": []}',
                 "detections record 2: frame 3 does not follow frame 4",
             ),
+            (
+                '{"frame": 0, "t": 0.0, "detections": [{"joints": {"neck": [1%s, 5]}}]}' % ("0" * 400),
+                "detections record 1: malformed detection record",
+            ),
+            (
+                '{"frame": 4, "t": 0.1, "detections": []}\n{"frame": 5, "t": 0.1, "detections": []}',
+                "detections record 2: t 0.1 does not follow t 0.1",
+            ),
+            (
+                '{"frame": 4, "t": 0.2, "detections": []}\n{"frame": 5, "t": 0.1, "detections": []}',
+                "detections record 2: t 0.1 does not follow t 0.2",
+            ),
         ],
         ids=[
             "no_frame", "string_t", "not_an_object", "detections_object", "empty_joints",
-            "repeated_frame", "decreasing_frame",
+            "repeated_frame", "decreasing_frame", "huge_integer_column", "repeated_t",
+            "decreasing_t",
         ],
     )
     def test_malformed_detections_record_exits_2(self, tmp_path, capsys, line, message):

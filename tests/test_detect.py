@@ -10,6 +10,7 @@ from panotrack.detect import (
     RoiConfig,
     Skeleton,
     TilesConfig,
+    ankle_midpoint,
     build_tiles,
     cyclic_pairs,
     default_row_range,
@@ -77,20 +78,19 @@ class TestSkeleton:
             Joint(wrap(point), 1.0)
 
     def test_ankle_midpoint_plain(self):
-        sk = skeleton({"left_ankle": (100, 700), "right_ankle": (120, 710)})
-        assert sk.ankle_midpoint(1920) == pytest.approx((110, 705))
+        assert ankle_midpoint((100, 700), (120, 710), 1920) == pytest.approx((110, 705))
 
     def test_ankle_midpoint_single(self):
-        sk = skeleton({"left_ankle": (100, 700)})
-        assert sk.ankle_midpoint(1920) == pytest.approx((100, 700))
+        assert ankle_midpoint((100, 700), None, 1920) == pytest.approx((100, 700))
+        assert ankle_midpoint(None, (100, 700), 1920) == pytest.approx((100, 700))
 
     def test_ankle_midpoint_wraps(self):
-        sk = skeleton({"left_ankle": (1918, 700), "right_ankle": (2, 700)})
-        mid = sk.ankle_midpoint(1920)
+        mid = ankle_midpoint((1918, 700), (2, 700), 1920)
         assert mid.x == pytest.approx(0.0)
+        assert ankle_midpoint((2, 700), (1918, 700), 1920).x == pytest.approx(0.0)
 
     def test_ankle_midpoint_absent(self):
-        assert skeleton({"neck": (5, 5)}).ankle_midpoint(1920) is None
+        assert ankle_midpoint(None, None, 1920) is None
 
 
 class TestBuildTiles:

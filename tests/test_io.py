@@ -1,17 +1,25 @@
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from panotrack.detect import JOINT_NAMES, detection_pixels, skeleton
 from panotrack.exceptions import InputError
+from panotrack.geometry import CameraModel
 from panotrack.io import detections_from_record, detections_record, read_jsonl
+from panotrack.pipeline import run_offline
+
+W = 1920
 
 
 def round_trip(detections):
     """A detections record read and written back, as `panotrack track`
     does with a detections JSONL input."""
     record = {"frame": 3, "t": 0.1, "detections": detections}
-    dets = detections_from_record(record)
-    return json.dumps(detections_record(record["frame"], record["t"], dets))
+    (output,) = run_offline([record], CameraModel())
+    return json.dumps(output.detections)
 
 
 class TestDetectionsRecord:
@@ -57,16 +65,90 @@ class TestDetectionsRecord:
     )
     def test_malformed_joint_value_raises_input_error(self, value):
         with pytest.raises(InputError):
-            detections_from_record({"detections": [{"joints": {"neck": value}}]})
+            detections_from_record({"detections": [{"joints": {"neck": value}}]}, W)
 
     @pytest.mark.parametrize("detections", [{}, None, "x"], ids=["object", "null", "string"])
     def test_detections_not_a_list_raises_input_error(self, detections):
         with pytest.raises(InputError):
-            detections_from_record({"detections": detections})
+            detections_from_record({"detections": detections}, W)
 
     def test_joints_not_an_object_raises_input_error(self):
         with pytest.raises(InputError):
-            detections_from_record({"detections": [{"joints": [[1, 2, 0.5]]}]})
+            detections_from_record({"detections": [{"joints": [[1, 2, 0.5]]}]}, W)
+
+
+def rarely(bad, good, one_in=20):
+    """``bad`` once in about ``one_in`` draws, ``good`` otherwise."""
+    return st.integers(0, one_in - 1).flatmap(lambda k: bad if k == 0 else good)
+
+
+coordinate = st.one_of(
+    st.integers(-50, 2000),
+    st.floats(-50.0, 2000.0),
+    st.booleans(),
+    st.floats(W - 20.0, W),  # beside the seam on either side
+    st.floats(0.0, 20.0),
+)
+confidence = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1, False, True]))
+joint_value = rarely(
+    st.one_of(
+        st.tuples(st.sampled_from([math.nan, math.inf, "1", None, 10**400]), coordinate),
+        st.tuples(coordinate, coordinate, st.sampled_from([math.nan, -0.5, 1.5, "1", None])),
+        st.sampled_from([(1,), (1, 2, 0.5, 9), "12", "123", None, 5, {"x": 1, "y": 2}]),
+    ),
+    st.one_of(st.tuples(coordinate, coordinate), st.tuples(coordinate, coordinate, confidence)),
+    one_in=40,
+).map(lambda v: list(v) if isinstance(v, tuple) else v)
+joint_name = rarely(st.just("nose"), st.sampled_from(JOINT_NAMES), one_in=40)
+detection = rarely(
+    st.sampled_from([[], None, {"joints": {}}, {"joints": []}, {"points": {}}]),
+    st.fixed_dictionaries(
+        {"joints": st.dictionaries(joint_name, joint_value, min_size=1, max_size=7)}
+    ),
+)
+detections = rarely(st.sampled_from([{}, None, "x", 5]), st.lists(detection, max_size=5))
+
+
+def reference(record):
+    """The record read as skeletons, written back by
+    ``detections_record`` and turned into pixels by
+    ``detection_pixels``; the two-step path the one-pass reader
+    replaces."""
+    dets = record["detections"]
+    if not isinstance(dets, list):
+        raise TypeError(f"detections must be a list, got {dets!r}")
+    sks = [skeleton(d["joints"]) for d in dets]
+    return json.dumps(detections_record(3, 0.5, sks)), detection_pixels(sks, W)
+
+
+class TestOnePassReader:
+    @settings(max_examples=500, deadline=None)
+    @given(detections)
+    # ankles straddling the seam, an integer ankle and a lone ankle
+    @example([{"joints": {"right_ankle": [3, 700], "neck": [1, 300.5], "left_ankle": [1915.5, 702]}}])
+    @example([{"joints": {"left_ankle": [7, 700, 1], "neck": [True, 5, 0]}}])
+    @example([{"joints": {"right_ankle": [1919, 700.0, 0.5]}}, {"joints": {}}])
+    @example([{"joints": {"neck": [1]}}])
+    # finite ankles whose midpoint overflows
+    @example([{"joints": {"left_ankle": [10**308, 700], "right_ankle": [10**308, 700]}}])
+    def test_agrees_with_the_skeleton_path(self, dets):
+        record = {"frame": 3, "t": 0.5, "detections": dets}
+        try:
+            line, pix = reference(record)
+        except Exception:
+            with pytest.raises(InputError):
+                detections_from_record(record, W)
+            return
+        out, got = detections_from_record(record, W)
+        assert json.dumps({"frame": 3, "t": 0.5, "detections": out}) == line
+        assert got.shape == pix.shape
+        assert got.tobytes() == pix.tobytes()
+
+    def test_integer_coordinates_stay_integers(self):
+        record = {"detections": [{"joints": {"neck": [12, 34], "left_ankle": [True, 7, 1]}}]}
+        (det,), _ = detections_from_record(record, W)
+        assert det == {"joints": {"left_ankle": [True, 7, 1.0], "neck": [12, 34, 1.0]}}
+        assert [type(v) for v in det["joints"]["neck"]] == [int, int, float]
 
 
 class TestReadJsonl:

@@ -13,6 +13,7 @@ from panotrack.detect import (
     RoiConfig,
     TilesConfig,
     Viewport,
+    ankle_midpoint,
     build_tiles,
     fullframe_viewport,
     plan_roi,
@@ -99,7 +100,9 @@ class TestProjectAgent:
         sk = project_agent(state, cam)
         assert sk.neck.x == pytest.approx(960.0)
         assert sk.neck.y == pytest.approx(420.0, abs=1e-9)
-        mid = sk.ankle_midpoint(cam.image_width)
+        mid = ankle_midpoint(
+            sk.joint_point("left_ankle"), sk.joint_point("right_ankle"), cam.image_width
+        )
         assert mid.x == pytest.approx(960.0)
         assert mid.y == pytest.approx(720.0, abs=1e-9)
 
@@ -111,7 +114,10 @@ class TestProjectAgent:
     def test_localize_round_trip(self, cam):
         state = make_state(2.2, -1.3)
         sk = project_agent(state, cam)
-        w = localize(sk.ankle_midpoint(cam.image_width), sk.neck, cam)
+        ankle = ankle_midpoint(
+            sk.joint_point("left_ankle"), sk.joint_point("right_ankle"), cam.image_width
+        )
+        w = localize(ankle, sk.neck, cam)
         assert w.x == pytest.approx(state.x, abs=1e-6)
         assert w.y == pytest.approx(state.y, abs=1e-6)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from panotrack.detect import skeleton
+from panotrack.detect import ankle_midpoint, detection_pixels, skeleton
 from panotrack.exceptions import ConfigError
 import panotrack.tracker
 from panotrack.geometry import (
@@ -31,7 +31,7 @@ from panotrack.tracker import (
     update,
 )
 from panotrack.tracker import _measurement_matrix  # dual-path consistency check
-from panotrack.tracker import _detection_pixels, _store_posterior, _wrap_distances
+from panotrack.tracker import _store_posterior, _wrap_distances
 
 BODY = Body(height=1.7, ankle_height=0.1, neck_drop=0.25)
 NECK_Z = BODY.height - BODY.neck_drop
@@ -99,12 +99,12 @@ def pixel_row(det, cam):
     """The (4,) ankle-midpoint and neck pixel row of one detection, as
     step reads it; the full-body measurement of a detection that has
     both joints."""
-    return _detection_pixels([det], cam.image_width)[0]
+    return detection_pixels([det], cam.image_width)[0]
 
 
 def necks(dets, cam):
     """The (m, 2) neck pixels that step passes to associate."""
-    return _detection_pixels(dets, cam.image_width)[:, 2:]
+    return detection_pixels(dets, cam.image_width)[:, 2:]
 
 
 def update_one(track, z, cam, cfg):
@@ -739,10 +739,11 @@ class TestDetectionPixels:
     # ankles either side of the seam, midpoint on column 0
     @example([skeleton({"neck": (2, 300), "left_ankle": (1915, 700), "right_ankle": (5, 702)})])
     def test_rows_equal_the_scalar_joints(self, dets):
-        pix = _detection_pixels(dets, W)
+        pix = detection_pixels(dets, W)
         assert pix.shape == (len(dets), 4)
         for row, det in zip(pix, dets):
-            for got, ref in ((row[:2], det.ankle_midpoint(W)), (row[2:], det.neck)):
+            ankle = ankle_midpoint(det.joint_point("left_ankle"), det.joint_point("right_ankle"), W)
+            for got, ref in ((row[:2], ankle), (row[2:], det.neck)):
                 if ref is None:
                     assert np.isnan(got).all()
                 else:
@@ -795,7 +796,7 @@ def run_walker(
                 for name, j in det.joints.items()
             }
             det = skeleton(joints)
-        history.append(tracker.step([det], 1.0 / fps))
+        history.append(tracker.step(detection_pixels([det], cam.image_width), 1.0 / fps))
     return history
 
 
@@ -837,10 +838,10 @@ class TestStep:
     def test_all_lost_after_k_empty_frames(self, cam):
         cfg = TrackerConfig()
         tracker = PanoTracker(cam, cfg)
-        tracker.step([agent_detection(2.0, 0.0, cam)], 1 / 30)
+        tracker.step(detection_pixels([agent_detection(2.0, 0.0, cam)], cam.image_width), 1 / 30)
         last = []
         for _ in range(cfg.lose_after_misses):
-            last = tracker.step([], 1 / 30)
+            last = tracker.step(detection_pixels([], cam.image_width), 1 / 30)
         assert all(t.status == TrackStatus.LOST for t in last)
         assert tracker.tracks == []
 
@@ -855,7 +856,7 @@ class TestStep:
         seen = []
         for i in range(30):
             dets = [agent_detection(2.0, 0.0, cam)] if (i // 5) % 2 == 0 else []
-            for t in tracker.step(dets, 1 / 30):
+            for t in tracker.step(detection_pixels(dets, cam.image_width), 1 / 30):
                 seen.append(t.id)
         ids = set(seen)
         assert len(ids) > 1  # the gaps force re-spawns
@@ -870,29 +871,29 @@ class TestStep:
         tracker = PanoTracker(cam, TrackerConfig())
         det = agent_detection(2.0, 0.0, cam)
         for _ in range(5):
-            tracker.step([det], 1 / 30)
+            tracker.step(detection_pixels([det], cam.image_width), 1 / 30)
         assert len(tracker.tracks) == 1
         # a near-identical duplicate (fusion miss) must not create a track
         dup = skeleton(
             {n: (j.point.x + 2.0, j.point.y + 1.0, 1.0) for n, j in det.joints.items()}
         )
-        tracker.step([det, dup], 1 / 30)
+        tracker.step(detection_pixels([det, dup], cam.image_width), 1 / 30)
         assert len(tracker.tracks) == 1
 
     def test_distant_detection_still_spawns(self, cam):
         tracker = PanoTracker(cam, TrackerConfig())
         det = agent_detection(2.0, 0.0, cam)
         for _ in range(5):
-            tracker.step([det], 1 / 30)
+            tracker.step(detection_pixels([det], cam.image_width), 1 / 30)
         other = agent_detection(-3.0, 1.0, cam)
-        tracker.step([det, other], 1 / 30)
+        tracker.step(detection_pixels([det, other], cam.image_width), 1 / 30)
         assert len(tracker.tracks) == 2
 
     def test_seam_duplicate_suppressed_and_distant_one_spawns(self, cam):
         det = agent_detection(*world_at_column(1918.0, 2.0, cam), cam)
         tracker = PanoTracker(cam, TrackerConfig())
         for _ in range(5):
-            tracker.step([det], 1 / 30)
+            tracker.step(detection_pixels([det], cam.image_width), 1 / 30)
         assert len(tracker.tracks) == 1
         assert project_to_image(TrackState.from_array(tracker.means[0]), cam)[1].x == pytest.approx(
             1918.0, abs=0.5
@@ -909,10 +910,10 @@ class TestStep:
         # a residual duplicate across the seam, at column 2, must not spawn
         dup = shifted(4.0)
         assert dup.neck.x == pytest.approx(2.0, abs=0.5)
-        tracker.step([det, dup], 1 / 30)
+        tracker.step(detection_pixels([det, dup], cam.image_width), 1 / 30)
         assert len(tracker.tracks) == 1
         # 40 px away is beyond the 30 px suppression radius
-        tracker.step([det, shifted(40.0)], 1 / 30)
+        tracker.step(detection_pixels([det, shifted(40.0)], cam.image_width), 1 / 30)
         assert len(tracker.tracks) == 2
 
     @pytest.mark.parametrize("ankle_row", [480.0, 400.0])
@@ -926,7 +927,7 @@ class TestStep:
             }
         )
         tracker = PanoTracker(cam, TrackerConfig())
-        assert tracker.step([det], 1 / 30) == []
+        assert tracker.step(detection_pixels([det], cam.image_width), 1 / 30) == []
         assert tracker.tracks == []
 
     @pytest.mark.parametrize(
@@ -936,12 +937,12 @@ class TestStep:
         tracker = PanoTracker(cam, TrackerConfig())
         other = agent_detection(-2.0, 1.0, cam)
         for _ in range(3):
-            tracker.step([other], 1 / 30)
+            tracker.step(detection_pixels([other], cam.image_width), 1 / 30)
         full = agent_detection(2.0, 0.0, cam)
         part = skeleton(
             {n: (j.point.x, j.point.y, 1.0) for n, j in full.joints.items() if n not in missing}
         )
-        out = tracker.step([other, part], 1 / 30)
+        out = tracker.step(detection_pixels([other, part], cam.image_width), 1 / 30)
         assert [t.id for t in out] == [1]
         assert len(tracker.tracks) == 1
 
@@ -951,12 +952,12 @@ class TestStep:
         tracker = PanoTracker(cam, cfg)
         full = agent_detection(2.0, 0.0, cam)
         for _ in range(4):
-            tracker.step([full], 1 / 30)
+            tracker.step(detection_pixels([full], cam.image_width), 1 / 30)
         neckonly = skeleton(
             {"neck": (full.neck.x, full.neck.y, 1.0)}
         )
         for _ in range(10):
-            out = tracker.step([neckonly], 1 / 30)
+            out = tracker.step(detection_pixels([neckonly], cam.image_width), 1 / 30)
         tr = out[0]
         assert tr.status == TrackStatus.CONFIRMED
         assert tr.consecutive_misses == 0
@@ -965,7 +966,8 @@ class TestStep:
         people = [(2.0, 0.0), (-2.0, 1.0), (0.5, 3.0), (1.0, -3.0)]
         tracker = PanoTracker(cam, TrackerConfig())
         for _ in range(3):
-            tracker.step([agent_detection(x, y, cam) for x, y in people], 1 / 30)
+            dets = [agent_detection(x, y, cam) for x, y in people]
+            tracker.step(detection_pixels(dets, cam.image_width), 1 / 30)
         calls = []
         batched_update = panotrack.tracker.update
 
@@ -977,14 +979,15 @@ class TestStep:
         dets = [agent_detection(x, y, cam) for x, y in people]
         # the last two people show only their necks
         dets[2:] = [skeleton({"neck": (d.neck.x, d.neck.y, 1.0)}) for d in dets[2:]]
-        out = tracker.step(dets, 1 / 30)
+        out = tracker.step(detection_pixels(dets, cam.image_width), 1 / 30)
         assert sorted(calls) == [(2, 2), (2, 4)]
         assert [t.hits for t in out] == [4, 4, 4, 4]
 
     def test_snapshots_are_isolated_from_the_live_tracks(self, cam):
         tracker = PanoTracker(cam, TrackerConfig())
         for _ in range(2):
-            snap = tracker.step([agent_detection(2.0, 0.0, cam)], 1 / 30)[0]
+            pix = detection_pixels([agent_detection(2.0, 0.0, cam)], cam.image_width)
+            snap = tracker.step(pix, 1 / 30)[0]
         live = tracker.tracks[0]
         kept = (tracker.means[0].copy(), tracker.covs[0].copy(), live.hits, live.status)
 
@@ -995,14 +998,15 @@ class TestStep:
         assert np.array_equal(tracker.covs[0], kept[1])
         assert (live.hits, live.status) == kept[2:]
 
-        stored = tracker.step([agent_detection(2.0, 0.0, cam)], 1 / 30)[0]
+        pix = detection_pixels([agent_detection(2.0, 0.0, cam)], cam.image_width)
+        stored = tracker.step(pix, 1 / 30)[0]
         frozen = (
             stored.mean.copy(),
             stored.covariance.copy(),
             stored.hits,
             stored.consecutive_misses,
         )
-        tracker.step([agent_detection(2.1, 0.0, cam)], 1 / 30)
+        tracker.step(detection_pixels([agent_detection(2.1, 0.0, cam)], cam.image_width), 1 / 30)
         assert not np.array_equal(tracker.means[0], frozen[0])  # the live track moved on
         assert np.array_equal(stored.mean, frozen[0])
         assert np.array_equal(stored.covariance, frozen[1])
@@ -1084,7 +1088,7 @@ class TestRowAlignment:
                     if how != "none":
                         dets.append(det)
                 n_forced = len(forced)
-                snaps = tracker.step(dets, 1 / 30)
+                snaps = tracker.step(detection_pixels(dets, cam.image_width), 1 / 30)
 
                 n = len(tracker.tracks)
                 assert tracker.means.shape == (n, 5)
