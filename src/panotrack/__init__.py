@@ -16,7 +16,6 @@ from .detect import (
     DetectionResult,
     DetectorPort,
     RoiConfig,
-    Skeleton,
     TilesConfig,
     Viewport,
     build_tiles,
@@ -27,7 +26,6 @@ from .detect import (
     plan_roi,
     plan_tiles,
     run_viewports,
-    skeleton,
     torso_bbox,
 )
 from .exceptions import (

@@ -22,9 +22,13 @@ exactly, while different people at different ranges produce boxes of
 very different size and placement.
 
 The detector itself is injected through the ``DetectorPort`` protocol.
-Frames are opaque handles interpreted only by the port; skeleton
-coordinates returned by the port are viewport-local at the processed
-scale and are de-referenced to full-image coordinates here.
+Frames are opaque handles interpreted only by the port. A detection
+has one form from the port to the detections JSONL: a joints object
+``{name: [x, y, confidence]}``. The port returns it viewport-local at
+the processed scale; ``dereference`` maps it to full-image coordinates
+and ``check_detection``, the one joint rule of the port's output and
+of the offline reader, normalizes it. ``pixel_row`` turns it into the
+tracker's measurement pixels.
 """
 
 from __future__ import annotations
@@ -69,12 +73,29 @@ def check_joint(x, y, confidence=1.0) -> float:
 
 
 def check_joint_names(names) -> None:
-    """A skeleton's joints: at least one, each with a known name."""
+    """A detection's joints: at least one, each with a known name."""
     if not names:
         raise DegenerateSkeletonError("skeleton has no joints")
     if not _JOINT_NAME_SET.issuperset(names):
         unknown = set(names) - _JOINT_NAME_SET
         raise ConfigError(f"unknown joint names: {sorted(unknown)}")
+
+
+def check_detection(joints, image_height: float) -> dict:
+    """The detection rule, for the detector port's output and the
+    offline reader alike: ``{name: (x, y[, confidence])}`` with known
+    names, each joint passing ``check_joint`` and its row in
+    [0, image_height]. Returns the detection normalized to ``{name: [x,
+    y, confidence]}`` in name order, the confidence a float and the
+    coordinates as given."""
+    check_joint_names(joints)
+    out = {}
+    for name, v in sorted(joints.items()):
+        confidence = check_joint(*v)
+        if not 0 <= v[1] <= image_height:
+            raise ConfigError(f"joint row {v[1]} is outside the image rows [0, {image_height}]")
+        out[name] = [v[0], v[1], confidence]
+    return out
 
 
 def ankle_midpoint(a, b, image_width: float) -> Optional[ImagePoint]:
@@ -89,83 +110,24 @@ def ankle_midpoint(a, b, image_width: float) -> Optional[ImagePoint]:
     return ImagePoint(((ax + bx) / 2.0) % image_width, (a[1] + b[1]) / 2.0)
 
 
-class Joint(tuple):
-    """(ImagePoint, confidence) pair."""
-
-    __slots__ = ()
-
-    def __new__(cls, point: ImagePoint, confidence: float):
-        if not isinstance(point, ImagePoint):
-            point = ImagePoint(*point)
-        return tuple.__new__(cls, (point, check_joint(point.x, point.y, confidence)))
-
-    @property
-    def point(self) -> ImagePoint:
-        return self[0]
-
-    @property
-    def confidence(self) -> float:
-        return self[1]
+def pixel_row(joints: dict, image_width: float) -> tuple[float, float, float, float]:
+    """A detection's ankle-midpoint column and row, then its neck column
+    and row, NaN where the joints are absent."""
+    ankle = ankle_midpoint(joints.get("left_ankle"), joints.get("right_ankle"), image_width)
+    neck = joints.get("neck")
+    return (*(ankle or NO_PIXEL), *(neck[:2] if neck else NO_PIXEL))
 
 
-@dataclass(frozen=True)
-class Skeleton:
-    """Named joints with pixel coordinates and confidences.
-
-    Coordinates are in the full-image frame once de-referenced from a
-    viewport; detector ports produce them viewport-local first.
-    """
-
-    joints: dict[str, Joint]
-
-    def __post_init__(self) -> None:
-        check_joint_names(self.joints)
-
-    def joint_point(self, name: str) -> Optional[ImagePoint]:
-        j = self.joints.get(name)
-        return j.point if j is not None else None
-
-    @property
-    def neck(self) -> Optional[ImagePoint]:
-        return self.joint_point("neck")
-
-    def joint_count(self) -> int:
-        return len(self.joints)
-
-    def mean_confidence(self) -> float:
-        return sum(j.confidence for j in self.joints.values()) / len(self.joints)
-
-    def reference_x(self) -> float:
-        """Deterministic horizontal anchor: the neck column if present,
-        otherwise the smallest joint column."""
-        neck = self.neck
-        if neck is not None:
-            return neck.x
-        return min(j.point.x for j in self.joints.values())
+def detection_pixels(dets: Sequence[dict], image_width: float) -> np.ndarray:
+    """(m, 4) ``pixel_row``s of the detections, for ``PanoTracker.step``."""
+    return np.array([pixel_row(d, image_width) for d in dets], dtype=float).reshape(-1, 4)
 
 
-# A detection is a skeleton in full-image coordinates.
-Detection = Skeleton
-
-
-def skeleton(joints: dict[str, tuple[float, float] | tuple[float, float, float]]) -> Skeleton:
-    """Convenience constructor: {name: (x, y)} or {name: (x, y, conf)}."""
-    built = {}
-    for name, value in joints.items():
-        conf = check_joint(*value)
-        built[name] = Joint(ImagePoint(value[0], value[1]), conf)
-    return Skeleton(built)
-
-
-def detection_pixels(dets: Sequence[Detection], image_width: float) -> np.ndarray:
-    """(m, 4) pixels of the detections: ankle-midpoint column and row,
-    then neck column and row, NaN where the joints are absent."""
-    rows = []
-    for det in dets:
-        get = det.joint_point
-        ankle = ankle_midpoint(get("left_ankle"), get("right_ankle"), image_width)
-        rows.append((*(ankle or NO_PIXEL), *(get("neck") or NO_PIXEL)))
-    return np.array(rows, dtype=float).reshape(-1, 4)
+def reference_x(joints: dict) -> float:
+    """Deterministic horizontal anchor: the neck column if present,
+    otherwise the smallest joint column."""
+    neck = joints.get("neck")
+    return neck[0] if neck else min(v[0] for v in joints.values())
 
 
 @dataclass(frozen=True)
@@ -217,20 +179,23 @@ class DetectorPort(Protocol):
     """Injected skeleton detector.
 
     ``detect`` receives an opaque frame handle plus the viewport to
-    process and returns skeletons in viewport-local coordinates at the
-    processed scale. Implementations must be deterministic for a fixed
+    process and returns one joints object per person, ``{name: (x, y)}``
+    or ``{name: (x, y, confidence)}`` in viewport-local coordinates at
+    the processed scale; ``dereference`` checks each one in full-image
+    coordinates. Implementations must be deterministic for a fixed
     (frame, viewport, seed). Calls are sequential, one per viewport in
     plan order.
     """
 
-    def detect(self, frame, viewport: Viewport) -> list[Skeleton]: ...
+    def detect(self, frame, viewport: Viewport) -> list[dict]: ...
 
 
 @dataclass
 class DetectionResult:
-    """Fused detections plus any per-viewport detector failures."""
+    """Fused detections, each a ``check_detection`` joints object in
+    full-image coordinates, plus any per-viewport detector failures."""
 
-    detections: list[Detection]
+    detections: list[dict]
     errors: dict[int, str] = field(default_factory=dict)
 
     @property
@@ -288,7 +253,7 @@ def build_tiles(
     )
 
 
-def torso_bbox(sk: Skeleton, image_width: float) -> BoundingBox:
+def torso_bbox(joints: dict, image_width: float) -> BoundingBox:
     """Tight wrap-aware box over the present neck/shoulder/hip joints.
 
     Requires the neck plus at least one shoulder or hip. When the joint
@@ -296,15 +261,15 @@ def torso_bbox(sk: Skeleton, image_width: float) -> BoundingBox:
     left of the midline are unwrapped by +width before taking min/max.
     Degenerate extents are clamped to 1 px.
     """
-    pts = [sk.joints[n].point for n in TORSO_JOINTS if n in sk.joints]
-    if "neck" not in sk.joints or len(pts) < 2:
+    pts = [joints[n] for n in TORSO_JOINTS if n in joints]
+    if "neck" not in joints or len(pts) < 2:
         raise DegenerateSkeletonError(
             "torso box needs the neck and at least one shoulder or hip"
         )
-    xs = [p.x % image_width for p in pts]
+    xs = [p[0] % image_width for p in pts]
     if max(xs) - min(xs) > image_width / 2:
         xs = [x + image_width if x < image_width / 2 else x for x in xs]
-    ys = [p.y for p in pts]
+    ys = [p[1] for p in pts]
     w = max(max(xs) - min(xs), 1.0)
     h = max(max(ys) - min(ys), 1.0)
     return BoundingBox(x=min(xs) % image_width, y=min(ys), w=w, h=h)
@@ -333,33 +298,33 @@ def cyclic_pairs(n: int) -> frozenset[frozenset[int]]:
 
 
 def fuse_duplicates(
-    dets: Sequence[tuple[Skeleton, int]],
+    dets: Sequence[tuple[dict, int]],
     adjacent: frozenset[frozenset[int]],
     image_width: float,
     sigma1: float = DEFAULT_MERGE_THRESHOLD,
-) -> list[Skeleton]:
+) -> list[dict]:
     """Collapse duplicate detections from adjacent viewports.
 
     Args:
-        dets: (skeleton, source viewport index) pairs with skeletons
-            already in full-image coordinates.
+        dets: (joints, source viewport index) pairs, each joints object
+            a ``check_detection`` result in full-image coordinates.
         adjacent: index pairs of viewports that may see the same
             person; detections from any other pair never merge.
         image_width: panorama width, for wrap-aware torso boxes.
         sigma1: containment-score threshold at or above which two boxes
             are considered the same person.
 
-    Skeleton pairs whose torso boxes score >= sigma1 are grouped
+    Detection pairs whose torso boxes score >= sigma1 are grouped
     transitively (union-find) and each group keeps its most complete
-    skeleton: most present joints, ties broken by higher mean
+    detection: most present joints, ties broken by higher mean
     confidence, then by (viewport index, anchor column) for
     determinism. Output is ordered by (viewport index, anchor column).
     """
     items = list(dets)
     boxes: list[Optional[BoundingBox]] = []
-    for sk, _ in items:
+    for joints, _ in items:
         try:
-            boxes.append(torso_bbox(sk, image_width))
+            boxes.append(torso_bbox(joints, image_width))
         except DegenerateSkeletonError:
             boxes.append(None)
 
@@ -393,23 +358,30 @@ def fuse_duplicates(
         groups.setdefault(find(i), []).append(i)
 
     def quality(i: int):
-        sk, vp_idx = items[i]
-        return (sk.joint_count(), sk.mean_confidence(), -vp_idx, -sk.reference_x())
+        joints, vp_idx = items[i]
+        confidence = sum(v[2] for v in joints.values()) / len(joints)
+        return (len(joints), confidence, -vp_idx, -reference_x(joints))
 
     survivors = [max(g, key=quality) for g in groups.values()]
-    survivors.sort(key=lambda i: (items[i][1], items[i][0].reference_x()))
+    survivors.sort(key=lambda i: (items[i][1], reference_x(items[i][0])))
     return [items[i][0] for i in survivors]
 
 
-def dereference(sk: Skeleton, viewport: Viewport, image_width: float) -> Skeleton:
-    """Convert viewport-local joint coordinates (at the processed
-    scale) to full-image coordinates."""
-    joints = {}
-    for name, j in sk.joints.items():
-        x = (viewport.origin_x + j.point.x / viewport.scale) % image_width
-        y = viewport.origin_y + j.point.y / viewport.scale
-        joints[name] = Joint(ImagePoint(x, y), j.confidence)
-    return Skeleton(joints)
+def dereference(joints: dict, viewport: Viewport, cam: CameraModel) -> dict:
+    """Convert a port detection's viewport-local joint coordinates (at
+    the processed scale) to full-image coordinates, and check it there
+    with ``check_detection``."""
+    return check_detection(
+        {
+            name: (
+                (viewport.origin_x + v[0] / viewport.scale) % cam.image_width,
+                viewport.origin_y + v[1] / viewport.scale,
+                *v[2:],
+            )
+            for name, v in joints.items()
+        },
+        cam.image_height,
+    )
 
 
 def run_viewports(
@@ -417,29 +389,30 @@ def run_viewports(
     detector: DetectorPort,
     viewports: Sequence[Viewport],
     adjacent: frozenset[frozenset[int]],
-    image_width: float,
+    cam: CameraModel,
     sigma1: float = DEFAULT_MERGE_THRESHOLD,
 ) -> DetectionResult:
     """Run the detector once per viewport, in plan order, and fuse
     duplicates between adjacent viewports.
 
-    A viewport whose detect call or dereference raises is reported in
+    A viewport whose detect call or dereference raises, a detection
+    that breaks ``check_detection`` included, is reported in
     ``errors``; the other viewports' detections are still returned. A
     single-viewport plan returns its detections in detector order,
     unfused.
     """
-    tagged: list[tuple[Skeleton, int]] = []
+    tagged: list[tuple[dict, int]] = []
     errors: dict[int, str] = {}
     for i, vp in enumerate(viewports):
         try:
-            found = [(dereference(sk, vp, image_width), i) for sk in detector.detect(frame, vp)]
+            found = [(dereference(d, vp, cam), i) for d in detector.detect(frame, vp)]
         except Exception as exc:  # noqa: BLE001 - surfaced per viewport
             errors[i] = f"{type(exc).__name__}: {exc}"
         else:
             tagged.extend(found)
     if len(viewports) == 1:
-        return DetectionResult(detections=[sk for sk, _ in tagged], errors=errors)
-    fused = fuse_duplicates(tagged, adjacent, image_width, sigma1)
+        return DetectionResult(detections=[d for d, _ in tagged], errors=errors)
+    fused = fuse_duplicates(tagged, adjacent, cam.image_width, sigma1)
     return DetectionResult(detections=fused, errors=errors)
 
 

@@ -18,7 +18,7 @@ class AboveHorizonError(GeometryError):
 
 
 class DegenerateSkeletonError(PanotrackError):
-    """Skeleton lacks the joints required by an operation."""
+    """A detection lacks the joints required by an operation."""
 
 
 class FilterDivergenceError(PanotrackError):

@@ -4,9 +4,12 @@ and CSV curves.
 Detections JSONL is the plug-in boundary for a real skeleton detector:
 one object per frame, `{"frame": int, "t": seconds, "detections":
 [{"joints": {name: [x, y, conf]}}]}` with coordinates in the full-image
-frame. The offline reader normalizes each record as it checks it:
-joint names in sorted order, the confidence as a float (1.0 when
-absent), the coordinates kept as given. Tracks JSONL mirrors the
+frame. Each joints object is a detection in the one form the viewport
+path holds it in, so the writer wraps it as it is. The offline reader
+checks and normalizes each one with ``detect.check_detection``, as the
+viewport path does the detector port's output: joint names in sorted
+order, the confidence as a float (1.0 when absent), rows inside the
+image, the coordinates kept as given. Tracks JSONL mirrors the
 tracker output: `{"frame", "t", "tracks": [{"id", "x", "y", "h",
 "img_x", "img_y", "status", "is_target"}]}`.
 """
@@ -18,7 +21,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .detect import NO_PIXEL, Skeleton, ankle_midpoint, check_joint, check_joint_names
+from .detect import check_detection, pixel_row
 from .exceptions import InputError, PanotrackError
 from .geometry import CameraModel, world_to_image
 from .metrics import ErrorBin, EvalReport
@@ -54,39 +57,27 @@ def write_jsonl(path: str, records: Iterable[dict]) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def detections_record(frame: int, t: float, dets: Sequence[Skeleton]) -> dict:
-    return {
-        "frame": frame,
-        "t": t,
-        "detections": [
-            {
-                "joints": {
-                    name: [x, y, c]
-                    for name, ((x, y), c) in sorted(sk.joints.items())
-                }
-            }
-            for sk in dets
-        ],
-    }
+def detections_record(frame: int, t: float, dets: Sequence[dict]) -> dict:
+    """A frame's detections record; each detection is a joints object
+    in name order, as ``check_detection`` makes it."""
+    return {"frame": frame, "t": t, "detections": [{"joints": d} for d in dets]}
 
 
-def detections_from_record(record: dict, image_width: float) -> tuple[list[dict], np.ndarray]:
-    """A record's detections, normalized to ``{"joints": {name: [x, y,
-    conf]}}`` in name order, and their (m, 4) pixels for
-    ``PanoTracker.step``, in one pass; a broken rule raises InputError."""
+def detections_from_record(record: dict, cam: CameraModel) -> tuple[list[dict], np.ndarray]:
+    """A record's detections, normalized by ``check_detection`` to
+    ``{"joints": {name: [x, y, conf]}}``, and their (m, 4) pixel rows
+    for ``PanoTracker.step``, in one pass; a broken rule raises
+    InputError."""
     try:
         dets = record["detections"]
         if not isinstance(dets, list):
             raise TypeError(f"detections must be a list, got {dets!r}")
+        width, height = cam.image_width, cam.image_height
         out, rows = [], []
         for d in dets:
-            joints = d["joints"]
-            check_joint_names(joints)
-            norm = {n: [v[0], v[1], check_joint(*v)] for n, v in sorted(joints.items())}
-            out.append({"joints": norm})
-            ankle = ankle_midpoint(norm.get("left_ankle"), norm.get("right_ankle"), image_width)
-            neck = norm.get("neck")
-            rows.append((*(ankle or NO_PIXEL), *(neck[:2] if neck else NO_PIXEL)))
+            joints = check_detection(d["joints"], height)
+            out.append({"joints": joints})
+            rows.append(pixel_row(joints, width))
     except PanotrackError as exc:
         raise InputError(str(exc)) from exc
     except (AttributeError, IndexError, KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -30,7 +30,7 @@ from .detect import (
     run_viewports,
 )
 from .exceptions import ConfigError, InputError, PanotrackError
-from .geometry import CameraModel, ImagePoint, _finite_number, _integer, world_to_image
+from .geometry import CameraModel, ImagePoint, _finite_number, _integer, check_number, world_to_image
 from .io import detections_from_record, detections_record, tracks_record
 from .sim import Scenario, SyntheticDetector, run_scenario
 from .tracker import PanoTracker, TrackerConfig, TrackSnapshot, TrackStatus
@@ -86,7 +86,7 @@ class StrategyRunner:
             prediction = target_prediction if self.strategy == "roi" else None
             viewports, adjacent = plan_roi(self.full, self.cam, self.roi_cfg, prediction)
         return run_viewports(
-            frame, self.detector, viewports, adjacent, self.cam.image_width, self.merge_threshold
+            frame, self.detector, viewports, adjacent, self.cam, self.merge_threshold
         )
 
 
@@ -148,10 +148,10 @@ def run_offline(
     tracker_cfg: TrackerConfig = TrackerConfig(),
 ) -> Iterator[FrameOutput]:
     """Track over an externally produced detections JSONL stream. A
-    malformed record, or one whose frame number or timestamp is not
-    greater than the previous record's, raises InputError naming its
-    1-based position in the stream; gaps in the frame numbers are
-    allowed."""
+    malformed record, one whose frame number or timestamp is not
+    greater than the previous record's, or one whose time step since
+    that record is not finite, raises InputError naming its 1-based
+    position in the stream; gaps in the frame numbers are allowed."""
     tracker = PanoTracker(cam, tracker_cfg)
     prev_frame: Optional[int] = None
     prev_t: Optional[float] = None
@@ -163,10 +163,11 @@ def run_offline(
                 raise InputError(f"frame {frame} does not follow frame {prev_frame}")
             if prev_t is not None and t <= prev_t:
                 raise InputError(f"t {t} does not follow t {prev_t}")
-            dets, pix = detections_from_record(record, cam.image_width)
+            dt = 1.0 / FIRST_FRAME_FPS if prev_t is None else t - prev_t
+            check_number("dt", dt, 0.0, strict=True)
+            dets, pix = detections_from_record(record, cam)
         except PanotrackError as exc:
             raise InputError(f"detections record {n}: {exc}") from exc
-        dt = 1.0 / FIRST_FRAME_FPS if prev_t is None else t - prev_t
         prev_frame, prev_t = frame, t
         tracks = tracker.step(pix, dt)
         latency = time.perf_counter() - start

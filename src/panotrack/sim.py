@@ -4,11 +4,13 @@ into noisy skeleton detections, with ground truth for evaluation.
 The simulator plays the role of both the recorded video and the neural
 skeleton detector. A frame is a world snapshot, not a rasterized image:
 the synthetic detector projects the agents visible in a viewport into
-skeletons, applies a resolution-dependent detectability cutoff (people
-whose projected body height at the processed scale is too small are
-missed, reproducing the way small far-away people disappear from
-downscaled passes), optionally occludes agents hidden behind nearer
-ones, and perturbs joints with Gaussian pixel noise. A frame is
+joints objects ``{name: [x, y, 1.0]}``, the detector port's output,
+which ``detect.dereference`` checks. It applies a resolution-dependent
+detectability cutoff (people whose projected body height at the
+processed scale is too small are missed, reproducing the way small
+far-away people disappear from downscaled passes), optionally occludes
+agents hidden behind nearer ones, and perturbs joints with Gaussian
+pixel noise. A frame is
 projected once: each agent's skeleton, body height and occlusion are
 computed on the frame snapshot the first time they are needed, and
 every viewport and the ground truth read them from there.
@@ -30,7 +32,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .detect import Joint, Skeleton, Viewport
+from .detect import Viewport
 from .exceptions import ConfigError, GeometryError, InputError
 from .geometry import (
     CameraModel,
@@ -206,8 +208,9 @@ class AgentState:
         return math.hypot(self.x, self.y)
 
 
-def project_agent(state: AgentState, cam: CameraModel) -> Skeleton:
-    """Noise-free skeleton of an agent.
+def project_agent(state: AgentState, cam: CameraModel) -> dict[str, ImagePoint]:
+    """Noise-free skeleton of an agent: each joint's full-resolution
+    pixel, by name.
 
     The neck sits on the body axis; paired joints are offset
     symmetrically in azimuth at the same ground range (half-widths
@@ -235,16 +238,15 @@ def project_agent(state: AgentState, cam: CameraModel) -> Skeleton:
             WorldPoint(rho * math.cos(ang), rho * math.sin(ang), z), cam
         )
 
-    joints = {
-        "neck": Joint(at(0.0, neck_z), 1.0),
-        "left_shoulder": Joint(at(body.shoulder_half_width, shoulder_z), 1.0),
-        "right_shoulder": Joint(at(-body.shoulder_half_width, shoulder_z), 1.0),
-        "left_hip": Joint(at(body.hip_half_width, hip_z), 1.0),
-        "right_hip": Joint(at(-body.hip_half_width, hip_z), 1.0),
-        "left_ankle": Joint(at(body.hip_half_width, body.ankle_height), 1.0),
-        "right_ankle": Joint(at(-body.hip_half_width, body.ankle_height), 1.0),
+    return {
+        "neck": at(0.0, neck_z),
+        "left_shoulder": at(body.shoulder_half_width, shoulder_z),
+        "right_shoulder": at(-body.shoulder_half_width, shoulder_z),
+        "left_hip": at(body.hip_half_width, hip_z),
+        "right_hip": at(-body.hip_half_width, hip_z),
+        "left_ankle": at(body.hip_half_width, body.ankle_height),
+        "right_ankle": at(-body.hip_half_width, body.ankle_height),
     }
-    return Skeleton(joints)
 
 
 def projected_body_height_px(state: AgentState, cam: CameraModel) -> float:
@@ -280,8 +282,9 @@ class FrameSnapshot:
     agents: tuple[AgentState, ...]
 
     @cached_property
-    def skeletons(self) -> tuple[Skeleton, ...]:
-        """Each agent's noise-free skeleton at full resolution."""
+    def skeletons(self) -> tuple[dict[str, ImagePoint], ...]:
+        """Each agent's noise-free ``project_agent`` joints at full
+        resolution."""
         return tuple(project_agent(state, self.cam) for state in self.agents)
 
     @cached_property
@@ -315,9 +318,10 @@ def synthetic_detect(
     noise: NoiseModel,
     detect_cfg: DetectabilityConfig,
     rng: np.random.Generator,
-) -> list[Skeleton]:
-    """Detect agents visible in a viewport, in viewport-local processed
-    coordinates.
+) -> list[dict]:
+    """Detect agents visible in a viewport: one joints object ``{name:
+    [x, y, 1.0]}`` per agent, in name order and in viewport-local
+    processed coordinates.
 
     An agent is included iff its neck column lies inside the viewport
     (wrap-aware), its projected body height at the processed scale
@@ -330,7 +334,7 @@ def synthetic_detect(
     heights = snapshot.body_heights_px
     out = []
     for i, sk in enumerate(snapshot.skeletons):
-        if not viewport.contains_column(sk.neck.x, cam.image_width):
+        if not viewport.contains_column(sk["neck"].x, cam.image_width):
             continue
         if heights[i] * viewport.scale < detect_cfg.min_person_pixels:
             continue
@@ -339,8 +343,7 @@ def synthetic_detect(
 
         drop_ankles = rng.random() < noise.miss_prob
         local = {}
-        for name in sorted(sk.joints):
-            j = sk.joints[name]
+        for name in sorted(sk):
             if name in ("left_ankle", "right_ankle"):
                 dropped = drop_ankles
             else:
@@ -348,11 +351,12 @@ def synthetic_detect(
             nx, ny = rng.normal(0.0, noise.joint_sigma, 2) if noise.joint_sigma > 0 else (0.0, 0.0)
             if dropped:
                 continue
-            lx = ((j.point.x - viewport.origin_x) % cam.image_width) * viewport.scale + nx
-            ly = (j.point.y - viewport.origin_y) * viewport.scale + ny
-            local[name] = Joint(ImagePoint(lx, ly), 1.0)
+            x, y = sk[name]
+            lx = ((x - viewport.origin_x) % cam.image_width) * viewport.scale + nx
+            ly = (y - viewport.origin_y) * viewport.scale + ny
+            local[name] = [lx, ly, 1.0]
         if local:
-            out.append(Skeleton(local))
+            out.append(local)
     return out
 
 
@@ -386,7 +390,7 @@ class SyntheticDetector:
         self.detect_cfg = detect_cfg
         self.seed = seed
 
-    def detect(self, frame: FrameSnapshot, viewport: Viewport) -> list[Skeleton]:
+    def detect(self, frame: FrameSnapshot, viewport: Viewport) -> list[dict]:
         rng = np.random.default_rng(
             np.random.SeedSequence([self.seed, frame.index, _viewport_key(viewport)])
         )
@@ -421,9 +425,7 @@ def ground_truth_record(scenario: Scenario, snapshot: FrameSnapshot) -> dict:
                 "id": state.agent.id,
                 "x": state.x,
                 "y": state.y,
-                "joints": {
-                    name: [j.point.x, j.point.y] for name, j in sorted(sk.joints.items())
-                },
+                "joints": {name: [p.x, p.y] for name, p in sorted(sk.items())},
                 "is_target": state.agent.id == target_id,
             }
         )

@@ -302,8 +302,7 @@ def predict(
     plus process noise scaled by dt. Returns the states to keep and the
     mask of rows predicted; a row outside it diverged and is returned
     unchanged."""
-    if dt <= 0:
-        raise ConfigError(f"dt must be positive, got {dt}")
+    check_number("dt", dt, 0.0, strict=True)
     every = np.ones(len(means), dtype=bool)
     if not len(means):
         return (means, covs, factors), every

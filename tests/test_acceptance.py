@@ -21,10 +21,10 @@ import pytest
 from panotrack.cli import main as cli_main
 from panotrack.detect import (
     build_tiles,
+    check_detection,
     cyclic_pairs,
     detection_pixels,
     fuse_duplicates,
-    skeleton,
 )
 from panotrack.geometry import (
     CameraModel,
@@ -133,13 +133,13 @@ def test_criterion_2_fusion():
 
     snap = FrameSnapshot(index=0, t=0.0, cam=CAM, agents=(state,))
     raw = [
-        (dereference(sk, vp, CAM.image_width), i)
+        (dereference(sk, vp, CAM), i)
         for i, vp in enumerate(viewports)
         for sk in detector.detect(snap, vp)
     ]
     assert len(raw) == 2, "expected duplicate detections in the overlap zone"
     pairs = cyclic_pairs(len(viewports))
-    result = run_viewports(snap, detector, viewports, pairs, CAM.image_width, 0.9)
+    result = run_viewports(snap, detector, viewports, pairs, CAM, 0.9)
     assert len(result.detections) == 1
 
     # idempotence over randomized detection sets
@@ -151,14 +151,15 @@ def test_criterion_2_fusion():
             cy = rng.uniform(150, 700)
             w = rng.uniform(6, 140)
             h = rng.uniform(20, 180)
-            sk = skeleton(
+            sk = check_detection(
                 {
                     "neck": ((cx + rng.normal(0, 2)) % 1920, cy),
                     "left_shoulder": ((cx - w / 2) % 1920, cy + 5),
                     "right_shoulder": ((cx + w / 2) % 1920, cy + 5),
                     "left_hip": ((cx - w / 4) % 1920, cy + h),
                     "right_hip": ((cx + w / 4) % 1920, cy + h),
-                }
+                },
+                CAM.image_height,
             )
             dets.append((sk, int(rng.integers(0, 3))))
         once = fuse_duplicates(dets, pairs, 1920, 0.9)
@@ -238,7 +239,7 @@ def test_criterion_4_gnn_optimality():
         for i, mean in enumerate(means):
             pred = project_to_image(TrackState.from_array(mean), CAM)[1]
             for j, det in enumerate(dets):
-                cost[i, j] = wrap_distance(pred, det.neck, CAM.image_width)
+                cost[i, j] = wrap_distance(pred, det["neck"], CAM.image_width)
         total = sum(cost[i, j] for i, j in pairs)
         assert all(cost[i, j] <= gate for i, j in pairs)
         best_count, best_total = _brute_force(cost, gate)
@@ -325,16 +326,7 @@ def test_criterion_8_latency():
             )
             det = project_agent(state, CAM)
             out.append(
-                skeleton(
-                    {
-                        name: (
-                            j.point.x + rng.normal(0, 1),
-                            j.point.y + rng.normal(0, 1),
-                            1.0,
-                        )
-                        for name, j in det.joints.items()
-                    }
-                )
+                {name: (x + rng.normal(0, 1), y + rng.normal(0, 1)) for name, (x, y) in det.items()}
             )
         return out
 

@@ -214,11 +214,25 @@ class TestTrack:
                 '{"frame": 4, "t": 0.2, "detections": []}\n{"frame": 5, "t": 0.1, "detections": []}',
                 "detections record 2: t 0.1 does not follow t 0.2",
             ),
+            (
+                '{"frame": 0, "t": -1e308, "detections": [{"joints": {"neck": [960, 420]}}]}\n'
+                '{"frame": 1, "t": 1e308, "detections": [{"joints": {"neck": [960, 420]}}]}',
+                "detections record 2: dt must be a finite number > 0, got inf",
+            ),
+            (
+                '{"frame": 0, "t": 0.0, "detections": []}\n'
+                '{"frame": 1, "t": 0.1, "detections": [{"joints": {"neck": [960, 5000]}}]}',
+                "detections record 2: joint row 5000 is outside the image rows [0, 960]",
+            ),
+            (
+                '{"frame": 0, "t": 0.0, "detections": [{"joints": {"left_ankle": [960, -0.5]}}]}',
+                "detections record 1: joint row -0.5 is outside the image rows [0, 960]",
+            ),
         ],
         ids=[
             "no_frame", "string_t", "not_an_object", "detections_object", "empty_joints",
             "repeated_frame", "decreasing_frame", "huge_integer_column", "repeated_t",
-            "decreasing_t",
+            "decreasing_t", "infinite_time_step", "row_below_image", "row_above_image",
         ],
     )
     def test_malformed_detections_record_exits_2(self, tmp_path, capsys, line, message):

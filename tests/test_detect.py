@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 
 from panotrack.detect import (
     BoundingBox,
-    Joint,
     RoiConfig,
-    Skeleton,
     TilesConfig,
     ankle_midpoint,
     build_tiles,
+    check_detection,
     cyclic_pairs,
     default_row_range,
     dereference,
@@ -22,15 +21,17 @@ from panotrack.detect import (
     plan_tiles,
     roi_viewport,
     run_viewports,
-    skeleton,
     torso_bbox,
 )
 from panotrack.exceptions import ConfigError, DegenerateSkeletonError
 from panotrack.geometry import CameraModel, ImagePoint
 
 
+H = 960  # rows of the default camera
+
+
 def torso(cx, cy, w=20.0, h=50.0, conf=1.0, extra=()):
-    """Skeleton with a torso box of roughly w x h centered near (cx, cy)."""
+    """Detection with a torso box of roughly w x h centered near (cx, cy)."""
     joints = {
         "neck": (cx, cy - h / 2, conf),
         "left_shoulder": (cx - w / 2, cy - h / 2 + 5, conf),
@@ -40,34 +41,35 @@ def torso(cx, cy, w=20.0, h=50.0, conf=1.0, extra=()):
     }
     for name in extra:
         joints[name] = (cx, cy + h, conf)
-    return skeleton(joints)
+    return check_detection(joints, H)
 
 
 class TestSkeleton:
+    """``check_detection``, the one rule for a detection's joints."""
+
     def test_requires_joints(self):
         with pytest.raises(DegenerateSkeletonError):
-            Skeleton(joints={})
+            check_detection({}, H)
 
     def test_rejects_unknown_names(self):
         with pytest.raises(ConfigError):
-            skeleton({"elbow": (1, 2)})
+            check_detection({"elbow": (1, 2)}, H)
 
     def test_rejects_bad_confidence(self):
         with pytest.raises(ConfigError):
-            skeleton({"neck": (1, 2, 1.5)})
+            check_detection({"neck": (1, 2, 1.5)}, H)
 
     @pytest.mark.parametrize(
         "joint", [(math.nan, 2), (1, math.nan), (math.inf, 2), (1, -math.inf), (1, 2, math.nan)]
     )
     def test_rejects_non_finite(self, joint):
         with pytest.raises(ConfigError):
-            skeleton({"neck": joint})
+            check_detection({"neck": joint}, H)
 
     @pytest.mark.parametrize("point", [(3, 4.5), [3, 4.5], ImagePoint(3, 4.5)])
     def test_joint_accepts_tuple_list_or_image_point(self, point):
-        joint = Joint(point, 0.5)
-        assert type(joint.point) is ImagePoint
-        assert joint.point == ImagePoint(3, 4.5) and joint.confidence == 0.5
+        assert check_detection({"neck": point}, H) == {"neck": [3, 4.5, 1.0]}
+        assert check_detection({"neck": (*point, 0.5)}, H) == {"neck": [3, 4.5, 0.5]}
 
     @pytest.mark.parametrize(
         "wrap", [tuple, list, lambda p: ImagePoint(*p)], ids=["tuple", "list", "image_point"]
@@ -75,7 +77,22 @@ class TestSkeleton:
     @pytest.mark.parametrize("point", [(math.nan, 2), (1, math.inf)])
     def test_joint_rejects_non_finite_in_any_form(self, wrap, point):
         with pytest.raises(ConfigError):
-            Joint(wrap(point), 1.0)
+            check_detection({"neck": wrap(point)}, H)
+
+    @pytest.mark.parametrize("row", [-0.5, -1, H + 0.5, 5000])
+    def test_rejects_rows_outside_the_image(self, row):
+        with pytest.raises(ConfigError, match="outside the image rows"):
+            check_detection({"neck": (960, 400), "left_ankle": (955, row)}, H)
+
+    @pytest.mark.parametrize("row", [0, 0.0, H, float(H)])
+    def test_accepts_rows_on_the_image_edge(self, row):
+        assert check_detection({"neck": (960, row)}, H) == {"neck": [960, row, 1.0]}
+
+    def test_normalizes_names_confidence_and_keeps_coordinates(self):
+        out = check_detection({"right_hip": (7, 8.5, 1), "neck": [True, 400]}, H)
+        assert out == {"neck": [True, 400, 1.0], "right_hip": [7, 8.5, 1.0]}
+        assert list(out) == ["neck", "right_hip"]
+        assert [type(v) for v in out["right_hip"]] == [int, float, float]
 
     def test_ankle_midpoint_plain(self):
         assert ankle_midpoint((100, 700), (120, 710), 1920) == pytest.approx((110, 705))
@@ -136,38 +153,32 @@ class TestBuildTiles:
 
 class TestTorsoBbox:
     def test_basic(self):
-        sk = skeleton(
-            {
-                "neck": (100, 50),
-                "left_shoulder": (90, 60),
-                "right_shoulder": (110, 60),
-                "left_hip": (95, 100),
-                "right_hip": (105, 100),
-            }
-        )
+        sk = {
+            "neck": (100, 50),
+            "left_shoulder": (90, 60),
+            "right_shoulder": (110, 60),
+            "left_hip": (95, 100),
+            "right_hip": (105, 100),
+        }
         box = torso_bbox(sk, 1920)
         assert (box.x, box.y, box.w, box.h) == (90, 50, 20, 50)
 
     def test_degenerate_cluster_clamped(self):
-        sk = skeleton({"neck": (100, 50), "left_shoulder": (100, 50)})
+        sk = {"neck": (100, 50), "left_shoulder": (100, 50)}
         box = torso_bbox(sk, 1920)
         assert box.w == 1.0 and box.h == 1.0
 
     def test_wraps_at_seam(self):
-        sk = skeleton(
-            {"neck": (1910, 50), "left_shoulder": (10, 60), "left_hip": (1915, 90)}
-        )
+        sk = {"neck": (1910, 50), "left_shoulder": (10, 60), "left_hip": (1915, 90)}
         box = torso_bbox(sk, 1920)
         assert box.x == pytest.approx(1910)
         assert box.w == pytest.approx(20)
 
     def test_insufficient_joints(self):
         with pytest.raises(DegenerateSkeletonError):
-            torso_bbox(skeleton({"neck": (1, 2)}), 1920)
+            torso_bbox({"neck": (1, 2)}, 1920)
         with pytest.raises(DegenerateSkeletonError):
-            torso_bbox(
-                skeleton({"left_shoulder": (1, 2), "right_shoulder": (3, 2)}), 1920
-            )
+            torso_bbox({"left_shoulder": (1, 2), "right_shoulder": (3, 2)}, 1920)
 
 
 class TestMergeScore:
@@ -272,11 +283,11 @@ class TestFuseDuplicates:
 
 
 class StubDetector:
-    """Returns preset skeletons whose necks fall inside the viewport,
+    """Returns preset detections whose necks fall inside the viewport,
     in viewport-local processed coordinates."""
 
     def __init__(self, people, image_width=1920):
-        self.people = people  # full-image skeletons
+        self.people = people  # full-image joints objects
         self.image_width = image_width
         self.calls = []
 
@@ -284,14 +295,14 @@ class StubDetector:
         self.calls.append(viewport)
         out = []
         for sk in self.people:
-            if not viewport.contains_column(sk.neck.x, self.image_width):
+            if not viewport.contains_column(sk["neck"][0], self.image_width):
                 continue
             local = {}
-            for name, j in sk.joints.items():
-                lx = ((j.point.x - viewport.origin_x) % self.image_width) * viewport.scale
-                ly = (j.point.y - viewport.origin_y) * viewport.scale
-                local[name] = (lx, ly, j.confidence)
-            out.append(skeleton(local))
+            for name, (x, y, c) in sk.items():
+                lx = ((x - viewport.origin_x) % self.image_width) * viewport.scale
+                ly = (y - viewport.origin_y) * viewport.scale
+                local[name] = (lx, ly, c)
+            out.append(local)
         return out
 
 
@@ -307,12 +318,12 @@ class FailingDetector(StubDetector):
 
 
 def run_tiles(det, cam):
-    return run_viewports(None, det, *plan_tiles(cam, TilesConfig()), cam.image_width)
+    return run_viewports(None, det, *plan_tiles(cam, TilesConfig()), cam)
 
 
 def run_roi(det, cam, prediction):
     full = fullframe_viewport(cam, RoiConfig())
-    return run_viewports(None, det, *plan_roi(full, cam, RoiConfig(), prediction), cam.image_width)
+    return run_viewports(None, det, *plan_roi(full, cam, RoiConfig(), prediction), cam)
 
 
 class TestRunTiles:
@@ -330,14 +341,14 @@ class TestRunTiles:
         det = StubDetector([torso(10, 400)])
         res = run_tiles(det, cam)
         assert len(res.detections) == 1
-        assert res.detections[0].neck.x == pytest.approx(10.0, abs=1e-6)
+        assert res.detections[0]["neck"][0] == pytest.approx(10.0, abs=1e-6)
 
     def test_port_called_in_plan_order(self, cam):
         people = [torso(100, 300), torso(700, 400), torso(1500, 500)]
         viewports, adjacent = plan_tiles(cam, TilesConfig())
         for order in (viewports, viewports[::-1]):
             det = StubDetector(people)
-            run_viewports(None, det, order, adjacent, cam.image_width)
+            run_viewports(None, det, order, adjacent, cam)
             assert det.calls == list(order)
 
     def test_partial_result_on_tile_failure(self, cam):
@@ -350,20 +361,20 @@ class TestRunTiles:
         assert len(res.detections) == 2  # other tiles still reported
 
 
-class NonFiniteDetector(StubDetector):
-    """Returns one skeleton with a non-finite joint from the viewport at
-    ``fail_on``: built with a NaN column, or with a column that
-    overflows to infinity when de-referenced from a downscaled pass."""
+class BadJointDetector(StubDetector):
+    """Returns one detection with the neck ``bad_neck`` from the viewport
+    at ``fail_on``, beside the detections of its people."""
 
-    def __init__(self, people, fail_on, bad_x):
+    def __init__(self, people, fail_on, bad_neck):
         super().__init__(people)
         self.fail_on = fail_on
-        self.bad_x = bad_x
+        self.bad_neck = bad_neck
 
     def detect(self, frame, viewport):
+        out = super().detect(frame, viewport)
         if viewport.origin_x == self.fail_on:
-            return [skeleton({"neck": (self.bad_x, 5.0)})]
-        return super().detect(frame, viewport)
+            out.append({"neck": self.bad_neck})
+        return out
 
 
 class TestRunRoi:
@@ -386,14 +397,26 @@ class TestRunRoi:
         assert res.partial
         assert list(res.errors) == [1] and "crashed" in res.errors[1]
         assert len(res.detections) == 1  # the full-frame pass still reported
-        assert res.detections[0].neck.x == pytest.approx(960.0, abs=1e-6)
+        assert res.detections[0]["neck"][0] == pytest.approx(960.0, abs=1e-6)
 
+    # a NaN column, or a column that overflows to infinity when
+    # de-referenced from the downscaled pass
     @pytest.mark.parametrize("bad,bad_x", [(1, math.nan), (0, 1e308)])
     def test_non_finite_joint_fails_only_its_viewport(self, cam, bad, bad_x):
         origin = (0.0, 960 - 288)[bad]  # full frame, crop
-        det = NonFiniteDetector([torso(960, 400)], origin, bad_x)
+        det = BadJointDetector([torso(960, 400)], origin, (bad_x, 5.0))
         res = run_roi(det, cam, ImagePoint(960, 400))
         assert list(res.errors) == [bad] and "finite" in res.errors[bad]
+        assert len(res.detections) == 1
+
+    # local rows that land below the image once de-referenced: 330 is
+    # row 990 at the full pass's 1/3 scale; the crop starts at row 304
+    @pytest.mark.parametrize("bad,bad_row", [(0, 330.0), (1, 700.0), (1, -310.0)])
+    def test_out_of_image_row_fails_only_its_viewport(self, cam, bad, bad_row):
+        origin = (0.0, 960 - 288)[bad]  # full frame, crop
+        det = BadJointDetector([torso(960, 400)], origin, (100.0, bad_row))
+        res = run_roi(det, cam, ImagePoint(960, 400))
+        assert list(res.errors) == [bad] and "outside the image rows" in res.errors[bad]
         assert len(res.detections) == 1
 
     def test_roi_wraps_at_seam(self, cam):
@@ -410,9 +433,7 @@ class TestRunRoi:
         assert vp.origin_y == pytest.approx(960 - 192)
 
     def test_local_coordinates_dereference(self, cam):
-        sk = skeleton({"neck": (10, 5, 1.0)})
         vp = fullframe_viewport(cam, RoiConfig())
-        full = dereference(sk, vp, 1920)
-        assert full.neck.x == pytest.approx(30.0)
-        assert full.neck.y == pytest.approx(15.0)
+        full = dereference({"neck": (10, 5)}, vp, cam)
+        assert full["neck"] == pytest.approx([30.0, 15.0, 1.0])
 

@@ -1,17 +1,19 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from panotrack.detect import JOINT_NAMES, detection_pixels, skeleton
+from panotrack.detect import JOINT_NAMES, Viewport, detection_pixels, run_viewports
 from panotrack.exceptions import InputError
 from panotrack.geometry import CameraModel
 from panotrack.io import detections_from_record, detections_record, read_jsonl
 from panotrack.pipeline import run_offline
 
-W = 1920
+CAM = CameraModel()
+W, H = CAM.image_width, CAM.image_height
 
 
 def round_trip(detections):
@@ -65,16 +67,74 @@ class TestDetectionsRecord:
     )
     def test_malformed_joint_value_raises_input_error(self, value):
         with pytest.raises(InputError):
-            detections_from_record({"detections": [{"joints": {"neck": value}}]}, W)
+            detections_from_record({"detections": [{"joints": {"neck": value}}]}, CAM)
 
     @pytest.mark.parametrize("detections", [{}, None, "x"], ids=["object", "null", "string"])
     def test_detections_not_a_list_raises_input_error(self, detections):
         with pytest.raises(InputError):
-            detections_from_record({"detections": detections}, W)
+            detections_from_record({"detections": detections}, CAM)
 
     def test_joints_not_an_object_raises_input_error(self):
         with pytest.raises(InputError):
-            detections_from_record({"detections": [{"joints": [[1, 2, 0.5]]}]}, W)
+            detections_from_record({"detections": [{"joints": [[1, 2, 0.5]]}]}, CAM)
+
+    @pytest.mark.parametrize("row", [-0.5, H + 0.5, 5000], ids=["above", "below", "far_below"])
+    def test_row_outside_the_image_raises_input_error(self, row):
+        record = {"detections": [{"joints": {"neck": [960, 400]}}, {"joints": {"neck": [960, row]}}]}
+        with pytest.raises(InputError, match=f"joint row {row} is outside the image rows"):
+            detections_from_record(record, CAM)
+
+    def test_rows_on_the_image_edge_are_read(self):
+        record = {"detections": [{"joints": {"neck": [960, 0]}}, {"joints": {"neck": [5, H]}}]}
+        _, pix = detections_from_record(record, CAM)
+        assert pix[:, 3].tolist() == [0.0, H]
+
+
+class IdentityPort:
+    """A detector port that returns the same joints for every viewport."""
+
+    def __init__(self, joints):
+        self.joints = joints
+
+    def detect(self, frame, viewport):
+        return [dict(j) for j in self.joints]
+
+
+# valid joints with float coordinates, which a full-resolution viewport
+# at the origin maps onto themselves, in any name order
+port_column = st.floats(0.0, W, exclude_max=True)
+port_row = st.floats(0.0, float(H))
+port_joints = st.dictionaries(
+    st.sampled_from(JOINT_NAMES[::-1]),
+    st.one_of(
+        st.tuples(port_column, port_row),
+        st.tuples(port_column, port_row, st.floats(0.0, 1.0)),
+    ),
+    min_size=1,
+)
+
+
+class TestOneDetectionForm:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(port_joints, max_size=4))
+    # ankles either side of the seam, one with a confidence
+    @example([{"right_ankle": (3.5, 700.0), "neck": (1.0, 300.5), "left_ankle": (1915.5, 702.0, 0.5)}])
+    def test_port_and_offline_record_agree(self, joints):
+        """The same joints from a detector port through an identity
+        viewport, and from an offline record, give the same detections
+        line and the same pixel rows."""
+        viewport = Viewport(0.0, 0.0, float(W), float(H), 1.0)
+        live = run_viewports(None, IdentityPort(joints), (viewport,), frozenset(), CAM).detections
+        record = {
+            "frame": 3,
+            "t": 0.5,
+            "detections": [{"joints": {n: list(v) for n, v in j.items()}} for j in joints],
+        }
+        offline, pix = detections_from_record(record, CAM)
+        assert json.dumps(detections_record(3, 0.5, live)) == json.dumps(
+            {"frame": 3, "t": 0.5, "detections": offline}
+        )
+        assert detection_pixels(live, W).tobytes() == pix.tobytes()
 
 
 def rarely(bad, good, one_in=20):
@@ -82,21 +142,30 @@ def rarely(bad, good, one_in=20):
     return st.integers(0, one_in - 1).flatmap(lambda k: bad if k == 0 else good)
 
 
-coordinate = st.one_of(
+column = st.one_of(
     st.integers(-50, 2000),
     st.floats(-50.0, 2000.0),
     st.booleans(),
     st.floats(W - 20.0, W),  # beside the seam on either side
     st.floats(0.0, 20.0),
 )
+joint_row = rarely(
+    st.sampled_from([-1, -0.5, -1e-9, H + 1e-9, H + 0.5, 5000]),  # outside the image
+    st.one_of(
+        st.integers(0, H), st.floats(0.0, float(H)), st.booleans(), st.sampled_from([0, H, float(H)])
+    ),
+    one_in=40,
+)
 confidence = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1, False, True]))
+not_a_number = st.sampled_from([math.nan, math.inf, "1", None, 10**400])
 joint_value = rarely(
     st.one_of(
-        st.tuples(st.sampled_from([math.nan, math.inf, "1", None, 10**400]), coordinate),
-        st.tuples(coordinate, coordinate, st.sampled_from([math.nan, -0.5, 1.5, "1", None])),
+        st.tuples(not_a_number, joint_row),
+        st.tuples(column, not_a_number),
+        st.tuples(column, joint_row, st.sampled_from([math.nan, -0.5, 1.5, "1", None])),
         st.sampled_from([(1,), (1, 2, 0.5, 9), "12", "123", None, 5, {"x": 1, "y": 2}]),
     ),
-    st.one_of(st.tuples(coordinate, coordinate), st.tuples(coordinate, coordinate, confidence)),
+    st.one_of(st.tuples(column, joint_row), st.tuples(column, joint_row, confidence)),
     one_in=40,
 ).map(lambda v: list(v) if isinstance(v, tuple) else v)
 joint_name = rarely(st.just("nose"), st.sampled_from(JOINT_NAMES), one_in=40)
@@ -110,15 +179,44 @@ detections = rarely(st.sampled_from([{}, None, "x", 5]), st.lists(detection, max
 
 
 def reference(record):
-    """The record read as skeletons, written back by
-    ``detections_record`` and turned into pixels by
-    ``detection_pixels``; the two-step path the one-pass reader
-    replaces."""
+    """The reader's rules, stated apart from the code under test:
+    ``detections`` is a list of objects whose ``joints`` object holds at
+    least one joint, each with a known name; a joint is [x, y] or [x, y,
+    confidence] with finite coordinates, a row in [0, H] and a
+    confidence in [0, 1]. Each detection is written back in name order,
+    the confidence a float (1.0 when absent) and the coordinates as
+    given. Its pixels are the ankle midpoint, taken the short way round
+    the seam (one ankle alone is its own midpoint), then the neck; NaN
+    where absent. Raises on any broken rule."""
     dets = record["detections"]
     if not isinstance(dets, list):
         raise TypeError(f"detections must be a list, got {dets!r}")
-    sks = [skeleton(d["joints"]) for d in dets]
-    return json.dumps(detections_record(3, 0.5, sks)), detection_pixels(sks, W)
+    out, rows = [], []
+    for d in dets:
+        joints = d["joints"]
+        if not isinstance(joints, dict) or not joints or not set(joints) <= set(JOINT_NAMES):
+            raise ValueError(f"bad joints {joints!r}")
+        norm = {}
+        for name in sorted(joints):
+            v = joints[name]
+            if not isinstance(v, list) or len(v) not in (2, 3):
+                raise ValueError(f"bad joint {v!r}")
+            x, y, c = v if len(v) == 3 else (*v, 1.0)
+            if not (0 <= c <= 1 and math.isfinite(x) and math.isfinite(y) and 0 <= y <= H):
+                raise ValueError(f"bad joint {v!r}")
+            norm[name] = [x, y, float(c)]
+        out.append({"joints": norm})
+        ankles = [norm[n][:2] for n in ("left_ankle", "right_ankle") if n in norm]
+        if len(ankles) == 2:
+            (ax, ay), (bx, by) = ankles
+            if abs(ax - bx) > W / 2:
+                ax, bx = (ax + W, bx) if ax < bx else (ax, bx + W)
+            ankle = [((ax + bx) / 2.0) % W, (ay + by) / 2.0]
+        else:
+            ankle = ankles[0] if ankles else [math.nan, math.nan]
+        rows.append(ankle + (norm["neck"][:2] if "neck" in norm else [math.nan, math.nan]))
+    line = json.dumps({"frame": 3, "t": 0.5, "detections": out})
+    return line, np.array(rows, dtype=float).reshape(-1, 4)
 
 
 class TestOnePassReader:
@@ -131,22 +229,26 @@ class TestOnePassReader:
     @example([{"joints": {"neck": [1]}}])
     # finite ankles whose midpoint overflows
     @example([{"joints": {"left_ankle": [10**308, 700], "right_ankle": [10**308, 700]}}])
+    # rows on either edge of the image, and just past them
+    @example([{"joints": {"neck": [5, 0], "left_ankle": [6, H]}}])
+    @example([{"joints": {"neck": [5, 0], "left_ankle": [6, H + 0.5]}}])
+    @example([{"joints": {"neck": [5, -0.5]}}])
     def test_agrees_with_the_skeleton_path(self, dets):
         record = {"frame": 3, "t": 0.5, "detections": dets}
         try:
             line, pix = reference(record)
         except Exception:
             with pytest.raises(InputError):
-                detections_from_record(record, W)
+                detections_from_record(record, CAM)
             return
-        out, got = detections_from_record(record, W)
+        out, got = detections_from_record(record, CAM)
         assert json.dumps({"frame": 3, "t": 0.5, "detections": out}) == line
         assert got.shape == pix.shape
         assert got.tobytes() == pix.tobytes()
 
     def test_integer_coordinates_stay_integers(self):
         record = {"detections": [{"joints": {"neck": [12, 34], "left_ankle": [True, 7, 1]}}]}
-        (det,), _ = detections_from_record(record, W)
+        (det,), _ = detections_from_record(record, CAM)
         assert det == {"joints": {"left_ankle": [True, 7, 1.0], "neck": [12, 34, 1.0]}}
         assert [type(v) for v in det["joints"]["neck"]] == [int, int, float]
 

@@ -98,26 +98,22 @@ class TestProjectAgent:
         # neck height 1.4188 m at (1.1, 0) reproduces the geometry chain
         state = make_state(1.1, 0.0, height=1.4188036041176237 + 0.25)
         sk = project_agent(state, cam)
-        assert sk.neck.x == pytest.approx(960.0)
-        assert sk.neck.y == pytest.approx(420.0, abs=1e-9)
-        mid = ankle_midpoint(
-            sk.joint_point("left_ankle"), sk.joint_point("right_ankle"), cam.image_width
-        )
+        assert sk["neck"].x == pytest.approx(960.0)
+        assert sk["neck"].y == pytest.approx(420.0, abs=1e-9)
+        mid = ankle_midpoint(sk["left_ankle"], sk["right_ankle"], cam.image_width)
         assert mid.x == pytest.approx(960.0)
         assert mid.y == pytest.approx(720.0, abs=1e-9)
 
     def test_behind_camera_at_seam(self, cam):
         sk = project_agent(make_state(-2.0, 0.0), cam)
         # neck sits on the seam column (0 == 1920)
-        assert min(sk.neck.x, 1920 - sk.neck.x) == pytest.approx(0.0, abs=1e-9)
+        assert min(sk["neck"].x, 1920 - sk["neck"].x) == pytest.approx(0.0, abs=1e-9)
 
     def test_localize_round_trip(self, cam):
         state = make_state(2.2, -1.3)
         sk = project_agent(state, cam)
-        ankle = ankle_midpoint(
-            sk.joint_point("left_ankle"), sk.joint_point("right_ankle"), cam.image_width
-        )
-        w = localize(ankle, sk.neck, cam)
+        ankle = ankle_midpoint(sk["left_ankle"], sk["right_ankle"], cam.image_width)
+        w = localize(ankle, sk["neck"], cam)
         assert w.x == pytest.approx(state.x, abs=1e-6)
         assert w.y == pytest.approx(state.y, abs=1e-6)
 
@@ -127,8 +123,8 @@ class TestProjectAgent:
 
     def test_ankles_straddle_sight_line(self, cam):
         sk = project_agent(make_state(2.0, 0.0), cam)
-        la = sk.joints["left_ankle"].point
-        ra = sk.joints["right_ankle"].point
+        la = sk["left_ankle"]
+        ra = sk["right_ankle"]
         assert la.x != pytest.approx(ra.x)
         assert la.y == pytest.approx(ra.y)  # equal range, equal row
 
@@ -171,10 +167,10 @@ class TestDetectability:
         state = make_state(6.0, 0.0)
         det = SyntheticDetector(NoiseModel(), DetectabilityConfig(48), seed=0)
         snap = snapshot(cam, state)
-        neck = project_agent(state, cam).neck
+        neck = project_agent(state, cam)["neck"]
         full = fullframe_viewport(cam, RoiConfig())
-        with_roi = run_viewports(snap, det, *plan_roi(full, cam, RoiConfig(), neck), cam.image_width)
-        without = run_viewports(snap, det, *plan_roi(full, cam, RoiConfig(), None), cam.image_width)
+        with_roi = run_viewports(snap, det, *plan_roi(full, cam, RoiConfig(), neck), cam)
+        without = run_viewports(snap, det, *plan_roi(full, cam, RoiConfig(), None), cam)
         assert len(with_roi.detections) == 1
         assert len(without.detections) == 0
 
@@ -189,8 +185,8 @@ class TestSyntheticDetect:
         )
         exact = project_agent(state, cam)
         assert len(out) == 1
-        assert out[0].neck == pytest.approx(exact.neck)
-        assert out[0].joint_count() == 7
+        assert out[0]["neck"] == pytest.approx([*exact["neck"], 1.0])
+        assert list(out[0]) == sorted(exact)
 
     def test_column_filter_wrap_aware(self, cam):
         vp = Viewport(origin_x=1800, origin_y=0, width=300, height=960, scale=1.0)
@@ -243,8 +239,8 @@ class TestSyntheticDetect:
                 NoiseModel(miss_prob=0.5), DetectabilityConfig(1.0), rng,
             )
             for sk in out:
-                has_l = "left_ankle" in sk.joints
-                has_r = "right_ankle" in sk.joints
+                has_l = "left_ankle" in sk
+                has_r = "right_ankle" in sk
                 assert has_l == has_r
 
     def test_noise_scale_in_local_pixels(self, cam):
@@ -257,7 +253,7 @@ class TestSyntheticDetect:
                 NoiseModel(joint_sigma=2.0), DetectabilityConfig(1.0),
                 np.random.default_rng(seed),
             )
-            errs.append(out[0].neck.x - exact.neck.x)
+            errs.append(out[0]["neck"][0] - exact["neck"].x)
         assert np.std(errs) == pytest.approx(2.0, rel=0.25)
 
 
@@ -437,7 +433,7 @@ class TestFrameRenderedOnce:
         det = SyntheticDetector.for_scenario(scenario)
         states = agent_states(scenario, 0.4)
         full = fullframe_viewport(cam, RoiConfig())
-        crop_plan, _ = plan_roi(full, cam, RoiConfig(), project_agent(states[0], cam).neck)
+        crop_plan, _ = plan_roi(full, cam, RoiConfig(), project_agent(states[0], cam)["neck"])
         viewports = [*build_tiles(cam), *crop_plan]
 
         def fresh():

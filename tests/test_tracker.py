@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from panotrack.detect import ankle_midpoint, detection_pixels, skeleton
+from panotrack.detect import ankle_midpoint, detection_pixels
 from panotrack.exceptions import ConfigError
 import panotrack.tracker
 from panotrack.geometry import (
@@ -383,6 +383,11 @@ class TestPredict:
         with pytest.raises(ConfigError):
             predict_rows([make_track(1, 1)], 0.0, TrackerConfig())
 
+    @pytest.mark.parametrize("dt", [math.inf, math.nan])
+    def test_rejects_non_finite_dt(self, dt):
+        with pytest.raises(ConfigError, match="dt must be a finite number"):
+            predict_rows([make_track(1, 1)], dt, TrackerConfig())
+
     def test_non_finite_posterior_diverges_and_is_not_stored(self):
         tracks = [make_track(2.0, 1.0), make_track(1.0, -2.0, vx=1e308)]
         before = tracks[1].mean.copy()
@@ -426,7 +431,7 @@ class TestUpdate:
         moved = np.linalg.norm(tr.mean[:2] - before[:2])
         assert moved < 0.2  # a 10 px innovation nudges, not flings
         after = project_to_image(tr.state, cam)[1]
-        assert wrap_distance(after, det.neck, cam.image_width) < 10.0
+        assert wrap_distance(after, det["neck"], cam.image_width) < 10.0
 
     def test_naive_difference_wrecks_the_state(self, cam):
         x, y = world_at_column(1915.0, 2.0, cam)
@@ -441,7 +446,7 @@ class TestUpdate:
     def test_neck_only_update(self, cam):
         tr = make_track(2.05, 0.0, h_n=NECK_Z)
         det = agent_detection(2.0, 0.0, cam)
-        neck_meas = [det.neck.x, det.neck.y]
+        neck_meas = list(det["neck"])
         before = abs(tr.mean[0] - 2.0)
         assert update_one(tr, neck_meas, cam, TrackerConfig())
         assert abs(tr.mean[0] - 2.0) < before
@@ -569,13 +574,13 @@ class TestAssociate:
         res = associate(stacked([tr])[0], necks([det], cam), cam, gate=150.0)
         assert pairs(res) == [(0, 0)]
         pred = project_to_image(tr.state, cam)[1]
-        assert wrap_distance(pred, det.neck, cam.image_width) == pytest.approx(
+        assert wrap_distance(pred, det["neck"], cam.image_width) == pytest.approx(
             10.0, abs=0.5
         )
 
     def test_neckless_detection_never_matches(self, cam):
         tr = make_track(2.0, 0.0)
-        det = skeleton({"left_ankle": (960, 700), "right_ankle": (965, 700)})
+        det = {"left_ankle": (960, 700), "right_ankle": (965, 700)}
         res = associate(stacked([tr])[0], necks([det], cam), cam, gate=150.0)
         assert pairs(res) == []
         assert res.unmatched_dets == [0]
@@ -616,9 +621,7 @@ class TestAssociate:
                     *world_at_column(rng.uniform(-40, 40) % 1920, rng.uniform(1.5, 4.0), cam), cam
                 )
                 if rng.random() < 0.3:
-                    det = skeleton(
-                        {k: (j.point.x, j.point.y, 1.0) for k, j in det.joints.items() if k != "neck"}
-                    )
+                    det = {k: p for k, p in det.items() if k != "neck"}
                 dets.append(det)
             assert_matches_brute_force(tracks, dets, cam, gate=100.0)
 
@@ -649,8 +652,8 @@ class TestAssociate:
     def test_all_detections_neckless(self, cam):
         tracks = [make_track(2.0, 0.0), make_track(-2.0, 0.0)]
         dets = [
-            skeleton({"left_ankle": (960, 700), "right_ankle": (965, 700)}),
-            skeleton({"left_hip": (0, 600), "right_hip": (1915, 600)}),
+            {"left_ankle": (960, 700), "right_ankle": (965, 700)},
+            {"left_hip": (0, 600), "right_hip": (1915, 600)},
         ]
         res = associate(stacked(tracks)[0], necks(dets, cam), cam, gate=150.0)
         assert pairs(res) == []
@@ -729,7 +732,6 @@ partial_skeleton = (
         },
     )
     .filter(bool)
-    .map(skeleton)
 )
 
 
@@ -737,17 +739,17 @@ class TestDetectionPixels:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(partial_skeleton, max_size=6))
     # ankles either side of the seam, midpoint on column 0
-    @example([skeleton({"neck": (2, 300), "left_ankle": (1915, 700), "right_ankle": (5, 702)})])
+    @example([{"neck": (2, 300), "left_ankle": (1915, 700), "right_ankle": (5, 702)}])
     def test_rows_equal_the_scalar_joints(self, dets):
         pix = detection_pixels(dets, W)
         assert pix.shape == (len(dets), 4)
         for row, det in zip(pix, dets):
-            ankle = ankle_midpoint(det.joint_point("left_ankle"), det.joint_point("right_ankle"), W)
-            for got, ref in ((row[:2], ankle), (row[2:], det.neck)):
+            ankle = ankle_midpoint(det.get("left_ankle"), det.get("right_ankle"), W)
+            for got, ref in ((row[:2], ankle), (row[2:], det.get("neck"))):
                 if ref is None:
                     assert np.isnan(got).all()
                 else:
-                    assert got.tolist() == [float(ref.x), float(ref.y)]
+                    assert got.tolist() == [float(ref[0]), float(ref[1])]
 
 
 def assert_matches_brute_force(tracks, dets, cam, gate):
@@ -760,8 +762,8 @@ def assert_matches_brute_force(tracks, dets, cam, gate):
     for i, tr in enumerate(tracks):
         pred = project_to_image(tr.state, cam)[1]
         for j, det in enumerate(dets):
-            if det.neck is not None:
-                cost[i, j] = wrap_distance(pred, det.neck, cam.image_width)
+            if "neck" in det:
+                cost[i, j] = wrap_distance(pred, det["neck"], cam.image_width)
     assert all(cost[i, j] <= gate for i, j in pairs(res))
     best = brute_force_assignment(cost, gate)
     assert len(pairs(res)) == best[0]
@@ -787,15 +789,10 @@ def run_walker(
     for x, y in positions:
         det = agent_detection(x, y, cam, height=height)
         if noise_sigma > 0:
-            joints = {
-                name: (
-                    j.point.x + rng.normal(0, noise_sigma),
-                    j.point.y + rng.normal(0, noise_sigma),
-                    1.0,
-                )
-                for name, j in det.joints.items()
+            det = {
+                name: (x + rng.normal(0, noise_sigma), y + rng.normal(0, noise_sigma))
+                for name, (x, y) in det.items()
             }
-            det = skeleton(joints)
         history.append(tracker.step(detection_pixels([det], cam.image_width), 1.0 / fps))
     return history
 
@@ -874,9 +871,7 @@ class TestStep:
             tracker.step(detection_pixels([det], cam.image_width), 1 / 30)
         assert len(tracker.tracks) == 1
         # a near-identical duplicate (fusion miss) must not create a track
-        dup = skeleton(
-            {n: (j.point.x + 2.0, j.point.y + 1.0, 1.0) for n, j in det.joints.items()}
-        )
+        dup = {n: (x + 2.0, y + 1.0) for n, (x, y) in det.items()}
         tracker.step(detection_pixels([det, dup], cam.image_width), 1 / 30)
         assert len(tracker.tracks) == 1
 
@@ -900,16 +895,11 @@ class TestStep:
         )
 
         def shifted(dx):
-            return skeleton(
-                {
-                    n: ((j.point.x + dx) % cam.image_width, j.point.y, 1.0)
-                    for n, j in det.joints.items()
-                }
-            )
+            return {n: ((x + dx) % cam.image_width, y) for n, (x, y) in det.items()}
 
         # a residual duplicate across the seam, at column 2, must not spawn
         dup = shifted(4.0)
-        assert dup.neck.x == pytest.approx(2.0, abs=0.5)
+        assert dup["neck"][0] == pytest.approx(2.0, abs=0.5)
         tracker.step(detection_pixels([det, dup], cam.image_width), 1 / 30)
         assert len(tracker.tracks) == 1
         # 40 px away is beyond the 30 px suppression radius
@@ -919,13 +909,11 @@ class TestStep:
     @pytest.mark.parametrize("ankle_row", [480.0, 400.0])
     def test_ankles_at_or_above_horizon_spawn_nothing(self, cam, ankle_row):
         # row 480 is the horizon of the default camera
-        det = skeleton(
-            {
-                "neck": (960.0, 300.0),
-                "left_ankle": (955.0, ankle_row),
-                "right_ankle": (965.0, ankle_row),
-            }
-        )
+        det = {
+            "neck": (960.0, 300.0),
+            "left_ankle": (955.0, ankle_row),
+            "right_ankle": (965.0, ankle_row),
+        }
         tracker = PanoTracker(cam, TrackerConfig())
         assert tracker.step(detection_pixels([det], cam.image_width), 1 / 30) == []
         assert tracker.tracks == []
@@ -939,9 +927,7 @@ class TestStep:
         for _ in range(3):
             tracker.step(detection_pixels([other], cam.image_width), 1 / 30)
         full = agent_detection(2.0, 0.0, cam)
-        part = skeleton(
-            {n: (j.point.x, j.point.y, 1.0) for n, j in full.joints.items() if n not in missing}
-        )
+        part = {n: p for n, p in full.items() if n not in missing}
         out = tracker.step(detection_pixels([other, part], cam.image_width), 1 / 30)
         assert [t.id for t in out] == [1]
         assert len(tracker.tracks) == 1
@@ -953,9 +939,7 @@ class TestStep:
         full = agent_detection(2.0, 0.0, cam)
         for _ in range(4):
             tracker.step(detection_pixels([full], cam.image_width), 1 / 30)
-        neckonly = skeleton(
-            {"neck": (full.neck.x, full.neck.y, 1.0)}
-        )
+        neckonly = {"neck": full["neck"]}
         for _ in range(10):
             out = tracker.step(detection_pixels([neckonly], cam.image_width), 1 / 30)
         tr = out[0]
@@ -978,7 +962,7 @@ class TestStep:
         monkeypatch.setattr(panotrack.tracker, "update", counting_update)
         dets = [agent_detection(x, y, cam) for x, y in people]
         # the last two people show only their necks
-        dets[2:] = [skeleton({"neck": (d.neck.x, d.neck.y, 1.0)}) for d in dets[2:]]
+        dets[2:] = [{"neck": d["neck"]} for d in dets[2:]]
         out = tracker.step(detection_pixels(dets, cam.image_width), 1 / 30)
         assert sorted(calls) == [(2, 2), (2, 4)]
         assert [t.hits for t in out] == [4, 4, 4, 4]
@@ -1084,7 +1068,7 @@ class TestRowAlignment:
                 for (col, rho), how in zip(spots, seen):
                     det = agent_detection(*world_at_column(col + 0.5 * frame, rho, cam), cam)
                     if how == "neck":
-                        det = skeleton({"neck": (det.neck.x, det.neck.y, 1.0)})
+                        det = {"neck": det["neck"]}
                     if how != "none":
                         dets.append(det)
                 n_forced = len(forced)
