@@ -40,7 +40,7 @@ from typing import Optional, Protocol, Sequence
 import numpy as np
 
 from .exceptions import ConfigError, DegenerateSkeletonError
-from .geometry import CameraModel, ImagePoint, check_number, cyclic_interval_overlap
+from .geometry import CameraModel, ImagePoint, check_number, cyclic_apart, cyclic_interval_overlap
 
 JOINT_NAMES = (
     "neck",
@@ -60,6 +60,7 @@ DEFAULT_TILE_OVERLAP = 150  # px at 1920 width; scaled for other widths
 DEFAULT_MERGE_THRESHOLD = 0.9
 DEFAULT_TILE_FOV_BAND = 60.0  # tiles keep rows with |elevation| <= this
 NO_PIXEL = (math.nan, math.nan)  # the column and row of an absent joint
+_BOX_MARGIN_PX = 0.5  # padding of the torso-box columns in fusion's broad phase
 
 
 def check_joint(x, y, confidence=1.0) -> float:
@@ -311,15 +312,19 @@ def fuse_duplicates(
         adjacent: index pairs of viewports that may see the same
             person; detections from any other pair never merge.
         image_width: panorama width, for wrap-aware torso boxes.
-        sigma1: containment-score threshold at or above which two boxes
-            are considered the same person.
+        sigma1: containment-score threshold in (0, 1] at or above which
+            two boxes are considered the same person.
 
     Detection pairs whose torso boxes score >= sigma1 are grouped
     transitively (union-find) and each group keeps its most complete
     detection: most present joints, ties broken by higher mean
     confidence, then by (viewport index, anchor column) for
     determinism. Output is ordered by (viewport index, anchor column).
+    A pair whose box columns ``cyclic_apart`` places apart scores 0,
+    so it is skipped before the adjacency lookup and ``merge_score``:
+    most pairs of a crowded frame cost one cheap test.
     """
+    check_number("sigma1", sigma1, 0.0, 1.0, strict=True)
     items = list(dets)
     boxes: list[Optional[BoundingBox]] = []
     for joints, _ in items:
@@ -341,16 +346,15 @@ def fuse_duplicates(
         if ri != rj:
             parent[rj] = ri
 
-    for i in range(len(items)):
-        if boxes[i] is None:
+    for i, bi in enumerate(boxes):
+        if bi is None:
             continue
+        vi = items[i][1]
         for j in range(i + 1, len(items)):
-            if boxes[j] is None:
+            bj, vj = boxes[j], items[j][1]
+            if bj is None or vi == vj or cyclic_apart(bi.x, bi.w, bj.x, bj.w, image_width, _BOX_MARGIN_PX):
                 continue
-            vi, vj = items[i][1], items[j][1]
-            if vi == vj or frozenset((vi, vj)) not in adjacent:
-                continue
-            if merge_score(boxes[i], boxes[j], image_width) >= sigma1:
+            if frozenset((vi, vj)) in adjacent and merge_score(bi, bj, image_width) >= sigma1:
                 union(i, j)
 
     groups: dict[int, list[int]] = {}

@@ -206,6 +206,24 @@ def cyclic_interval_overlap(
     return total
 
 
+def cyclic_apart(
+    a_start: float, a_len: float, b_start: float, b_len: float, period: float, margin: float
+) -> bool:
+    """Whether two cyclic intervals [start, start+len) cannot overlap.
+
+    The cheap, conservative broad phase in front of
+    ``cyclic_interval_overlap``: each interval is its centre and its
+    half-length padded by ``margin``, and they are apart when the
+    cyclic distance between the centres exceeds the sum of the padded
+    half-lengths. Intervals that touch, or whose half-lengths sum to
+    half the period or more, are never apart. With a margin far above
+    the rounding of either function, an apart pair has overlap 0.
+    """
+    half = 0.5 * period
+    offset = (a_start % period + 0.5 * a_len) - (b_start % period + 0.5 * b_len)
+    return abs((offset + half) % period - half) > 0.5 * (a_len + b_len) + 2.0 * margin
+
+
 def image_to_polar(p: ImagePoint, cam: CameraModel) -> PolarDirection:
     """Map an image point to its viewing direction.
 

@@ -40,12 +40,14 @@ from .geometry import (
     WorldPoint,
     check_flag,
     check_number,
+    cyclic_apart,
     cyclic_interval_overlap,
     from_dict,
     world_to_image,
 )
 
 MIN_AGENT_RANGE = 0.3  # m; agents closer to the camera axis are degenerate
+_AZIMUTH_MARGIN_DEG = 1e-6  # padding of the footprints in occlusion's broad phase
 
 
 @dataclass(frozen=True)
@@ -295,7 +297,9 @@ class FrameSnapshot:
     @cached_property
     def occluded(self) -> tuple[bool, ...]:
         """Whether a strictly nearer agent covers more than half of each
-        agent's azimuth footprint."""
+        agent's azimuth footprint. Only strictly nearer agents of
+        another id are compared, and a footprint that ``cyclic_apart``
+        places apart is skipped before ``cyclic_interval_overlap``."""
         footprints = [
             (state.agent.id, state.ground_range, *_azimuth_interval(state))
             for state in self.agents
@@ -303,8 +307,9 @@ class FrameSnapshot:
         return tuple(
             length > 0
             and any(
-                o_id != a_id
-                and o_range < a_range
+                o_range < a_range
+                and o_id != a_id
+                and not cyclic_apart(start, length, o_start, o_length, 360.0, _AZIMUTH_MARGIN_DEG)
                 and cyclic_interval_overlap(start, length, o_start, o_length, 360.0) > 0.5 * length
                 for o_id, o_range, o_start, o_length in footprints
             )

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panotrack.detect import (
+    TORSO_JOINTS,
     BoundingBox,
     RoiConfig,
     TilesConfig,
@@ -19,6 +20,7 @@ from panotrack.detect import (
     merge_score,
     plan_roi,
     plan_tiles,
+    reference_x,
     roi_viewport,
     run_viewports,
     torso_bbox,
@@ -280,6 +282,176 @@ class TestFuseDuplicates:
             tagged.append((sk, src))
         twice = fuse_duplicates(tagged, TILE_PAIRS, 1920, 0.9)
         assert twice == once
+
+
+def reference_fuse(dets, adjacent, image_width, sigma1):
+    """The fusion rule as an all-pairs loop: every pair of detections
+    from adjacent viewports whose torso boxes score >= sigma1 is grouped
+    (union-find), each group keeps its best detection, and the survivors
+    are ordered by (viewport index, anchor column)."""
+    boxes = []
+    for joints, _ in dets:
+        try:
+            boxes.append(torso_bbox(joints, image_width))
+        except DegenerateSkeletonError:
+            boxes.append(None)
+    parent = list(range(len(dets)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(dets)):
+        for j in range(i + 1, len(dets)):
+            vi, vj = dets[i][1], dets[j][1]
+            if boxes[i] is None or boxes[j] is None:
+                continue
+            if vi == vj or frozenset((vi, vj)) not in adjacent:
+                continue
+            if merge_score(boxes[i], boxes[j], image_width) >= sigma1:
+                parent[find(j)] = find(i)
+    groups = {}
+    for i in range(len(dets)):
+        groups.setdefault(find(i), []).append(i)
+
+    def quality(i):
+        joints, vp = dets[i]
+        confidence = sum(v[2] for v in joints.values()) / len(joints)
+        return (len(joints), confidence, -vp, -reference_x(joints))
+
+    survivors = sorted(
+        (max(g, key=quality) for g in groups.values()),
+        key=lambda i: (dets[i][1], reference_x(dets[i][0])),
+    )
+    return [dets[i][0] for i in survivors]
+
+
+# columns on, just beside and past the seam of a 1920 px panorama; the
+# small columns right of the seam are where the sum of a column and a
+# half-width rounds furthest from the true centre
+SEAM_COLUMNS = [0.0, 1e-9, -1e-9, 1919.999999999, 1920.0 - 1e-12, 1920.0, 2000.0, -80.0]
+COLUMNS = st.one_of(
+    st.floats(-100.0, 2020.0), st.floats(0.0, 100.0), st.sampled_from(SEAM_COLUMNS)
+)
+ROWS = st.floats(0.0, H)
+# the tiles plans of 2 to 6 tiles; cyclic_pairs(2) is also the roi plan's
+# (full frame, crop) pair
+ADJACENCIES = [(n, cyclic_pairs(n)) for n in range(2, 7)]
+# merge thresholds down to the smallest positive float, at which a pair
+# whose boxes overlap by one rounding step merges
+THRESHOLDS = st.one_of(
+    st.just(5e-324),
+    st.sampled_from([1e-300, 1e-15, 1e-9, 0.5, 0.9, 1.0]),
+    st.floats(1e-9, 1.0),
+)
+
+
+def nudge(x, steps):
+    """x moved by ``steps`` floating-point steps (down when negative)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@st.composite
+def free_torso(draw):
+    """Torso joints anywhere: spreads past half the width make boxes
+    that straddle the seam or are wider than half the image; about one
+    in eight lacks the neck, which leaves no torso box."""
+    names = draw(st.lists(st.sampled_from(TORSO_JOINTS[1:]), unique=True, max_size=4))
+    if draw(st.integers(0, 7)):
+        names.append("neck")
+    if not names:
+        names = ["neck"]
+    left = draw(COLUMNS)
+    spread = draw(st.one_of(st.floats(1.0, 50.0), st.floats(0.0, 2100.0)))
+    column = st.floats(0.0, 1.0).map(lambda u: left + u * spread)
+    confidence = st.floats(0.0, 1.0)
+    return {n: (draw(column), draw(ROWS), draw(confidence)) for n in names}
+
+
+@st.composite
+def neighbour(draw, joints):
+    """A copy of ``joints``, or a torso whose box touches its box's left
+    or right edge to within a few floating-point steps, over the same
+    rows."""
+    try:
+        box = torso_bbox(joints, 1920)
+    except DegenerateSkeletonError:
+        return dict(joints)
+    kind = draw(st.sampled_from(["copy", "right", "left"]))
+    if kind == "copy":
+        return dict(joints)
+    width = draw(st.one_of(st.sampled_from([0.5, 1.0, 700.0, 1000.0]), st.floats(1.0, 50.0)))
+    steps = draw(st.integers(-3, 3))
+    if kind == "right":
+        left = nudge(box.x + box.w, steps)
+    else:
+        left = nudge(box.x, steps) - width
+    return {
+        "neck": (left, box.y, 1.0),
+        "left_hip": (left + width, box.y + box.h, 1.0),
+    }
+
+
+@st.composite
+def fusion_cases(draw):
+    n_viewports, adjacent = draw(st.sampled_from(ADJACENCIES))
+    dets = []
+    for _ in range(draw(st.integers(0, 10))):
+        if dets and draw(st.booleans()):
+            joints = draw(neighbour(draw(st.sampled_from(dets))[0]))
+        else:
+            joints = draw(free_torso())
+        dets.append((check_detection(joints, H), draw(st.integers(0, n_viewports - 1))))
+    return dets, adjacent, draw(THRESHOLDS)
+
+
+@st.composite
+def touching_cases(draw):
+    """A chain of small boxes right of the seam, each touching the one
+    before it to within a few rounding steps, from alternating viewports
+    of one pair. Columns and widths are quotients by primes, whose sums
+    round, unlike the short binary fractions Hypothesis tends to draw."""
+    left = draw(st.integers(0, 997_000)) / 9973
+    dets = []
+    for k in range(draw(st.integers(2, 8))):
+        width = draw(st.integers(997, 49_850)) / 997
+        joints = check_detection({"neck": (left, 400.0), "left_hip": (left + width, 450.0)}, H)
+        dets.append((joints, k % 2))
+        box = torso_bbox(joints, 1920)
+        left = nudge(box.x + box.w, draw(st.integers(-3, 3)))
+    return dets, cyclic_pairs(2), draw(THRESHOLDS)
+
+
+class TestPairSkip:
+    """``fuse_duplicates`` skips the pairs whose box columns cannot
+    overlap; it must fuse exactly as the all-pairs loop does."""
+
+    @given(st.one_of(fusion_cases(), touching_cases()))
+    @settings(max_examples=800, deadline=None)
+    def test_matches_all_pairs_reference(self, case):
+        dets, adjacent, sigma1 = case
+        out = fuse_duplicates(dets, adjacent, 1920, sigma1)
+        expected = reference_fuse(dets, adjacent, 1920, sigma1)
+        assert [id(d) for d in out] == [id(d) for d in expected]
+
+    def test_touching_boxes_at_the_smallest_threshold(self):
+        # [100, 150) and [150 - one step, 200) overlap by one rounding step
+        a = check_detection({"neck": (100.0, 400.0), "left_hip": (150.0, 450.0)}, H)
+        b = check_detection(
+            {"neck": (math.nextafter(150.0, 0.0), 400.0), "left_hip": (200.0, 450.0)}, H
+        )
+        out = fuse_duplicates([(a, 0), (b, 1)], TILE_PAIRS, 1920, 5e-324)
+        assert out == reference_fuse([(a, 0), (b, 1)], TILE_PAIRS, 1920, 5e-324)
+        assert len(out) == 1
+
+    @pytest.mark.parametrize("sigma1", [0.0, -0.5, 1.5, math.nan])
+    def test_rejects_threshold_outside_unit_interval(self, sigma1):
+        # at 0 every adjacent pair would merge, even boxes that never meet
+        with pytest.raises(ConfigError, match="sigma1"):
+            fuse_duplicates([(torso(700, 400), 0)], TILE_PAIRS, 1920, sigma1)
 
 
 class StubDetector:

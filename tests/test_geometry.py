@@ -9,6 +9,7 @@ from panotrack.geometry import (
     CameraModel,
     ImagePoint,
     WorldPoint,
+    cyclic_apart,
     cyclic_interval_overlap,
     estimate_height,
     ground_range,
@@ -302,3 +303,55 @@ class TestWrapHelpers:
         assert cyclic_interval_overlap(0, 1000, 900, 1120, 1920) == pytest.approx(
             200
         )
+
+
+class TestCyclicApart:
+    def test_far_intervals_are_apart(self):
+        assert cyclic_apart(100, 30, 900, 25, 1920, 0.5)
+        assert cyclic_apart(900, 25, 100, 30, 1920, 0.5)
+
+    @pytest.mark.parametrize("margin", [0.0, 0.5])
+    def test_touching_intervals_may_overlap(self, margin):
+        # [0, 100) and [100, 150) share only the edge: overlap 0, yet not apart
+        assert cyclic_interval_overlap(0, 100, 100, 50, 1920) == 0.0
+        assert not cyclic_apart(0, 100, 100, 50, 1920, margin)
+        assert not cyclic_apart(100, 50, 0, 100, 1920, margin)
+        assert not cyclic_apart(-10.0, 5.0, -5.0, 1e-9, 360.0, margin)
+
+    def test_margin_pads_each_interval(self):
+        # a 1 px gap: apart without a margin, not with 0.5 px on each side
+        assert cyclic_apart(0, 100, 101, 50, 1920, 0.0)
+        assert not cyclic_apart(0, 100, 101, 50, 1920, 0.5)
+        assert cyclic_apart(0, 100, 101.001, 50, 1920, 0.5)
+
+    def test_across_the_seam(self):
+        # [1900, 1940) wraps to [1900, 1920) + [0, 20) and meets [10, 30)
+        assert cyclic_interval_overlap(1900, 40, 10, 20, 1920) > 0
+        assert not cyclic_apart(1900, 40, 10, 20, 1920, 0.5)
+        assert not cyclic_apart(10, 20, 1900, 40, 1920, 0.5)
+        # [1900, 1910) and [30, 40) are 40 px apart the short way round
+        assert cyclic_apart(1900, 10, 30, 10, 1920, 0.5)
+        assert cyclic_apart(-20, 10, 30, 10, 1920, 0.5)
+        # azimuths: [178, 182) wraps past +-180 and meets [-179, -178)
+        assert not cyclic_apart(178.0, 4.0, -179.0, 1.0, 360.0, 1e-6)
+
+    @pytest.mark.parametrize("a_len,b_len", [(960, 960), (1000, 920), (1900, 20), (1920, 0)])
+    def test_half_lengths_of_half_the_period_are_never_apart(self, a_len, b_len):
+        for b_start in range(-1920, 3840, 7):
+            assert not cyclic_apart(0.0, a_len, b_start + 0.25, b_len, 1920, 0.0)
+            assert not cyclic_apart(b_start + 0.25, b_len, 0.0, a_len, 1920, 0.0)
+
+    @given(
+        st.floats(-1e4, 1e4),
+        st.floats(0.0, 1.0),
+        st.floats(-1e4, 1e4),
+        st.floats(0.0, 1.0),
+        st.sampled_from([(1920.0, 0.5), (360.0, 1e-6)]),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_apart_intervals_never_overlap(self, a_start, a_frac, b_start, b_frac, use):
+        period, margin = use
+        a_len, b_len = a_frac * period, b_frac * period
+        if cyclic_apart(a_start, a_len, b_start, b_len, period, margin):
+            assert cyclic_interval_overlap(a_start, a_len, b_start, b_len, period) == 0.0
+            assert cyclic_interval_overlap(b_start, b_len, a_start, a_len, period) == 0.0

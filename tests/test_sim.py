@@ -486,6 +486,10 @@ SEAM_POINTS = [(-2.0, 1e-3), (-2.0, -1e-3), (-2.5, 0.0), (-1.5, 0.2), (-3.0, -0.
 
 @st.composite
 def crowds(draw):
+    """Up to 25 agents: scattered ones, some beside the seam, mirror
+    images, and agents whose footprint touches an earlier agent's, on
+    either side, or covers half or all of the narrower one, to within
+    1e-9 degrees."""
     coord = st.floats(-6.0, 6.0, allow_nan=False)
     point = st.one_of(st.sampled_from(SEAM_POINTS), st.tuples(coord, coord)).filter(
         lambda p: math.hypot(*p) > 0.5
@@ -495,18 +499,32 @@ def crowds(draw):
     # behind the camera it lies on the other side of the seam
     points += [(x, -y) for x, y in draw(st.lists(st.sampled_from(points), max_size=3))]
     widths = st.sampled_from([0.0, 0.2, 0.45])
+    people = [(p, draw(widths)) for p in points]
+    for _ in range(draw(st.integers(0, 25 - len(people)))):
+        (x, y), width = draw(st.sampled_from(people))
+        rho = math.hypot(x, y)
+        other = draw(st.one_of(st.just(rho), st.floats(0.6, 15.0)))
+        other_width = draw(widths)
+        half = math.degrees(math.atan2(width, rho))
+        other_half = math.degrees(math.atan2(other_width, other))
+        # side by side, or covering half, all or some of the narrower footprint
+        cover = draw(st.sampled_from([0.0, 0.0, 1.0, 2.0]) | st.floats(0.0, 2.0))
+        offset = half + other_half - cover * min(half, other_half)
+        offset += draw(st.sampled_from([-1e-9, 0.0, 1e-9]) | st.floats(-1e-9, 1e-9))
+        theta = math.radians(math.degrees(math.atan2(y, x)) + draw(st.sampled_from([-1, 1])) * offset)
+        people.append(((other * math.cos(theta), other * math.sin(theta)), other_width))
     return tuple(
         AgentState(
             agent=Agent(
                 id=i,
                 trajectory=WaypointTrajectory(points=(p,)),
-                body=Body(shoulder_half_width=draw(widths)),
+                body=Body(shoulder_half_width=width),
             ),
             x=p[0],
             y=p[1],
             heading=0.0,
         )
-        for i, p in enumerate(points)
+        for i, (p, width) in enumerate(people)
     )
 
 
