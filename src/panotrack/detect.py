@@ -183,9 +183,12 @@ class DetectorPort(Protocol):
     process and returns one joints object per person, ``{name: (x, y)}``
     or ``{name: (x, y, confidence)}`` in viewport-local coordinates at
     the processed scale; ``dereference`` checks each one in full-image
-    coordinates. Implementations must be deterministic for a fixed
-    (frame, viewport, seed). Calls are sequential, one per viewport in
-    plan order.
+    coordinates. No step converts the coordinates' type, so a port
+    should return Python numbers, not numpy scalars (one ``.tolist()``
+    converts an array): every later step does per-joint scalar
+    arithmetic on them. Implementations must be deterministic for a
+    fixed (frame, viewport, seed). Calls are sequential, one per
+    viewport in plan order.
     """
 
     def detect(self, frame, viewport: Viewport) -> list[dict]: ...
@@ -268,12 +271,15 @@ def torso_bbox(joints: dict, image_width: float) -> BoundingBox:
             "torso box needs the neck and at least one shoulder or hip"
         )
     xs = [p[0] % image_width for p in pts]
-    if max(xs) - min(xs) > image_width / 2:
+    x0, x1 = min(xs), max(xs)
+    if x1 - x0 > image_width / 2:
         xs = [x + image_width if x < image_width / 2 else x for x in xs]
+        x0, x1 = min(xs), max(xs)
     ys = [p[1] for p in pts]
-    w = max(max(xs) - min(xs), 1.0)
-    h = max(max(ys) - min(ys), 1.0)
-    return BoundingBox(x=min(xs) % image_width, y=min(ys), w=w, h=h)
+    y0 = min(ys)
+    return BoundingBox(
+        x=x0 % image_width, y=y0, w=max(x1 - x0, 1.0), h=max(max(ys) - y0, 1.0)
+    )
 
 
 def merge_score(b1: BoundingBox, b2: BoundingBox, image_width: float) -> float:

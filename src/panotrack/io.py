@@ -90,13 +90,14 @@ def tracks_record(
 ) -> dict:
     out = []
     for tr in tracks:
-        img = world_to_image(tr.world_position, cam)
+        pos = tr.world_position
+        img = world_to_image(pos, cam)
         out.append(
             {
                 "id": tr.id,
-                "x": tr.mean[0],
-                "y": tr.mean[1],
-                "h": tr.mean[4],
+                "x": pos.x,
+                "y": pos.y,
+                "h": pos.z,
                 "img_x": img.x,
                 "img_y": img.y,
                 "status": tr.status.value,

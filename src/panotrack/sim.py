@@ -333,7 +333,9 @@ def synthetic_detect(
     reaches min_person_pixels, and it is not occluded by a strictly
     nearer agent covering more than half of its angular footprint (when
     occlusion is enabled). Surviving joints get isotropic Gaussian
-    noise; joints drop out with miss_prob, the two ankles jointly.
+    noise; joints drop out with miss_prob, the two ankles jointly. Each
+    joint's noise pair leaves numpy as Python floats (one ``.tolist()``),
+    so every coordinate is a float, as ``DetectorPort`` asks.
     """
     cam = snapshot.cam
     heights = snapshot.body_heights_px
@@ -353,7 +355,7 @@ def synthetic_detect(
                 dropped = drop_ankles
             else:
                 dropped = rng.random() < noise.miss_prob
-            nx, ny = rng.normal(0.0, noise.joint_sigma, 2) if noise.joint_sigma > 0 else (0.0, 0.0)
+            nx, ny = rng.normal(0.0, noise.joint_sigma, 2).tolist() if noise.joint_sigma > 0 else (0.0, 0.0)
             if dropped:
                 continue
             x, y = sk[name]

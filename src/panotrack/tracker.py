@@ -197,7 +197,10 @@ class TrackSnapshot(Track):
 
     @property
     def world_position(self) -> WorldPoint:
-        return WorldPoint(float(self.mean[0]), float(self.mean[1]), float(self.mean[4]))
+        """The ground position and person height (x, y, h_n) as Python
+        floats, converted from the mean row with one ``.tolist()``."""
+        x, y, _, _, h = self.mean.tolist()
+        return WorldPoint(x, y, h)
 
 
 def unwrap_columns(xs: np.ndarray, image_width: float) -> np.ndarray:

@@ -15,12 +15,13 @@ from panotrack.detect import (
     Viewport,
     ankle_midpoint,
     build_tiles,
+    detection_pixels,
     fullframe_viewport,
     plan_roi,
 )
 from panotrack.exceptions import ConfigError, GeometryError, InputError
 from panotrack.geometry import CameraModel, cyclic_interval_overlap, from_dict, localize
-from panotrack.pipeline import STRATEGIES, run_simulated
+from panotrack.pipeline import STRATEGIES, run_offline, run_simulated
 from panotrack.sim import (
     Agent,
     AgentState,
@@ -40,6 +41,7 @@ from panotrack.sim import (
     scenario_to_dict,
     synthetic_detect,
 )
+from panotrack.tracker import PanoTracker
 
 
 def make_state(x, y, heading=0.0, height=1.7, agent_id=0):
@@ -453,6 +455,42 @@ class TestFrameRenderedOnce:
         min_px = scenario.detect_cfg.min_person_pixels
         assert any(h * full.scale < min_px <= h for h in fresh().body_heights_px)
         assert any(fresh().occluded)
+
+
+def scalar_types(record) -> set[type]:
+    """The exact types of every scalar in a nested JSON-like record."""
+    if isinstance(record, dict):
+        return set().union(*map(scalar_types, record.values()))
+    if isinstance(record, (list, tuple)):
+        return set().union(*map(scalar_types, record))
+    return {type(record)}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_records_hold_plain_python_scalars(strategy):
+    """A noisy crowd's detections, tracks and ground truth, live and
+    re-tracked offline, hold no numpy scalar. ``type`` and not
+    ``isinstance``: ``numpy.float64`` subclasses ``float``."""
+    scenario = crowd_scenario()
+    assert scenario.noise.joint_sigma > 0
+    frames = list(run_simulated(scenario, strategy))
+    records = [r for out, gt in frames for r in (out.detections, out.tracks, gt) if r is not None]
+    detections = [out.detections for out, _ in frames]
+    for out in run_offline(iter(detections), scenario.cam):
+        records += [out.detections, out.tracks]
+    assert sum(len(r["detections"]) for r in detections) > 0
+    assert scalar_types(records) <= {int, float, str, bool}
+
+    tracker = PanoTracker(scenario.cam)
+    positions = [
+        snap.world_position
+        for r in detections
+        for snap in tracker.step(
+            detection_pixels([d["joints"] for d in r["detections"]], scenario.cam.image_width),
+            1.0 / scenario.fps,
+        )
+    ]
+    assert positions and scalar_types(positions) == {float}
 
 
 def reference_occluded(states):
