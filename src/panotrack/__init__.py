@@ -49,7 +49,6 @@ from .geometry import (
     localize,
     signed_wrap_diff,
     world_to_image,
-    wrap_distance,
 )
 from .metrics import EvalReport, FrameMatch, evaluate, match_frames
 from .sim import (

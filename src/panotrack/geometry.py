@@ -288,25 +288,29 @@ def localize(ankle_mid: ImagePoint, neck: ImagePoint, cam: CameraModel) -> World
     return WorldPoint(rho * math.cos(t), rho * math.sin(t), h_n)
 
 
+def column_range(x: float, y: float, cam: CameraModel) -> tuple[float, float]:
+    """The column, in [0, W), and the ground range of the ground point
+    (x, y): the first step of ``world_to_image``, shared by every point
+    above that ground point. Singular on the vertical camera axis."""
+    rho = math.hypot(x, y)
+    if rho == 0.0:
+        raise GeometryError("point on the camera axis has no azimuth")
+    theta = math.degrees(math.atan2(y, x))
+    return ((180.0 - theta) / cam.deg_per_px_x) % cam.image_width, rho
+
+
+def row_at_height(rho: float, z: float, cam: CameraModel) -> float:
+    """The row of a point at height z and ground range rho: the second
+    step of ``world_to_image``."""
+    phi = math.degrees(math.atan2(z - cam.mount_height, rho))
+    return (90.0 - phi) / cam.deg_per_px_y
+
+
 def world_to_image(w: WorldPoint, cam: CameraModel) -> ImagePoint:
     """Project a world point into the panorama (inverse of the polar
     mapping). Singular on the vertical camera axis."""
-    rho = math.hypot(w.x, w.y)
-    if rho == 0.0:
-        raise GeometryError("point on the camera axis has no azimuth")
-    theta = math.degrees(math.atan2(w.y, w.x))
-    phi = math.degrees(math.atan2(w.z - cam.mount_height, rho))
-    x = ((180.0 - theta) / cam.deg_per_px_x) % cam.image_width
-    y = (90.0 - phi) / cam.deg_per_px_y
-    return ImagePoint(x, y)
-
-
-def wrap_distance(p1: ImagePoint, p2: ImagePoint, image_width: float) -> float:
-    """Distance between two image points with the horizontal component
-    measured around the panorama seam (shorter way around)."""
-    dx = abs(p1.x - p2.x) % image_width
-    dx = min(dx, image_width - dx)
-    return math.hypot(dx, p1.y - p2.y)
+    x, rho = column_range(w.x, w.y, cam)
+    return ImagePoint(x, row_at_height(rho, w.z, cam))
 
 
 def localization_sensitivity(

@@ -37,13 +37,13 @@ from .exceptions import ConfigError, GeometryError, InputError
 from .geometry import (
     CameraModel,
     ImagePoint,
-    WorldPoint,
     check_flag,
     check_number,
+    column_range,
     cyclic_apart,
     cyclic_interval_overlap,
     from_dict,
-    world_to_image,
+    row_at_height,
 )
 
 MIN_AGENT_RANGE = 0.3  # m; agents closer to the camera axis are degenerate
@@ -234,20 +234,23 @@ def project_agent(state: AgentState, cam: CameraModel) -> dict[str, ImagePoint]:
     shoulder_z = neck_z
     hip_z = 0.55 * body.height
 
-    def at(lateral: float, z: float) -> ImagePoint:
+    def column(lateral: float) -> tuple[float, float]:
+        # a joint's column and range; the hip and ankle on one side share them
         ang = theta + math.atan2(lateral, rho)
-        return world_to_image(
-            WorldPoint(rho * math.cos(ang), rho * math.sin(ang), z), cam
-        )
+        return column_range(rho * math.cos(ang), rho * math.sin(ang), cam)
 
+    def at(col_rho: tuple[float, float], z: float) -> ImagePoint:
+        return ImagePoint(col_rho[0], row_at_height(col_rho[1], z, cam))
+
+    left_hip, right_hip = column(body.hip_half_width), column(-body.hip_half_width)
     return {
-        "neck": at(0.0, neck_z),
-        "left_shoulder": at(body.shoulder_half_width, shoulder_z),
-        "right_shoulder": at(-body.shoulder_half_width, shoulder_z),
-        "left_hip": at(body.hip_half_width, hip_z),
-        "right_hip": at(-body.hip_half_width, hip_z),
-        "left_ankle": at(body.hip_half_width, body.ankle_height),
-        "right_ankle": at(-body.hip_half_width, body.ankle_height),
+        "neck": at(column(0.0), neck_z),
+        "left_shoulder": at(column(body.shoulder_half_width), shoulder_z),
+        "right_shoulder": at(column(-body.shoulder_half_width), shoulder_z),
+        "left_hip": at(left_hip, hip_z),
+        "right_hip": at(right_hip, hip_z),
+        "left_ankle": at(left_hip, body.ankle_height),
+        "right_ankle": at(right_hip, body.ankle_height),
     }
 
 

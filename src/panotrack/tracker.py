@@ -14,14 +14,19 @@ lost in a step are dropped at its end by a compaction that copies the
 arrays, so the snapshots a step returns hold rows never written again.
 
 The filter has one batched core on such arrays: ``predict`` propagates
-all rows and ``update`` corrects a subset of rows against an (n, d)
-measurement array. A measurement is a sequence of (column, row) pixel
-pairs: d = 4 for the ankle midpoint and neck, d = 2 for the neck
-alone, so its seam columns are the even entries. ``step`` groups its
-matches by d, so it calls ``update`` at most twice a frame. Both
-return the rows to keep and a mask of the rows they changed; a row
-whose posterior is non-finite, or whose covariance no jitter repairs,
-comes back as it went in and its track is reported as diverged.
+all rows, ``innovation_stage`` takes the predicted rows through the
+unscented transform of the measurement model once, and ``update``
+corrects a subset of rows against an (n, 4) measurement array. A
+measurement is a sequence of (column, row) pixel pairs: d = 4 for the
+ankle midpoint and neck, d = 2 for the neck alone (a row whose ankle
+entries are NaN), so its seam columns are the even entries. The stage
+is formed for d = 4; a neck-only row reads its neck slices, which are
+the d = 2 moments exactly, since the measurement noise is diagonal.
+On a frame with matches, ``step`` computes one stage and makes one
+``update`` call. ``predict`` and ``update`` return the rows to keep and
+a mask of the rows they changed; a row whose posterior is non-finite,
+or whose covariance no jitter repairs, comes back as it went in and its
+track is reported as diverged.
 
 The panorama's horizontal periodicity enters the filter in the
 measurement space only. Near the seam, the sigma points' image
@@ -29,9 +34,10 @@ projections fall on both sides of the panorama; averaging the raw
 columns would place the predicted measurement near the middle of the
 image and wreck the estimate. Two corrections keep the update sound:
 
-* predicted-measurement sigma columns are unwrapped before the moments
-  are computed (points on the low side shift up by one image width
-  whenever the raw column spread exceeds half the width), and
+* the sigma points' column, shared by the ankle midpoint and the neck,
+  is unwrapped before the moments are computed (points on the low side
+  shift up by one image width whenever the raw column spread exceeds
+  half the width), and
 * the innovation's column components use the signed cyclic difference.
 
 Both are controlled by the config's ``wrap_correction`` flag so the
@@ -42,9 +48,10 @@ short way around the seam.
 of ankle-midpoint and neck pixels, NaN where a joint is absent.
 Association, the measurements, spawn suppression and spawning all
 read that array. Association is global nearest neighbour on the neck
-pixels (``associate``); spawn suppression measures unmatched
-detections against the live tracks' necks with the same gated,
-wrap-aware distance, with its own radius as the limit.
+pixels (``associate``); spawn suppression measures the unmatched
+detections that could spawn, those with all four coordinates, against
+the live tracks' necks with the same gated, wrap-aware distance, with
+its own radius as the limit.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -149,10 +156,8 @@ class TrackerConfig:
         return np.diag(self.process_noise)
 
     @cached_property
-    def _measurement_cov(self) -> dict[int, np.ndarray]:
-        return {
-            dim: self.measurement_noise * np.eye(dim) for dim in (2, 4)
-        }
+    def _measurement_cov(self) -> np.ndarray:
+        return self.measurement_noise * np.eye(4)
 
 
 class TrackStatus(str, enum.Enum):
@@ -207,10 +212,13 @@ def unwrap_columns(xs: np.ndarray, image_width: float) -> np.ndarray:
     """Along the last axis, shift columns that fell on the low side of
     the seam up by one image width, wherever the raw column spread
     exceeds half the width. Valid because any one person's projections
-    span far less than half the panorama."""
+    span far less than half the panorama. When no spread does, ``xs``
+    itself is returned."""
     xs = np.asarray(xs, dtype=float)
     half = image_width / 2.0
     split = (xs.max(axis=-1) - xs.min(axis=-1)) > half
+    if not split.any():
+        return xs
     return np.where(split[..., None] & (xs < half), xs + image_width, xs)
 
 
@@ -222,23 +230,27 @@ def project_to_image(state: TrackState, cam: CameraModel) -> tuple[ImagePoint, I
     return ankle, neck
 
 
-def _measurement_matrix(
-    states: np.ndarray, cam: CameraModel, neck_only: bool
-) -> np.ndarray:
-    """Vectorized measurement model over an (m, 5) state array; row i
-    is the pixel measurement of state i, columns reduced to [0, W)."""
-    x, y, h_n = states[:, 0], states[:, 1], states[:, 4]
-    rho = np.hypot(x, y)
+def _column_range(
+    x: np.ndarray, y: np.ndarray, cam: CameraModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise ``geometry.column_range``: the columns, in [0, W),
+    and the ground ranges of ground points (x, y)."""
     theta = np.degrees(np.arctan2(y, x))
-    col = ((180.0 - theta) / cam.deg_per_px_x) % cam.image_width
-    row_n = (90.0 - np.degrees(np.arctan2(h_n - cam.mount_height, rho))) / cam.deg_per_px_y
-    if neck_only:
-        return np.stack([col, row_n], axis=1)
-    row_a = (
-        90.0
-        - np.degrees(np.arctan2(cam.ankle_height - cam.mount_height, rho))
-    ) / cam.deg_per_px_y
-    return np.stack([col, row_a, col, row_n], axis=1)
+    return ((180.0 - theta) / cam.deg_per_px_x) % cam.image_width, np.hypot(x, y)
+
+
+def _row_at_height(rho: np.ndarray, z, cam: CameraModel) -> np.ndarray:
+    """Elementwise ``geometry.row_at_height``: the rows of points at
+    heights z (an array, or one height for all) and ground ranges rho."""
+    return (90.0 - np.degrees(np.arctan2(z - cam.mount_height, rho))) / cam.deg_per_px_y
+
+
+def _neck_pixels(states: np.ndarray, cam: CameraModel) -> np.ndarray:
+    """The (m, 2) neck pixels, (column, row), of (m, 5) states."""
+    pixels = np.empty((len(states), 2))  # filled in place: np.stack costs more
+    pixels[:, 0], rho = _column_range(states[:, 0], states[:, 1], cam)
+    pixels[:, 1] = _row_at_height(rho, states[:, 4], cam)
+    return pixels
 
 
 def _spd_factor(cov: np.ndarray, jitter_floor: float) -> tuple[np.ndarray, np.ndarray]:
@@ -268,6 +280,23 @@ def _sigma_points(means: np.ndarray, factors: np.ndarray, scale: float) -> np.nd
 States = tuple[np.ndarray, np.ndarray, np.ndarray]  # means, covariances, their factors
 
 
+class Innovation(NamedTuple):
+    """The d = 4 predicted measurement of n states, ankle midpoint then
+    neck: ``z_pred`` (n, 4), its covariance ``s_cov`` (n, 4, 4), the
+    measurement noise included, and the state-measurement
+    cross-covariance ``t_cov`` (n, 5, 4). R is diagonal and the neck is
+    entries 2-3, so the neck-only (d = 2) moments are the slices
+    ``z_pred[:, 2:]``, ``s_cov[:, 2:, 2:]`` and ``t_cov[:, :, 2:]``."""
+
+    z_pred: np.ndarray
+    s_cov: np.ndarray
+    t_cov: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "Innovation":
+        """The stage of the given rows."""
+        return Innovation(*(a.take(rows, axis=0) for a in self))
+
+
 def _store_posterior(
     prior: States, means: np.ndarray, covs: np.ndarray, store: np.ndarray,
     jitter_floor: float,
@@ -282,7 +311,9 @@ def _store_posterior(
     repaired with jitter on its own."""
     covs = 0.5 * (covs + covs.transpose(0, 2, 1))
     stored = store & np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
-    np.clip(means[:, 4], *H_N_RANGE, out=means[:, 4])  # after the check: it maps inf into range
+    h_n = means[:, 4]  # clamped after the check, which would map inf into range
+    np.maximum(h_n, H_N_RANGE[0], out=h_n)
+    np.minimum(h_n, H_N_RANGE[1], out=h_n)
     try:
         factors = np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
@@ -319,56 +350,88 @@ def predict(
     return _store_posterior((means, covs, factors), new_means, new_covs, every, cfg.jitter_floor)
 
 
-def update(
-    means: np.ndarray, covs: np.ndarray, factors: np.ndarray, z_obs: np.ndarray,
-    cam: CameraModel, cfg: TrackerConfig,
-) -> tuple[States, np.ndarray, np.ndarray]:
-    """UKF measurement update of state i (row i of the (n, 5) means,
-    (n, 5, 5) covariances and their factors) against row i of the
-    (n, d) measurement array, d = 4 (ankle midpoint, neck) or d = 2
-    (neck). Returns the states to keep, the acceptance mask, False
-    where the innovation fails the config's Mahalanobis bound, and the
-    mask of rows updated; a row outside it is returned unchanged, and
-    an accepted one diverged.
-
-    With the config's wrap correction on, predicted-measurement sigma columns are
-    unwrapped before the moments are formed and the innovation columns
-    use the signed cyclic difference; with it off the raw projections
-    and plain differences are used (the behaviour of a tracker unaware
-    of the panorama seam).
-    """
-    n, dim = z_obs.shape
+def innovation_stage(
+    means: np.ndarray, factors: np.ndarray, cam: CameraModel, cfg: TrackerConfig
+) -> Innovation:
+    """The unscented transform of (n, 5) states, with the (n, 5, 5)
+    Cholesky factors of their covariances, through the d = 4
+    measurement model: the sigma points' ankle-midpoint and neck pixels
+    and their moments. Both measured points of a sigma point share its
+    column, which the config's wrap correction unwraps once, before the
+    moments are formed; with it off the raw projections are used."""
     wm, wc, scale = cfg.weights()
-    w = cam.image_width
     pts = _sigma_points(means, factors, scale)
-    z_pts = _measurement_matrix(pts.reshape(-1, STATE_DIM), cam, neck_only=dim == 2)
-    z_pts = z_pts.reshape(n, pts.shape[1], dim)
-
+    col, rho = _column_range(pts[..., 0], pts[..., 1], cam)
     if cfg.wrap_correction:
-        for col in range(0, dim, 2):
-            z_pts[:, :, col] = unwrap_columns(z_pts[:, :, col], w)
-
+        col = unwrap_columns(col, cam.image_width)
+    z_pts = np.empty((*col.shape, 4))  # filled in place: np.stack costs more
+    z_pts[..., 0] = z_pts[..., 2] = col
+    z_pts[..., 1] = _row_at_height(rho, cam.ankle_height, cam)
+    z_pts[..., 3] = _row_at_height(rho, pts[..., 4], cam)
     z_pred = np.einsum("w,nwd->nd", wm, z_pts)
     dz = z_pts - z_pred[:, None, :]
-    s_cov = np.einsum("w,nwi,nwj->nij", wc, dz, dz) + cfg._measurement_cov[dim]
+    s_cov = np.einsum("w,nwi,nwj->nij", wc, dz, dz) + cfg._measurement_cov
     t_cov = np.einsum("w,nwi,nwj->nij", wc, pts - means[:, None, :], dz)
+    return Innovation(z_pred, s_cov, t_cov)
 
+
+def _correct(
+    means: np.ndarray, covs: np.ndarray, z_obs: np.ndarray, z_pred: np.ndarray,
+    s_cov: np.ndarray, t_cov: np.ndarray, image_width: float, cfg: TrackerConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Kalman correction of one measurement size d: (posterior
+    means, posterior covariances, acceptance mask) of (n, 5) means and
+    their covariances, from the (n, d) measurements and the stage's
+    (n, d) ``z_pred``, (n, d, d) ``s_cov`` and (n, 5, d) ``t_cov``."""
     innovation = z_obs - z_pred
     if cfg.wrap_correction:
-        innovation[:, ::2] = signed_wrap_diff(z_obs[:, ::2], z_pred[:, ::2], w)
+        innovation[:, ::2] = signed_wrap_diff(z_obs[:, ::2], z_pred[:, ::2], image_width)
 
     # one solve yields both the whitened innovation and the Kalman gain
     rhs = np.concatenate([innovation[:, :, None], t_cov.transpose(0, 2, 1)], axis=2)
     solved = np.linalg.solve(s_cov, rhs)
     if cfg.mahalanobis_gate is None:
-        accepted = np.ones(n, dtype=bool)
+        accepted = np.ones(len(means), dtype=bool)
     else:
         maha = np.einsum("ni,ni->n", innovation, solved[:, :, 0])
         accepted = maha <= cfg.mahalanobis_gate
 
     gain = solved[:, :, 1:].transpose(0, 2, 1)
     new_means = means + np.einsum("nij,nj->ni", gain, innovation)
-    new_covs = covs - gain @ s_cov @ gain.transpose(0, 2, 1)
+    return new_means, covs - gain @ s_cov @ gain.transpose(0, 2, 1), accepted
+
+
+def update(
+    means: np.ndarray, covs: np.ndarray, factors: np.ndarray, z_obs: np.ndarray,
+    stage: Innovation, cam: CameraModel, cfg: TrackerConfig,
+) -> tuple[States, np.ndarray, np.ndarray]:
+    """UKF measurement update of state i (row i of the (n, 5) means,
+    (n, 5, 5) covariances and their factors, and of their innovation
+    ``stage``) against row i of the (n, 4) measurement array: the
+    ankle-midpoint and neck pixels, or the neck alone where the ankle
+    entries are NaN. A full row takes the whole stage and a neck-only
+    row its neck slices, and one pass stores every posterior. Returns
+    the states to keep, the acceptance mask, False where the innovation
+    fails the config's Mahalanobis bound, and the mask of rows updated;
+    a row outside it is returned unchanged, and an accepted one
+    diverged.
+
+    With the config's wrap correction on, the innovation columns use
+    the signed cyclic difference; with it off, plain differences (the
+    behaviour of a tracker unaware of the panorama seam).
+    """
+    full = ~np.isnan(z_obs[:, 0])
+    if full.all():  # the whole stage: nothing to gather or scatter
+        new_means, new_covs, accepted = _correct(means, covs, z_obs, *stage, cam.image_width, cfg)
+    else:
+        new_means, new_covs = np.empty_like(means), np.empty_like(covs)
+        accepted = np.empty(len(means), dtype=bool)
+        for rows, d in ((full.nonzero()[0], slice(None)), ((~full).nonzero()[0], slice(2, None))):
+            if len(rows):
+                new_means[rows], new_covs[rows], accepted[rows] = _correct(
+                    means[rows], covs[rows], z_obs[rows, d], stage.z_pred[rows, d],
+                    stage.s_cov[rows, d, d], stage.t_cov[rows, :, d], cam.image_width, cfg,
+                )
     kept, stored = _store_posterior(
         (means, covs, factors), new_means, new_covs, accepted, cfg.jitter_floor
     )
@@ -424,7 +487,7 @@ def associate(
         none = np.empty(0, dtype=int)
         return Assignment(none, none, list(range(n)), list(range(m)))
 
-    track_necks = _measurement_matrix(means, cam, neck_only=True)
+    track_necks = _neck_pixels(means, cam)
     dist = _wrap_distances(track_necks, det_necks, cam.image_width, gate)
     cost = np.where(dist <= gate, dist, _FORBIDDEN)  # +inf (no neck) fails the gate
 
@@ -473,11 +536,11 @@ class PanoTracker:
 
     def _spawn(self, pix: np.ndarray) -> None:
         """Append a tentative track, and its rows, for each person seen
-        in the (k, 4) rows of detection pixels, skipping a row with a
-        joint missing or an ankle that does not localize."""
+        in the (k, 4) rows of detection pixels, none of them NaN,
+        skipping a row whose ankle does not localize."""
         lo, hi = H_N_RANGE
         means = []
-        for ax, ay, nx, ny in pix[~np.isnan(pix).any(axis=1)].tolist():
+        for ax, ay, nx, ny in pix.tolist():
             try:
                 w = localize(ImagePoint(ax, ay), ImagePoint(nx, ny), self.cam)
             except GeometryError:
@@ -534,22 +597,22 @@ class PanoTracker:
             tracks[i].status = TrackStatus.LOST
         active = predicted.nonzero()[0]
 
-        necks = pix[:, 2:]
-        assignment = associate(self.means.take(active, axis=0), necks, self.cam, cfg.gate_px)
+        means = self.means.take(active, axis=0)
+        assignment = associate(means, pix[:, 2:], self.cam, cfg.gate_px)
 
         missed = active[assignment.unmatched_tracks].tolist()
         # matched detections always carry a neck (association anchors on
         # it); the measurement is the whole row, or the neck alone when
-        # the ankles are absent; one batched update per measurement size
-        matched, z_full = active[assignment.tracks], pix[assignment.dets]
-        full = ~np.isnan(z_full[:, 0])
-        for batch, cols in ((full, slice(None)), (~full, slice(2, None))):
-            rows = matched[batch]
-            if not len(rows):
-                continue
-            kept, accepted, stored = update(*self._rows(rows), z_full[batch, cols], self.cam, cfg)
-            self.means[rows], self.covs[rows], self.factors[rows] = kept
-            for i, ok, updated in zip(rows.tolist(), accepted.tolist(), stored.tolist()):
+        # the ankles are absent; one update over the stage's matched rows
+        matched = active[assignment.tracks]
+        if len(matched):
+            stage = innovation_stage(means, self.factors.take(active, axis=0), self.cam, cfg)
+            kept, accepted, stored = update(
+                *self._rows(matched), pix[assignment.dets], stage.take(assignment.tracks),
+                self.cam, cfg,
+            )
+            self.means[matched], self.covs[matched], self.factors[matched] = kept
+            for i, ok, updated in zip(matched.tolist(), accepted.tolist(), stored.tolist()):
                 if not ok:
                     missed.append(i)
                 elif updated:
@@ -564,19 +627,21 @@ class PanoTracker:
             if track.consecutive_misses >= cfg.lose_after_misses:
                 track.status = TrackStatus.LOST
 
-        unmatched = assignment.unmatched_dets
-        if unmatched:
+        # only an unmatched detection with all four coordinates can spawn
+        spawnable = pix[assignment.unmatched_dets]
+        spawnable = spawnable[~np.isnan(spawnable).any(axis=1)]
+        if len(spawnable):
             live = [i for i, t in enumerate(tracks) if t.status != TrackStatus.LOST]
             dist = _wrap_distances(
-                necks[unmatched],
-                _measurement_matrix(self.means[live], self.cam, neck_only=True),
+                spawnable[:, 2:],
+                _neck_pixels(self.means[live], self.cam),
                 self.cam.image_width,
                 cfg.spawn_suppression_px,
             )
             # a detection near a live track's neck is a residual duplicate
-            # of someone already tracked; +inf (no neck) never suppresses
+            # of someone already tracked
             suppressed = (dist < cfg.spawn_suppression_px).any(axis=1)
-            self._spawn(pix[unmatched][~suppressed])
+            self._spawn(spawnable[~suppressed])
 
         self._maintain_target()
 

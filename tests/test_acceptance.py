@@ -34,7 +34,6 @@ from panotrack.geometry import (
     localization_sensitivity,
     signed_wrap_diff,
     world_to_image,
-    wrap_distance,
 )
 from panotrack.metrics import (
     error_vs_distance,
@@ -182,6 +181,14 @@ def test_criterion_3_wrap_around_tracking():
         m2_off = _seam_m2(seed, wrap_correction=False)
         assert m2_on == 1.0, f"seed {seed}: corrected tracker fragmented (M2={m2_on})"
         assert m2_off <= 0.5, f"seed {seed}: naive tracker survived the seam (M2={m2_off})"
+
+
+def wrap_distance(p1, p2, image_width):
+    """Reference image distance between two pixels, the column measured
+    the short way around the seam."""
+    dx = abs(p1[0] - p2[0]) % image_width
+    dx = min(dx, image_width - dx)
+    return math.hypot(dx, p1[1] - p2[1])
 
 
 def _brute_force(cost: np.ndarray, gate: float):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +20,8 @@ from panotrack.geometry import (
     signed_wrap_diff,
     world_to_image,
     wrap_degrees,
-    wrap_distance,
 )
+from panotrack.tracker import _wrap_distances
 
 
 class TestCameraModel:
@@ -191,6 +192,15 @@ class TestWorldToImage:
         assert signed_wrap_diff(pol.theta, theta, 360.0) == pytest.approx(
             0.0, abs=1e-9
         )
+
+
+def wrap_distance(p1, p2, image_width):
+    """The image distance between two pixels, the column measured the
+    short way around the seam, as the tracker's gated distance gives it
+    with no limit."""
+    a, b = np.array([p1], dtype=float), np.array([p2], dtype=float)
+    got = _wrap_distances(a, b, image_width, math.inf)
+    return float(got[0, 0])
 
 
 class TestWrapDistance:

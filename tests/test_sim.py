@@ -131,6 +131,58 @@ class TestProjectAgent:
         assert la.y == pytest.approx(ra.y)  # equal range, equal row
 
 
+def reference_skeleton(state, cam):
+    """project_agent joint by joint: each joint placed on the ground
+    and projected through the equirectangular model on its own."""
+    body, rho = state.agent.body, state.ground_range
+    theta = math.atan2(state.y, state.x)
+    neck_z = body.height - body.neck_drop
+    hip_z = 0.55 * body.height
+
+    def at(lateral, z):
+        ang = theta + math.atan2(lateral, rho)
+        x, y = rho * math.cos(ang), rho * math.sin(ang)
+        r = math.hypot(x, y)
+        az = math.degrees(math.atan2(y, x))
+        el = math.degrees(math.atan2(z - cam.mount_height, r))
+        return (((180.0 - az) / cam.deg_per_px_x) % cam.image_width, (90.0 - el) / cam.deg_per_px_y)
+
+    return {
+        "neck": at(0.0, neck_z),
+        "left_shoulder": at(body.shoulder_half_width, neck_z),
+        "right_shoulder": at(-body.shoulder_half_width, neck_z),
+        "left_hip": at(body.hip_half_width, hip_z),
+        "right_hip": at(-body.hip_half_width, hip_z),
+        "left_ankle": at(body.hip_half_width, body.ankle_height),
+        "right_ankle": at(-body.hip_half_width, body.ankle_height),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rho=st.floats(0.31, 30.0),
+    azimuth=st.floats(-180.0, 180.0),
+    height=st.floats(1.4, 2.1),
+    shoulder=st.floats(0.0, 0.4),
+    hip=st.floats(0.0, 0.4),
+)
+def test_project_agent_equals_the_per_joint_reference(rho, azimuth, height, shoulder, hip):
+    cam = CameraModel()
+    a = math.radians(azimuth)
+    body = Body(height=height, shoulder_half_width=shoulder, hip_half_width=hip)
+    state = AgentState(
+        agent=Agent(id=0, trajectory=WaypointTrajectory(points=((0.0, 0.0),)), body=body),
+        x=rho * math.cos(a),
+        y=rho * math.sin(a),
+        heading=0.0,
+    )
+    got = project_agent(state, cam)
+    ref = reference_skeleton(state, cam)
+    assert list(got) == list(ref)
+    for name, point in got.items():
+        assert (point.x, point.y) == ref[name], name
+
+
 class TestDetectability:
     def test_boundary_values(self, cam):
         # 1.7 m person: ~144 px at 3.5 m -> 48.1 at scale 1/3 (boundary);

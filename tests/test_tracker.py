@@ -15,7 +15,6 @@ from panotrack.geometry import (
     WorldPoint,
     localize,
     world_to_image,
-    wrap_distance,
 )
 from panotrack.sim import Agent, AgentState, Body, WaypointTrajectory, project_agent
 from panotrack.tracker import (
@@ -25,12 +24,14 @@ from panotrack.tracker import (
     TrackState,
     TrackStatus,
     associate,
+    innovation_stage,
     predict,
     project_to_image,
     unwrap_columns,
     update,
 )
-from panotrack.tracker import _measurement_matrix  # dual-path consistency check
+# dual-path consistency check
+from panotrack.tracker import _column_range, _neck_pixels, _row_at_height
 from panotrack.tracker import _store_posterior, _wrap_distances
 
 BODY = Body(height=1.7, ankle_height=0.1, neck_drop=0.25)
@@ -80,9 +81,14 @@ def predict_rows(rows, dt, cfg):
 
 
 def update_rows(rows, z_obs, cam, cfg):
-    """The batched update on the rows; returns the acceptance flags and
-    the indices of accepted rows that diverged."""
-    kept, accepted, updated = update(*stacked(rows), z_obs, cam, cfg)
+    """The batched update on the rows against (n, 4) measurement rows,
+    or (n, 2) neck rows, given to update with NaN ankles; returns the
+    acceptance flags and the indices of accepted rows that diverged."""
+    if z_obs.shape[1] == 2:
+        z_obs = np.concatenate([np.full_like(z_obs, np.nan), z_obs], axis=1)
+    means, covs, factors = stacked(rows)
+    stage = innovation_stage(means, factors, cam, cfg)
+    kept, accepted, updated = update(means, covs, factors, z_obs, stage, cam, cfg)
     store_rows(rows, kept)
     return accepted.tolist(), np.flatnonzero(accepted & ~updated).tolist()
 
@@ -112,6 +118,14 @@ def update_one(track, z, cam, cfg):
     accepted, diverged = update_rows([track], np.asarray(z, dtype=float)[None], cam, cfg)
     assert diverged == []
     return accepted[0]
+
+
+def wrap_distance(p1, p2, image_width):
+    """Reference image distance between two pixels, the column measured
+    the short way around the seam."""
+    dx = abs(p1[0] - p2[0]) % image_width
+    dx = min(dx, image_width - dx)
+    return math.hypot(dx, p1[1] - p2[1])
 
 
 # --- test-only reference: a plain per-track UKF ----------------------------
@@ -232,13 +246,15 @@ class TestProjectToImage:
                 [-4.0, 2.0, 0.0, 0.0, 0.9],
             ]
         )
-        z = _measurement_matrix(states, cam, neck_only=False)
+        col, rho = _column_range(states[:, 0], states[:, 1], cam)
+        ankle_rows = _row_at_height(rho, cam.ankle_height, cam)
+        z = _neck_pixels(states, cam)
         for i, row in enumerate(states):
             ankle, neck = project_to_image(TrackState.from_array(row), cam)
-            assert z[i, 0] == pytest.approx(ankle.x, abs=1e-9)
-            assert z[i, 1] == pytest.approx(ankle.y, abs=1e-9)
-            assert z[i, 2] == pytest.approx(neck.x, abs=1e-9)
-            assert z[i, 3] == pytest.approx(neck.y, abs=1e-9)
+            assert col[i] == pytest.approx(ankle.x, abs=1e-9)
+            assert ankle_rows[i] == pytest.approx(ankle.y, abs=1e-9)
+            assert z[i, 0] == pytest.approx(neck.x, abs=1e-9)
+            assert z[i, 1] == pytest.approx(neck.y, abs=1e-9)
 
 
 class TestBatchedPathsMatchScalar:
@@ -691,6 +707,90 @@ def gated_distance_case(draw):
     return a, b, float(limit), at_limit
 
 
+@st.composite
+def predicted_states(draw):
+    """(means, factors, cfg, subset): 1-40 predicted states at any
+    azimuth, with columns either side of the seam among them, and the
+    Cholesky factors of random covariances wide enough that the sigma
+    columns of a state near the seam straddle it; a config with the wrap
+    correction on or off; and a subset of the rows, in any order."""
+    cam = CameraModel()
+    column = st.one_of(
+        st.floats(0, W, exclude_max=True), st.floats(W - 25, W, exclude_max=True), st.floats(0, 25)
+    )
+    spots = draw(st.lists(st.tuples(column, st.floats(1.0, 8.0)), min_size=1, max_size=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    means, factors = [], []
+    for col, rho in spots:
+        x, y = world_at_column(col, rho, cam)
+        means.append([x, y, *rng.normal(0.0, 0.5, 2), rng.uniform(1.2, 1.8)])
+        a = rng.normal(0.0, 0.1, (5, 5))
+        cov = np.diag(rng.uniform(0.005, 0.3, 5)) + a @ a.T
+        factors.append(np.linalg.cholesky(cov))
+    n = len(spots)
+    subset = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    cfg = TrackerConfig(wrap_correction=draw(st.booleans()))
+    return np.array(means), np.array(factors), cfg, np.array(subset)
+
+
+def direct_neck_moments(means, factors, cam, cfg):
+    """The d = 2 (neck) z_pred, S and T of the states, computed on
+    their own: sigma points, the neck projection of each, the unwrap of
+    their columns and the weighted moments."""
+    wm, wc, scale = cfg.weights()
+    offsets = scale * factors.transpose(0, 2, 1)
+    center = means[:, None, :]
+    pts = np.concatenate([center, center + offsets, center - offsets], axis=1)
+    flat = pts.reshape(-1, 5)
+    x, y, h_n = flat[:, 0], flat[:, 1], flat[:, 4]
+    rho = np.hypot(x, y)
+    col = ((180.0 - np.degrees(np.arctan2(y, x))) / cam.deg_per_px_x) % cam.image_width
+    row = (90.0 - np.degrees(np.arctan2(h_n - cam.mount_height, rho))) / cam.deg_per_px_y
+    z_pts = np.stack([col, row], axis=1).reshape(len(means), pts.shape[1], 2)
+    if cfg.wrap_correction:
+        cols = z_pts[:, :, 0]
+        split = cols.max(axis=1) - cols.min(axis=1) > cam.image_width / 2
+        low = cols < cam.image_width / 2
+        z_pts[:, :, 0] = np.where(split[:, None] & low, cols + cam.image_width, cols)
+    z_pred = np.einsum("w,nwd->nd", wm, z_pts)
+    dz = z_pts - z_pred[:, None, :]
+    s_cov = np.einsum("w,nwi,nwj->nij", wc, dz, dz) + cfg.measurement_noise * np.eye(2)
+    t_cov = np.einsum("w,nwi,nwj->nij", wc, pts - center, dz)
+    return z_pred, s_cov, t_cov
+
+
+class TestInnovationStage:
+    @settings(max_examples=200, deadline=None)
+    @given(predicted_states())
+    def test_neck_slices_and_subsets_are_exact(self, case):
+        means, factors, cfg, subset = case
+        cam = CameraModel()
+        stage = innovation_stage(means, factors, cam, cfg)
+        assert stage.z_pred.shape == (len(means), 4)
+        assert stage.s_cov.shape == (len(means), 4, 4)
+        assert stage.t_cov.shape == (len(means), 5, 4)
+        # bit for bit: the neck slices are the d = 2 moments
+        z_pred, s_cov, t_cov = direct_neck_moments(means, factors, cam, cfg)
+        assert np.array_equal(stage.z_pred[:, 2:], z_pred)
+        assert np.array_equal(stage.s_cov[:, 2:, 2:], s_cov)
+        assert np.array_equal(stage.t_cov[:, :, 2:], t_cov)
+        # and the stage of a subset of rows is that subset of the stage
+        alone = innovation_stage(means[subset], factors[subset], cam, cfg)
+        for got, ref in zip(stage.take(subset), alone):
+            assert np.array_equal(got, ref)
+
+    def test_sigma_columns_at_the_seam_are_unwrapped_once(self, cam):
+        x, y = world_at_column(1918.0, 2.0, cam)
+        tr = make_track(x, y, var=(0.02, 0.02, 0.1, 0.1, 0.01))
+        means, _, factors = stacked([tr])
+        stage = innovation_stage(means, factors, cam, TrackerConfig())
+        # the ankle midpoint and the neck share the unwrapped column
+        assert stage.z_pred[0, 0] == stage.z_pred[0, 2]
+        _, z_pts, ref = ref_predicted_measurement(tr.mean, tr.covariance, cam, TrackerConfig(), 4)
+        assert z_pts[:, 0].max() > cam.image_width  # the sigma columns straddle the seam
+        assert stage.z_pred[0] == pytest.approx(ref, abs=1e-9)
+
+
 class TestWrapDistances:
     @settings(max_examples=300, deadline=None)
     @given(gated_distance_case())
@@ -946,25 +1046,31 @@ class TestStep:
         assert tr.status == TrackStatus.CONFIRMED
         assert tr.consecutive_misses == 0
 
-    def test_one_update_call_per_measurement_size(self, cam, monkeypatch):
+    def test_one_stage_and_one_update_call_per_frame(self, cam, monkeypatch):
         people = [(2.0, 0.0), (-2.0, 1.0), (0.5, 3.0), (1.0, -3.0)]
         tracker = PanoTracker(cam, TrackerConfig())
         for _ in range(3):
             dets = [agent_detection(x, y, cam) for x, y in people]
             tracker.step(detection_pixels(dets, cam.image_width), 1 / 30)
-        calls = []
-        batched_update = panotrack.tracker.update
+        stages, calls = [], []
+        real_stage, real_update = panotrack.tracker.innovation_stage, panotrack.tracker.update
+
+        def counting_stage(means, *args):
+            stages.append(len(means))
+            return real_stage(means, *args)
 
         def counting_update(means, covs, factors, z_obs, *args):
-            calls.append(z_obs.shape)
-            return batched_update(means, covs, factors, z_obs, *args)
+            calls.append(np.isnan(z_obs[:, 0]).tolist())
+            return real_update(means, covs, factors, z_obs, *args)
 
+        monkeypatch.setattr(panotrack.tracker, "innovation_stage", counting_stage)
         monkeypatch.setattr(panotrack.tracker, "update", counting_update)
         dets = [agent_detection(x, y, cam) for x, y in people]
         # the last two people show only their necks
         dets[2:] = [{"neck": d["neck"]} for d in dets[2:]]
         out = tracker.step(detection_pixels(dets, cam.image_width), 1 / 30)
-        assert sorted(calls) == [(2, 2), (2, 4)]
+        assert stages == [4]
+        assert calls == [[False, False, True, True]]  # neck-only rows have NaN ankles
         assert [t.hits for t in out] == [4, 4, 4, 4]
 
     def test_snapshots_are_isolated_from_the_live_tracks(self, cam):
