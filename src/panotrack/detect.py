@@ -27,8 +27,9 @@ has one form from the port to the detections JSONL: a joints object
 ``{name: [x, y, confidence]}``. The port returns it viewport-local at
 the processed scale; ``dereference`` maps it to full-image coordinates
 and ``check_detection``, the one joint rule of the port's output and
-of the offline reader, normalizes it. ``pixel_row`` turns it into the
-tracker's measurement pixels.
+of the offline reader, checks it: a detection already in normal form
+is returned as itself, any other is normalized into a new object.
+``pixel_row`` turns it into the tracker's measurement pixels.
 """
 
 from __future__ import annotations
@@ -86,17 +87,23 @@ def check_detection(joints, image_height: float) -> dict:
     """The detection rule, for the detector port's output and the
     offline reader alike: ``{name: (x, y[, confidence])}`` with known
     names, each joint passing ``check_joint`` and its row in
-    [0, image_height]. Returns the detection normalized to ``{name: [x,
-    y, confidence]}`` in name order, the confidence a float and the
-    coordinates as given."""
+    [0, image_height]. A detection already in normal form, its names in
+    order and each joint an ``[x, y, confidence]`` list with a float
+    confidence, is returned itself; any other is returned normalized to
+    that form as a new object, the coordinates as given. The input is
+    never changed."""
     check_joint_names(joints)
-    out = {}
-    for name, v in sorted(joints.items()):
-        confidence = check_joint(*v)
+    ordered = sorted(joints) == list(joints)
+    items = joints.items() if ordered else sorted(joints.items())
+    normal = ordered
+    for name, v in items:
+        check_joint(*v)
         if not 0 <= v[1] <= image_height:
             raise ConfigError(f"joint row {v[1]} is outside the image rows [0, {image_height}]")
-        out[name] = [v[0], v[1], confidence]
-    return out
+        normal = normal and type(v) is list and len(v) == 3 and type(v[2]) is float
+    if normal:
+        return joints
+    return {name: [v[0], v[1], check_joint(*v)] for name, v in items}
 
 
 def ankle_midpoint(a, b, image_width: float) -> Optional[ImagePoint]:
@@ -182,8 +189,11 @@ class DetectorPort(Protocol):
     ``detect`` receives an opaque frame handle plus the viewport to
     process and returns one joints object per person, ``{name: (x, y)}``
     or ``{name: (x, y, confidence)}`` in viewport-local coordinates at
-    the processed scale; ``dereference`` checks each one in full-image
-    coordinates. No step converts the coordinates' type, so a port
+    the processed scale; ``dereference`` maps each one to full-image
+    ``[x, y, *rest]`` lists and checks it there with ``check_detection``,
+    which keeps that object when its names are in order and each joint
+    carries a float confidence, and normalizes a copy otherwise. No
+    step converts the coordinates' type, so a port
     should return Python numbers, not numpy scalars (one ``.tolist()``
     converts an array): every later step does per-joint scalar
     arithmetic on them. Implementations must be deterministic for a
@@ -383,11 +393,11 @@ def dereference(joints: dict, viewport: Viewport, cam: CameraModel) -> dict:
     with ``check_detection``."""
     return check_detection(
         {
-            name: (
+            name: [
                 (viewport.origin_x + v[0] / viewport.scale) % cam.image_width,
                 viewport.origin_y + v[1] / viewport.scale,
                 *v[2:],
-            )
+            ]
             for name, v in joints.items()
         },
         cam.image_height,

@@ -9,7 +9,8 @@ path holds it in, so the writer wraps it as it is. The offline reader
 checks and normalizes each one with ``detect.check_detection``, as the
 viewport path does the detector port's output: joint names in sorted
 order, the confidence as a float (1.0 when absent), rows inside the
-image, the coordinates kept as given. Tracks JSONL mirrors the
+image, the coordinates kept as given. A detection already in that form
+is kept, and written back, as read. Tracks JSONL mirrors the
 tracker output: `{"frame", "t", "tracks": [{"id", "x", "y", "h",
 "img_x", "img_y", "status", "is_target"}]}`.
 """
@@ -67,17 +68,19 @@ def detections_from_record(record: dict, cam: CameraModel) -> tuple[list[dict], 
     """A record's detections, normalized by ``check_detection`` to
     ``{"joints": {name: [x, y, conf]}}``, and their (m, 4) pixel rows
     for ``PanoTracker.step``, in one pass; a broken rule raises
-    InputError."""
+    InputError. A detection that is that object already, its joints in
+    normal form, is returned as read."""
     try:
         dets = record["detections"]
         if not isinstance(dets, list):
             raise TypeError(f"detections must be a list, got {dets!r}")
         width, height = cam.image_width, cam.image_height
-        out, rows = [], []
+        out, rows = [], []  # rows: the pixel rows, flat
         for d in dets:
             joints = check_detection(d["joints"], height)
-            out.append({"joints": joints})
-            rows.append(pixel_row(joints, width))
+            # a detection whose joints came back unchanged is kept as read
+            out.append(d if joints is d["joints"] and len(d) == 1 else {"joints": joints})
+            rows.extend(pixel_row(joints, width))
     except PanotrackError as exc:
         raise InputError(str(exc)) from exc
     except (AttributeError, IndexError, KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -325,7 +325,7 @@ def synthetic_detect(
     snapshot: FrameSnapshot,
     noise: NoiseModel,
     detect_cfg: DetectabilityConfig,
-    rng: np.random.Generator,
+    seed,
 ) -> list[dict]:
     """Detect agents visible in a viewport: one joints object ``{name:
     [x, y, 1.0]}`` per agent, in name order and in viewport-local
@@ -339,9 +339,14 @@ def synthetic_detect(
     noise; joints drop out with miss_prob, the two ankles jointly. Each
     joint's noise pair leaves numpy as Python floats (one ``.tolist()``),
     so every coordinate is a float, as ``DetectorPort`` asks.
+
+    The draws come from ``np.random.default_rng(seed)``, built just
+    before the first draw: a viewport in which nobody is visible builds
+    no generator. A Generator as ``seed`` is drawn from as it is.
     """
     cam = snapshot.cam
     heights = snapshot.body_heights_px
+    rng = None
     out = []
     for i, sk in enumerate(snapshot.skeletons):
         if not viewport.contains_column(sk["neck"].x, cam.image_width):
@@ -351,6 +356,8 @@ def synthetic_detect(
         if noise.occlusion_enabled and snapshot.occluded[i]:
             continue
 
+        if rng is None:
+            rng = np.random.default_rng(seed)
         drop_ankles = rng.random() < noise.miss_prob
         local = {}
         for name in sorted(sk):
@@ -401,10 +408,8 @@ class SyntheticDetector:
         self.seed = seed
 
     def detect(self, frame: FrameSnapshot, viewport: Viewport) -> list[dict]:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed, frame.index, _viewport_key(viewport)])
-        )
-        return synthetic_detect(viewport, frame, self.noise, self.detect_cfg, rng)
+        seed = [self.seed, frame.index, _viewport_key(viewport)]
+        return synthetic_detect(viewport, frame, self.noise, self.detect_cfg, seed)
 
     @classmethod
     def for_scenario(cls, scenario: Scenario) -> "SyntheticDetector":

@@ -9,9 +9,10 @@ alone when the ankles are occluded).
 ``PanoTracker`` keeps the filter state in three row-aligned arrays,
 ``means`` (n, 5), ``covs`` (n, 5, 5) and their Cholesky ``factors``
 (n, 5, 5), row i belonging to ``tracks[i]``; tracks are in id order
-and carry only their lifecycle. A spawn appends rows, and the tracks
-lost in a step are dropped at its end by a compaction that copies the
-arrays, so the snapshots a step returns hold rows never written again.
+and carry only their lifecycle. A spawn appends rows. A step ends on
+copies, so the snapshots it returns hold rows never written again: a
+compaction that drops the rows of the tracks lost in the step, or,
+when none was lost, plain copies of the means and covariances.
 
 The filter has one batched core on such arrays: ``predict`` propagates
 all rows, ``innovation_stage`` takes the predicted rows through the
@@ -23,7 +24,9 @@ entries are NaN), so its seam columns are the even entries. The stage
 is formed for d = 4; a neck-only row reads its neck slices, which are
 the d = 2 moments exactly, since the measurement noise is diagonal.
 On a frame with matches, ``step`` computes one stage and makes one
-``update`` call. ``predict`` and ``update`` return the rows to keep and
+``update`` call; when every row is predicted and matched, in order, it
+passes its own arrays and the whole stage, with no gather or scatter.
+``predict`` and ``update`` return the rows to keep and
 a mask of the rows they changed; a row whose posterior is non-finite,
 or whose covariance no jitter repairs, comes back as it went in and its
 track is reported as diverged.
@@ -110,8 +113,10 @@ class TrackerConfig:
     mahalanobis_gate: Optional[float] = None  # squared bound; None = no gating
     initial_variance: tuple[float, ...] = (0.25, 0.25, 1.0, 1.0, 0.04)
     jitter_floor: float = 1e-9  # smallest repair jitter added to a non-SPD covariance
-    # an unmatched detection this close (px) to an active track's
-    # prediction is treated as a residual duplicate, not a new person
+    # an unmatched detection this close (px) to a live track's neck
+    # after the update (the posterior of a matched track, the prediction
+    # of an unmatched one) is treated as a residual duplicate, not a
+    # new person
     spawn_suppression_px: float = 30.0
 
     def __post_init__(self) -> None:
@@ -272,6 +277,10 @@ def _spd_factor(cov: np.ndarray, jitter_floor: float) -> tuple[np.ndarray, np.nd
 def _sigma_points(means: np.ndarray, factors: np.ndarray, scale: float) -> np.ndarray:
     """(n, 2k+1, k) scaled sigma points around n means of dimension k,
     from the (n, k, k) Cholesky factors of their covariances."""
+    # The layout of this array is part of the output: ``einsum`` sums
+    # in an order that follows the strides, so a C-contiguous array with
+    # bit-equal values changes the last bits of every moment, and with
+    # them the tracks files. The tier-1 suite pins these strides.
     offsets = scale * factors.transpose(0, 2, 1)  # rows: scaled root directions
     center = means[:, None, :]
     return np.concatenate([center, center + offsets, center - offsets], axis=1)
@@ -298,19 +307,21 @@ class Innovation(NamedTuple):
 
 
 def _store_posterior(
-    prior: States, means: np.ndarray, covs: np.ndarray, store: np.ndarray,
+    prior: States, means: np.ndarray, covs: np.ndarray, store: Optional[np.ndarray],
     jitter_floor: float,
 ) -> tuple[States, np.ndarray]:
     """The rows to keep of a batch of posteriors, and the mask of rows
-    stored: those flagged in ``store`` whose posterior is finite and
-    admits a Cholesky factor. A stored row is the posterior, its height
-    clamped and its covariance symmetrized, with that factor; every
-    other row is its ``prior`` (means, covariances, factors) unchanged,
-    and a flagged one diverged. One batched factorization serves every
-    row; only when a member of the stack fails is each flagged row
-    repaired with jitter on its own."""
+    stored: those flagged in ``store`` (every row when it is None) whose
+    posterior is finite and admits a Cholesky factor. A stored row is
+    the posterior, its height clamped and its covariance symmetrized,
+    with that factor; every other row is its ``prior`` (means,
+    covariances, factors) unchanged, and a flagged one diverged. One
+    batched factorization serves every row; only when a member of the
+    stack fails is each flagged row repaired with jitter on its own."""
     covs = 0.5 * (covs + covs.transpose(0, 2, 1))
-    stored = store & np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
+    stored = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
+    if store is not None:
+        stored &= store
     h_n = means[:, 4]  # clamped after the check, which would map inf into range
     np.maximum(h_n, H_N_RANGE[0], out=h_n)
     np.minimum(h_n, H_N_RANGE[1], out=h_n)
@@ -323,8 +334,9 @@ def _store_posterior(
                 covs[i], factors[i] = _spd_factor(covs[i], jitter_floor)
             except FilterDivergenceError:
                 stored[i] = False
-    for i in (~stored).nonzero()[0]:
-        means[i], covs[i], factors[i] = prior[0][i], prior[1][i], prior[2][i]
+    if not stored.all():
+        for i in (~stored).nonzero()[0]:
+            means[i], covs[i], factors[i] = prior[0][i], prior[1][i], prior[2][i]
     return (means, covs, factors), stored
 
 
@@ -337,9 +349,8 @@ def predict(
     mask of rows predicted; a row outside it diverged and is returned
     unchanged."""
     check_number("dt", dt, 0.0, strict=True)
-    every = np.ones(len(means), dtype=bool)
     if not len(means):
-        return (means, covs, factors), every
+        return (means, covs, factors), np.ones(0, dtype=bool)
     wm, wc, scale = cfg.weights()
     pts = _sigma_points(means, factors, scale)
     pts[:, :, 0] += pts[:, :, 2] * dt
@@ -347,7 +358,7 @@ def predict(
     new_means = np.einsum("w,nwd->nd", wm, pts)
     d = pts - new_means[:, None, :]
     new_covs = np.einsum("w,nwi,nwj->nij", wc, d, d) + cfg._process_noise_diag * dt
-    return _store_posterior((means, covs, factors), new_means, new_covs, every, cfg.jitter_floor)
+    return _store_posterior((means, covs, factors), new_means, new_covs, None, cfg.jitter_floor)
 
 
 def innovation_stage(
@@ -516,9 +527,10 @@ class PanoTracker:
     new id. When no target exists, the most prominent confirmed track
     (largest projected body height, ties to the smallest column) is
     promoted. Unmatched detections spawn tentative tracks unless they
-    fall within ``spawn_suppression_px`` of an active track's predicted
-    position (residual duplicates that slipped through fusion must not
-    seed ghost identities that compete with the real track).
+    fall within ``spawn_suppression_px`` of a live track's neck after
+    the update: the posterior for a matched track, the prediction for
+    an unmatched one (residual duplicates that slipped through fusion
+    must not seed ghost identities that compete with the real track).
 
     ``step`` calls must be externally serialized; the tracker is a
     single logical state machine.
@@ -558,7 +570,7 @@ class PanoTracker:
         self.tracks.extend(Track(id=self._next_id + i) for i in range(k))
         self._next_id += k
 
-    def _rows(self, rows: np.ndarray) -> States:
+    def _rows(self, rows: np.ndarray | list[int]) -> States:
         """Copies of the given rows of the filter arrays."""
         return tuple(a.take(rows, axis=0) for a in (self.means, self.covs, self.factors))
 
@@ -593,11 +605,13 @@ class PanoTracker:
         (self.means, self.covs, self.factors), predicted = predict(
             self.means, self.covs, self.factors, dt, cfg
         )
-        for i in (~predicted).nonzero()[0]:
-            tracks[i].status = TrackStatus.LOST
         active = predicted.nonzero()[0]
+        every = len(active) == len(tracks)
+        if not every:
+            for i in (~predicted).nonzero()[0]:
+                tracks[i].status = TrackStatus.LOST
 
-        means = self.means.take(active, axis=0)
+        means = self.means if every else self.means.take(active, axis=0)
         assignment = associate(means, pix[:, 2:], self.cam, cfg.gate_px)
 
         missed = active[assignment.unmatched_tracks].tolist()
@@ -606,12 +620,18 @@ class PanoTracker:
         # the ankles are absent; one update over the stage's matched rows
         matched = active[assignment.tracks]
         if len(matched):
-            stage = innovation_stage(means, self.factors.take(active, axis=0), self.cam, cfg)
-            kept, accepted, stored = update(
-                *self._rows(matched), pix[assignment.dets], stage.take(assignment.tracks),
-                self.cam, cfg,
-            )
-            self.means[matched], self.covs[matched], self.factors[matched] = kept
+            factors = self.factors if every else self.factors.take(active, axis=0)
+            stage = innovation_stage(means, factors, self.cam, cfg)
+            z_obs = pix[assignment.dets]
+            if len(matched) == len(tracks):  # every row, in order: no gather or scatter
+                (self.means, self.covs, self.factors), accepted, stored = update(
+                    self.means, self.covs, self.factors, z_obs, stage, self.cam, cfg
+                )
+            else:
+                kept, accepted, stored = update(
+                    *self._rows(matched), z_obs, stage.take(assignment.tracks), self.cam, cfg
+                )
+                self.means[matched], self.covs[matched], self.factors[matched] = kept
             for i, ok, updated in zip(matched.tolist(), accepted.tolist(), stored.tolist()):
                 if not ok:
                     missed.append(i)
@@ -627,21 +647,22 @@ class PanoTracker:
             if track.consecutive_misses >= cfg.lose_after_misses:
                 track.status = TrackStatus.LOST
 
-        # only an unmatched detection with all four coordinates can spawn
-        spawnable = pix[assignment.unmatched_dets]
-        spawnable = spawnable[~np.isnan(spawnable).any(axis=1)]
-        if len(spawnable):
-            live = [i for i, t in enumerate(tracks) if t.status != TrackStatus.LOST]
-            dist = _wrap_distances(
-                spawnable[:, 2:],
-                _neck_pixels(self.means[live], self.cam),
-                self.cam.image_width,
-                cfg.spawn_suppression_px,
-            )
-            # a detection near a live track's neck is a residual duplicate
-            # of someone already tracked
-            suppressed = (dist < cfg.spawn_suppression_px).any(axis=1)
-            self._spawn(spawnable[~suppressed])
+        if assignment.unmatched_dets:
+            # only an unmatched detection with all four coordinates can spawn
+            spawnable = pix[assignment.unmatched_dets]
+            spawnable = spawnable[~np.isnan(spawnable).any(axis=1)]
+            if len(spawnable):
+                live = [i for i, t in enumerate(tracks) if t.status != TrackStatus.LOST]
+                dist = _wrap_distances(
+                    spawnable[:, 2:],
+                    _neck_pixels(self.means[live], self.cam),
+                    self.cam.image_width,
+                    cfg.spawn_suppression_px,
+                )
+                # a detection near a live track's neck is a residual
+                # duplicate of someone already tracked
+                suppressed = (dist < cfg.spawn_suppression_px).any(axis=1)
+                self._spawn(spawnable[~suppressed])
 
         self._maintain_target()
 
@@ -651,10 +672,12 @@ class PanoTracker:
             )
             for t, m, c in zip(self.tracks, self.means, self.covs)
         ]
-        # the compaction copies the arrays, so the snapshots' rows are
-        # never written again
-        kept = np.array([t.status != TrackStatus.LOST for t in self.tracks], dtype=bool)
-        kept = kept.nonzero()[0]
-        self.tracks = [self.tracks[i] for i in kept.tolist()]
-        self.means, self.covs, self.factors = self._rows(kept)
+        # the arrays go on as copies, so the snapshots' rows are never
+        # written again: compacted when a track was lost, else copied
+        kept = [i for i, t in enumerate(self.tracks) if t.status != TrackStatus.LOST]
+        if len(kept) < len(self.tracks):
+            self.tracks = [self.tracks[i] for i in kept]
+            self.means, self.covs, self.factors = self._rows(kept)
+        else:
+            self.means, self.covs = self.means.copy(), self.covs.copy()
         return snapshot

@@ -1,3 +1,5 @@
+import copy
+import json
 import math
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panotrack.detect import (
+    JOINT_NAMES,
     TORSO_JOINTS,
     BoundingBox,
     RoiConfig,
@@ -12,6 +15,8 @@ from panotrack.detect import (
     ankle_midpoint,
     build_tiles,
     check_detection,
+    check_joint,
+    check_joint_names,
     cyclic_pairs,
     default_row_range,
     dereference,
@@ -44,6 +49,44 @@ def torso(cx, cy, w=20.0, h=50.0, conf=1.0, extra=()):
     for name in extra:
         joints[name] = (cx, cy + h, conf)
     return check_detection(joints, H)
+
+
+def reference_check_detection(joints, image_height):
+    """``check_detection`` as it was when it normalized every detection
+    into a new object."""
+    check_joint_names(joints)
+    out = {}
+    for name, v in sorted(joints.items()):
+        confidence = check_joint(*v)
+        if not 0 <= v[1] <= image_height:
+            raise ConfigError(f"joint row {v[1]} is outside the image rows [0, {image_height}]")
+        out[name] = [v[0], v[1], confidence]
+    return out
+
+
+@st.composite
+def detection_forms(draw):
+    """A valid detection whose joints each take one of the forms a
+    detector may write: the normal [x, y, float] list, a tuple, an
+    (x, y) pair as a list or a tuple, an integer confidence or integer
+    coordinates; the names in order or shuffled."""
+    names = draw(st.lists(st.sampled_from(JOINT_NAMES), min_size=1, unique=True))
+    joints = []
+    for name in names:
+        x, y = draw(st.floats(0.0, 1920.0, exclude_max=True)), draw(st.floats(0.0, float(H)))
+        c = draw(st.floats(0.0, 1.0))
+        form = draw(st.sampled_from(["normal", "tuple", "pair", "pair_tuple", "int_c", "int_xy"]))
+        joints.append((name, {
+            "normal": [x, y, c],
+            "tuple": (x, y, c),
+            "pair": [x, y],
+            "pair_tuple": (x, y),
+            "int_c": [x, y, draw(st.sampled_from([0, 1]))],
+            "int_xy": [int(x), int(y), c],
+        }[form]))
+    if draw(st.booleans()):
+        joints.sort()
+    return dict(joints)
 
 
 class TestSkeleton:
@@ -95,6 +138,22 @@ class TestSkeleton:
         assert out == {"neck": [True, 400, 1.0], "right_hip": [7, 8.5, 1.0]}
         assert list(out) == ["neck", "right_hip"]
         assert [type(v) for v in out["right_hip"]] == [int, float, float]
+
+    @settings(max_examples=300, deadline=None)  # about 0.5 s
+    @given(detection_forms())
+    def test_normal_detection_is_returned_itself(self, joints):
+        """A normal detection, names in order and each joint an [x, y,
+        float] list, comes back as the same object; any other form comes
+        back as a new object with the JSON of the full normalization.
+        The input is never changed."""
+        before = copy.deepcopy(joints)
+        out = check_detection(joints, H)
+        normal = list(joints) == sorted(joints) and all(
+            type(v) is list and len(v) == 3 and type(v[2]) is float for v in joints.values()
+        )
+        assert (out is joints) == normal
+        assert json.dumps(out) == json.dumps(reference_check_detection(before, H))
+        assert list(joints) == list(before) and joints == before
 
     def test_ankle_midpoint_plain(self):
         assert ankle_midpoint((100, 700), (120, 710), 1920) == pytest.approx((110, 705))

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -251,6 +252,35 @@ class TestOnePassReader:
         (det,), _ = detections_from_record(record, CAM)
         assert det == {"joints": {"left_ankle": [True, 7, 1.0], "neck": [12, 34, 1.0]}}
         assert [type(v) for v in det["joints"]["neck"]] == [int, int, float]
+
+
+class TestNormalRecordKept:
+    """A detection whose joints ``check_detection`` returns unchanged is
+    written back as the record's own object."""
+
+    NORMAL = {"joints": {"left_ankle": [5, 6, 1.0], "neck": [19.5, 400.0, 0.5]}}
+
+    def test_normal_record_keeps_its_dicts(self):
+        dets = [copy.deepcopy(self.NORMAL), {"joints": {"neck": [0.5, 401.25, 0.75]}}]
+        out, pix = detections_from_record({"frame": 3, "t": 0.5, "detections": dets}, CAM)
+        assert all(o is d for o, d in zip(out, dets))
+        assert pix.shape == (2, 4)
+
+    def test_mixed_record_equals_the_reference(self):
+        dets = [
+            copy.deepcopy(self.NORMAL),
+            {"joints": {"neck": [19.5, 400.0, 0.5], "left_ankle": [5, 6, 1.0]}},  # shuffled
+            {"joints": {"left_ankle": [5, 6], "neck": [19.5, 400.0, 1]}},  # pair, int confidence
+            {**copy.deepcopy(self.NORMAL), "score": 0.9},  # a key the output drops
+        ]
+        record = {"frame": 3, "t": 0.5, "detections": dets}
+        before = copy.deepcopy(record)
+        line, rows = reference(record)
+        out, pix = detections_from_record(record, CAM)
+        assert json.dumps({"frame": 3, "t": 0.5, "detections": out}) == line
+        assert pix.tobytes() == rows.tobytes()
+        assert [o is d for o, d in zip(out, dets)] == [True, False, False, False]
+        assert record == before
 
 
 class TestReadJsonl:

@@ -297,6 +297,33 @@ class TestSyntheticDetect:
                 has_r = "right_ankle" in sk
                 assert has_l == has_r
 
+    def test_no_generator_for_a_viewport_in_which_nobody_is_visible(self, cam, monkeypatch):
+        calls, generators = [], []
+        real_detect, real_rng = sim.synthetic_detect, np.random.default_rng
+
+        def counted_detect(viewport, *args):
+            calls.append(viewport)
+            return real_detect(viewport, *args)
+
+        def counted_rng(seed):
+            generators.append(seed)
+            return real_rng(seed)
+
+        monkeypatch.setattr(sim, "synthetic_detect", counted_detect)
+        monkeypatch.setattr(np.random, "default_rng", counted_rng)
+        det = SyntheticDetector(NoiseModel(joint_sigma=1.0, miss_prob=0.1), DetectabilityConfig(), seed=4)
+        snap = snapshot(cam, make_state(0.0, 2.0))  # the neck at column 480
+        empty = Viewport(origin_x=1000, origin_y=0, width=300, height=960, scale=1.0)
+        assert det.detect(snap, empty) == []
+        assert (len(calls), generators) == (1, [])
+
+        seen = Viewport(origin_x=300, origin_y=0, width=300, height=960, scale=1.0)
+        out = det.detect(snap, seen)
+        assert (len(calls), len(generators)) == (2, 1)
+        # the draws are those of a generator seeded before the call
+        rng = real_rng(np.random.SeedSequence([4, snap.index, sim._viewport_key(seen)]))
+        assert len(out) == 1 and out == real_detect(seen, snap, det.noise, det.detect_cfg, rng)
+
     def test_noise_scale_in_local_pixels(self, cam):
         state = make_state(2.0, 0.0)
         exact = project_agent(state, cam)

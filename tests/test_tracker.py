@@ -32,7 +32,7 @@ from panotrack.tracker import (
 )
 # dual-path consistency check
 from panotrack.tracker import _column_range, _neck_pixels, _row_at_height
-from panotrack.tracker import _store_posterior, _wrap_distances
+from panotrack.tracker import _sigma_points, _store_posterior, _wrap_distances
 
 BODY = Body(height=1.7, ankle_height=0.1, neck_drop=0.25)
 NECK_Z = BODY.height - BODY.neck_drop
@@ -791,6 +791,21 @@ class TestInnovationStage:
         assert stage.z_pred[0] == pytest.approx(ref, abs=1e-9)
 
 
+class TestSigmaPointLayout:
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_strides_are_pinned(self, n):
+        """``einsum`` sums in an order that follows the strides, so the
+        sigma points' layout is part of the output: a C-contiguous array
+        with bit-equal values changes the tracks files. From C-contiguous
+        means and factors the points of one state lie point-fastest."""
+        means = np.zeros((n, 5))
+        factors = np.broadcast_to(np.eye(5), (n, 5, 5)).copy()
+        pts = _sigma_points(means, factors, 1.5)
+        size = pts.itemsize
+        assert pts.shape == (n, 11, 5)
+        assert pts.strides == (55 * size, size, 11 * size)
+
+
 class TestWrapDistances:
     @settings(max_examples=300, deadline=None)
     @given(gated_distance_case())
@@ -931,6 +946,55 @@ class TestStep:
         )
         assert confirmed_frame == 2  # third consecutive hit
         assert history[confirmed_frame][0].is_target
+
+    def test_steady_state_step_takes_no_rows(self, cam, monkeypatch):
+        """With every track predicted and matched in order, the step hands
+        its own arrays and the whole stage to update and ends on copies:
+        no gather, scatter or compaction. A missed track brings the
+        gather back."""
+        tracker = PanoTracker(cam, TrackerConfig())
+        spots = [(2.0, 0.0), (0.0, 3.0)]
+
+        def pix(k, seen=spots):
+            dets = [agent_detection(x + 0.01 * k, y, cam) for x, y in seen]
+            return detection_pixels(dets, cam.image_width)
+
+        for k in range(3):
+            tracker.step(pix(k), 1 / 30)
+        assert len(tracker.tracks) == 2
+        real_stage, real_update = panotrack.tracker.innovation_stage, panotrack.tracker.update
+        seen, gathers = {}, []
+
+        def stage(means, factors, *args):
+            seen["stage_args"] = (means is tracker.means, factors is tracker.factors)
+            seen["stage"] = real_stage(means, factors, *args)
+            return seen["stage"]
+
+        def counted_update(means, covs, factors, z_obs, stage, *args):
+            own = (means is tracker.means, covs is tracker.covs, factors is tracker.factors)
+            seen["update_args"] = (*own, stage is seen["stage"])
+            return real_update(means, covs, factors, z_obs, stage, *args)
+
+        def counted(real, name):
+            def gather(*args):
+                gathers.append(name)
+                return real(*args)
+            return gather
+
+        monkeypatch.setattr(panotrack.tracker, "innovation_stage", stage)
+        monkeypatch.setattr(panotrack.tracker, "update", counted_update)
+        Innovation = panotrack.tracker.Innovation
+        monkeypatch.setattr(Innovation, "take", counted(Innovation.take, "Innovation.take"))
+        monkeypatch.setattr(PanoTracker, "_rows", counted(PanoTracker._rows, "PanoTracker._rows"))
+        snaps = tracker.step(pix(3), 1 / 30)
+        assert seen["stage_args"] == (True, True)
+        assert seen["update_args"] == (True, True, True, True)
+        assert gathers == []
+        assert not any(np.shares_memory(s.mean, tracker.means) for s in snaps)
+        assert not any(np.shares_memory(s.covariance, tracker.covs) for s in snaps)
+
+        tracker.step(pix(4, spots[:1]), 1 / 30)
+        assert gathers == ["PanoTracker._rows", "Innovation.take"]
 
     def test_all_lost_after_k_empty_frames(self, cam):
         cfg = TrackerConfig()
