@@ -41,7 +41,14 @@ from typing import Optional, Protocol, Sequence
 import numpy as np
 
 from .exceptions import ConfigError, DegenerateSkeletonError
-from .geometry import CameraModel, ImagePoint, check_number, cyclic_apart, cyclic_interval_overlap
+from .geometry import (
+    CameraModel,
+    ImagePoint,
+    check_number,
+    cyclic_apart,
+    cyclic_interval_overlap,
+    cyclic_window,
+)
 
 JOINT_NAMES = (
     "neck",
@@ -91,7 +98,11 @@ def check_detection(joints, image_height: float) -> dict:
     order and each joint an ``[x, y, confidence]`` list with a float
     confidence, is returned itself; any other is returned normalized to
     that form as a new object, the coordinates as given. The input is
-    never changed."""
+    never changed. A normal detection of floats that passes every rule
+    is accepted in one pass; any other takes the full check, which
+    raises the error of the first joint that breaks a rule."""
+    if _normal_floats(joints, image_height):
+        return joints
     check_joint_names(joints)
     ordered = sorted(joints) == list(joints)
     items = joints.items() if ordered else sorted(joints.items())
@@ -104,6 +115,26 @@ def check_detection(joints, image_height: float) -> dict:
     if normal:
         return joints
     return {name: [v[0], v[1], check_joint(*v)] for name, v in items}
+
+
+def _normal_floats(joints, image_height: float) -> bool:
+    """Whether ``joints`` is a non-empty dict of known names in order,
+    each an ``[x, y, confidence]`` list of floats that passes the joint
+    and row rules. Type tests come first, so no joint can raise here."""
+    if type(joints) is not dict or not joints:
+        return False
+    previous = ""
+    for name, v in joints.items():
+        if not (name in _JOINT_NAME_SET and name > previous and type(v) is list and len(v) == 3):
+            return False
+        x, y, c = v
+        if not (
+            type(x) is float and type(y) is float and type(c) is float
+            and math.isfinite(x) and 0.0 <= y <= image_height and 0.0 <= c <= 1.0
+        ):
+            return False
+        previous = name
+    return True
 
 
 def ankle_midpoint(a, b, image_width: float) -> Optional[ImagePoint]:
@@ -122,8 +153,9 @@ def pixel_row(joints: dict, image_width: float) -> tuple[float, float, float, fl
     """A detection's ankle-midpoint column and row, then its neck column
     and row, NaN where the joints are absent."""
     ankle = ankle_midpoint(joints.get("left_ankle"), joints.get("right_ankle"), image_width)
-    neck = joints.get("neck")
-    return (*(ankle or NO_PIXEL), *(neck[:2] if neck else NO_PIXEL))
+    ankle = ankle or NO_PIXEL
+    neck = joints.get("neck") or NO_PIXEL
+    return (ankle[0], ankle[1], neck[0], neck[1])
 
 
 def detection_pixels(dets: Sequence[dict], image_width: float) -> np.ndarray:
@@ -150,10 +182,6 @@ class BoundingBox:
     def __post_init__(self) -> None:
         if self.w <= 0 or self.h <= 0:
             raise ConfigError(f"box sides must be positive, got {self.w}x{self.h}")
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
 
 
 @dataclass(frozen=True)
@@ -275,11 +303,20 @@ def torso_bbox(joints: dict, image_width: float) -> BoundingBox:
     left of the midline are unwrapped by +width before taking min/max.
     Degenerate extents are clamped to 1 px.
     """
-    pts = [joints[n] for n in TORSO_JOINTS if n in joints]
-    if "neck" not in joints or len(pts) < 2:
+    extent = _torso_extent(joints, image_width)
+    if extent is None:
         raise DegenerateSkeletonError(
             "torso box needs the neck and at least one shoulder or hip"
         )
+    return BoundingBox(*extent)
+
+
+def _torso_extent(joints: dict, image_width: float) -> Optional[tuple[float, float, float, float]]:
+    """``torso_bbox``'s (x, y, w, h) as a plain tuple, or None where it
+    raises: the one torso-box formula, which fusion calls directly."""
+    pts = [joints[n] for n in TORSO_JOINTS if n in joints]
+    if "neck" not in joints or len(pts) < 2:
+        return None
     xs = [p[0] % image_width for p in pts]
     x0, x1 = min(xs), max(xs)
     if x1 - x0 > image_width / 2:
@@ -287,21 +324,28 @@ def torso_bbox(joints: dict, image_width: float) -> BoundingBox:
         x0, x1 = min(xs), max(xs)
     ys = [p[1] for p in pts]
     y0 = min(ys)
-    return BoundingBox(
-        x=x0 % image_width, y=y0, w=max(x1 - x0, 1.0), h=max(max(ys) - y0, 1.0)
-    )
+    return x0 % image_width, y0, max(x1 - x0, 1.0), max(max(ys) - y0, 1.0)
 
 
 def merge_score(b1: BoundingBox, b2: BoundingBox, image_width: float) -> float:
     """Containment score: intersection area over the smaller box area.
 
     1.0 whenever one box contains the other; 0.0 for disjoint boxes.
-    Horizontal extents intersect cyclically.
+    Horizontal extents intersect cyclically. The score is not symmetric
+    to the last bit (the cyclic overlap rounds differently with the
+    boxes swapped), so ``fuse_duplicates`` scores each pair in item
+    order.
     """
-    ix = cyclic_interval_overlap(b1.x, b1.w, b2.x, b2.w, image_width)
-    iy = max(0.0, min(b1.y + b1.h, b2.y + b2.h) - max(b1.y, b2.y))
-    inter = ix * iy
-    return inter / min(b1.area, b2.area)
+    return _containment((b1.x, b1.y, b1.w, b1.h), (b2.x, b2.y, b2.w, b2.h), image_width)
+
+
+def _containment(a: tuple, b: tuple, image_width: float) -> float:
+    """``merge_score`` of two (x, y, w, h) extents."""
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
+    ix = cyclic_interval_overlap(ax, aw, bx, bw, image_width)
+    iy = max(0.0, min(ay + ah, by + bh) - max(ay, by))
+    return ix * iy / min(aw * ah, bw * bh)
 
 
 # A viewport plan: the viewports to process, in order, and the index
@@ -336,18 +380,37 @@ def fuse_duplicates(
     detection: most present joints, ties broken by higher mean
     confidence, then by (viewport index, anchor column) for
     determinism. Output is ordered by (viewport index, anchor column).
-    A pair whose box columns ``cyclic_apart`` places apart scores 0,
-    so it is skipped before the adjacency lookup and ``merge_score``:
-    most pairs of a crowded frame cost one cheap test.
+
+    Only pairs from an adjacent pair of viewports are visited. Each
+    viewport's boxes are sorted by centre column once, and a box meets
+    only the other viewport's boxes in its ``cyclic_window``: within
+    half its width, half the widest of those boxes and the margin. The
+    window only pre-filters; each pair in it still takes the exact
+    ``cyclic_apart`` test and then the score, as an all-pairs loop
+    would, with the lower item index first, because neither function
+    is symmetric to the last bit. The groups, the order of their
+    members and of the survivors do not depend on the order in which
+    pairs are visited.
     """
     check_number("sigma1", sigma1, 0.0, 1.0, strict=True)
     items = list(dets)
-    boxes: list[Optional[BoundingBox]] = []
-    for joints, _ in items:
-        try:
-            boxes.append(torso_bbox(joints, image_width))
-        except DegenerateSkeletonError:
-            boxes.append(None)
+    # only adjacent viewports that both hold detections can fuse, and
+    # only their detections need a torso box
+    present = {vp_idx for _, vp_idx in items}
+    pairs = [tuple(pair) for pair in adjacent if len(pair) == 2 and pair <= present]
+    paired = set().union(*pairs)
+    boxes = [
+        _torso_extent(joints, image_width) if vp_idx in paired else None for joints, vp_idx in items
+    ]
+
+    # viewport -> its boxes as (centre column, item index), sorted
+    by_viewport: dict[int, list[tuple[float, int]]] = {}
+    for i, box in enumerate(boxes):
+        if box is not None:
+            centre = (box[0] % image_width + 0.5 * box[2]) % image_width
+            by_viewport.setdefault(items[i][1], []).append((centre, i))
+    for entries in by_viewport.values():
+        entries.sort()
 
     parent = list(range(len(items)))
 
@@ -357,21 +420,25 @@ def fuse_duplicates(
             i = parent[i]
         return i
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    for i, bi in enumerate(boxes):
-        if bi is None:
+    for va, vb in pairs:
+        if va not in by_viewport or vb not in by_viewport:
             continue
-        vi = items[i][1]
-        for j in range(i + 1, len(items)):
-            bj, vj = boxes[j], items[j][1]
-            if bj is None or vi == vj or cyclic_apart(bi.x, bi.w, bj.x, bj.w, image_width, _BOX_MARGIN_PX):
-                continue
-            if frozenset((vi, vj)) in adjacent and merge_score(bi, bj, image_width) >= sigma1:
-                union(i, j)
+        others = by_viewport[vb]
+        keys = [centre for centre, _ in others]
+        half_widest = 0.5 * max(boxes[j][2] for _, j in others)
+        for centre, i in by_viewport[va]:
+            reach = 0.5 * boxes[i][2] + half_widest + 2.0 * _BOX_MARGIN_PX
+            for k in cyclic_window(keys, centre, reach, image_width):
+                j = others[k][1]
+                lo, hi = (i, j) if i < j else (j, i)
+                b_lo, b_hi = boxes[lo], boxes[hi]
+                if (
+                    not cyclic_apart(b_lo[0], b_lo[2], b_hi[0], b_hi[2], image_width, _BOX_MARGIN_PX)
+                    and _containment(b_lo, b_hi, image_width) >= sigma1
+                ):
+                    r_lo, r_hi = find(lo), find(hi)
+                    if r_lo != r_hi:
+                        parent[r_hi] = r_lo
 
     groups: dict[int, list[int]] = {}
     for i in range(len(items)):

@@ -29,10 +29,14 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left, bisect_right
 from dataclasses import MISSING, dataclass, fields
-from typing import NamedTuple, Optional
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence
 
 from .exceptions import AboveHorizonError, ConfigError, GeometryError, InputError
+
+_WINDOW_SLACK = 1e-9  # of the period: ``cyclic_window``'s padding, far above rounding
 
 
 # JSON true/false arrive as bools, which are ints to Python
@@ -160,11 +164,11 @@ class CameraModel:
         check_number("ankle_height", self.ankle_height, 0.0)
         check_number("mount_height", self.mount_height, self.ankle_height, strict=True)
 
-    @property
+    @cached_property
     def deg_per_px_x(self) -> float:
         return self.fov_h / self.image_width
 
-    @property
+    @cached_property
     def deg_per_px_y(self) -> float:
         return self.fov_v / self.image_height
 
@@ -218,10 +222,43 @@ def cyclic_apart(
     half-lengths. Intervals that touch, or whose half-lengths sum to
     half the period or more, are never apart. With a margin far above
     the rounding of either function, an apart pair has overlap 0.
+
+    The test is not symmetric to the last bit: swapping the intervals
+    rounds the centre difference another way, so a caller that must
+    agree with an all-pairs loop passes each pair in that loop's order.
+    ``cyclic_window`` finds the candidates for it by centre; it only
+    pre-filters, and this test still runs on each pair it returns.
     """
     half = 0.5 * period
     offset = (a_start % period + 0.5 * a_len) - (b_start % period + 0.5 * b_len)
     return abs((offset + half) % period - half) > 0.5 * (a_len + b_len) + 2.0 * margin
+
+
+def cyclic_window(keys: Sequence[float], centre: float, reach: float, period: float) -> Sequence[int]:
+    """Positions in ``keys``, sorted in [0, period), of every key within
+    cyclic distance ``reach`` of ``centre``, in ascending order and each
+    once: one bisected range, or two when the window straddles the
+    seam, or every position when 2 * reach >= period.
+
+    A conservative pre-filter for sort-and-sweep: ``reach`` is padded
+    by ``_WINDOW_SLACK`` of the period, far above the rounding of the
+    keys, the reach and this window, so a caller may compute them a few
+    roundings apart from the exact test it runs on each returned
+    position. A few keys just beyond ``reach`` may be returned too.
+    """
+    reach += _WINDOW_SLACK * period
+    n = len(keys)
+    if 2.0 * reach >= period:
+        return range(n)
+    centre %= period
+    lo, hi = centre - reach, centre + reach
+    if lo < 0.0:
+        low_end = bisect_right(keys, hi)
+        return [*range(low_end), *range(max(low_end, bisect_left(keys, lo + period)), n)]
+    if hi >= period:
+        low_end = bisect_right(keys, hi - period)
+        return [*range(low_end), *range(max(low_end, bisect_left(keys, lo)), n)]
+    return range(bisect_left(keys, lo), bisect_right(keys, hi))
 
 
 def image_to_polar(p: ImagePoint, cam: CameraModel) -> PolarDirection:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .detect import check_detection, pixel_row
 from .exceptions import InputError, PanotrackError
-from .geometry import CameraModel, world_to_image
+from .geometry import CameraModel, column_range, row_at_height
 from .metrics import ErrorBin, EvalReport
 from .tracker import TrackSnapshot
 
@@ -91,18 +91,21 @@ def detections_from_record(record: dict, cam: CameraModel) -> tuple[list[dict], 
 def tracks_record(
     frame: int, t: float, tracks: Sequence[TrackSnapshot], cam: CameraModel
 ) -> dict:
+    """A frame's tracks record. Each track's position is its mean row,
+    read with one ``.tolist()``, and its pixel is ``world_to_image`` of
+    that position, computed by the same two calls."""
     out = []
     for tr in tracks:
-        pos = tr.world_position
-        img = world_to_image(pos, cam)
+        x, y, _, _, h = tr.mean.tolist()
+        img_x, rho = column_range(x, y, cam)
         out.append(
             {
                 "id": tr.id,
-                "x": pos.x,
-                "y": pos.y,
-                "h": pos.z,
-                "img_x": img.x,
-                "img_y": img.y,
+                "x": x,
+                "y": y,
+                "h": h,
+                "img_x": img_x,
+                "img_y": row_at_height(rho, h, cam),
                 "status": tr.status.value,
                 "is_target": tr.is_target,
             }

@@ -42,6 +42,7 @@ from .geometry import (
     column_range,
     cyclic_apart,
     cyclic_interval_overlap,
+    cyclic_window,
     from_dict,
     row_at_height,
 )
@@ -231,26 +232,25 @@ def project_agent(state: AgentState, cam: CameraModel) -> dict[str, ImagePoint]:
     theta = math.atan2(state.y, state.x)
 
     neck_z = body.height - body.neck_drop
-    shoulder_z = neck_z
     hip_z = 0.55 * body.height
 
-    def column(lateral: float) -> tuple[float, float]:
-        # a joint's column and range; the hip and ankle on one side share them
+    # each joint's column and range; the hip and ankle on one side share them
+    columns = []
+    for lateral in (
+        0.0, body.shoulder_half_width, -body.shoulder_half_width,
+        body.hip_half_width, -body.hip_half_width,
+    ):
         ang = theta + math.atan2(lateral, rho)
-        return column_range(rho * math.cos(ang), rho * math.sin(ang), cam)
-
-    def at(col_rho: tuple[float, float], z: float) -> ImagePoint:
-        return ImagePoint(col_rho[0], row_at_height(col_rho[1], z, cam))
-
-    left_hip, right_hip = column(body.hip_half_width), column(-body.hip_half_width)
+        columns.append(column_range(rho * math.cos(ang), rho * math.sin(ang), cam))
+    (neck_x, neck_r), (ls_x, ls_r), (rs_x, rs_r), (lh_x, lh_r), (rh_x, rh_r) = columns
     return {
-        "neck": at(column(0.0), neck_z),
-        "left_shoulder": at(column(body.shoulder_half_width), shoulder_z),
-        "right_shoulder": at(column(-body.shoulder_half_width), shoulder_z),
-        "left_hip": at(left_hip, hip_z),
-        "right_hip": at(right_hip, hip_z),
-        "left_ankle": at(left_hip, body.ankle_height),
-        "right_ankle": at(right_hip, body.ankle_height),
+        "neck": ImagePoint(neck_x, row_at_height(neck_r, neck_z, cam)),
+        "left_shoulder": ImagePoint(ls_x, row_at_height(ls_r, neck_z, cam)),
+        "right_shoulder": ImagePoint(rs_x, row_at_height(rs_r, neck_z, cam)),
+        "left_hip": ImagePoint(lh_x, row_at_height(lh_r, hip_z, cam)),
+        "right_hip": ImagePoint(rh_x, row_at_height(rh_r, hip_z, cam)),
+        "left_ankle": ImagePoint(lh_x, row_at_height(lh_r, body.ankle_height, cam)),
+        "right_ankle": ImagePoint(rh_x, row_at_height(rh_r, body.ankle_height, cam)),
     }
 
 
@@ -302,11 +302,25 @@ class FrameSnapshot:
         """Whether a strictly nearer agent covers more than half of each
         agent's azimuth footprint. Only strictly nearer agents of
         another id are compared, and a footprint that ``cyclic_apart``
-        places apart is skipped before ``cyclic_interval_overlap``."""
+        places apart is skipped before ``cyclic_interval_overlap``.
+
+        The footprints are sorted by centre azimuth, and an agent meets
+        only those in its ``cyclic_window``: within half its length,
+        half the widest footprint and the margin. The window only
+        pre-filters; the range, id, ``cyclic_apart`` and overlap tests
+        run unchanged on each footprint in it, the agent's own
+        footprint first as in an all-pairs loop, since ``cyclic_apart``
+        is not symmetric to the last bit."""
         footprints = [
             (state.agent.id, state.ground_range, *_azimuth_interval(state))
             for state in self.agents
         ]
+        # cyclic_apart's centre of each footprint, reduced to [0, 360)
+        centres = [(start % 360.0 + 0.5 * length) % 360.0 for _, _, start, length in footprints]
+        order = sorted(range(len(footprints)), key=centres.__getitem__)
+        keys = [centres[k] for k in order]
+        by_centre = [footprints[k] for k in order]
+        half_widest = 0.5 * max((length for _, _, _, length in footprints), default=0.0)
         return tuple(
             length > 0
             and any(
@@ -314,9 +328,14 @@ class FrameSnapshot:
                 and o_id != a_id
                 and not cyclic_apart(start, length, o_start, o_length, 360.0, _AZIMUTH_MARGIN_DEG)
                 and cyclic_interval_overlap(start, length, o_start, o_length, 360.0) > 0.5 * length
-                for o_id, o_range, o_start, o_length in footprints
+                for o_id, o_range, o_start, o_length in map(
+                    by_centre.__getitem__,
+                    cyclic_window(
+                        keys, centre, 0.5 * length + half_widest + 2.0 * _AZIMUTH_MARGIN_DEG, 360.0
+                    ),
+                )
             )
-            for a_id, a_range, start, length in footprints
+            for (a_id, a_range, start, length), centre in zip(footprints, centres)
         )
 
 

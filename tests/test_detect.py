@@ -89,6 +89,34 @@ def detection_forms(draw):
     return dict(joints)
 
 
+# one broken value for each slot of a normal [x, y, confidence] joint:
+# non-finite, outside its range, a bool or a str, and integer confidences
+BROKEN_VALUES = (
+    [math.nan, math.inf, -math.inf, True, False, "960"],
+    [math.nan, math.inf, -math.inf, -0.5, -5e-324, H + 0.5, math.nextafter(H, math.inf), True, "400"],
+    [math.nan, math.inf, -0.5, -5e-324, 1.5, math.nextafter(1.0, 2.0), True, False, "1", 0, 1],
+)
+
+
+@st.composite
+def broken_normal_forms(draw):
+    """A detection in normal form, names in order and each joint an
+    [x, y, float] list, with one value of one joint replaced by one of
+    ``BROKEN_VALUES``."""
+    names = sorted(draw(st.lists(st.sampled_from(JOINT_NAMES), min_size=1, unique=True)))
+    joints = {
+        name: [
+            draw(st.floats(0.0, 1920.0, exclude_max=True)),
+            draw(st.floats(0.0, float(H))),
+            draw(st.floats(0.0, 1.0)),
+        ]
+        for name in names
+    }
+    slot = draw(st.integers(0, 2))
+    joints[draw(st.sampled_from(names))][slot] = draw(st.sampled_from(BROKEN_VALUES[slot]))
+    return joints
+
+
 class TestSkeleton:
     """``check_detection``, the one rule for a detection's joints."""
 
@@ -139,20 +167,29 @@ class TestSkeleton:
         assert list(out) == ["neck", "right_hip"]
         assert [type(v) for v in out["right_hip"]] == [int, float, float]
 
-    @settings(max_examples=300, deadline=None)  # about 0.5 s
-    @given(detection_forms())
+    @settings(max_examples=300, deadline=None)  # about 1.6 s on a 2-CPU VM
+    @given(detection_forms() | broken_normal_forms())
     def test_normal_detection_is_returned_itself(self, joints):
         """A normal detection, names in order and each joint an [x, y,
         float] list, comes back as the same object; any other form comes
-        back as a new object with the JSON of the full normalization.
-        The input is never changed."""
+        back as a new object with the JSON of the full normalization,
+        and a detection that breaks a rule raises the error of the full
+        check, of the same type and with the same message. The input is
+        never changed."""
         before = copy.deepcopy(joints)
-        out = check_detection(joints, H)
-        normal = list(joints) == sorted(joints) and all(
-            type(v) is list and len(v) == 3 and type(v[2]) is float for v in joints.values()
-        )
-        assert (out is joints) == normal
-        assert json.dumps(out) == json.dumps(reference_check_detection(before, H))
+        try:
+            expected = reference_check_detection(copy.deepcopy(joints), H)
+        except (ConfigError, TypeError) as exc:
+            with pytest.raises(type(exc)) as info:
+                check_detection(joints, H)
+            assert str(info.value) == str(exc)
+        else:
+            out = check_detection(joints, H)
+            normal = list(joints) == sorted(joints) and all(
+                type(v) is list and len(v) == 3 and type(v[2]) is float for v in joints.values()
+            )
+            assert (out is joints) == normal
+            assert json.dumps(out) == json.dumps(expected)
         assert list(joints) == list(before) and joints == before
 
     def test_ankle_midpoint_plain(self):

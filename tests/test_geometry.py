@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from panotrack.geometry import (
     WorldPoint,
     cyclic_apart,
     cyclic_interval_overlap,
+    cyclic_window,
     estimate_height,
     ground_range,
     image_to_polar,
@@ -365,3 +367,61 @@ class TestCyclicApart:
         if cyclic_apart(a_start, a_len, b_start, b_len, period, margin):
             assert cyclic_interval_overlap(a_start, a_len, b_start, b_len, period) == 0.0
             assert cyclic_interval_overlap(b_start, b_len, a_start, a_len, period) == 0.0
+
+
+@st.composite
+def windows(draw):
+    """Sorted keys in [0, period), a centre anywhere (on a key, beside
+    the seam or past either end of the circle) and a reach from 0 to
+    past half the period; a centre beside the seam with a reach beyond
+    it makes a window that straddles the seam."""
+    period = draw(st.sampled_from([360.0, 1920.0]) | st.floats(1.0, 1e6))
+    key = st.floats(0.0, period, exclude_max=True) | st.sampled_from(
+        [0.0, 5e-324, math.nextafter(period, 0.0), 0.5 * period]
+    )
+    keys = sorted(draw(st.lists(key, max_size=20)))
+    seam = [0.0, -1e-9, 1e-9, period, math.nextafter(period, 0.0), -period, 2.0 * period]
+    centre = draw(
+        st.floats(-2.0 * period, 2.0 * period)
+        | st.sampled_from(seam)
+        | st.sampled_from(keys or [0.0])
+    )
+    reach = draw(
+        st.floats(0.0, 0.6 * period)
+        | st.sampled_from([0.0, 0.5 * period, math.nextafter(0.5 * period, 0.0)])
+        | st.sampled_from(keys or [0.0]).map(lambda k: abs(k - centre % period))
+    )
+    return keys, centre, reach, period
+
+
+def exact_cyclic_distance(a, b, period):
+    d = (Fraction(a) - Fraction(b)) % Fraction(period)
+    return min(d, Fraction(period) - d)
+
+
+class TestCyclicWindow:
+    @given(windows())
+    @settings(max_examples=100, deadline=None)  # about 0.7 s on a 2-CPU VM
+    def test_holds_every_key_within_reach_once(self, case):
+        keys, centre, reach, period = case
+        window = list(cyclic_window(keys, centre, reach, period))
+        # ascending, so no position appears twice
+        assert window == sorted(set(window))
+        assert all(0 <= k < len(keys) for k in window)
+        inside = {
+            k for k, key in enumerate(keys)
+            if exact_cyclic_distance(key, centre, period) <= Fraction(reach)
+        }
+        assert inside <= set(window)
+        if 2.0 * reach < period:
+            # a pre-filter: nothing further than the reach and a slack of 1e-9 periods
+            bound = Fraction(reach) + Fraction(2e-9) * Fraction(period)
+            assert all(exact_cyclic_distance(keys[k], centre, period) <= bound for k in window)
+
+    def test_window_straddling_the_seam(self):
+        keys = [1.0, 10.0, 180.0, 350.0, 359.5]
+        assert list(cyclic_window(keys, 355.0, 8.0, 360.0)) == [0, 3, 4]
+        assert list(cyclic_window(keys, 2.0, 5.0, 360.0)) == [0, 4]
+        assert list(cyclic_window(keys, 180.0, 1.0, 360.0)) == [2]
+        assert list(cyclic_window(keys, 90.0, 180.0, 360.0)) == [0, 1, 2, 3, 4]
+        assert list(cyclic_window([], 90.0, 1.0, 360.0)) == []

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from panotrack.detect import JOINT_NAMES, Viewport, detection_pixels, run_viewports
 from panotrack.exceptions import InputError
-from panotrack.geometry import CameraModel
-from panotrack.io import detections_from_record, detections_record, read_jsonl
+from panotrack.geometry import CameraModel, world_to_image
+from panotrack.io import detections_from_record, detections_record, read_jsonl, tracks_record
 from panotrack.pipeline import run_offline
+from panotrack.tracker import TrackSnapshot, TrackStatus
 
 CAM = CameraModel()
 W, H = CAM.image_width, CAM.image_height
@@ -305,3 +306,58 @@ class TestReadJsonl:
         path.write_text('{"frame": 0}\n\n' + line + "\n")
         with pytest.raises(InputError, match=":3: expected a JSON object"):
             list(read_jsonl(str(path)))
+
+
+# azimuths in degrees on and beside the +-180 seam, where the column
+# wraps between W and 0, and on the axes
+SEAM_AZIMUTHS = [
+    180.0, -180.0, math.nextafter(180.0, 0.0), math.nextafter(-180.0, 0.0), 0.0, 90.0, -90.0,
+]
+
+
+@st.composite
+def track_snapshots(draw):
+    """Up to 6 tracks at any azimuth, the seam's included, 0.3-30 m from
+    the camera, with any velocity, height, status and target flag."""
+    tracks = []
+    for i in range(draw(st.integers(0, 6))):
+        rho = draw(st.floats(0.3, 30.0))
+        azimuth = math.radians(draw(st.floats(-180.0, 180.0) | st.sampled_from(SEAM_AZIMUTHS)))
+        x, y = rho * math.cos(azimuth), rho * math.sin(azimuth)
+        if draw(st.integers(0, 4)) == 0:
+            # straight behind the camera, a rounding step either side of the seam
+            x, y = -rho, draw(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-12, -1e-12]))
+        vx, vy = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+        h = draw(st.floats(0.5, 2.5))
+        tracks.append(
+            TrackSnapshot(
+                id=i,
+                status=draw(st.sampled_from(list(TrackStatus))),
+                is_target=draw(st.booleans()),
+                mean=np.array([x, y, vx, vy, h]),
+                covariance=np.eye(5),
+            )
+        )
+    return tracks
+
+
+class TestTracksRecord:
+    @given(
+        track_snapshots(),
+        st.sampled_from([CAM, CameraModel(image_width=3840, image_height=1920, mount_height=0.9)]),
+    )
+    @settings(max_examples=100, deadline=None)  # about 0.7 s on a 2-CPU VM
+    def test_pixels_are_world_to_image_bit_for_bit(self, tracks, cam):
+        """Each track's x, y and h are its mean row's floats, and its
+        img_x and img_y are ``world_to_image`` of ``world_position``,
+        to the last bit."""
+        record = tracks_record(4, 0.4, tracks, cam)
+        assert record["frame"] == 4 and record["t"] == 0.4
+        assert len(record["tracks"]) == len(tracks)
+        for out, tr in zip(record["tracks"], tracks):
+            x, y, _, _, h = tr.mean.tolist()
+            img = world_to_image(tr.world_position, cam)
+            got = [out[k] for k in ("x", "y", "h", "img_x", "img_y")]
+            assert [type(v) for v in got] == [float] * 5
+            assert [v.hex() for v in got] == [v.hex() for v in (x, y, h, img.x, img.y)]
+            assert (out["id"], out["status"], out["is_target"]) == (tr.id, tr.status.value, tr.is_target)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panotrack import sim
+from panotrack import detect, sim
 from panotrack.detect import (
     RoiConfig,
     TilesConfig,
@@ -650,6 +650,67 @@ def crowds(draw):
 def test_cached_occlusion_matches_reference(states):
     frame = FrameSnapshot(index=0, t=0.0, cam=CameraModel(), agents=states)
     assert frame.occluded == reference_occluded(states)
+
+
+def ci_crowd200(occlusion_enabled):
+    """The byte-identity CI step's 200-person crowd: 200 people circling
+    from 200 start azimuths in [70, 289] degrees and four walkers
+    crossing the edge of detection range, with 5 % joint dropout."""
+    d = json.loads(CIRCLE_2M.read_text())
+    body = d["agents"][0]["body"]
+    d["duration"] = 2.0
+    d["noise"] = {"joint_sigma": 1.0, "miss_prob": 0.05, "occlusion_enabled": occlusion_enabled}
+    d["agents"] = [
+        {
+            "id": i,
+            "body": body,
+            "trajectory": {
+                "type": "circle", "center": [0.0, 0.0], "radius": 1.5 + 0.0275 * i,
+                "angular_speed": 15.0 * (-1) ** i, "start_angle": 70.0 + 1.1 * i,
+            },
+        }
+        for i in range(200)
+    ]
+    for k in range(4):
+        a = math.radians(20.0 * k - 30.0)
+        start, end = (9.8, 12.8) if k % 2 else (12.8, 9.8)
+        d["agents"].append({
+            "id": 200 + k,
+            "body": body,
+            "trajectory": {
+                "type": "waypoints",
+                "points": [[r * math.cos(a), r * math.sin(a)] for r in (start, end)],
+                "speed": 1.5,
+            },
+        })
+    return scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("occlusion_enabled", [False, True], ids=["as_ci", "occlusion"])
+def test_crowd_pair_tests_scale(monkeypatch, occlusion_enabled):
+    """Occlusion and duplicate fusion test only the pairs that can
+    touch: over 5 frames of the 200-person crowd under tiles, at most
+    2,000 fusion and 4,000 occlusion ``cyclic_apart`` calls a frame,
+    where testing every pair takes about 15,000 and 20,000."""
+    calls = {"sim": 0, "detect": 0}
+
+    def counter(module):
+        name, real = module.__name__.rsplit(".", 1)[1], module.cyclic_apart
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for module in (sim, detect):
+        monkeypatch.setattr(module, "cyclic_apart", counter(module))
+    frames = list(itertools.islice(run_simulated(ci_crowd200(occlusion_enabled), "tiles"), 5))
+    assert len(frames) == 5
+    assert all(out.detections["detections"] for out, _ in frames)
+    assert calls["detect"] <= 5 * 2000
+    assert calls["sim"] <= 5 * 4000
+    assert (calls["sim"] > 0) == occlusion_enabled
 
 
 class TestUnderCamera:
