@@ -12,7 +12,6 @@ The package splits into:
 """
 
 from .detect import (
-    BoundingBox,
     DetectionResult,
     DetectorPort,
     RoiConfig,
@@ -68,10 +67,8 @@ from .tracker import (
     Track,
     TrackSnapshot,
     TrackerConfig,
-    TrackState,
     TrackStatus,
     associate,
-    project_to_image,
 )
 
 __version__ = "0.1.0"

@@ -47,7 +47,7 @@ from .geometry import (
     check_number,
     cyclic_apart,
     cyclic_interval_overlap,
-    cyclic_window,
+    cyclic_neighbours,
 )
 
 JOINT_NAMES = (
@@ -68,6 +68,7 @@ DEFAULT_TILE_OVERLAP = 150  # px at 1920 width; scaled for other widths
 DEFAULT_MERGE_THRESHOLD = 0.9
 DEFAULT_TILE_FOV_BAND = 60.0  # tiles keep rows with |elevation| <= this
 NO_PIXEL = (math.nan, math.nan)  # the column and row of an absent joint
+Box = tuple[float, float, float, float]  # a torso box (x, y, w, h), x cyclic
 _BOX_MARGIN_PX = 0.5  # padding of the torso-box columns in fusion's broad phase
 
 
@@ -168,20 +169,6 @@ def reference_x(joints: dict) -> float:
     otherwise the smallest joint column."""
     neck = joints.get("neck")
     return neck[0] if neck else min(v[0] for v in joints.values())
-
-
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned box in full-image coordinates; x is cyclic."""
-
-    x: float
-    y: float
-    w: float
-    h: float
-
-    def __post_init__(self) -> None:
-        if self.w <= 0 or self.h <= 0:
-            raise ConfigError(f"box sides must be positive, got {self.w}x{self.h}")
 
 
 @dataclass(frozen=True)
@@ -295,25 +282,15 @@ def build_tiles(
     )
 
 
-def torso_bbox(joints: dict, image_width: float) -> BoundingBox:
-    """Tight wrap-aware box over the present neck/shoulder/hip joints.
+def torso_bbox(joints: dict, image_width: float) -> Optional[Box]:
+    """Tight wrap-aware box (x, y, w, h) over the present
+    neck/shoulder/hip joints, x cyclic and in [0, W); None without the
+    neck and at least one shoulder or hip.
 
-    Requires the neck plus at least one shoulder or hip. When the joint
-    columns straddle the seam (x-spread over half the width), columns
-    left of the midline are unwrapped by +width before taking min/max.
-    Degenerate extents are clamped to 1 px.
+    When the joint columns straddle the seam (x-spread over half the
+    width), columns left of the midline are unwrapped by +width before
+    taking min/max. Degenerate extents are clamped to 1 px.
     """
-    extent = _torso_extent(joints, image_width)
-    if extent is None:
-        raise DegenerateSkeletonError(
-            "torso box needs the neck and at least one shoulder or hip"
-        )
-    return BoundingBox(*extent)
-
-
-def _torso_extent(joints: dict, image_width: float) -> Optional[tuple[float, float, float, float]]:
-    """``torso_bbox``'s (x, y, w, h) as a plain tuple, or None where it
-    raises: the one torso-box formula, which fusion calls directly."""
     pts = [joints[n] for n in TORSO_JOINTS if n in joints]
     if "neck" not in joints or len(pts) < 2:
         return None
@@ -327,8 +304,9 @@ def _torso_extent(joints: dict, image_width: float) -> Optional[tuple[float, flo
     return x0 % image_width, y0, max(x1 - x0, 1.0), max(max(ys) - y0, 1.0)
 
 
-def merge_score(b1: BoundingBox, b2: BoundingBox, image_width: float) -> float:
-    """Containment score: intersection area over the smaller box area.
+def merge_score(a: Box, b: Box, image_width: float) -> float:
+    """Containment score of two ``torso_bbox`` boxes: intersection area
+    over the smaller box area.
 
     1.0 whenever one box contains the other; 0.0 for disjoint boxes.
     Horizontal extents intersect cyclically. The score is not symmetric
@@ -336,11 +314,6 @@ def merge_score(b1: BoundingBox, b2: BoundingBox, image_width: float) -> float:
     boxes swapped), so ``fuse_duplicates`` scores each pair in item
     order.
     """
-    return _containment((b1.x, b1.y, b1.w, b1.h), (b2.x, b2.y, b2.w, b2.h), image_width)
-
-
-def _containment(a: tuple, b: tuple, image_width: float) -> float:
-    """``merge_score`` of two (x, y, w, h) extents."""
     ax, ay, aw, ah = a
     bx, by, bw, bh = b
     ix = cyclic_interval_overlap(ax, aw, bx, bw, image_width)
@@ -381,16 +354,14 @@ def fuse_duplicates(
     confidence, then by (viewport index, anchor column) for
     determinism. Output is ordered by (viewport index, anchor column).
 
-    Only pairs from an adjacent pair of viewports are visited. Each
-    viewport's boxes are sorted by centre column once, and a box meets
-    only the other viewport's boxes in its ``cyclic_window``: within
-    half its width, half the widest of those boxes and the margin. The
-    window only pre-filters; each pair in it still takes the exact
-    ``cyclic_apart`` test and then the score, as an all-pairs loop
-    would, with the lower item index first, because neither function
-    is symmetric to the last bit. The groups, the order of their
-    members and of the survivors do not depend on the order in which
-    pairs are visited.
+    Only pairs from an adjacent pair of viewports are visited, and a
+    box meets only the other viewport's boxes that ``cyclic_neighbours``
+    returns for its columns. That only pre-filters; each pair it returns
+    still takes the exact ``cyclic_apart`` test and then the score, as
+    an all-pairs loop would, with the lower item index first, because
+    the score is not symmetric to the last bit. The groups, the order
+    of their members and of the survivors do not depend on the order
+    in which pairs are visited.
     """
     check_number("sigma1", sigma1, 0.0, 1.0, strict=True)
     items = list(dets)
@@ -400,17 +371,14 @@ def fuse_duplicates(
     pairs = [tuple(pair) for pair in adjacent if len(pair) == 2 and pair <= present]
     paired = set().union(*pairs)
     boxes = [
-        _torso_extent(joints, image_width) if vp_idx in paired else None for joints, vp_idx in items
+        torso_bbox(joints, image_width) if vp_idx in paired else None for joints, vp_idx in items
     ]
-
-    # viewport -> its boxes as (centre column, item index), sorted
-    by_viewport: dict[int, list[tuple[float, int]]] = {}
+    # viewport -> the item indices of its boxes, and their column spans
+    by_viewport: dict[int, list[int]] = {}
     for i, box in enumerate(boxes):
         if box is not None:
-            centre = (box[0] % image_width + 0.5 * box[2]) % image_width
-            by_viewport.setdefault(items[i][1], []).append((centre, i))
-    for entries in by_viewport.values():
-        entries.sort()
+            by_viewport.setdefault(items[i][1], []).append(i)
+    spans = {v: [(boxes[i][0], boxes[i][2]) for i in idx] for v, idx in by_viewport.items()}
 
     parent = list(range(len(items)))
 
@@ -424,17 +392,15 @@ def fuse_duplicates(
         if va not in by_viewport or vb not in by_viewport:
             continue
         others = by_viewport[vb]
-        keys = [centre for centre, _ in others]
-        half_widest = 0.5 * max(boxes[j][2] for _, j in others)
-        for centre, i in by_viewport[va]:
-            reach = 0.5 * boxes[i][2] + half_widest + 2.0 * _BOX_MARGIN_PX
-            for k in cyclic_window(keys, centre, reach, image_width):
-                j = others[k][1]
+        near = cyclic_neighbours(spans[va], spans[vb], image_width, _BOX_MARGIN_PX)
+        for i, window in zip(by_viewport[va], near):
+            for k in window:
+                j = others[k]
                 lo, hi = (i, j) if i < j else (j, i)
                 b_lo, b_hi = boxes[lo], boxes[hi]
                 if (
                     not cyclic_apart(b_lo[0], b_lo[2], b_hi[0], b_hi[2], image_width, _BOX_MARGIN_PX)
-                    and _containment(b_lo, b_hi, image_width) >= sigma1
+                    and merge_score(b_lo, b_hi, image_width) >= sigma1
                 ):
                     r_lo, r_hi = find(lo), find(hi)
                     if r_lo != r_hi:

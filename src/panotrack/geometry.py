@@ -36,7 +36,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .exceptions import AboveHorizonError, ConfigError, GeometryError, InputError
 
-_WINDOW_SLACK = 1e-9  # of the period: ``cyclic_window``'s padding, far above rounding
+_WINDOW_SLACK = 1e-9  # of the period: ``_cyclic_window``'s padding, far above rounding
 
 
 # JSON true/false arrive as bools, which are ints to Python
@@ -221,30 +221,50 @@ def cyclic_apart(
     cyclic distance between the centres exceeds the sum of the padded
     half-lengths. Intervals that touch, or whose half-lengths sum to
     half the period or more, are never apart. With a margin far above
-    the rounding of either function, an apart pair has overlap 0.
-
-    The test is not symmetric to the last bit: swapping the intervals
-    rounds the centre difference another way, so a caller that must
-    agree with an all-pairs loop passes each pair in that loop's order.
-    ``cyclic_window`` finds the candidates for it by centre; it only
-    pre-filters, and this test still runs on each pair it returns.
+    the rounding of either function, an apart pair has overlap 0. The
+    test is symmetric: swapping the intervals never changes it.
     """
-    half = 0.5 * period
-    offset = (a_start % period + 0.5 * a_len) - (b_start % period + 0.5 * b_len)
-    return abs((offset + half) % period - half) > 0.5 * (a_len + b_len) + 2.0 * margin
+    d = abs((a_start % period + 0.5 * a_len) - (b_start % period + 0.5 * b_len)) % period
+    return min(d, period - d) > 0.5 * (a_len + b_len) + 2.0 * margin
 
 
-def cyclic_window(keys: Sequence[float], centre: float, reach: float, period: float) -> Sequence[int]:
+def cyclic_neighbours(
+    queries: Sequence[tuple[float, float]],
+    intervals: Sequence[tuple[float, float]],
+    period: float,
+    margin: float,
+) -> list[list[int]]:
+    """For each query interval (start, length), the positions in
+    ``intervals`` of every interval that ``cyclic_apart`` with this
+    margin may not place apart from it, each once.
+
+    One sort and sweep: the intervals are sorted by ``cyclic_apart``'s
+    centre, and a query meets those whose centres lie within half its
+    length, half the widest interval and twice the margin of its own.
+    A conservative pre-filter, which may return a few apart intervals
+    too: a caller runs its exact tests on each returned pair.
+    """
+    centres = [(start % period + 0.5 * length) % period for start, length in intervals]
+    order = sorted(range(len(intervals)), key=centres.__getitem__)
+    keys = [centres[k] for k in order]
+    half_widest = 0.5 * max((length for _, length in intervals), default=0.0)
+    near = []
+    for start, length in queries:
+        reach = 0.5 * length + half_widest + 2.0 * margin
+        near.append([order[k] for k in _cyclic_window(keys, start % period + 0.5 * length, reach, period)])
+    return near
+
+
+def _cyclic_window(keys: Sequence[float], centre: float, reach: float, period: float) -> Sequence[int]:
     """Positions in ``keys``, sorted in [0, period), of every key within
     cyclic distance ``reach`` of ``centre``, in ascending order and each
     once: one bisected range, or two when the window straddles the
     seam, or every position when 2 * reach >= period.
 
-    A conservative pre-filter for sort-and-sweep: ``reach`` is padded
-    by ``_WINDOW_SLACK`` of the period, far above the rounding of the
-    keys, the reach and this window, so a caller may compute them a few
-    roundings apart from the exact test it runs on each returned
-    position. A few keys just beyond ``reach`` may be returned too.
+    ``reach`` is padded by ``_WINDOW_SLACK`` of the period, far above
+    the rounding by which ``cyclic_neighbours``' keys and reach may
+    differ from ``cyclic_apart``'s, so a few keys just beyond ``reach``
+    may be returned too.
     """
     reach += _WINDOW_SLACK * period
     n = len(keys)

@@ -42,7 +42,7 @@ from .geometry import (
     column_range,
     cyclic_apart,
     cyclic_interval_overlap,
-    cyclic_window,
+    cyclic_neighbours,
     from_dict,
     row_at_height,
 )
@@ -66,18 +66,18 @@ class CircleTrajectory:
         check_number("angular_speed", self.angular_speed)
         check_number("start_angle", self.start_angle)
 
-    def pose(self, t: float) -> tuple[float, float, float]:
+    def pose(self, t: float) -> tuple[float, float]:
         ang = math.radians(self.start_angle + self.angular_speed * t)
         x = self.center[0] + self.radius * math.cos(ang)
         y = self.center[1] + self.radius * math.sin(ang)
-        heading = math.degrees(ang) + math.copysign(90.0, self.angular_speed)
-        return x, y, heading
+        return x, y
 
 
 @dataclass(frozen=True)
 class WaypointTrajectory:
     """Constant-speed polyline; the agent holds the last waypoint after
-    reaching it. A single waypoint is a stationary agent."""
+    reaching it. A single waypoint is a stationary agent; a repeated
+    waypoint is a segment of length 0, which takes no time."""
 
     points: tuple[tuple[float, float], ...]
     speed: float = 1.0  # m/s
@@ -89,21 +89,16 @@ class WaypointTrajectory:
             check_number("waypoint", p, length=2)
         check_number("speed", self.speed, 0.0, strict=True)
 
-    def pose(self, t: float) -> tuple[float, float, float]:
+    def pose(self, t: float) -> tuple[float, float]:
         pts = self.points
-        if len(pts) == 1:
-            return pts[0][0], pts[0][1], 0.0
         remaining = self.speed * t
-        heading = 0.0
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
             seg = math.hypot(x1 - x0, y1 - y0)
-            if seg > 0:
-                heading = math.degrees(math.atan2(y1 - y0, x1 - x0))
-            if remaining <= seg or seg == 0:
+            if remaining <= seg:
                 frac = remaining / seg if seg > 0 else 0.0
-                return x0 + frac * (x1 - x0), y0 + frac * (y1 - y0), heading
+                return x0 + frac * (x1 - x0), y0 + frac * (y1 - y0)
             remaining -= seg
-        return pts[-1][0], pts[-1][1], heading
+        return pts[-1][0], pts[-1][1]
 
 
 Trajectory = Union[CircleTrajectory, WaypointTrajectory]
@@ -199,12 +194,11 @@ class Scenario:
 
 @dataclass(frozen=True)
 class AgentState:
-    """An agent's pose for one frame, in the camera-centered frame."""
+    """An agent's position for one frame, in the camera-centered frame."""
 
     agent: Agent
     x: float
     y: float
-    heading: float  # deg
 
     @property
     def ground_range(self) -> float:
@@ -304,23 +298,17 @@ class FrameSnapshot:
         another id are compared, and a footprint that ``cyclic_apart``
         places apart is skipped before ``cyclic_interval_overlap``.
 
-        The footprints are sorted by centre azimuth, and an agent meets
-        only those in its ``cyclic_window``: within half its length,
-        half the widest footprint and the margin. The window only
-        pre-filters; the range, id, ``cyclic_apart`` and overlap tests
-        run unchanged on each footprint in it, the agent's own
-        footprint first as in an all-pairs loop, since ``cyclic_apart``
-        is not symmetric to the last bit."""
+        An agent meets only the footprints that ``cyclic_neighbours``
+        returns for its own. That only pre-filters; the range, id,
+        ``cyclic_apart`` and overlap tests run unchanged on each
+        footprint it returns, the agent's own footprint first as in an
+        all-pairs loop."""
         footprints = [
             (state.agent.id, state.ground_range, *_azimuth_interval(state))
             for state in self.agents
         ]
-        # cyclic_apart's centre of each footprint, reduced to [0, 360)
-        centres = [(start % 360.0 + 0.5 * length) % 360.0 for _, _, start, length in footprints]
-        order = sorted(range(len(footprints)), key=centres.__getitem__)
-        keys = [centres[k] for k in order]
-        by_centre = [footprints[k] for k in order]
-        half_widest = 0.5 * max((length for _, _, _, length in footprints), default=0.0)
+        intervals = [(start, length) for _, _, start, length in footprints]
+        near = cyclic_neighbours(intervals, intervals, 360.0, _AZIMUTH_MARGIN_DEG)
         return tuple(
             length > 0
             and any(
@@ -328,14 +316,9 @@ class FrameSnapshot:
                 and o_id != a_id
                 and not cyclic_apart(start, length, o_start, o_length, 360.0, _AZIMUTH_MARGIN_DEG)
                 and cyclic_interval_overlap(start, length, o_start, o_length, 360.0) > 0.5 * length
-                for o_id, o_range, o_start, o_length in map(
-                    by_centre.__getitem__,
-                    cyclic_window(
-                        keys, centre, 0.5 * length + half_widest + 2.0 * _AZIMUTH_MARGIN_DEG, 360.0
-                    ),
-                )
+                for o_id, o_range, o_start, o_length in map(footprints.__getitem__, window)
             )
-            for (a_id, a_range, start, length), centre in zip(footprints, centres)
+            for (a_id, a_range, start, length), window in zip(footprints, near)
         )
 
 
@@ -440,11 +423,11 @@ def agent_states(scenario: Scenario, t: float) -> tuple[AgentState, ...]:
     scenario scripts a camera trajectory."""
     cam_x = cam_y = 0.0
     if scenario.camera_trajectory is not None:
-        cam_x, cam_y, _ = scenario.camera_trajectory.pose(t)
+        cam_x, cam_y = scenario.camera_trajectory.pose(t)
     states = []
     for agent in scenario.agents:
-        x, y, heading = agent.trajectory.pose(t)
-        states.append(AgentState(agent=agent, x=x - cam_x, y=y - cam_y, heading=heading))
+        x, y = agent.trajectory.pose(t)
+        states.append(AgentState(agent=agent, x=x - cam_x, y=y - cam_y))
     return tuple(states)
 
 

@@ -75,9 +75,10 @@ from .geometry import (
     WorldPoint,
     check_flag,
     check_number,
+    column_range,
     localize,
+    row_at_height,
     signed_wrap_diff,
-    world_to_image,
 )
 
 STATE_DIM = 5
@@ -171,19 +172,6 @@ class TrackStatus(str, enum.Enum):
     LOST = "lost"
 
 
-@dataclass(frozen=True)
-class TrackState:
-    x: float
-    y: float
-    vx: float
-    vy: float
-    h_n: float
-
-    @classmethod
-    def from_array(cls, a: np.ndarray) -> "TrackState":
-        return cls(*(float(v) for v in a))
-
-
 @dataclass
 class Track:
     """The lifecycle of one track. Its filter state is the row of the
@@ -225,14 +213,6 @@ def unwrap_columns(xs: np.ndarray, image_width: float) -> np.ndarray:
     if not split.any():
         return xs
     return np.where(split[..., None] & (xs < half), xs + image_width, xs)
-
-
-def project_to_image(state: TrackState, cam: CameraModel) -> tuple[ImagePoint, ImagePoint]:
-    """(ankle midpoint, neck) pixels of a track state: the ankle
-    midpoint at the camera's ankle-plane height and the neck at h_n."""
-    ankle = world_to_image(WorldPoint(state.x, state.y, cam.ankle_height), cam)
-    neck = world_to_image(WorldPoint(state.x, state.y, state.h_n), cam)
-    return ankle, neck
 
 
 def _column_range(
@@ -575,8 +555,12 @@ class PanoTracker:
         return tuple(a.take(rows, axis=0) for a in (self.means, self.covs, self.factors))
 
     def _prominence(self, row: int) -> tuple[float, float]:
-        ankle, neck = project_to_image(TrackState.from_array(self.means[row]), self.cam)
-        return (-abs(ankle.y - neck.y), neck.x)
+        """The target rule's key for a row: minus the pixel height from
+        the ankle midpoint to the neck of its mean, then its column."""
+        x, y, _, _, h = self.means[row].tolist()
+        column, rho = column_range(x, y, self.cam)
+        ankle_y = row_at_height(rho, self.cam.ankle_height, self.cam)
+        return (-abs(ankle_y - row_at_height(rho, h, self.cam)), column)
 
     def _maintain_target(self) -> None:
         if any(t.is_target and t.status != TrackStatus.LOST for t in self.tracks):

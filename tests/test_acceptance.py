@@ -51,13 +51,7 @@ from panotrack.sim import (
     load_scenario,
     project_agent,
 )
-from panotrack.tracker import (
-    PanoTracker,
-    TrackState,
-    TrackerConfig,
-    associate,
-    project_to_image,
-)
+from panotrack.tracker import PanoTracker, TrackerConfig, associate
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 CAM = CameraModel()
@@ -121,7 +115,6 @@ def test_criterion_2_fusion():
         agent=Agent(id=0, trajectory=WaypointTrajectory(points=((0, 0),))),
         x=2.0 * math.cos(theta),
         y=2.0 * math.sin(theta),
-        heading=0.0,
     )
     detector = SyntheticDetector(
         NoiseModel(joint_sigma=1.0), dataclasses.replace(load_scenario(str(SCENARIOS / "circle_2m.json")).detect_cfg), seed=3
@@ -235,7 +228,6 @@ def test_criterion_4_gnn_optimality():
                 agent=Agent(id=0, trajectory=WaypointTrajectory(points=((0, 0),))),
                 x=rho * math.cos(theta),
                 y=rho * math.sin(theta),
-                heading=0.0,
             )
             dets.append(project_agent(state, CAM))
 
@@ -244,7 +236,7 @@ def test_criterion_4_gnn_optimality():
         pairs = list(zip(res.tracks.tolist(), res.dets.tolist()))
         cost = np.zeros((n, m))
         for i, mean in enumerate(means):
-            pred = project_to_image(TrackState.from_array(mean), CAM)[1]
+            pred = world_to_image(WorldPoint(mean[0], mean[1], mean[4]), CAM)
             for j, det in enumerate(dets):
                 cost[i, j] = wrap_distance(pred, det["neck"], CAM.image_width)
         total = sum(cost[i, j] for i, j in pairs)
@@ -329,7 +321,6 @@ def test_criterion_8_latency():
                 agent=Agent(id=k, trajectory=WaypointTrajectory(points=((0, 0),))),
                 x=3 * math.cos(ang),
                 y=3 * math.sin(ang),
-                heading=0.0,
             )
             det = project_agent(state, CAM)
             out.append(

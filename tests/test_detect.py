@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from panotrack.detect import (
     JOINT_NAMES,
     TORSO_JOINTS,
-    BoundingBox,
     RoiConfig,
     TilesConfig,
     ankle_midpoint,
@@ -258,50 +257,45 @@ class TestTorsoBbox:
             "left_hip": (95, 100),
             "right_hip": (105, 100),
         }
-        box = torso_bbox(sk, 1920)
-        assert (box.x, box.y, box.w, box.h) == (90, 50, 20, 50)
+        assert torso_bbox(sk, 1920) == (90, 50, 20, 50)
 
     def test_degenerate_cluster_clamped(self):
         sk = {"neck": (100, 50), "left_shoulder": (100, 50)}
-        box = torso_bbox(sk, 1920)
-        assert box.w == 1.0 and box.h == 1.0
+        _, _, w, h = torso_bbox(sk, 1920)
+        assert w == 1.0 and h == 1.0
 
     def test_wraps_at_seam(self):
         sk = {"neck": (1910, 50), "left_shoulder": (10, 60), "left_hip": (1915, 90)}
-        box = torso_bbox(sk, 1920)
-        assert box.x == pytest.approx(1910)
-        assert box.w == pytest.approx(20)
+        x, _, w, _ = torso_bbox(sk, 1920)
+        assert x == pytest.approx(1910)
+        assert w == pytest.approx(20)
 
     def test_insufficient_joints(self):
-        with pytest.raises(DegenerateSkeletonError):
-            torso_bbox({"neck": (1, 2)}, 1920)
-        with pytest.raises(DegenerateSkeletonError):
-            torso_bbox({"left_shoulder": (1, 2), "right_shoulder": (3, 2)}, 1920)
+        assert torso_bbox({"neck": (1, 2)}, 1920) is None
+        assert torso_bbox({"left_shoulder": (1, 2), "right_shoulder": (3, 2)}, 1920) is None
 
 
 class TestMergeScore:
     def test_identical(self):
-        b = BoundingBox(10, 10, 50, 80)
+        b = (10, 10, 50, 80)
         assert merge_score(b, b, 1920) == 1.0
 
     def test_disjoint(self):
-        assert merge_score(
-            BoundingBox(0, 0, 10, 10), BoundingBox(500, 0, 10, 10), 1920
-        ) == 0.0
+        assert merge_score((0, 0, 10, 10), (500, 0, 10, 10), 1920) == 0.0
 
     def test_containment_saturates(self):
-        big = BoundingBox(0, 0, 100, 100)
-        small = BoundingBox(20, 20, 50, 50)
+        big = (0, 0, 100, 100)
+        small = (20, 20, 50, 50)
         assert merge_score(big, small, 1920) == 1.0
 
     def test_symmetric(self):
-        b1 = BoundingBox(0, 0, 60, 60)
-        b2 = BoundingBox(30, 30, 60, 60)
+        b1 = (0, 0, 60, 60)
+        b2 = (30, 30, 60, 60)
         assert merge_score(b1, b2, 1920) == merge_score(b2, b1, 1920)
 
     def test_seam_crossing_boxes(self):
-        b1 = BoundingBox(1900, 10, 40, 40)  # spans [1900, 20)
-        b2 = BoundingBox(0, 10, 40, 40)
+        b1 = (1900, 10, 40, 40)  # spans [1900, 20)
+        b2 = (0, 10, 40, 40)
         expected = (20 * 40) / (40 * 40)
         assert merge_score(b1, b2, 1920) == pytest.approx(expected)
 
@@ -385,12 +379,7 @@ def reference_fuse(dets, adjacent, image_width, sigma1):
     from adjacent viewports whose torso boxes score >= sigma1 is grouped
     (union-find), each group keeps its best detection, and the survivors
     are ordered by (viewport index, anchor column)."""
-    boxes = []
-    for joints, _ in dets:
-        try:
-            boxes.append(torso_bbox(joints, image_width))
-        except DegenerateSkeletonError:
-            boxes.append(None)
+    boxes = [torso_bbox(joints, image_width) for joints, _ in dets]
     parent = list(range(len(dets)))
 
     def find(i):
@@ -472,22 +461,22 @@ def neighbour(draw, joints):
     """A copy of ``joints``, or a torso whose box touches its box's left
     or right edge to within a few floating-point steps, over the same
     rows."""
-    try:
-        box = torso_bbox(joints, 1920)
-    except DegenerateSkeletonError:
+    box = torso_bbox(joints, 1920)
+    if box is None:
         return dict(joints)
+    x, y, w, h = box
     kind = draw(st.sampled_from(["copy", "right", "left"]))
     if kind == "copy":
         return dict(joints)
     width = draw(st.one_of(st.sampled_from([0.5, 1.0, 700.0, 1000.0]), st.floats(1.0, 50.0)))
     steps = draw(st.integers(-3, 3))
     if kind == "right":
-        left = nudge(box.x + box.w, steps)
+        left = nudge(x + w, steps)
     else:
-        left = nudge(box.x, steps) - width
+        left = nudge(x, steps) - width
     return {
-        "neck": (left, box.y, 1.0),
-        "left_hip": (left + width, box.y + box.h, 1.0),
+        "neck": (left, y, 1.0),
+        "left_hip": (left + width, y + h, 1.0),
     }
 
 
@@ -516,8 +505,8 @@ def touching_cases(draw):
         width = draw(st.integers(997, 49_850)) / 997
         joints = check_detection({"neck": (left, 400.0), "left_hip": (left + width, 450.0)}, H)
         dets.append((joints, k % 2))
-        box = torso_bbox(joints, 1920)
-        left = nudge(box.x + box.w, draw(st.integers(-3, 3)))
+        x, _, w, _ = torso_bbox(joints, 1920)
+        left = nudge(x + w, draw(st.integers(-3, 3)))
     return dets, cyclic_pairs(2), draw(THRESHOLDS)
 
 

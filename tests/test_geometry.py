@@ -13,7 +13,7 @@ from panotrack.geometry import (
     WorldPoint,
     cyclic_apart,
     cyclic_interval_overlap,
-    cyclic_window,
+    cyclic_neighbours,
     estimate_height,
     ground_range,
     image_to_polar,
@@ -23,6 +23,7 @@ from panotrack.geometry import (
     world_to_image,
     wrap_degrees,
 )
+from panotrack.geometry import _cyclic_window
 from panotrack.tracker import _wrap_distances
 
 
@@ -368,6 +369,44 @@ class TestCyclicApart:
             assert cyclic_interval_overlap(a_start, a_len, b_start, b_len, period) == 0.0
             assert cyclic_interval_overlap(b_start, b_len, a_start, a_len, period) == 0.0
 
+    def test_touching_across_the_seam_is_one_answer(self):
+        # [1917.84..., +2.50...) ends where [0.34..., +25.7...) starts, past
+        # the seam: touching, so not apart, whichever interval comes first
+        a = (1917.8422232505197, 2.502507522567703)
+        b = (0.34473077308734906, 25.739217652958878)
+        assert not cyclic_apart(*a, *b, 1920.0, 0.0)
+        assert not cyclic_apart(*b, *a, 1920.0, 0.0)
+
+    @given(
+        st.sampled_from([360.0, 1920.0]),
+        st.integers(-30_000, 2_000_000),
+        st.integers(1, 60_000),
+        st.integers(-3, 3),
+        st.integers(1, 60_000),
+        st.sampled_from([0.0, 1e-6, 0.5]),
+    )
+    @settings(max_examples=300, deadline=None)  # about 0.6 s on a 2-CPU VM
+    def test_swapping_the_intervals_never_changes_it(self, period, a, a_len, steps, b_len, margin):
+        # a starts anywhere; b starts where a ends, to within a few rounding
+        # steps. Quotients by primes round, so the centre differences do too
+        a_start, a_len, b_len = (a / 9973) % period, a_len / 997, b_len / 997
+        b_start = (a_start + a_len) % period
+        for _ in range(abs(steps)):
+            b_start = math.nextafter(b_start, math.copysign(math.inf, steps))
+        assert cyclic_apart(a_start, a_len, b_start, b_len, period, margin) == cyclic_apart(
+            b_start, b_len, a_start, a_len, period, margin
+        )
+
+
+PERIODS = st.sampled_from([360.0, 1920.0]) | st.floats(1.0, 1e6)
+
+
+def keys_in(period):
+    """Points in [0, period), its ends and its middle among them."""
+    return st.floats(0.0, period, exclude_max=True) | st.sampled_from(
+        [0.0, 5e-324, math.nextafter(period, 0.0), 0.5 * period]
+    )
+
 
 @st.composite
 def windows(draw):
@@ -375,11 +414,8 @@ def windows(draw):
     the seam or past either end of the circle) and a reach from 0 to
     past half the period; a centre beside the seam with a reach beyond
     it makes a window that straddles the seam."""
-    period = draw(st.sampled_from([360.0, 1920.0]) | st.floats(1.0, 1e6))
-    key = st.floats(0.0, period, exclude_max=True) | st.sampled_from(
-        [0.0, 5e-324, math.nextafter(period, 0.0), 0.5 * period]
-    )
-    keys = sorted(draw(st.lists(key, max_size=20)))
+    period = draw(PERIODS)
+    keys = sorted(draw(st.lists(keys_in(period), max_size=20)))
     seam = [0.0, -1e-9, 1e-9, period, math.nextafter(period, 0.0), -period, 2.0 * period]
     centre = draw(
         st.floats(-2.0 * period, 2.0 * period)
@@ -404,7 +440,7 @@ class TestCyclicWindow:
     @settings(max_examples=100, deadline=None)  # about 0.7 s on a 2-CPU VM
     def test_holds_every_key_within_reach_once(self, case):
         keys, centre, reach, period = case
-        window = list(cyclic_window(keys, centre, reach, period))
+        window = list(_cyclic_window(keys, centre, reach, period))
         # ascending, so no position appears twice
         assert window == sorted(set(window))
         assert all(0 <= k < len(keys) for k in window)
@@ -420,8 +456,57 @@ class TestCyclicWindow:
 
     def test_window_straddling_the_seam(self):
         keys = [1.0, 10.0, 180.0, 350.0, 359.5]
-        assert list(cyclic_window(keys, 355.0, 8.0, 360.0)) == [0, 3, 4]
-        assert list(cyclic_window(keys, 2.0, 5.0, 360.0)) == [0, 4]
-        assert list(cyclic_window(keys, 180.0, 1.0, 360.0)) == [2]
-        assert list(cyclic_window(keys, 90.0, 180.0, 360.0)) == [0, 1, 2, 3, 4]
-        assert list(cyclic_window([], 90.0, 1.0, 360.0)) == []
+        assert list(_cyclic_window(keys, 355.0, 8.0, 360.0)) == [0, 3, 4]
+        assert list(_cyclic_window(keys, 2.0, 5.0, 360.0)) == [0, 4]
+        assert list(_cyclic_window(keys, 180.0, 1.0, 360.0)) == [2]
+        assert list(_cyclic_window(keys, 90.0, 180.0, 360.0)) == [0, 1, 2, 3, 4]
+        assert list(_cyclic_window([], 90.0, 1.0, 360.0)) == []
+
+
+@st.composite
+def neighbour_cases(draw):
+    """Query intervals and intervals on one circle: starts from
+    ``windows``' keys, shifted a period either way or not, so some lie
+    below 0 or past the period, lengths from 0 to the whole period, and
+    the margin of fusion, of occlusion or none."""
+    period = draw(PERIODS)
+    start = st.builds(
+        lambda key, shift: key + shift * period, keys_in(period), st.sampled_from([-1, 0, 0, 1])
+    )
+    length = st.floats(0.0, 0.1 * period) | st.floats(0.0, period) | st.sampled_from(
+        [0.0, 0.5 * period, period]
+    )
+    interval = st.tuples(start, length)
+    queries = draw(st.lists(interval, max_size=6))
+    intervals = draw(st.lists(interval, max_size=6))
+    margin = draw(st.sampled_from([0.0, 1e-6, 0.5]))
+    # a query that starts where an interval ends, or up to twice the
+    # margin past it, which cyclic_apart does not place apart
+    if intervals:
+        b_start, b_len = draw(st.sampled_from(intervals))
+        gap = draw(st.sampled_from([0.0, 2.0 * margin]) | st.floats(0.0, 2.0 * margin))
+        queries.append((b_start + b_len + gap, draw(length)))
+    return queries, intervals, period, margin
+
+
+class TestCyclicNeighbours:
+    @given(neighbour_cases())
+    @settings(max_examples=80, deadline=None)  # about 0.7 s on a 2-CPU VM
+    def test_returns_every_pair_not_apart(self, case):
+        queries, intervals, period, margin = case
+        near = cyclic_neighbours(queries, intervals, period, margin)
+        assert len(near) == len(queries)
+        for (q_start, q_len), found in zip(queries, near):
+            assert len(set(found)) == len(found)
+            assert all(0 <= k < len(intervals) for k in found)
+            for k, (start, length) in enumerate(intervals):
+                if not cyclic_apart(q_start, q_len, start, length, period, margin):
+                    assert k in found
+
+    def test_sweeps_across_the_seam(self):
+        # centres 5, 95, 355 and 180 degrees
+        intervals = [(0.0, 10.0), (90.0, 10.0), (350.0, 10.0), (170.0, 20.0)]
+        near = cyclic_neighbours([(358.0, 4.0), (-5.0, 10.0), (250.0, 1.0)], intervals, 360.0, 0.0)
+        assert sorted(near[0]) == [0, 2]
+        assert sorted(near[1]) == [0, 2]
+        assert near[2] == []

@@ -44,12 +44,11 @@ from panotrack.sim import (
 from panotrack.tracker import PanoTracker
 
 
-def make_state(x, y, heading=0.0, height=1.7, agent_id=0):
+def make_state(x, y, height=1.7, agent_id=0):
     return AgentState(
         agent=Agent(id=agent_id, trajectory=WaypointTrajectory(points=((x, y),)), body=Body(height=height)),
         x=x,
         y=y,
-        heading=heading,
     )
 
 
@@ -65,28 +64,28 @@ class TestTrajectories:
     def test_circle_radius_constant(self):
         traj = CircleTrajectory(radius=2.0, angular_speed=45.0)
         for t in np.linspace(0, 8, 33):
-            x, y, _ = traj.pose(t)
+            x, y = traj.pose(t)
             assert math.hypot(x, y) == pytest.approx(2.0, abs=1e-9)
-
-    def test_circle_heading_tangent(self):
-        traj = CircleTrajectory(radius=2.0, angular_speed=90.0, start_angle=0.0)
-        _, _, heading = traj.pose(0.0)
-        assert heading == pytest.approx(90.0)
 
     def test_waypoints_constant_speed(self):
         traj = WaypointTrajectory(points=((0, 0), (4, 0), (4, 4)), speed=2.0)
-        assert traj.pose(1.0)[:2] == pytest.approx((2, 0))
-        assert traj.pose(3.0)[:2] == pytest.approx((4, 2))
+        assert traj.pose(1.0) == pytest.approx((2, 0))
+        assert traj.pose(3.0) == pytest.approx((4, 2))
         # holds at the end
-        assert traj.pose(100.0)[:2] == pytest.approx((4, 4))
+        assert traj.pose(100.0) == pytest.approx((4, 4))
 
-    def test_waypoints_heading(self):
-        traj = WaypointTrajectory(points=((0, 0), (0, 5)), speed=1.0)
-        assert traj.pose(1.0)[2] == pytest.approx(90.0)
+    def test_repeated_waypoint_takes_no_time(self):
+        # a segment of length 0 is passed at once, not held for good
+        traj = WaypointTrajectory(points=((2, 0), (2, 0), (6, 0)), speed=1.0)
+        assert traj.pose(0.0) == (2, 0)
+        assert traj.pose(1.0) == (3, 0)
+        assert traj.pose(10.0) == (6, 0)
+        traj = WaypointTrajectory(points=((0, 0), (0, 3), (0, 3), (4, 3)), speed=2.0)
+        assert traj.pose(2.0) == (1, 3)
 
     def test_stationary(self):
         traj = WaypointTrajectory(points=((1.5, -2.0),))
-        assert traj.pose(10.0) == (1.5, -2.0, 0.0)
+        assert traj.pose(10.0) == (1.5, -2.0)
 
     def test_invalid(self):
         with pytest.raises(ConfigError):
@@ -174,7 +173,6 @@ def test_project_agent_equals_the_per_joint_reference(rho, azimuth, height, shou
         agent=Agent(id=0, trajectory=WaypointTrajectory(points=((0.0, 0.0),)), body=body),
         x=rho * math.cos(a),
         y=rho * math.sin(a),
-        heading=0.0,
     )
     got = project_agent(state, cam)
     ref = reference_skeleton(state, cam)
@@ -639,8 +637,7 @@ def crowds(draw):
             ),
             x=p[0],
             y=p[1],
-            heading=0.0,
-        )
+            )
         for i, (p, width) in enumerate(people)
     )
 

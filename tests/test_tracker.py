@@ -21,12 +21,10 @@ from panotrack.tracker import (
     H_N_RANGE,
     PanoTracker,
     TrackerConfig,
-    TrackState,
     TrackStatus,
     associate,
     innovation_stage,
     predict,
-    project_to_image,
     unwrap_columns,
     update,
 )
@@ -50,8 +48,9 @@ class Row:
     cov_factor: np.ndarray
 
     @property
-    def state(self):
-        return TrackState.from_array(self.mean)
+    def world_position(self):
+        x, y, _, _, h = self.mean.tolist()
+        return WorldPoint(x, y, h)
 
 
 def new_track(track_id, mean, cov):
@@ -197,7 +196,6 @@ def agent_detection(x, y, cam, height=1.7):
         agent=Agent(id=0, trajectory=WaypointTrajectory(points=((x, y),)), body=Body(height=height)),
         x=x,
         y=y,
-        heading=0.0,
     )
     return project_agent(state, cam)
 
@@ -218,24 +216,46 @@ class TestWrapCorrect:
         assert unwrap_columns(xs, 1920).tolist() == [[1900, 1910, 1930], [100, 200, 300]]
 
 
+def track_pixels(mean, cam):
+    """(ankle midpoint, neck) pixels of a track mean: the ankle midpoint
+    at the camera's ankle-plane height and the neck at h_n."""
+    x, y, _, _, h = mean
+    return world_to_image(WorldPoint(x, y, cam.ankle_height), cam), world_to_image(WorldPoint(x, y, h), cam)
+
+
 class TestProjectToImage:
     def test_reference_state(self, cam):
-        ankle, neck = project_to_image(TrackState(1.1, 0, 0, 0, 1.4188036041176237), cam)
+        ankle, neck = track_pixels([1.1, 0, 0, 0, 1.4188036041176237], cam)
         assert ankle.x == pytest.approx(960)
         assert ankle.y == pytest.approx(720)
         assert neck.y == pytest.approx(420, abs=1e-9)
 
     def test_side_axis(self, cam):
-        _, neck = project_to_image(TrackState(0, 2.0, 0, 0, 1.5), cam)
+        _, neck = track_pixels([0, 2.0, 0, 0, 1.5], cam)
         assert neck.x == pytest.approx(480)
 
     def test_round_trips_with_localize(self, cam):
-        state = TrackState(1.7, -2.3, 0, 0, 1.52)
-        ankle, neck = project_to_image(state, cam)
+        ankle, neck = track_pixels([1.7, -2.3, 0, 0, 1.52], cam)
         w = localize(ankle, neck, cam)
-        assert w.x == pytest.approx(state.x, abs=1e-9)
-        assert w.y == pytest.approx(state.y, abs=1e-9)
-        assert w.z == pytest.approx(state.h_n, abs=1e-9)
+        assert w.x == pytest.approx(1.7, abs=1e-9)
+        assert w.y == pytest.approx(-2.3, abs=1e-9)
+        assert w.z == pytest.approx(1.52, abs=1e-9)
+
+    def test_target_key_is_the_pixel_height_then_the_column(self, cam):
+        # bit for bit the world_to_image pixels of the mean, seam columns included
+        tracker = PanoTracker(cam, TrackerConfig())
+        tracker.means = np.array(
+            [
+                [1.1, 0.0, 0.3, 0.0, 1.42],
+                [-2.0, -1e-12, 0.5, 0.0, 1.45],
+                [-2.0, 0.0, 0.0, 0.0, 1.45],
+                [0.5, 3.0, -1.0, 0.2, 1.7],
+                [-4.0, 2.0, 0.0, 0.0, 0.9],
+            ]
+        )
+        for row, mean in enumerate(tracker.means.tolist()):
+            ankle, neck = track_pixels(mean, cam)
+            assert tracker._prominence(row) == (-abs(ankle.y - neck.y), neck.x)
 
     def test_matches_vectorized_model(self, cam):
         states = np.array(
@@ -250,7 +270,7 @@ class TestProjectToImage:
         ankle_rows = _row_at_height(rho, cam.ankle_height, cam)
         z = _neck_pixels(states, cam)
         for i, row in enumerate(states):
-            ankle, neck = project_to_image(TrackState.from_array(row), cam)
+            ankle, neck = track_pixels(row.tolist(), cam)
             assert col[i] == pytest.approx(ankle.x, abs=1e-9)
             assert ankle_rows[i] == pytest.approx(ankle.y, abs=1e-9)
             assert z[i, 0] == pytest.approx(neck.x, abs=1e-9)
@@ -289,7 +309,7 @@ class TestBatchedPathsMatchScalar:
             if col_shifts is None:
                 x, y = t.mean[0] + rng.normal(0, 0.05), t.mean[1] + rng.normal(0, 0.05)
             else:
-                col = project_to_image(t.state, cam)[1].x + col_shifts[k]
+                col = world_to_image(t.world_position, cam).x + col_shifts[k]
                 x, y = world_at_column(col % 1920, math.hypot(t.mean[0], t.mean[1]), cam)
             z = pixel_row(agent_detection(x, y, cam), cam)
             rows.append(z if dim == 4 else z[2:])
@@ -446,7 +466,7 @@ class TestUpdate:
         assert update_one(tr, meas, cam, TrackerConfig(wrap_correction=True))
         moved = np.linalg.norm(tr.mean[:2] - before[:2])
         assert moved < 0.2  # a 10 px innovation nudges, not flings
-        after = project_to_image(tr.state, cam)[1]
+        after = world_to_image(tr.world_position, cam)
         assert wrap_distance(after, det["neck"], cam.image_width) < 10.0
 
     def test_naive_difference_wrecks_the_state(self, cam):
@@ -589,7 +609,7 @@ class TestAssociate:
         det = agent_detection(*world_at_column(5.0, 2.0, cam), cam)
         res = associate(stacked([tr])[0], necks([det], cam), cam, gate=150.0)
         assert pairs(res) == [(0, 0)]
-        pred = project_to_image(tr.state, cam)[1]
+        pred = world_to_image(tr.world_position, cam)
         assert wrap_distance(pred, det["neck"], cam.image_width) == pytest.approx(
             10.0, abs=0.5
         )
@@ -875,7 +895,7 @@ def assert_matches_brute_force(tracks, dets, cam, gate):
     res = associate(stacked(tracks)[0], necks(dets, cam), cam, gate)
     cost = np.full((n, m), math.inf)
     for i, tr in enumerate(tracks):
-        pred = project_to_image(tr.state, cam)[1]
+        pred = world_to_image(tr.world_position, cam)
         for j, det in enumerate(dets):
             if "neck" in det:
                 cost[i, j] = wrap_distance(pred, det["neck"], cam.image_width)
@@ -1054,7 +1074,7 @@ class TestStep:
         for _ in range(5):
             tracker.step(detection_pixels([det], cam.image_width), 1 / 30)
         assert len(tracker.tracks) == 1
-        assert project_to_image(TrackState.from_array(tracker.means[0]), cam)[1].x == pytest.approx(
+        assert track_pixels(tracker.means[0].tolist(), cam)[1].x == pytest.approx(
             1918.0, abs=0.5
         )
 
