@@ -309,10 +309,8 @@ def merge_score(a: Box, b: Box, image_width: float) -> float:
     over the smaller box area.
 
     1.0 whenever one box contains the other; 0.0 for disjoint boxes.
-    Horizontal extents intersect cyclically. The score is not symmetric
-    to the last bit (the cyclic overlap rounds differently with the
-    boxes swapped), so ``fuse_duplicates`` scores each pair in item
-    order.
+    Horizontal extents intersect cyclically. The score is symmetric to
+    the last bit: swapping the boxes never changes it.
     """
     ax, ay, aw, ah = a
     bx, by, bw, bh = b
@@ -358,10 +356,10 @@ def fuse_duplicates(
     box meets only the other viewport's boxes that ``cyclic_neighbours``
     returns for its columns. That only pre-filters; each pair it returns
     still takes the exact ``cyclic_apart`` test and then the score, as
-    an all-pairs loop would, with the lower item index first, because
-    the score is not symmetric to the last bit. The groups, the order
-    of their members and of the survivors do not depend on the order
-    in which pairs are visited.
+    an all-pairs loop would. Both are symmetric to the last bit, so
+    neither depends on which box of a pair comes first. The groups, the
+    order of their members and of the survivors do not depend on the
+    order in which pairs are visited.
     """
     check_number("sigma1", sigma1, 0.0, 1.0, strict=True)
     items = list(dets)
@@ -394,17 +392,17 @@ def fuse_duplicates(
         others = by_viewport[vb]
         near = cyclic_neighbours(spans[va], spans[vb], image_width, _BOX_MARGIN_PX)
         for i, window in zip(by_viewport[va], near):
+            b_i = boxes[i]
             for k in window:
                 j = others[k]
-                lo, hi = (i, j) if i < j else (j, i)
-                b_lo, b_hi = boxes[lo], boxes[hi]
+                b_j = boxes[j]
                 if (
-                    not cyclic_apart(b_lo[0], b_lo[2], b_hi[0], b_hi[2], image_width, _BOX_MARGIN_PX)
-                    and merge_score(b_lo, b_hi, image_width) >= sigma1
+                    not cyclic_apart(b_i[0], b_i[2], b_j[0], b_j[2], image_width, _BOX_MARGIN_PX)
+                    and merge_score(b_i, b_j, image_width) >= sigma1
                 ):
-                    r_lo, r_hi = find(lo), find(hi)
-                    if r_lo != r_hi:
-                        parent[r_hi] = r_lo
+                    r_i, r_j = find(i), find(j)
+                    if r_i != r_j:
+                        parent[r_j] = r_i
 
     groups: dict[int, list[int]] = {}
     for i in range(len(items)):

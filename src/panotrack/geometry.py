@@ -36,7 +36,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .exceptions import AboveHorizonError, ConfigError, GeometryError, InputError
 
-_WINDOW_SLACK = 1e-9  # of the period: ``_cyclic_window``'s padding, far above rounding
+_WINDOW_SLACK = 1e-9  # of the period: the cyclic windows' padding, far above rounding
 
 
 # JSON true/false arrive as bools, which are ints to Python
@@ -197,10 +197,14 @@ def cyclic_interval_overlap(
     """Overlap length of two cyclic intervals [start, start+len) on a circle.
 
     Interval lengths must not exceed the period. Handles intervals that
-    cross the seam by testing the three relevant shifted copies.
+    cross the seam by testing the three relevant shifted copies. The
+    intervals are measured in one order, by (start mod period, length),
+    so swapping them never changes the result, to the last bit.
     """
     a0 = a_start % period
     b0 = b_start % period
+    if (b0, b_len) < (a0, a_len):
+        a0, a_len, b0, b_len = b0, b_len, a0, a_len
     total = 0.0
     for k in (-1.0, 0.0, 1.0):
         lo = max(a0, b0 + k * period)

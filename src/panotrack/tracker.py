@@ -54,7 +54,10 @@ read that array. Association is global nearest neighbour on the neck
 pixels (``associate``); spawn suppression measures the unmatched
 detections that could spawn, those with all four coordinates, against
 the live tracks' necks with the same gated, wrap-aware distance, with
-its own radius as the limit.
+its own radius as the limit. From about 10^4 pairs both score only the
+pairs inside the limit's column window (``_gated_distances``), with
+the values of the dense evaluation, and build no n x m temporaries
+per frame beyond the one matrix they return.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .exceptions import ConfigError, FilterDivergenceError, GeometryError
 from .geometry import (
+    _WINDOW_SLACK,
     CameraModel,
     ImagePoint,
     WorldPoint,
@@ -437,26 +441,106 @@ class Assignment:
     unmatched_dets: list[int]
 
 
-def _wrap_distances(
-    a: np.ndarray, b: np.ndarray, image_width: float, limit: float
+def _gap_distances(
+    dx: np.ndarray, dy: np.ndarray, image_width: float, limit: float
 ) -> np.ndarray:
-    """(len(a), len(b)) distances between two (k, 2) pixel arrays, the
-    column component measured the short way around the seam. Only
-    pairs whose column and row gaps are both within ``limit`` are
-    evaluated; every other entry, and every entry of a NaN row, is
-    +inf."""
-    # in place where possible: at 200 x 200 each full array is 320 kB
-    dx = a[:, None, 0] - b[None, :, 0]
+    """Elementwise distances of column and row differences ``dx`` and
+    ``dy``, which are overwritten, the column gap measured the short way
+    around the seam. Only pairs whose column and row gaps are both within
+    ``limit`` are evaluated; every other entry, and every NaN one, is
+    +inf. A reduction of the column gaps applies to each on its own, so
+    an entry's value does not depend on the others."""
     np.abs(dx, out=dx)
     # columns in [0, W] differ by at most W, and such a gap needs no
-    # reduction; only a column outside that range makes a larger one
+    # reduction (x % W is x for 0 <= x < W, and a gap of W gives 0
+    # either way); only a column outside that range makes a larger one
     if (dx > image_width).any():
         dx %= image_width
     np.minimum(dx, image_width - dx, out=dx)
-    dy = a[:, None, 1] - b[None, :, 1]
     np.abs(dy, out=dy)
     near = np.maximum(dx, dy) <= limit  # False for NaN
     return np.hypot(dx, dy, out=np.full(dx.shape, np.inf), where=near)
+
+
+def _wrap_distances(
+    a: np.ndarray, b: np.ndarray, image_width: float, limit: float
+) -> np.ndarray:
+    """(len(a), len(b)) ``_gap_distances`` between two (k, 2) pixel
+    arrays: every pair evaluated, the dense form."""
+    return _gap_distances(
+        a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1], image_width, limit
+    )
+
+
+# From this many pairs, a gated distance matrix scores only the pairs
+# in the limit's column windows; below it, the few numpy calls of every
+# pair cost less than finding the windows.
+_WINDOW_MIN_PAIRS = 10_000
+# columns within this many widths of [0, W] keep every rounding of the
+# windows and of the gaps far below the slack
+_WINDOW_COLUMN_SPAN = 2.0
+
+
+def _windowed_distances(
+    a: np.ndarray, b: np.ndarray, image_width: float, limit: float, fill: float
+) -> np.ndarray:
+    """``_gated_distances`` through the column windows: the columns of
+    ``b`` are sorted (mod W) once, and each row of ``a`` meets only the
+    rows of ``b`` whose columns lie within ``limit`` of its own around
+    the circle, found by bisection. Those pairs take ``_gap_distances``'
+    arithmetic, and the matrix is ``fill`` elsewhere, as every pair
+    outside a window has a column gap above ``limit``. Exact for finite
+    columns within ``_WINDOW_COLUMN_SPAN`` widths of [0, W] and NaN
+    ones, at any limit."""
+    keys = b[:, 0] % image_width  # in [0, W]; NaN sorts last and is dropped
+    order = np.argsort(keys)
+    order = order[: len(order) - np.isnan(keys).sum()]
+    keys = keys[order]
+    # each key once a width below and above, so that a window that
+    # straddles the seam is one range; a pair found twice (a window
+    # wider than W) is written twice with the same value
+    shifted = np.concatenate([keys - image_width, keys, keys + image_width])
+    centres = a[:, 0] % image_width
+    reach = limit + _WINDOW_SLACK * image_width
+    starts = np.searchsorted(shifted, centres - reach, "left")  # NaN: an empty window
+    counts = np.searchsorted(shifted, centres + reach, "right") - starts
+    rows = np.repeat(np.arange(len(a)), counts)
+    # the positions in ``shifted``: each row's start, plus 0, 1, ... within its window
+    at = np.arange(len(rows)) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    cols = np.tile(order, 3)[at]
+    dist = _gap_distances(
+        a[:, 0].take(rows) - b[:, 0].take(cols),
+        a[:, 1].take(rows) - b[:, 1].take(cols),
+        image_width,
+        limit,
+    )
+    out = np.full((len(a), len(b)), fill)
+    out.reshape(-1)[rows * len(b) + cols] = np.where(dist <= limit, dist, fill)
+    return out
+
+
+def _gated_distances(
+    a: np.ndarray, b: np.ndarray, image_width: float, limit: float, fill: float
+) -> np.ndarray:
+    """(len(a), len(b)) matrix of the ``_wrap_distances`` between two
+    (k, 2) pixel arrays that are within ``limit``, and ``fill`` for
+    every other pair, a NaN one included. From ``_WINDOW_MIN_PAIRS``
+    pairs only the pairs in the limit's column windows are scored
+    (``_windowed_distances``), with the same values; the dense form
+    scores every pair when there are fewer, when a window would span
+    half the panorama or more, or when a column lies too far outside
+    [0, W] for the windows to be exact."""
+    if (
+        len(a) * len(b) >= _WINDOW_MIN_PAIRS
+        and 2.0 * limit < image_width
+        and not (
+            np.abs(np.concatenate([a[:, 0], b[:, 0]]) - 0.5 * image_width)
+            > (0.5 + _WINDOW_COLUMN_SPAN) * image_width
+        ).any()  # False for NaN
+    ):
+        return _windowed_distances(a, b, image_width, limit, fill)
+    dist = _wrap_distances(a, b, image_width, limit)
+    return np.where(dist <= limit, dist, fill)
 
 
 def associate(
@@ -472,15 +556,19 @@ def associate(
     prohibitive cost). A NaN row (a detection without a neck) is never
     matched. Ties are resolved deterministically by the (track, det)
     ordering of the inputs.
+
+    From about 10^4 pairs, only the pairs inside the gate's column
+    window are scored: the detections' neck columns are sorted once and
+    each track's window found by bisection (``_gated_distances``). The
+    cost matrix is the dense evaluation's, bit for bit, so the
+    assignment is too.
     """
     n, m = len(means), len(det_necks)
     if n == 0 or m == 0:
         none = np.empty(0, dtype=int)
         return Assignment(none, none, list(range(n)), list(range(m)))
 
-    track_necks = _neck_pixels(means, cam)
-    dist = _wrap_distances(track_necks, det_necks, cam.image_width, gate)
-    cost = np.where(dist <= gate, dist, _FORBIDDEN)  # +inf (no neck) fails the gate
+    cost = _gated_distances(_neck_pixels(means, cam), det_necks, cam.image_width, gate, _FORBIDDEN)
 
     rows, cols = linear_sum_assignment(cost)  # rows ascending
     within = cost[rows, cols] < _FORBIDDEN
@@ -637,11 +725,12 @@ class PanoTracker:
             spawnable = spawnable[~np.isnan(spawnable).any(axis=1)]
             if len(spawnable):
                 live = [i for i, t in enumerate(tracks) if t.status != TrackStatus.LOST]
-                dist = _wrap_distances(
+                dist = _gated_distances(
                     spawnable[:, 2:],
                     _neck_pixels(self.means[live], self.cam),
                     self.cam.image_width,
                     cfg.spawn_suppression_px,
+                    np.inf,
                 )
                 # a detection near a live track's neck is a residual
                 # duplicate of someone already tracked

@@ -293,6 +293,13 @@ class TestMergeScore:
         b2 = (30, 30, 60, 60)
         assert merge_score(b1, b2, 1920) == merge_score(b2, b1, 1920)
 
+    def test_touching_across_the_seam_scores_the_same_both_ways(self):
+        # the boxes touch across the seam to within rounding; measured in
+        # the order given, they scored 0.0 one way and 6.3e-15 the other
+        a = (1905.4308896809753, 400.0, 15.245737211634905, 50.0)
+        b = (0.676626892610102, 400.0, 11.490471414242728, 50.0)
+        assert merge_score(a, b, 1920) == merge_score(b, a, 1920)
+
     def test_seam_crossing_boxes(self):
         b1 = (1900, 10, 40, 40)  # spans [1900, 20)
         b2 = (0, 10, 40, 40)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from panotrack.detect import merge_score
 from panotrack.exceptions import AboveHorizonError, ConfigError, GeometryError
 from panotrack.geometry import (
     CameraModel,
@@ -318,6 +319,22 @@ class TestWrapHelpers:
         )
 
 
+@st.composite
+def touching_intervals(draw):
+    """(period, a_start, a_len, b_start, b_len): a starts anywhere; b
+    starts where a ends, to within a few rounding steps, on either side
+    of the seam too. Quotients by primes round, so the centre
+    differences do too."""
+    period = draw(st.sampled_from([360.0, 1920.0]))
+    a_start = (draw(st.integers(-30_000, 2_000_000)) / 9973) % period
+    a_len, b_len = (draw(st.integers(1, 60_000)) / 997 for _ in range(2))
+    steps = draw(st.integers(-3, 3))
+    b_start = (a_start + a_len) % period
+    for _ in range(abs(steps)):
+        b_start = math.nextafter(b_start, math.copysign(math.inf, steps))
+    return period, a_start, a_len, b_start, b_len
+
+
 class TestCyclicApart:
     def test_far_intervals_are_apart(self):
         assert cyclic_apart(100, 30, 900, 25, 1920, 0.5)
@@ -377,25 +394,33 @@ class TestCyclicApart:
         assert not cyclic_apart(*a, *b, 1920.0, 0.0)
         assert not cyclic_apart(*b, *a, 1920.0, 0.0)
 
-    @given(
-        st.sampled_from([360.0, 1920.0]),
-        st.integers(-30_000, 2_000_000),
-        st.integers(1, 60_000),
-        st.integers(-3, 3),
-        st.integers(1, 60_000),
-        st.sampled_from([0.0, 1e-6, 0.5]),
-    )
+    @given(touching_intervals(), st.sampled_from([0.0, 1e-6, 0.5]))
     @settings(max_examples=300, deadline=None)  # about 0.6 s on a 2-CPU VM
-    def test_swapping_the_intervals_never_changes_it(self, period, a, a_len, steps, b_len, margin):
-        # a starts anywhere; b starts where a ends, to within a few rounding
-        # steps. Quotients by primes round, so the centre differences do too
-        a_start, a_len, b_len = (a / 9973) % period, a_len / 997, b_len / 997
-        b_start = (a_start + a_len) % period
-        for _ in range(abs(steps)):
-            b_start = math.nextafter(b_start, math.copysign(math.inf, steps))
+    def test_swapping_the_intervals_never_changes_it(self, case, margin):
+        period, a_start, a_len, b_start, b_len = case
         assert cyclic_apart(a_start, a_len, b_start, b_len, period, margin) == cyclic_apart(
             b_start, b_len, a_start, a_len, period, margin
         )
+
+
+class TestCyclicIntervalOverlap:
+    def test_touching_across_the_seam_is_one_answer(self):
+        # [1905.43..., +15.24...) ends about where [0.67..., +11.49...)
+        # starts, past the seam; measured in the order given, the overlap
+        # was 0.0 one way and 7.3e-14 the other
+        a, b = (1905.4308896809753, 15.245737211634905), (0.676626892610102, 11.490471414242728)
+        assert cyclic_interval_overlap(*a, *b, 1920.0) == cyclic_interval_overlap(*b, *a, 1920.0)
+
+    @given(touching_intervals(), st.floats(0.0, 1000.0), st.floats(0.0, 1000.0))
+    @settings(max_examples=300, deadline=None)  # about 0.6 s on a 2-CPU VM
+    def test_swapping_the_intervals_never_changes_it(self, case, a_row, b_row):
+        period, a_start, a_len, b_start, b_len = case
+        a, b = (a_start, a_len), (b_start, b_len)
+        overlap = cyclic_interval_overlap(*a, *b, period)
+        assert overlap.hex() == cyclic_interval_overlap(*b, *a, period).hex()
+        # and so the containment score of boxes with these extents
+        boxes = ((a_start, a_row, a_len, 50.0), (b_start, b_row, b_len, 30.0))
+        assert merge_score(*boxes, period).hex() == merge_score(*boxes[::-1], period).hex()
 
 
 PERIODS = st.sampled_from([360.0, 1920.0]) | st.floats(1.0, 1e6)

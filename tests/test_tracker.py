@@ -1,10 +1,12 @@
 import math
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from panotrack.detect import ankle_midpoint, detection_pixels
 from panotrack.exceptions import ConfigError
@@ -31,6 +33,7 @@ from panotrack.tracker import (
 # dual-path consistency check
 from panotrack.tracker import _column_range, _neck_pixels, _row_at_height
 from panotrack.tracker import _sigma_points, _store_posterior, _wrap_distances
+from panotrack.tracker import _FORBIDDEN, _gated_distances, _windowed_distances
 
 BODY = Body(height=1.7, ankle_height=0.1, neck_drop=0.25)
 NECK_Z = BODY.height - BODY.neck_drop
@@ -695,6 +698,35 @@ class TestAssociate:
         assert pairs(res) == []
         assert res.unmatched_tracks == [0, 1] and res.unmatched_dets == [0, 1]
 
+    def test_crowd_scores_only_the_window(self, cam, monkeypatch):
+        """A 200-track, 200-detection call builds no dense distance
+        matrix, and its assignment is the dense cost matrix's."""
+        rng = np.random.default_rng(200)
+        tracks, dets = [], []
+        for _ in range(200):
+            x, y = world_at_column(rng.uniform(0, 1920), rng.uniform(1.5, 7.0), cam)
+            tracks.append(make_track(x + rng.normal(0, 0.1), y + rng.normal(0, 0.1)))
+            det = agent_detection(x, y, cam)
+            if rng.random() < 0.05:
+                det = {k: p for k, p in det.items() if k != "neck"}
+            dets.append(det)
+        means, det_necks = stacked(tracks)[0], necks(dets, cam)
+        dist = _wrap_distances(_neck_pixels(means, cam), det_necks, cam.image_width, 150.0)
+        rows, cols = linear_sum_assignment(np.where(dist <= 150.0, dist, _FORBIDDEN))
+        within = dist[rows, cols] <= 150.0
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _wrap_distances(*args)
+
+        monkeypatch.setattr(panotrack.tracker, "_wrap_distances", counted)
+        res = associate(means, det_necks, cam, gate=150.0)
+        assert calls == []
+        assert pairs(res) == list(zip(rows[within].tolist(), cols[within].tolist()))
+        assert res.unmatched_tracks == sorted(set(range(200)) - set(rows[within].tolist()))
+        assert res.unmatched_dets == sorted(set(range(200)) - set(cols[within].tolist()))
+
 
 W = 1920
 
@@ -826,6 +858,33 @@ class TestSigmaPointLayout:
         assert pts.strides == (55 * size, size, 11 * size)
 
 
+@st.composite
+def crowd_distance_case(draw):
+    """(a, b, limit): 150-250 pixels a side, the size of a crowd frame,
+    from a seeded generator: columns in [0, W), anywhere in [-W, 2W) or
+    within 20 px of the seam, and about 5 % neckless (NaN) rows; and a
+    limit from 1 px to past half the width, integer or not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([0.0, W]))  # columns up to one width past either end
+
+    def pixels():
+        k = int(rng.integers(150, 251))
+        columns = np.where(
+            rng.random(k) < 0.2, rng.uniform(-20.0, 20.0, k) % W, rng.uniform(-spread, W + spread, k)
+        )
+        points = np.stack([columns, rng.uniform(0.0, 960.0, k)], axis=1)
+        points[rng.random(k) < 0.05] = math.nan
+        return points
+
+    limit = draw(st.integers(1, 400).map(float) | st.floats(1.0, 0.6 * W))
+    return pixels(), pixels(), limit
+
+
+def gated(dense, limit):
+    """``_gated_distances``' matrix, from the dense ``_wrap_distances``."""
+    return np.where(dense <= limit, dense, _FORBIDDEN)
+
+
 class TestWrapDistances:
     @settings(max_examples=300, deadline=None)
     @given(gated_distance_case())
@@ -834,6 +893,9 @@ class TestWrapDistances:
         pixels = [np.array(points, dtype=float).reshape(-1, 2) for points in (a, b)]
         got = _wrap_distances(*pixels, W, limit)
         assert got.shape == (len(a), len(b))
+        # the column windows give the dense values, bit for bit
+        windowed = _windowed_distances(*pixels, W, limit, _FORBIDDEN)
+        assert windowed.tobytes() == gated(got, limit).tobytes()
         for i, p in enumerate(a):
             for j, q in enumerate(b):
                 ref = wrap_distance(ImagePoint(*p), ImagePoint(*q), W)
@@ -849,6 +911,65 @@ class TestWrapDistances:
         # 2000 lies outside [0, W]: the gap 1990 is 70 the short way round
         got = _wrap_distances(np.array([[10.0, 5.0]]), np.array([[2000.0, 5.0]]), W, 100.0)
         assert got.tolist() == [[70.0]]
+
+    # about 0.6 s on a 2-CPU VM
+    @settings(max_examples=100, deadline=None)
+    @given(crowd_distance_case())
+    def test_crowd_windows_equal_the_dense_matrix(self, case):
+        a, b, limit = case
+        dense = gated(_wrap_distances(a, b, W, limit), limit)
+        assert _windowed_distances(a, b, W, limit, _FORBIDDEN).tobytes() == dense.tobytes()
+        with mock.patch.object(
+            panotrack.tracker, "_windowed_distances", wraps=_windowed_distances
+        ) as windowed:
+            got = _gated_distances(a, b, W, limit, _FORBIDDEN)
+        assert got.tobytes() == dense.tobytes()
+        # the windows unless they would span half the panorama
+        assert windowed.called == (2.0 * limit < W)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 400),
+        st.lists(
+            st.tuples(
+                st.floats(-W, 2 * W),
+                st.sampled_from([-W, 0.0, W]),
+                st.sampled_from([-1, 1]),
+                st.integers(-3, 3),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def test_windows_hold_pairs_a_rounding_step_from_the_limit(self, limit, draws):
+        # row i of b lies the limit from row i of a, either way, possibly a
+        # width off, to within a few rounding steps; the reductions of the
+        # columns mod W round, and the windows' padding must cover that
+        limit = float(limit)
+        a, b = [], []
+        for column, shift, side, steps in draws:
+            other = column + side * limit + shift
+            for _ in range(abs(steps)):
+                other = math.nextafter(other, math.copysign(math.inf, steps))
+            a.append((column, 5.0))
+            b.append((other, 5.0))
+        a, b = np.array(a), np.array(b)
+        dense = gated(_wrap_distances(a, b, W, limit), limit)
+        assert _windowed_distances(a, b, W, limit, _FORBIDDEN).tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("far", [3.0 * W + 1.0, -2.0 * W - 1.0, 1e9])
+    def test_a_column_far_outside_takes_the_dense_form(self, far):
+        rng = np.random.default_rng(5)
+        a = np.stack([rng.uniform(0.0, W, 120), rng.uniform(0.0, 960.0, 120)], axis=1)
+        b = a[::-1] + rng.normal(0.0, 20.0, a.shape)
+        b[7, 0] = far
+        dense = gated(_wrap_distances(a, b, W, 150.0), 150.0)
+        with mock.patch.object(
+            panotrack.tracker, "_windowed_distances", wraps=_windowed_distances
+        ) as windowed:
+            got = _gated_distances(a, b, W, 150.0, _FORBIDDEN)
+        assert not windowed.called
+        assert got.tobytes() == dense.tobytes()
 
 
 # columns anywhere in [0, W], and near either side of the seam; rows
