@@ -18,12 +18,9 @@ from .detect import (
     TilesConfig,
     Viewport,
     build_tiles,
-    cyclic_pairs,
     detection_pixels,
     fuse_duplicates,
     merge_score,
-    plan_roi,
-    plan_tiles,
     run_viewports,
     torso_bbox,
 )

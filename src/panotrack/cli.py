@@ -24,6 +24,7 @@ from .detect import RoiConfig, TilesConfig
 from .exceptions import ConfigError, InputError, PanotrackError
 from .geometry import CameraModel, check_number, from_dict, localization_sensitivity
 from .io import (
+    read_json,
     read_jsonl,
     write_error_curve_csv,
     write_jsonl,
@@ -44,16 +45,6 @@ logger = logging.getLogger(__name__)
 
 EXIT_INPUT_ERROR = 2
 EXIT_RUNTIME_ERROR = 3
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise InputError(f"{path}: no such file") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
 
 
 def _out_dir(path: Optional[str]) -> Path:
@@ -84,7 +75,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_track(args: argparse.Namespace) -> int:
-    config = _load_json(args.config) if args.config else {}
+    config = read_json(args.config) if args.config else {}
     if not isinstance(config, dict):
         raise InputError(f"run config must be an object, got {config!r}")
     known = {
@@ -185,7 +176,7 @@ def _float_list(text: str) -> list[float]:
 
 def cmd_sensitivity(args: argparse.Namespace) -> int:
     camera = (
-        CameraModel.from_dict(_load_json(args.camera)) if args.camera else CameraModel()
+        CameraModel.from_dict(read_json(args.camera)) if args.camera else CameraModel()
     )
     distances = _float_list(args.distances)
     pixel_errors = _float_list(args.pixel_errors)

@@ -11,9 +11,10 @@ large panorama:
   duplicates. Without a target prediction only the downscaled pass
   runs.
 
-Each strategy is a pure planner that yields the viewports to process
-plus the pairs of viewports whose detections may be duplicates;
-``run_viewports`` executes any such plan.
+A plan is just its viewports, in order: ``run_viewports`` executes
+any plan, and detections may be duplicates only between plan-order
+neighbours, viewports i and i + 1 (mod n). That is the tiles' cyclic
+overlap, and the (full frame, crop) pair of roi.
 
 Duplicates are identified by the containment score of the torso
 bounding boxes: intersection area over the smaller box area. Boxes of
@@ -235,31 +236,28 @@ class DetectionResult:
         return len(self.detections)
 
 
-def default_row_range(cam: CameraModel, fov_band: float = DEFAULT_TILE_FOV_BAND) -> tuple[float, float]:
-    """Row interval keeping elevations within +-fov_band degrees."""
-    top = (90.0 - fov_band) / cam.deg_per_px_y
-    bottom = (90.0 + fov_band) / cam.deg_per_px_y
+def default_row_range(cam: CameraModel) -> tuple[float, float]:
+    """Row interval keeping elevations within +-DEFAULT_TILE_FOV_BAND
+    degrees."""
+    top = (90.0 - DEFAULT_TILE_FOV_BAND) / cam.deg_per_px_y
+    bottom = (90.0 + DEFAULT_TILE_FOV_BAND) / cam.deg_per_px_y
     return (top, min(bottom, float(cam.image_height)))
 
 
-def build_tiles(
-    cam: CameraModel,
-    n_tiles: int = 3,
-    overlap: Optional[float] = None,
-    row_range: Optional[tuple[float, float]] = None,
-) -> tuple[Viewport, ...]:
-    """Plan n equal vertical tiles with cyclic pairwise overlap.
+def build_tiles(cam: CameraModel, cfg: TilesConfig) -> tuple[Viewport, ...]:
+    """Plan ``cfg.n_tiles`` equal vertical tiles with cyclic pairwise
+    overlap.
 
     Tile i spans columns [i * W/n, (i + 1) * W/n + overlap); the last
     tile wraps past the seam so that the (last, first) pair overlaps by
-    the same amount as interior pairs. Rows are clipped to row_range
-    (default: the +-60 degree elevation band, where people can appear).
+    the same amount as interior pairs. Rows are clipped to the row
+    range (default: the +-60 degree elevation band, where people can
+    appear).
     """
-    if n_tiles < 2:
-        raise ConfigError(f"need at least 2 tiles, got {n_tiles}")
+    n_tiles, overlap, row_range = cfg.n_tiles, cfg.overlap, cfg.row_range
     if overlap is None:
         overlap = DEFAULT_TILE_OVERLAP * cam.image_width / 1920.0
-    if overlap < 0 or overlap >= cam.image_width / n_tiles:
+    if overlap >= cam.image_width / n_tiles:
         raise ConfigError(
             f"overlap {overlap} invalid for width {cam.image_width} and "
             f"{n_tiles} tiles"
@@ -319,29 +317,21 @@ def merge_score(a: Box, b: Box, image_width: float) -> float:
     return ix * iy / min(aw * ah, bw * bh)
 
 
-# A viewport plan: the viewports to process, in order, and the index
-# pairs of viewports whose detections may be duplicates of each other.
-Plan = tuple[tuple[Viewport, ...], frozenset[frozenset[int]]]
-
-
-def cyclic_pairs(n: int) -> frozenset[frozenset[int]]:
-    """Index pairs (i, i + 1 mod n) of n cyclically ordered viewports."""
-    return frozenset(frozenset((i, (i + 1) % n)) for i in range(n)) - {frozenset((0,))}
-
-
 def fuse_duplicates(
     dets: Sequence[tuple[dict, int]],
-    adjacent: frozenset[frozenset[int]],
+    n_viewports: int,
     image_width: float,
     sigma1: float = DEFAULT_MERGE_THRESHOLD,
 ) -> list[dict]:
-    """Collapse duplicate detections from adjacent viewports.
+    """Collapse duplicate detections from plan-order neighbours.
 
     Args:
         dets: (joints, source viewport index) pairs, each joints object
             a ``check_detection`` result in full-image coordinates.
-        adjacent: index pairs of viewports that may see the same
-            person; detections from any other pair never merge.
+        n_viewports: the number of viewports in the plan. Viewports i
+            and i + 1 (mod n) may see the same person: the single pair
+            (0, 1) when n is 2, and no pair when n is 1. Detections
+            from any other pair never merge.
         image_width: panorama width, for wrap-aware torso boxes.
         sigma1: containment-score threshold in (0, 1] at or above which
             two boxes are considered the same person.
@@ -352,9 +342,9 @@ def fuse_duplicates(
     confidence, then by (viewport index, anchor column) for
     determinism. Output is ordered by (viewport index, anchor column).
 
-    Only pairs from an adjacent pair of viewports are visited, and a
-    box meets only the other viewport's boxes that ``cyclic_neighbours``
-    returns for its columns. That only pre-filters; each pair it returns
+    Only pairs from neighbouring viewports are visited, and a box meets
+    only the other viewport's boxes that ``cyclic_neighbours`` returns
+    for its columns. That only pre-filters; each pair it returns
     still takes the exact ``cyclic_apart`` test and then the score, as
     an all-pairs loop would. Both are symmetric to the last bit, so
     neither depends on which box of a pair comes first. The groups, the
@@ -363,14 +353,10 @@ def fuse_duplicates(
     """
     check_number("sigma1", sigma1, 0.0, 1.0, strict=True)
     items = list(dets)
-    # only adjacent viewports that both hold detections can fuse, and
-    # only their detections need a torso box
-    present = {vp_idx for _, vp_idx in items}
-    pairs = [tuple(pair) for pair in adjacent if len(pair) == 2 and pair <= present]
-    paired = set().union(*pairs)
-    boxes = [
-        torso_bbox(joints, image_width) if vp_idx in paired else None for joints, vp_idx in items
-    ]
+    # (n - 1, 0) is the pair (0, 1) again when n is 2
+    n_pairs = n_viewports if n_viewports > 2 else n_viewports - 1
+    pairs = [(v, (v + 1) % n_viewports) for v in range(n_pairs)]
+    boxes = [torso_bbox(joints, image_width) for joints, _ in items]
     # viewport -> the item indices of its boxes, and their column spans
     by_viewport: dict[int, list[int]] = {}
     for i, box in enumerate(boxes):
@@ -439,12 +425,11 @@ def run_viewports(
     frame,
     detector: DetectorPort,
     viewports: Sequence[Viewport],
-    adjacent: frozenset[frozenset[int]],
     cam: CameraModel,
     sigma1: float = DEFAULT_MERGE_THRESHOLD,
 ) -> DetectionResult:
     """Run the detector once per viewport, in plan order, and fuse
-    duplicates between adjacent viewports.
+    duplicates between plan-order neighbours (see ``fuse_duplicates``).
 
     A viewport whose detect call or dereference raises, a detection
     that breaks ``check_detection`` included, is reported in
@@ -463,7 +448,7 @@ def run_viewports(
             tagged.extend(found)
     if len(viewports) == 1:
         return DetectionResult(detections=[d for d, _ in tagged], errors=errors)
-    fused = fuse_duplicates(tagged, adjacent, cam.image_width, sigma1)
+    fused = fuse_duplicates(tagged, len(viewports), cam.image_width, sigma1)
     return DetectionResult(detections=fused, errors=errors)
 
 
@@ -486,13 +471,6 @@ class TilesConfig:
         check_number("merge_threshold", self.merge_threshold, 0.0, 1.0, strict=True)
         if self.row_range is not None:
             check_number("row_range", self.row_range, 0.0, length=2)
-
-
-def plan_tiles(cam: CameraModel, cfg: TilesConfig) -> Plan:
-    """The ``build_tiles`` viewports with their cyclic pairs. The plan
-    does not depend on the target prediction."""
-    viewports = build_tiles(cam, cfg.n_tiles, cfg.overlap, cfg.row_range)
-    return viewports, cyclic_pairs(len(viewports))
 
 
 @dataclass(frozen=True)
@@ -544,16 +522,3 @@ def roi_viewport(center: ImagePoint, cam: CameraModel, cfg: RoiConfig) -> Viewpo
         height=float(cfg.roi_height),
         scale=1.0,
     )
-
-
-def plan_roi(
-    full: Viewport, cam: CameraModel, cfg: RoiConfig, prediction: Optional[ImagePoint]
-) -> Plan:
-    """The downscaled full frame ``full`` (from ``fullframe_viewport``),
-    plus a full-resolution crop on the predicted target paired with it
-    for fusion. Without a prediction (first frame, target lost, or the
-    fullframe strategy) only the downscaled pass is planned."""
-    if prediction is None:
-        return (full,), frozenset()
-    return (full, roi_viewport(prediction, cam, cfg)), cyclic_pairs(2)
-

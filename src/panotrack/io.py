@@ -29,6 +29,18 @@ from .metrics import ErrorBin, EvalReport
 from .tracker import TrackSnapshot
 
 
+def read_json(path: str):
+    """The JSON value in a file; a missing file or invalid JSON raises
+    InputError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise InputError(f"{path}: no such file") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+
+
 def read_jsonl(path: str) -> Iterator[dict]:
     """The records of a JSONL file, one dict per non-blank line; a line
     that is not a JSON object raises InputError. The file is opened by

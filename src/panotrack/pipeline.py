@@ -23,17 +23,17 @@ from .detect import (
     DetectorPort,
     RoiConfig,
     TilesConfig,
+    build_tiles,
     detection_pixels,
     fullframe_viewport,
-    plan_roi,
-    plan_tiles,
+    roi_viewport,
     run_viewports,
 )
 from .exceptions import ConfigError, InputError, PanotrackError
-from .geometry import CameraModel, ImagePoint, _finite_number, _integer, check_number, world_to_image
+from .geometry import CameraModel, ImagePoint, _finite_number, _integer, check_number
 from .io import detections_from_record, detections_record, tracks_record
 from .sim import Scenario, SyntheticDetector, run_scenario
-from .tracker import PanoTracker, TrackerConfig, TrackSnapshot, TrackStatus
+from .tracker import PanoTracker, TrackerConfig, TrackStatus
 
 logger = logging.getLogger(__name__)
 
@@ -52,11 +52,12 @@ class FrameOutput:
 
 
 class StrategyRunner:
-    """Plans each frame's viewports for one detection strategy and runs
-    them through the detector. The tiles plan and the downscaled full
-    frame are fixed, so they are made, and their sizes checked against
-    the camera, once; roi plans a crop on the target prediction of each
-    frame."""
+    """Picks each frame's viewports for one detection strategy and runs
+    them through the detector: the tiles, the downscaled full frame
+    then a crop on the target prediction (roi with a prediction), or
+    the downscaled full frame alone. The tiles and the full frame are
+    fixed, so they are made, and their sizes checked against the
+    camera, once."""
 
     def __init__(
         self,
@@ -73,7 +74,7 @@ class StrategyRunner:
         self.detector = detector
         self.roi_cfg = roi_cfg
         if strategy == "tiles":
-            self.tiles_plan = plan_tiles(cam, tiles_cfg)
+            self.tiles = build_tiles(cam, tiles_cfg)
             self.merge_threshold = tiles_cfg.merge_threshold
         else:
             self.full = fullframe_viewport(cam, roi_cfg)
@@ -81,23 +82,21 @@ class StrategyRunner:
 
     def detect(self, frame, target_prediction: Optional[ImagePoint]) -> DetectionResult:
         if self.strategy == "tiles":
-            viewports, adjacent = self.tiles_plan
+            viewports = self.tiles
+        elif self.strategy == "roi" and target_prediction is not None:
+            viewports = (self.full, roi_viewport(target_prediction, self.cam, self.roi_cfg))
         else:
-            prediction = target_prediction if self.strategy == "roi" else None
-            viewports, adjacent = plan_roi(self.full, self.cam, self.roi_cfg, prediction)
-        return run_viewports(
-            frame, self.detector, viewports, adjacent, self.cam, self.merge_threshold
-        )
+            viewports = (self.full,)
+        return run_viewports(frame, self.detector, viewports, self.cam, self.merge_threshold)
 
 
-def target_prediction(
-    tracks: Sequence[TrackSnapshot], cam: CameraModel
-) -> Optional[ImagePoint]:
+def target_prediction(record: dict) -> Optional[ImagePoint]:
     """Image position at which the roi strategy should center its crop:
-    the projected neck of the target among a step's tracks."""
-    for track in tracks:
-        if track.is_target and track.status != TrackStatus.LOST:
-            return world_to_image(track.world_position, cam)
+    the target's projected neck, ``img_x`` and ``img_y`` of a
+    ``tracks_record``, unless the target is lost."""
+    for track in record["tracks"]:
+        if track["is_target"] and track["status"] != TrackStatus.LOST.value:
+            return ImagePoint(track["img_x"], track["img_y"])
     return None
 
 
@@ -128,13 +127,14 @@ def _simulated_frames(
         result = runner.detect(snapshot, prediction)
         tracks = tracker.step(detection_pixels(result.detections, cam.image_width), dt)
         latency = time.perf_counter() - start
-        prediction = target_prediction(tracks, cam)
+        record = tracks_record(snapshot.index, snapshot.t, tracks, cam)
+        prediction = target_prediction(record)
         yield (
             FrameOutput(
                 frame=snapshot.index,
                 t=snapshot.t,
                 detections=detections_record(snapshot.index, snapshot.t, result.detections),
-                tracks=tracks_record(snapshot.index, snapshot.t, tracks, cam),
+                tracks=record,
                 latency_s=latency,
                 partial=result.partial,
             ),

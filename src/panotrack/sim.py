@@ -22,7 +22,6 @@ viewports the frame's plan holds or on their order.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 import zlib
@@ -46,6 +45,7 @@ from .geometry import (
     from_dict,
     row_at_height,
 )
+from .io import read_json
 
 MIN_AGENT_RANGE = 0.3  # m; agents closer to the camera axis are degenerate
 _AZIMUTH_MARGIN_DEG = 1e-6  # padding of the footprints in occlusion's broad phase
@@ -551,11 +551,4 @@ def scenario_from_dict(d: dict) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(
-                f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-            ) from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(read_json(path))

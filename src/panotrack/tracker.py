@@ -76,7 +76,6 @@ from .geometry import (
     _WINDOW_SLACK,
     CameraModel,
     ImagePoint,
-    WorldPoint,
     check_flag,
     check_number,
     column_range,
@@ -196,13 +195,6 @@ class TrackSnapshot(Track):
 
     mean: np.ndarray = field(kw_only=True)  # (5,)
     covariance: np.ndarray = field(kw_only=True)  # (5, 5)
-
-    @property
-    def world_position(self) -> WorldPoint:
-        """The ground position and person height (x, y, h_n) as Python
-        floats, converted from the mean row with one ``.tolist()``."""
-        x, y, _, _, h = self.mean.tolist()
-        return WorldPoint(x, y, h)
 
 
 def unwrap_columns(xs: np.ndarray, image_width: float) -> np.ndarray:

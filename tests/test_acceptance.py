@@ -20,9 +20,9 @@ import pytest
 
 from panotrack.cli import main as cli_main
 from panotrack.detect import (
+    TilesConfig,
     build_tiles,
     check_detection,
-    cyclic_pairs,
     detection_pixels,
     fuse_duplicates,
 )
@@ -109,7 +109,7 @@ def test_criterion_1_geometry_round_trip():
 def test_criterion_2_fusion():
     # a person standing in the first tile overlap is detected twice and
     # fused to exactly one detection at the 0.9 threshold
-    viewports = build_tiles(CAM)
+    viewports = build_tiles(CAM, TilesConfig())
     theta = math.radians(180.0 - CAM.deg_per_px_x * 700.0)  # column 700
     state = AgentState(
         agent=Agent(id=0, trajectory=WaypointTrajectory(points=((0, 0),))),
@@ -130,8 +130,7 @@ def test_criterion_2_fusion():
         for sk in detector.detect(snap, vp)
     ]
     assert len(raw) == 2, "expected duplicate detections in the overlap zone"
-    pairs = cyclic_pairs(len(viewports))
-    result = run_viewports(snap, detector, viewports, pairs, CAM, 0.9)
+    result = run_viewports(snap, detector, viewports, CAM, 0.9)
     assert len(result.detections) == 1
 
     # idempotence over randomized detection sets
@@ -154,9 +153,9 @@ def test_criterion_2_fusion():
                 CAM.image_height,
             )
             dets.append((sk, int(rng.integers(0, 3))))
-        once = fuse_duplicates(dets, pairs, 1920, 0.9)
+        once = fuse_duplicates(dets, len(viewports), 1920, 0.9)
         survivors = [(sk, next(v for s, v in dets if s is sk)) for sk in once]
-        twice = fuse_duplicates(survivors, pairs, 1920, 0.9)
+        twice = fuse_duplicates(survivors, len(viewports), 1920, 0.9)
         assert twice == once
 
 

@@ -596,6 +596,16 @@ class TestConfigBoundary:
         assert run_cli("track", out, "--config", str(config), *flags) == 2
         assert outputs_written("track", out) == []
 
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("simulate", "--scenario"), ("track", "--scenario"), ("track", "--config"), ("sensitivity", "--camera")],
+    )
+    def test_missing_json_file_exits_2(self, tmp_path, capsys, command, flag):
+        # every JSON input names a missing file the same way
+        missing = tmp_path / "missing.json"
+        assert run_cli(command, tmp_path / "out", flag, str(missing)) == 2
+        assert f"error: {missing}: no such file\n" in capsys.readouterr().err
+
     def test_camera_checked_with_scenario_input(self, tmp_path):
         # a scenario brings its own camera; the block is checked all the same
         config = tmp_path / "config.json"

@@ -16,14 +16,11 @@ from panotrack.detect import (
     check_detection,
     check_joint,
     check_joint_names,
-    cyclic_pairs,
     default_row_range,
     dereference,
     fuse_duplicates,
     fullframe_viewport,
     merge_score,
-    plan_roi,
-    plan_tiles,
     reference_x,
     roi_viewport,
     run_viewports,
@@ -31,6 +28,7 @@ from panotrack.detect import (
 )
 from panotrack.exceptions import ConfigError, DegenerateSkeletonError
 from panotrack.geometry import CameraModel, ImagePoint
+from panotrack.pipeline import StrategyRunner
 
 
 H = 960  # rows of the default camera
@@ -209,7 +207,7 @@ class TestSkeleton:
 
 class TestBuildTiles:
     def test_reference_layout(self, cam):
-        viewports = build_tiles(cam, n_tiles=3, overlap=150)
+        viewports = build_tiles(cam, TilesConfig(n_tiles=3, overlap=150))
         xs = [(vp.origin_x, vp.width) for vp in viewports]
         assert xs == [(0, 790), (640, 790), (1280, 790)]
         # all cyclic pairs, including the seam pair, overlap by 150
@@ -220,32 +218,33 @@ class TestBuildTiles:
             assert a.width - lo == pytest.approx(150)
 
     def test_zero_overlap_partitions(self, cam):
-        viewports = build_tiles(cam, n_tiles=3, overlap=0)
+        viewports = build_tiles(cam, TilesConfig(n_tiles=3, overlap=0))
         assert [vp.width for vp in viewports] == [640, 640, 640]
 
     def test_small_instance(self):
         cam = CameraModel(image_width=100, image_height=50, mount_height=1.2)
-        viewports = build_tiles(cam, n_tiles=2, overlap=10, row_range=(0, 50))
+        viewports = build_tiles(cam, TilesConfig(n_tiles=2, overlap=10, row_range=(0, 50)))
         assert [(vp.origin_x, vp.width) for vp in viewports] == [
             (0, 60),
             (50, 60),
         ]
 
     def test_row_range_default(self, cam):
-        viewports = build_tiles(cam)
+        viewports = build_tiles(cam, TilesConfig())
         vp = viewports[0]
         assert (vp.origin_y, vp.origin_y + vp.height) == (160, 800)
         assert default_row_range(cam) == (160, 800)
 
     def test_full_column_coverage(self, cam):
-        viewports = build_tiles(cam, n_tiles=3, overlap=150)
+        viewports = build_tiles(cam, TilesConfig(n_tiles=3, overlap=150))
         for x in range(0, 1920, 7):
             assert any(vp.contains_column(x, 1920) for vp in viewports)
 
     @pytest.mark.parametrize("kwargs", [{"n_tiles": 1}, {"overlap": 700}, {"overlap": -1}])
     def test_invalid(self, cam, kwargs):
+        # the config checks the bounds that need no camera, build_tiles the rest
         with pytest.raises(ConfigError):
-            build_tiles(cam, **kwargs)
+            build_tiles(cam, TilesConfig(**kwargs))
 
 
 class TestTorsoBbox:
@@ -307,13 +306,13 @@ class TestMergeScore:
         assert merge_score(b1, b2, 1920) == pytest.approx(expected)
 
 
-TILE_PAIRS = cyclic_pairs(3)
+N_TILES = 3
 
 
 class TestFuseDuplicates:
     def test_exact_duplicate_collapses(self, cam):
         sk = torso(700, 400)
-        out = fuse_duplicates([(sk, 0), (sk, 1)], TILE_PAIRS, 1920, 0.9)
+        out = fuse_duplicates([(sk, 0), (sk, 1)], N_TILES, 1920, 0.9)
         assert len(out) == 1
 
     def test_distinct_people_retained(self, cam):
@@ -321,42 +320,43 @@ class TestFuseDuplicates:
         b = torso(725, 430, w=20, h=30)  # partial overlap, score below 0.9
         score = merge_score(torso_bbox(a, 1920), torso_bbox(b, 1920), 1920)
         assert score < 0.9
-        out = fuse_duplicates([(a, 0), (b, 1)], TILE_PAIRS, 1920, 0.9)
+        out = fuse_duplicates([(a, 0), (b, 1)], N_TILES, 1920, 0.9)
         assert len(out) == 2
 
     def test_transitive_chain(self, cam):
-        # a~b and b~c above threshold, a~c not adjacent viewports
+        # a~b and b~c above threshold; of 4 viewports, 0 and 2 are not
+        # neighbours, so a and c meet only through b
         a = torso(700, 400)
         b = torso(701, 400)
         c = torso(702, 400)
-        out = fuse_duplicates([(a, 0), (b, 1), (c, 2)], TILE_PAIRS, 1920, 0.9)
+        out = fuse_duplicates([(a, 0), (b, 1), (c, 2)], 4, 1920, 0.9)
         assert len(out) == 1
 
     def test_survivor_has_most_joints(self, cam):
         poor = torso(700, 400)
         rich = torso(700, 400, extra=("left_ankle", "right_ankle"))
-        out = fuse_duplicates([(poor, 0), (rich, 1)], TILE_PAIRS, 1920, 0.9)
+        out = fuse_duplicates([(poor, 0), (rich, 1)], N_TILES, 1920, 0.9)
         assert out == [rich]
 
     def test_tie_breaks_on_confidence(self, cam):
         low = torso(700, 400, conf=0.5)
         high = torso(700, 400, conf=0.9)
-        out = fuse_duplicates([(low, 0), (high, 1)], TILE_PAIRS, 1920, 0.9)
+        out = fuse_duplicates([(low, 0), (high, 1)], N_TILES, 1920, 0.9)
         assert out == [high]
 
     def test_same_viewport_never_merges(self, cam):
         sk = torso(700, 400)
-        out = fuse_duplicates([(sk, 1), (sk, 1)], TILE_PAIRS, 1920, 0.9)
+        out = fuse_duplicates([(sk, 1), (sk, 1)], N_TILES, 1920, 0.9)
         assert len(out) == 2
 
     def test_non_adjacent_viewports_never_merge(self, cam):
         sk = torso(700, 400)
-        out = fuse_duplicates([(sk, 0), (sk, 2)], cyclic_pairs(4), 1920, 0.9)
+        out = fuse_duplicates([(sk, 0), (sk, 2)], 4, 1920, 0.9)
         assert len(out) == 2
 
     def test_never_invents_detections(self, cam):
         dets = [(torso(600 + 30 * i, 400), i % 3) for i in range(7)]
-        out = fuse_duplicates(dets, TILE_PAIRS, 1920, 0.9)
+        out = fuse_duplicates(dets, N_TILES, 1920, 0.9)
         assert len(out) <= len(dets)
         assert all(any(sk is d for d, _ in dets) for sk in out)
 
@@ -371,19 +371,20 @@ class TestFuseDuplicates:
             w = data.draw(st.floats(min_value=5, max_value=120))
             vp = data.draw(st.integers(min_value=0, max_value=2))
             dets.append((torso(cx, cy, w=w), vp))
-        once = fuse_duplicates(dets, TILE_PAIRS, 1920, 0.9)
+        once = fuse_duplicates(dets, N_TILES, 1920, 0.9)
         # survivors keep their source viewport for the second pass
         tagged = []
         for sk in once:
             src = next(v for s, v in dets if s is sk)
             tagged.append((sk, src))
-        twice = fuse_duplicates(tagged, TILE_PAIRS, 1920, 0.9)
+        twice = fuse_duplicates(tagged, N_TILES, 1920, 0.9)
         assert twice == once
 
 
-def reference_fuse(dets, adjacent, image_width, sigma1):
+def reference_fuse(dets, n_viewports, image_width, sigma1):
     """The fusion rule as an all-pairs loop: every pair of detections
-    from adjacent viewports whose torso boxes score >= sigma1 is grouped
+    from viewports one step apart, cyclically, among ``n_viewports``
+    whose torso boxes score >= sigma1 is grouped
     (union-find), each group keeps its best detection, and the survivors
     are ordered by (viewport index, anchor column)."""
     boxes = [torso_bbox(joints, image_width) for joints, _ in dets]
@@ -399,7 +400,7 @@ def reference_fuse(dets, adjacent, image_width, sigma1):
             vi, vj = dets[i][1], dets[j][1]
             if boxes[i] is None or boxes[j] is None:
                 continue
-            if vi == vj or frozenset((vi, vj)) not in adjacent:
+            if vi == vj or (vj - vi) % n_viewports not in (1, n_viewports - 1):
                 continue
             if merge_score(boxes[i], boxes[j], image_width) >= sigma1:
                 parent[find(j)] = find(i)
@@ -427,9 +428,9 @@ COLUMNS = st.one_of(
     st.floats(-100.0, 2020.0), st.floats(0.0, 100.0), st.sampled_from(SEAM_COLUMNS)
 )
 ROWS = st.floats(0.0, H)
-# the tiles plans of 2 to 6 tiles; cyclic_pairs(2) is also the roi plan's
-# (full frame, crop) pair
-ADJACENCIES = [(n, cyclic_pairs(n)) for n in range(2, 7)]
+# plans of 1 to 6 viewports: the fullframe pass, roi's (full frame, crop)
+# pair, and the tiles plans of 2 to 6 tiles
+VIEWPORT_COUNTS = range(1, 7)
 # merge thresholds down to the smallest positive float, at which a pair
 # whose boxes overlap by one rounding step merges
 THRESHOLDS = st.one_of(
@@ -489,7 +490,7 @@ def neighbour(draw, joints):
 
 @st.composite
 def fusion_cases(draw):
-    n_viewports, adjacent = draw(st.sampled_from(ADJACENCIES))
+    n_viewports = draw(st.sampled_from(VIEWPORT_COUNTS))
     dets = []
     for _ in range(draw(st.integers(0, 10))):
         if dets and draw(st.booleans()):
@@ -497,7 +498,7 @@ def fusion_cases(draw):
         else:
             joints = draw(free_torso())
         dets.append((check_detection(joints, H), draw(st.integers(0, n_viewports - 1))))
-    return dets, adjacent, draw(THRESHOLDS)
+    return dets, n_viewports, draw(THRESHOLDS)
 
 
 @st.composite
@@ -514,7 +515,7 @@ def touching_cases(draw):
         dets.append((joints, k % 2))
         x, _, w, _ = torso_bbox(joints, 1920)
         left = nudge(x + w, draw(st.integers(-3, 3)))
-    return dets, cyclic_pairs(2), draw(THRESHOLDS)
+    return dets, 2, draw(THRESHOLDS)
 
 
 class TestPairSkip:
@@ -524,9 +525,9 @@ class TestPairSkip:
     @given(st.one_of(fusion_cases(), touching_cases()))
     @settings(max_examples=800, deadline=None)
     def test_matches_all_pairs_reference(self, case):
-        dets, adjacent, sigma1 = case
-        out = fuse_duplicates(dets, adjacent, 1920, sigma1)
-        expected = reference_fuse(dets, adjacent, 1920, sigma1)
+        dets, n_viewports, sigma1 = case
+        out = fuse_duplicates(dets, n_viewports, 1920, sigma1)
+        expected = reference_fuse(dets, n_viewports, 1920, sigma1)
         assert [id(d) for d in out] == [id(d) for d in expected]
 
     def test_touching_boxes_at_the_smallest_threshold(self):
@@ -535,15 +536,15 @@ class TestPairSkip:
         b = check_detection(
             {"neck": (math.nextafter(150.0, 0.0), 400.0), "left_hip": (200.0, 450.0)}, H
         )
-        out = fuse_duplicates([(a, 0), (b, 1)], TILE_PAIRS, 1920, 5e-324)
-        assert out == reference_fuse([(a, 0), (b, 1)], TILE_PAIRS, 1920, 5e-324)
+        out = fuse_duplicates([(a, 0), (b, 1)], N_TILES, 1920, 5e-324)
+        assert out == reference_fuse([(a, 0), (b, 1)], N_TILES, 1920, 5e-324)
         assert len(out) == 1
 
     @pytest.mark.parametrize("sigma1", [0.0, -0.5, 1.5, math.nan])
     def test_rejects_threshold_outside_unit_interval(self, sigma1):
         # at 0 every adjacent pair would merge, even boxes that never meet
         with pytest.raises(ConfigError, match="sigma1"):
-            fuse_duplicates([(torso(700, 400), 0)], TILE_PAIRS, 1920, sigma1)
+            fuse_duplicates([(torso(700, 400), 0)], N_TILES, 1920, sigma1)
 
 
 class StubDetector:
@@ -581,13 +582,12 @@ class FailingDetector(StubDetector):
         return super().detect(frame, viewport)
 
 
-def run_tiles(det, cam):
-    return run_viewports(None, det, *plan_tiles(cam, TilesConfig()), cam)
+def run_tiles(det, cam, cfg=TilesConfig()):
+    return StrategyRunner("tiles", cam, det, tiles_cfg=cfg).detect(None, None)
 
 
-def run_roi(det, cam, prediction):
-    full = fullframe_viewport(cam, RoiConfig())
-    return run_viewports(None, det, *plan_roi(full, cam, RoiConfig(), prediction), cam)
+def run_roi(det, cam, prediction, strategy="roi"):
+    return StrategyRunner(strategy, cam, det).detect(None, prediction)
 
 
 class TestRunTiles:
@@ -607,12 +607,21 @@ class TestRunTiles:
         assert len(res.detections) == 1
         assert res.detections[0]["neck"][0] == pytest.approx(10.0, abs=1e-6)
 
+    def test_two_tiles_fuse_both_overlaps(self, cam):
+        # 2 tiles overlap twice, on [960, 1110) and across the seam on
+        # [0, 150), and both overlaps are the one pair (0, 1)
+        people = [torso(1000, 400), torso(50, 500)]
+        det = StubDetector(people)
+        res = run_tiles(det, cam, TilesConfig(n_tiles=2))
+        assert len(det.calls) == 2
+        assert sorted(d["neck"][0] for d in res.detections) == pytest.approx([50.0, 1000.0])
+
     def test_port_called_in_plan_order(self, cam):
         people = [torso(100, 300), torso(700, 400), torso(1500, 500)]
-        viewports, adjacent = plan_tiles(cam, TilesConfig())
+        viewports = build_tiles(cam, TilesConfig())
         for order in (viewports, viewports[::-1]):
             det = StubDetector(people)
-            run_viewports(None, det, order, adjacent, cam)
+            run_viewports(None, det, order, cam)
             assert det.calls == list(order)
 
     def test_partial_result_on_tile_failure(self, cam):
@@ -649,10 +658,20 @@ class TestRunRoi:
         assert len(det.calls) == 1
         assert det.calls[0].scale == pytest.approx(640 / 1920)
 
+    def test_fullframe_ignores_prediction(self, cam):
+        det = StubDetector([torso(960, 400)])
+        res = run_roi(det, cam, ImagePoint(960, 400), strategy="fullframe")
+        assert det.calls == [fullframe_viewport(cam, RoiConfig())]
+        assert len(res.detections) == 1
+
     def test_target_two_passes_fused(self, cam):
         det = StubDetector([torso(960, 400)])
         res = run_roi(det, cam, ImagePoint(960, 400))
-        assert len(det.calls) == 2
+        # the full frame, then the crop on the prediction
+        assert det.calls == [
+            fullframe_viewport(cam, RoiConfig()),
+            roi_viewport(ImagePoint(960, 400), cam, RoiConfig()),
+        ]
         assert len(res.detections) == 1
 
     def test_partial_result_on_crop_failure(self, cam):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from panotrack.detect import JOINT_NAMES, Viewport, detection_pixels, run_viewports
 from panotrack.exceptions import InputError
-from panotrack.geometry import CameraModel, world_to_image
+from panotrack.geometry import CameraModel, WorldPoint, world_to_image
 from panotrack.io import detections_from_record, detections_record, read_jsonl, tracks_record
 from panotrack.pipeline import run_offline
 from panotrack.tracker import TrackSnapshot, TrackStatus
@@ -126,7 +126,7 @@ class TestOneDetectionForm:
         viewport, and from an offline record, give the same detections
         line and the same pixel rows."""
         viewport = Viewport(0.0, 0.0, float(W), float(H), 1.0)
-        live = run_viewports(None, IdentityPort(joints), (viewport,), frozenset(), CAM).detections
+        live = run_viewports(None, IdentityPort(joints), (viewport,), CAM).detections
         record = {
             "frame": 3,
             "t": 0.5,
@@ -349,14 +349,14 @@ class TestTracksRecord:
     @settings(max_examples=100, deadline=None)  # about 0.7 s on a 2-CPU VM
     def test_pixels_are_world_to_image_bit_for_bit(self, tracks, cam):
         """Each track's x, y and h are its mean row's floats, and its
-        img_x and img_y are ``world_to_image`` of ``world_position``,
-        to the last bit."""
+        img_x and img_y are ``world_to_image`` of those floats, to the
+        last bit."""
         record = tracks_record(4, 0.4, tracks, cam)
         assert record["frame"] == 4 and record["t"] == 0.4
         assert len(record["tracks"]) == len(tracks)
         for out, tr in zip(record["tracks"], tracks):
             x, y, _, _, h = tr.mean.tolist()
-            img = world_to_image(tr.world_position, cam)
+            img = world_to_image(WorldPoint(x, y, h), cam)
             got = [out[k] for k in ("x", "y", "h", "img_x", "img_y")]
             assert [type(v) for v in got] == [float] * 5
             assert [v.hex() for v in got] == [v.hex() for v in (x, y, h, img.x, img.y)]

@@ -15,13 +15,12 @@ from panotrack.detect import (
     Viewport,
     ankle_midpoint,
     build_tiles,
-    detection_pixels,
     fullframe_viewport,
-    plan_roi,
+    roi_viewport,
 )
 from panotrack.exceptions import ConfigError, GeometryError, InputError
-from panotrack.geometry import CameraModel, cyclic_interval_overlap, from_dict, localize
-from panotrack.pipeline import STRATEGIES, run_offline, run_simulated
+from panotrack.geometry import CameraModel, ImagePoint, cyclic_interval_overlap, from_dict, localize
+from panotrack.pipeline import STRATEGIES, StrategyRunner, run_offline, run_simulated
 from panotrack.sim import (
     Agent,
     AgentState,
@@ -41,7 +40,6 @@ from panotrack.sim import (
     scenario_to_dict,
     synthetic_detect,
 )
-from panotrack.tracker import PanoTracker
 
 
 def make_state(x, y, height=1.7, agent_id=0):
@@ -214,15 +212,13 @@ class TestDetectability:
         assert len(out) == 1
 
     def test_roi_pass_sees_six_meter_target_fullframe_does_not(self, cam):
-        from panotrack.detect import RoiConfig, fullframe_viewport, plan_roi, run_viewports
-
         state = make_state(6.0, 0.0)
         det = SyntheticDetector(NoiseModel(), DetectabilityConfig(48), seed=0)
         snap = snapshot(cam, state)
         neck = project_agent(state, cam)["neck"]
-        full = fullframe_viewport(cam, RoiConfig())
-        with_roi = run_viewports(snap, det, *plan_roi(full, cam, RoiConfig(), neck), cam)
-        without = run_viewports(snap, det, *plan_roi(full, cam, RoiConfig(), None), cam)
+        runner = StrategyRunner("roi", cam, det)
+        with_roi = runner.detect(snap, neck)
+        without = runner.detect(snap, None)
         assert len(with_roi.detections) == 1
         assert len(without.detections) == 0
 
@@ -259,7 +255,7 @@ class TestSyntheticDetect:
         assert out == []  # person at theta=90 -> column 480, outside [0, 300)
 
     def test_duplicates_in_tile_overlap(self, cam):
-        viewports = build_tiles(cam)
+        viewports = build_tiles(cam, TilesConfig())
         state = make_state(*_world_at_column(700, 2.0))
         det = SyntheticDetector(NoiseModel(), DetectabilityConfig(), seed=1)
         snap = snapshot(cam, state)
@@ -512,8 +508,8 @@ class TestFrameRenderedOnce:
         det = SyntheticDetector.for_scenario(scenario)
         states = agent_states(scenario, 0.4)
         full = fullframe_viewport(cam, RoiConfig())
-        crop_plan, _ = plan_roi(full, cam, RoiConfig(), project_agent(states[0], cam)["neck"])
-        viewports = [*build_tiles(cam), *crop_plan]
+        crop = roi_viewport(project_agent(states[0], cam)["neck"], cam, RoiConfig())
+        viewports = [*build_tiles(cam, TilesConfig()), full, crop]
 
         def fresh():
             return FrameSnapshot(index=4, t=0.4, cam=cam, agents=states)
@@ -532,6 +528,42 @@ class TestFrameRenderedOnce:
         min_px = scenario.detect_cfg.min_person_pixels
         assert any(h * full.scale < min_px <= h for h in fresh().body_heights_px)
         assert any(fresh().occluded)
+
+
+def test_roi_crop_centred_on_previous_target_pixel(monkeypatch):
+    """Under roi, each frame runs the full frame, then, while the
+    previous frame's tracks record holds a target that is not lost, the
+    crop centred on that record's img_x and img_y, bit for bit. The
+    target walks out of detection range, so its track is confirmed,
+    followed and then lost."""
+    calls = {}
+
+    def recorded(viewport, snapshot, *args):
+        calls.setdefault(snapshot.index, []).append(viewport)
+        return synthetic_detect(viewport, snapshot, *args)
+
+    monkeypatch.setattr(sim, "synthetic_detect", recorded)
+    walker = Agent(id=0, trajectory=WaypointTrajectory(points=((2.0, 0.5), (16.0, 0.5)), speed=3.0))
+    scenario = crowd_scenario(agents=(walker,), duration=5.0)
+    cam, full = scenario.cam, fullframe_viewport(scenario.cam, RoiConfig())
+    frames = [out for out, _ in run_simulated(scenario, "roi")]
+    expected = {0: [full]}
+    for previous, out in zip(frames, frames[1:]):
+        targets = [
+            ImagePoint(t["img_x"], t["img_y"])
+            for t in previous.tracks["tracks"]
+            if t["is_target"] and t["status"] != "lost"
+        ]
+        expected[out.frame] = [full] + [roi_viewport(p, cam, RoiConfig()) for p in targets]
+    assert calls == expected
+    assert sum(len(v) == 2 for v in expected.values()) > len(frames) // 2
+    # the frame after the target is lost runs the full frame alone
+    lost = [
+        out.frame
+        for out in frames[:-1]
+        if any(t["is_target"] and t["status"] == "lost" for t in out.tracks["tracks"])
+    ]
+    assert lost and len(expected[lost[0] + 1]) == 1
 
 
 def scalar_types(record) -> set[type]:
@@ -557,17 +589,6 @@ def test_records_hold_plain_python_scalars(strategy):
         records += [out.detections, out.tracks]
     assert sum(len(r["detections"]) for r in detections) > 0
     assert scalar_types(records) <= {int, float, str, bool}
-
-    tracker = PanoTracker(scenario.cam)
-    positions = [
-        snap.world_position
-        for r in detections
-        for snap in tracker.step(
-            detection_pixels([d["joints"] for d in r["detections"]], scenario.cam.image_width),
-            1.0 / scenario.fps,
-        )
-    ]
-    assert positions and scalar_types(positions) == {float}
 
 
 def reference_occluded(states):
