@@ -182,6 +182,10 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     pixel_errors = _float_list(args.pixel_errors)
     if not distances or not pixel_errors:
         raise InputError("need at least one distance and one pixel error")
+    for d in distances:
+        check_number("distance", d, 0.0, strict=True)
+    for px in pixel_errors:
+        check_number("pixel error", px, 0.0)
     rows = [
         (d, px, localization_sensitivity(d, px, camera))
         for px in pixel_errors

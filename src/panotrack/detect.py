@@ -46,7 +46,6 @@ from .geometry import (
     CameraModel,
     ImagePoint,
     check_number,
-    cyclic_apart,
     cyclic_interval_overlap,
     cyclic_neighbours,
 )
@@ -70,7 +69,6 @@ DEFAULT_MERGE_THRESHOLD = 0.9
 DEFAULT_TILE_FOV_BAND = 60.0  # tiles keep rows with |elevation| <= this
 NO_PIXEL = (math.nan, math.nan)  # the column and row of an absent joint
 Box = tuple[float, float, float, float]  # a torso box (x, y, w, h), x cyclic
-_BOX_MARGIN_PX = 0.5  # padding of the torso-box columns in fusion's broad phase
 
 
 def check_joint(x, y, confidence=1.0) -> float:
@@ -344,12 +342,13 @@ def fuse_duplicates(
 
     Only pairs from neighbouring viewports are visited, and a box meets
     only the other viewport's boxes that ``cyclic_neighbours`` returns
-    for its columns. That only pre-filters; each pair it returns
-    still takes the exact ``cyclic_apart`` test and then the score, as
-    an all-pairs loop would. Both are symmetric to the last bit, so
-    neither depends on which box of a pair comes first. The groups, the
-    order of their members and of the survivors do not depend on the
-    order in which pairs are visited.
+    for its columns: every box whose columns may overlap its own, which
+    is every box that can score above 0. That only pre-filters; each
+    pair it returns takes the score, as an all-pairs loop would. The
+    score is symmetric to the last bit, so it does not depend on which
+    box of a pair comes first. The groups, the order of their members
+    and of the survivors do not depend on the order in which pairs are
+    visited.
     """
     check_number("sigma1", sigma1, 0.0, 1.0, strict=True)
     items = list(dets)
@@ -376,16 +375,11 @@ def fuse_duplicates(
         if va not in by_viewport or vb not in by_viewport:
             continue
         others = by_viewport[vb]
-        near = cyclic_neighbours(spans[va], spans[vb], image_width, _BOX_MARGIN_PX)
+        near = cyclic_neighbours(spans[va], spans[vb], image_width)
         for i, window in zip(by_viewport[va], near):
-            b_i = boxes[i]
             for k in window:
                 j = others[k]
-                b_j = boxes[j]
-                if (
-                    not cyclic_apart(b_i[0], b_i[2], b_j[0], b_j[2], image_width, _BOX_MARGIN_PX)
-                    and merge_score(b_i, b_j, image_width) >= sigma1
-                ):
+                if merge_score(boxes[i], boxes[j], image_width) >= sigma1:
                     r_i, r_j = find(i), find(j)
                     if r_i != r_j:
                         parent[r_j] = r_i

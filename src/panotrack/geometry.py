@@ -214,75 +214,54 @@ def cyclic_interval_overlap(
     return total
 
 
-def cyclic_apart(
-    a_start: float, a_len: float, b_start: float, b_len: float, period: float, margin: float
-) -> bool:
-    """Whether two cyclic intervals [start, start+len) cannot overlap.
-
-    The cheap, conservative broad phase in front of
-    ``cyclic_interval_overlap``: each interval is its centre and its
-    half-length padded by ``margin``, and they are apart when the
-    cyclic distance between the centres exceeds the sum of the padded
-    half-lengths. Intervals that touch, or whose half-lengths sum to
-    half the period or more, are never apart. With a margin far above
-    the rounding of either function, an apart pair has overlap 0. The
-    test is symmetric: swapping the intervals never changes it.
-    """
-    d = abs((a_start % period + 0.5 * a_len) - (b_start % period + 0.5 * b_len)) % period
-    return min(d, period - d) > 0.5 * (a_len + b_len) + 2.0 * margin
-
-
 def cyclic_neighbours(
     queries: Sequence[tuple[float, float]],
     intervals: Sequence[tuple[float, float]],
     period: float,
-    margin: float,
 ) -> list[list[int]]:
     """For each query interval (start, length), the positions in
-    ``intervals`` of every interval that ``cyclic_apart`` with this
-    margin may not place apart from it, each once.
+    ``intervals`` of every interval whose ``cyclic_interval_overlap``
+    with it may be positive, each once.
 
-    One sort and sweep: the intervals are sorted by ``cyclic_apart``'s
-    centre, and a query meets those whose centres lie within half its
-    length, half the widest interval and twice the margin of its own.
-    A conservative pre-filter, which may return a few apart intervals
-    too: a caller runs its exact tests on each returned pair.
+    One sort and sweep: the intervals are sorted by centre, and a query
+    meets those whose centres lie within half its length and half the
+    widest interval of its own, across the seam. A conservative
+    pre-filter, which may return intervals that only touch or lie a
+    little apart: a caller runs its exact tests on each returned pair.
     """
     centres = [(start % period + 0.5 * length) % period for start, length in intervals]
     order = sorted(range(len(intervals)), key=centres.__getitem__)
     keys = [centres[k] for k in order]
+    # each key once a period below and above, so that a window that
+    # straddles the seam is one range
+    shifted = [k - period for k in keys] + keys + [k + period for k in keys]
     half_widest = 0.5 * max((length for _, length in intervals), default=0.0)
     near = []
     for start, length in queries:
-        reach = 0.5 * length + half_widest + 2.0 * margin
-        near.append([order[k] for k in _cyclic_window(keys, start % period + 0.5 * length, reach, period)])
+        window = _cyclic_window(shifted, start % period + 0.5 * length, 0.5 * length + half_widest, period)
+        near.append([order[k] for k in window])
     return near
 
 
-def _cyclic_window(keys: Sequence[float], centre: float, reach: float, period: float) -> Sequence[int]:
-    """Positions in ``keys``, sorted in [0, period), of every key within
-    cyclic distance ``reach`` of ``centre``, in ascending order and each
-    once: one bisected range, or two when the window straddles the
-    seam, or every position when 2 * reach >= period.
+def _cyclic_window(shifted: Sequence[float], centre: float, reach: float, period: float) -> Sequence[int]:
+    """Positions in the sorted keys of every key within cyclic distance
+    ``reach`` of ``centre``, each once. ``shifted`` is the keys, sorted
+    in [0, period), a period below, as they are and a period above: the
+    window is one bisected range of it, or every position when it would
+    span the period.
 
-    ``reach`` is padded by ``_WINDOW_SLACK`` of the period, far above
-    the rounding by which ``cyclic_neighbours``' keys and reach may
-    differ from ``cyclic_apart``'s, so a few keys just beyond ``reach``
-    may be returned too.
+    The reach and that guard are padded by ``_WINDOW_SLACK`` of the
+    period, far above the rounding of the keys, the centre and the
+    shifted copies: a few keys just beyond ``reach`` may be returned,
+    but never two copies of one key.
     """
+    n = len(shifted) // 3
     reach += _WINDOW_SLACK * period
-    n = len(keys)
-    if 2.0 * reach >= period:
+    if 2.0 * reach + _WINDOW_SLACK * period >= period:
         return range(n)
     centre %= period
-    lo, hi = centre - reach, centre + reach
-    if lo < 0.0:
-        low_end = bisect_right(keys, hi)
-        return [*range(low_end), *range(max(low_end, bisect_left(keys, lo + period)), n)]
-    if hi >= period:
-        low_end = bisect_right(keys, hi - period)
-        return [*range(low_end), *range(max(low_end, bisect_left(keys, lo)), n)]
-    return range(bisect_left(keys, lo), bisect_right(keys, hi))
+    lo, hi = bisect_left(shifted, centre - reach), bisect_right(shifted, centre + reach)
+    return [k % n for k in range(lo, hi)]
 
 
 def image_to_polar(p: ImagePoint, cam: CameraModel) -> PolarDirection:

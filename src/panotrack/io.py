@@ -30,38 +30,56 @@ from .tracker import TrackSnapshot
 
 
 def read_json(path: str):
-    """The JSON value in a file; a missing file or invalid JSON raises
-    InputError naming the file."""
+    """The JSON value in a file; a file that ``_lines`` cannot read, or
+    invalid JSON, raises InputError naming the file."""
+    text = "".join(_lines(path))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise InputError(f"{path}: no such file") from exc
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
 
 
 def read_jsonl(path: str) -> Iterator[dict]:
     """The records of a JSONL file, one dict per non-blank line; a line
-    that is not a JSON object raises InputError. The file is opened by
-    this call, so a missing file fails here and not at the first
-    record; the records are read as they are drawn."""
-    return _records(open(path, "r", encoding="utf-8"), path)
+    that is not a JSON object raises InputError. The records are read
+    as they are drawn."""
+    return _records(_lines(path), path)
 
 
-def _records(fh: TextIO, path: str) -> Iterator[dict]:
+def _lines(path: str) -> Iterator[str]:
+    """The lines of a UTF-8 text file, read as they are drawn. The file
+    is opened by this call, so a missing file or a directory fails here
+    and not at the first line; either, and bytes that are not UTF-8,
+    raise InputError naming the file."""
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise InputError(f"{path}: no such file") from exc
+    except IsADirectoryError as exc:
+        raise InputError(f"{path}: is a directory") from exc
+    return _decoded(fh, path)
+
+
+def _decoded(fh: TextIO, path: str) -> Iterator[str]:
     with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(record, dict):
-                raise InputError(f"{path}:{lineno}: expected a JSON object")
-            yield record
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text") from exc
+
+
+def _records(lines: Iterator[str], path: str) -> Iterator[dict]:
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+        if not isinstance(record, dict):
+            raise InputError(f"{path}:{lineno}: expected a JSON object")
+        yield record
 
 
 def write_jsonl(path: str, records: Iterable[dict]) -> None:

@@ -39,7 +39,6 @@ from .geometry import (
     check_flag,
     check_number,
     column_range,
-    cyclic_apart,
     cyclic_interval_overlap,
     cyclic_neighbours,
     from_dict,
@@ -48,7 +47,6 @@ from .geometry import (
 from .io import read_json
 
 MIN_AGENT_RANGE = 0.3  # m; agents closer to the camera axis are degenerate
-_AZIMUTH_MARGIN_DEG = 1e-6  # padding of the footprints in occlusion's broad phase
 
 
 @dataclass(frozen=True)
@@ -295,26 +293,25 @@ class FrameSnapshot:
     def occluded(self) -> tuple[bool, ...]:
         """Whether a strictly nearer agent covers more than half of each
         agent's azimuth footprint. Only strictly nearer agents of
-        another id are compared, and a footprint that ``cyclic_apart``
-        places apart is skipped before ``cyclic_interval_overlap``.
+        another id are compared.
 
         An agent meets only the footprints that ``cyclic_neighbours``
-        returns for its own. That only pre-filters; the range, id,
-        ``cyclic_apart`` and overlap tests run unchanged on each
-        footprint it returns, the agent's own footprint first as in an
-        all-pairs loop."""
+        returns for its own: every footprint that may overlap it, and
+        so every one that can cover more than half of a footprint of
+        positive length. That only pre-filters; the range, id and
+        overlap tests run unchanged on each footprint it returns, as in
+        an all-pairs loop."""
         footprints = [
             (state.agent.id, state.ground_range, *_azimuth_interval(state))
             for state in self.agents
         ]
         intervals = [(start, length) for _, _, start, length in footprints]
-        near = cyclic_neighbours(intervals, intervals, 360.0, _AZIMUTH_MARGIN_DEG)
+        near = cyclic_neighbours(intervals, intervals, 360.0)
         return tuple(
             length > 0
             and any(
                 o_range < a_range
                 and o_id != a_id
-                and not cyclic_apart(start, length, o_start, o_length, 360.0, _AZIMUTH_MARGIN_DEG)
                 and cyclic_interval_overlap(start, length, o_start, o_length, 360.0) > 0.5 * length
                 for o_id, o_range, o_start, o_length in map(footprints.__getitem__, window)
             )

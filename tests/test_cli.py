@@ -498,6 +498,24 @@ class TestSensitivity:
             main(["sensitivity", "--distances", "a,b", "--out", str(tmp_path)]) == 2
         )
 
+    @pytest.mark.parametrize(
+        "flag,values",
+        [
+            ("--distances", "1,nan,inf"),
+            ("--distances", "2,inf"),
+            ("--distances", "-1"),
+            ("--distances", "0"),
+            ("--pixel-errors", "-1"),
+            ("--pixel-errors", "1,nan"),
+            ("--pixel-errors", "inf"),
+        ],
+    )
+    def test_bad_numbers_exit_2(self, tmp_path, flag, values):
+        # a distance must be finite and > 0, a pixel error finite and >= 0
+        out = tmp_path / "sens"
+        assert main(["sensitivity", flag, values, "--out", str(out)]) == 2
+        assert not (out / "sensitivity.csv").exists()
+
 
 # one-field edits of circle_2m, made 1 s long: (key path, JSON value text)
 TRAJECTORY = ("agents", 0, "trajectory")
@@ -605,6 +623,37 @@ class TestConfigBoundary:
         missing = tmp_path / "missing.json"
         assert run_cli(command, tmp_path / "out", flag, str(missing)) == 2
         assert f"error: {missing}: no such file\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,flag,kind",
+        [
+            ("eval", "--gt", "missing"),
+            ("track", "detections", "missing"),
+            ("sensitivity", "--camera", "directory"),
+            ("eval", "--gt", "not_utf8"),
+            ("sensitivity", "--camera", "not_utf8"),
+            ("simulate", "--scenario", "not_utf8"),
+            ("track", "--scenario", "not_utf8"),
+            ("track", "detections", "not_utf8"),
+        ],
+    )
+    def test_unreadable_input_file_exits_2(self, tmp_path, capsys, command, flag, kind):
+        # every input file, JSON or JSONL, is named when it cannot be read
+        path = tmp_path / "input.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b'{"name": "\xff"}\n')
+        args = [flag, str(path)]
+        if flag == "detections":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"detections": str(path)}))
+            args = ["--config", str(config)]
+        elif command == "eval":
+            args += ["--tracks", str(path)]
+        assert run_cli(command, tmp_path / "out", *args) == 2
+        reason = {"missing": "no such file", "directory": "is a directory", "not_utf8": "not UTF-8 text"}
+        assert f"error: {path}: {reason[kind]}\n" in capsys.readouterr().err
 
     def test_camera_checked_with_scenario_input(self, tmp_path):
         # a scenario brings its own camera; the block is checked all the same

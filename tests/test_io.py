@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from panotrack.detect import JOINT_NAMES, Viewport, detection_pixels, run_viewports
 from panotrack.exceptions import InputError
 from panotrack.geometry import CameraModel, WorldPoint, world_to_image
-from panotrack.io import detections_from_record, detections_record, read_jsonl, tracks_record
+from panotrack.io import detections_from_record, detections_record, read_json, read_jsonl, tracks_record
 from panotrack.pipeline import run_offline
 from panotrack.tracker import TrackSnapshot, TrackStatus
 
@@ -286,8 +287,24 @@ class TestNormalRecordKept:
 
 class TestReadJsonl:
     def test_missing_file_fails_at_the_call(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            read_jsonl(str(tmp_path / "missing.jsonl"))
+        path = tmp_path / "missing.jsonl"
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: no such file$"):
+            read_jsonl(str(path))
+
+    @pytest.mark.parametrize(
+        "read", [read_json, lambda path: list(read_jsonl(path))], ids=["read_json", "read_jsonl"]
+    )
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_file_is_named(self, tmp_path, read, kind):
+        # both readers share one open-and-decode path
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"frame": 0}\n{"name": "caf\xe9"}\n')
+        reason = {"directory": "is a directory", "not_utf8": "not UTF-8 text"}
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: {reason[kind]}$"):
+            read(str(path))
 
     def test_yields_dicts_and_skips_blank_lines(self, tmp_path):
         path = tmp_path / "r.jsonl"

@@ -708,21 +708,20 @@ def ci_crowd200(occlusion_enabled):
 def test_crowd_pair_tests_scale(monkeypatch, occlusion_enabled):
     """Occlusion and duplicate fusion test only the pairs that can
     touch: over 5 frames of the 200-person crowd under tiles, at most
-    2,000 fusion and 4,000 occlusion ``cyclic_apart`` calls a frame,
-    where testing every pair takes about 15,000 and 20,000."""
+    2,000 fusion ``merge_score`` and 4,000 occlusion
+    ``cyclic_interval_overlap`` calls a frame, where testing every pair
+    takes about 15,000 and 20,000."""
     calls = {"sim": 0, "detect": 0}
 
-    def counter(module):
-        name, real = module.__name__.rsplit(".", 1)[1], module.cyclic_apart
-
+    def counter(name, real):
         def counted(*args):
             calls[name] += 1
             return real(*args)
 
         return counted
 
-    for module in (sim, detect):
-        monkeypatch.setattr(module, "cyclic_apart", counter(module))
+    monkeypatch.setattr(sim, "cyclic_interval_overlap", counter("sim", sim.cyclic_interval_overlap))
+    monkeypatch.setattr(detect, "merge_score", counter("detect", detect.merge_score))
     frames = list(itertools.islice(run_simulated(ci_crowd200(occlusion_enabled), "tiles"), 5))
     assert len(frames) == 5
     assert all(out.detections["detections"] for out, _ in frames)
