@@ -62,8 +62,8 @@ from .sim import (
 from .tracker import (
     PanoTracker,
     Track,
-    TrackSnapshot,
     TrackerConfig,
+    TrackTable,
     TrackStatus,
     associate,
 )

@@ -137,25 +137,20 @@ def _normal_floats(joints, image_height: float) -> bool:
     return True
 
 
-def ankle_midpoint(a, b, image_width: float) -> Optional[ImagePoint]:
-    """Wrap-aware midpoint of two ankle pixels, each a (column, row, ...)
-    sequence or None when absent; one ankle alone is its own midpoint."""
-    if a is None or b is None:
-        one = a or b
-        return None if one is None else ImagePoint(one[0], one[1])
-    dx = abs(a[0] - b[0])
-    bx = b[0] + image_width if dx > image_width / 2 and b[0] < a[0] else b[0]
-    ax = a[0] + image_width if dx > image_width / 2 and a[0] < b[0] else a[0]
-    return ImagePoint(((ax + bx) / 2.0) % image_width, (a[1] + b[1]) / 2.0)
-
-
 def pixel_row(joints: dict, image_width: float) -> tuple[float, float, float, float]:
     """A detection's ankle-midpoint column and row, then its neck column
-    and row, NaN where the joints are absent."""
-    ankle = ankle_midpoint(joints.get("left_ankle"), joints.get("right_ankle"), image_width)
-    ankle = ankle or NO_PIXEL
+    and row, NaN where the joints are absent. Two ankles more than half
+    the width apart meet the short way round the seam, the column taken
+    mod the width; one ankle alone is its own midpoint, as given."""
+    a, b = joints.get("left_ankle"), joints.get("right_ankle")
     neck = joints.get("neck") or NO_PIXEL
-    return (ankle[0], ankle[1], neck[0], neck[1])
+    if a is None or b is None:
+        one = a or b or NO_PIXEL
+        return (one[0], one[1], neck[0], neck[1])
+    ax, bx = a[0], b[0]
+    if abs(ax - bx) > image_width / 2:
+        ax, bx = (ax + image_width, bx) if ax < bx else (ax, bx + image_width)
+    return (((ax + bx) / 2.0) % image_width, (a[1] + b[1]) / 2.0, neck[0], neck[1])
 
 
 def detection_pixels(dets: Sequence[dict], image_width: float) -> np.ndarray:

@@ -26,7 +26,7 @@ from .detect import check_detection, pixel_row
 from .exceptions import InputError, PanotrackError
 from .geometry import CameraModel, column_range, row_at_height
 from .metrics import ErrorBin, EvalReport
-from .tracker import TrackSnapshot
+from .tracker import TrackTable
 
 
 def read_json(path: str):
@@ -118,26 +118,26 @@ def detections_from_record(record: dict, cam: CameraModel) -> tuple[list[dict], 
     return out, np.array(rows, dtype=float).reshape(-1, 4)
 
 
-def tracks_record(
-    frame: int, t: float, tracks: Sequence[TrackSnapshot], cam: CameraModel
-) -> dict:
-    """A frame's tracks record. Each track's position is its mean row,
-    read with one ``.tolist()``, and its pixel is ``world_to_image`` of
-    that position, computed by the same two calls."""
+def tracks_record(frame: int, t: float, table: TrackTable, cam: CameraModel) -> dict:
+    """A frame's tracks record, one entry per row of a step's table.
+    The positions are the table's means, read with one ``.tolist()``,
+    and each pixel is ``world_to_image`` of its position, computed by
+    the same two calls."""
     out = []
-    for tr in tracks:
-        x, y, _, _, h = tr.mean.tolist()
+    for track_id, (x, y, _, _, h), status, is_target in zip(
+        table.ids, table.means.tolist(), table.statuses, table.is_target
+    ):
         img_x, rho = column_range(x, y, cam)
         out.append(
             {
-                "id": tr.id,
+                "id": track_id,
                 "x": x,
                 "y": y,
                 "h": h,
                 "img_x": img_x,
                 "img_y": row_at_height(rho, h, cam),
-                "status": tr.status.value,
-                "is_target": tr.is_target,
+                "status": status,
+                "is_target": is_target,
             }
         )
     return {"frame": frame, "t": t, "tracks": out}

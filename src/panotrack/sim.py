@@ -176,6 +176,8 @@ class Scenario:
         check_number("fps", self.fps, 0.0, strict=True)
         check_number("duration", self.duration, 0.0, strict=True)
         check_number("fps * duration", self.fps * self.duration)
+        if self.n_frames < 1:
+            raise ConfigError(f"round(fps * duration) must be >= 1 frame, got {self.n_frames}")
         check_number("seed", self.seed, 0, integer=True)
         check_number("annotate_every", self.annotate_every, 1, integer=True)
         check_number("annotate_from", self.annotate_from, 0, integer=True)

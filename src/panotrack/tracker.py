@@ -9,10 +9,10 @@ alone when the ankles are occluded).
 ``PanoTracker`` keeps the filter state in three row-aligned arrays,
 ``means`` (n, 5), ``covs`` (n, 5, 5) and their Cholesky ``factors``
 (n, 5, 5), row i belonging to ``tracks[i]``; tracks are in id order
-and carry only their lifecycle. A spawn appends rows. A step ends on
-copies, so the snapshots it returns hold rows never written again: a
-compaction that drops the rows of the tracks lost in the step, or,
-when none was lost, plain copies of the means and covariances.
+and carry only their lifecycle. A spawn appends rows. A step returns
+one ``TrackTable`` and ends on copies, so the table's arrays are never
+written again: a compaction that drops the rows of the tracks lost in
+the step, or, when none was lost, copies of the means and covariances.
 
 The filter has one batched core on such arrays: ``predict`` propagates
 all rows, ``innovation_stage`` takes the predicted rows through the
@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -187,14 +187,16 @@ class Track:
     is_target: bool = False
 
 
-@dataclass
-class TrackSnapshot(Track):
-    """A track as ``PanoTracker.step`` reports it: its lifecycle fields
-    and its state at the end of the step, rows of arrays the tracker
-    no longer writes."""
+class TrackTable(NamedTuple):
+    """The tracks as ``PanoTracker.step`` reports them, lost ones
+    included, one row each in id order: ids, status values and target
+    flags, and the step-end means and covariances."""
 
-    mean: np.ndarray = field(kw_only=True)  # (5,)
-    covariance: np.ndarray = field(kw_only=True)  # (5, 5)
+    ids: list[int]
+    statuses: list[str]
+    is_target: list[bool]
+    means: np.ndarray  # (n, 5)
+    covs: np.ndarray  # (n, 5, 5)
 
 
 def unwrap_columns(xs: np.ndarray, image_width: float) -> np.ndarray:
@@ -650,21 +652,15 @@ class PanoTracker:
             return
         self.tracks[min(candidates, key=self._prominence)].is_target = True
 
-    def _register_hit(self, track: Track) -> None:
-        track.hits += 1
-        track.consecutive_misses = 0
-        if (
-            track.status == TrackStatus.TENTATIVE
-            and track.hits >= self.config.confirm_hits
-        ):
-            track.status = TrackStatus.CONFIRMED
-
-    def step(self, pix: np.ndarray, dt: float) -> list[TrackSnapshot]:
+    def step(self, pix: np.ndarray, dt: float) -> TrackTable:
         """Advance one frame on its detections' (m, 4) pixels; returns
-        snapshots of the current tracks (including any that were lost
-        this frame) sorted by id."""
+        the table of the current tracks, including any that were lost
+        this frame, in id order."""
         cfg = self.config
         tracks = self.tracks
+        # bound once: a member lookup on the enum class costs more than
+        # the comparison it serves, once per track
+        tentative, lost = TrackStatus.TENTATIVE, TrackStatus.LOST
 
         (self.means, self.covs, self.factors), predicted = predict(
             self.means, self.covs, self.factors, dt, cfg
@@ -673,7 +669,7 @@ class PanoTracker:
         every = len(active) == len(tracks)
         if not every:
             for i in (~predicted).nonzero()[0]:
-                tracks[i].status = TrackStatus.LOST
+                tracks[i].status = lost
 
         means = self.means if every else self.means.take(active, axis=0)
         assignment = associate(means, pix[:, 2:], self.cam, cfg.gate_px)
@@ -697,26 +693,33 @@ class PanoTracker:
                 )
                 self.means[matched], self.covs[matched], self.factors[matched] = kept
             for i, ok, updated in zip(matched.tolist(), accepted.tolist(), stored.tolist()):
+                track = tracks[i]
                 if not ok:
                     missed.append(i)
                 elif updated:
-                    self._register_hit(tracks[i])
+                    track.hits += 1
+                    track.consecutive_misses = 0
+                    if track.status is tentative and track.hits >= cfg.confirm_hits:
+                        track.status = TrackStatus.CONFIRMED
                 else:
-                    tracks[i].status = TrackStatus.LOST
+                    track.status = lost
 
         for i in missed:
             track = tracks[i]
             track.hits = 0
             track.consecutive_misses += 1
             if track.consecutive_misses >= cfg.lose_after_misses:
-                track.status = TrackStatus.LOST
+                track.status = lost
 
+        # no status changes after this point: the live rows serve spawn
+        # suppression and, with the spawned rows, the compaction
+        live = [i for i, t in enumerate(tracks) if t.status is not lost]
+        first_spawn = len(tracks)
         if assignment.unmatched_dets:
             # only an unmatched detection with all four coordinates can spawn
             spawnable = pix[assignment.unmatched_dets]
             spawnable = spawnable[~np.isnan(spawnable).any(axis=1)]
             if len(spawnable):
-                live = [i for i, t in enumerate(tracks) if t.status != TrackStatus.LOST]
                 dist = _gated_distances(
                     spawnable[:, 2:],
                     _neck_pixels(self.means[live], self.cam),
@@ -728,21 +731,20 @@ class PanoTracker:
                 # duplicate of someone already tracked
                 suppressed = (dist < cfg.spawn_suppression_px).any(axis=1)
                 self._spawn(spawnable[~suppressed])
+                live.extend(range(first_spawn, len(tracks)))
 
         self._maintain_target()
 
-        snapshot = [
-            TrackSnapshot(
-                t.id, t.status, t.hits, t.consecutive_misses, t.is_target, mean=m, covariance=c
-            )
-            for t, m, c in zip(self.tracks, self.means, self.covs)
-        ]
-        # the arrays go on as copies, so the snapshots' rows are never
-        # written again: compacted when a track was lost, else copied
-        kept = [i for i, t in enumerate(self.tracks) if t.status != TrackStatus.LOST]
-        if len(kept) < len(self.tracks):
-            self.tracks = [self.tracks[i] for i in kept]
-            self.means, self.covs, self.factors = self._rows(kept)
+        # ``_value_`` is the member's ``value``, read without the property
+        statuses = [t.status._value_ for t in tracks]
+        table = TrackTable(
+            [t.id for t in tracks], statuses, [t.is_target for t in tracks], self.means, self.covs
+        )
+        # the arrays go on as copies, so the table's are never written
+        # again: compacted when a track was lost, else copied
+        if len(live) < len(tracks):
+            self.tracks = [tracks[i] for i in live]
+            self.means, self.covs, self.factors = self._rows(live)
         else:
             self.means, self.covs = self.means.copy(), self.covs.copy()
-        return snapshot
+        return table

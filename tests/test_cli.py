@@ -525,6 +525,8 @@ SCENARIO_EDITS = {
     "nan_min_person_pixels": (("detect_cfg", "min_person_pixels"), "NaN"),
     "inf_fps": (("fps",), "Infinity"),
     "nan_duration": (("duration",), "NaN"),
+    # 0.3 frames at 30 fps: a duration > 0 that rounds to no frame
+    "zero_frame_duration": (("duration",), "0.01"),
     "string_seed": (("seed",), '"x"'),
     "fractional_seed": (("seed",), "1.5"),
     "nan_radius": ((*TRAJECTORY, "radius"), "NaN"),

@@ -3,15 +3,15 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from panotrack.detect import (
     JOINT_NAMES,
+    NO_PIXEL,
     TORSO_JOINTS,
     RoiConfig,
     TilesConfig,
-    ankle_midpoint,
     build_tiles,
     check_detection,
     check_joint,
@@ -21,6 +21,7 @@ from panotrack.detect import (
     fuse_duplicates,
     fullframe_viewport,
     merge_score,
+    pixel_row,
     reference_x,
     roi_viewport,
     run_viewports,
@@ -32,6 +33,7 @@ from panotrack.pipeline import StrategyRunner
 
 
 H = 960  # rows of the default camera
+W = 1920  # columns of the default camera
 
 
 def torso(cx, cy, w=20.0, h=50.0, conf=1.0, extra=()):
@@ -114,6 +116,64 @@ def broken_normal_forms(draw):
     return joints
 
 
+def ankles(left, right):
+    """Joints with the given ankles, each a pixel or None for absent."""
+    return {name: p for name, p in (("left_ankle", left), ("right_ankle", right)) if p is not None}
+
+
+def reference_pixel_row(joints, image_width):
+    """The reference for ``pixel_row``: the wrap-aware ankle midpoint as
+    an ``ImagePoint``, then the neck, NaN where absent."""
+
+    def ankle_midpoint(a, b):
+        if a is None or b is None:
+            one = a or b
+            return None if one is None else ImagePoint(one[0], one[1])
+        dx = abs(a[0] - b[0])
+        bx = b[0] + image_width if dx > image_width / 2 and b[0] < a[0] else b[0]
+        ax = a[0] + image_width if dx > image_width / 2 and a[0] < b[0] else a[0]
+        return ImagePoint(((ax + bx) / 2.0) % image_width, (a[1] + b[1]) / 2.0)
+
+    ankle = ankle_midpoint(joints.get("left_ankle"), joints.get("right_ankle")) or NO_PIXEL
+    neck = joints.get("neck") or NO_PIXEL
+    return (ankle[0], ankle[1], neck[0], neck[1])
+
+
+# columns on [0, W), beside the seam, one or more widths outside
+# [0, W), and at the ends of the finite floats; rows on [0, H]
+pixel_columns = st.one_of(
+    st.floats(0.0, W, exclude_max=True),
+    st.floats(W - 8.0, W, exclude_max=True),
+    st.floats(0.0, 8.0),
+    st.builds(lambda x, k: x + k * W, st.floats(0.0, W), st.integers(-3, 3)),
+    st.floats(-1e308, 1e308),
+    st.sampled_from([1e308, -1e308, W, -W]),
+    st.integers(-2 * W, 3 * W),
+)
+pixel_rows = st.floats(0.0, H) | st.sampled_from([0.0, float(H), 0, H])
+
+
+@st.composite
+def pixel_joints(draw):
+    """Joints with any of the ankles and the neck, each drawn from
+    ``pixel_columns`` and ``pixel_rows`` with or without a confidence;
+    a right ankle is drawn near the seam's other side half the time."""
+    joints = {}
+    for name in ("left_ankle", "right_ankle", "neck"):
+        if draw(st.booleans()):
+            x = draw(pixel_columns)
+            if name == "right_ankle" and "left_ankle" in joints and draw(st.booleans()):
+                # the other side of the seam from the left ankle
+                x = joints["left_ankle"][0] + draw(st.sampled_from([-1, 1])) * (
+                    W - draw(st.floats(0.0, 16.0))
+                )
+            point = [x, draw(pixel_rows)]
+            if draw(st.booleans()):
+                point.append(1.0)
+            joints[name] = point
+    return joints
+
+
 class TestSkeleton:
     """``check_detection``, the one rule for a detection's joints."""
 
@@ -190,19 +250,33 @@ class TestSkeleton:
         assert list(joints) == list(before) and joints == before
 
     def test_ankle_midpoint_plain(self):
-        assert ankle_midpoint((100, 700), (120, 710), 1920) == pytest.approx((110, 705))
+        assert pixel_row(ankles((100, 700), (120, 710)), 1920)[:2] == pytest.approx((110, 705))
 
     def test_ankle_midpoint_single(self):
-        assert ankle_midpoint((100, 700), None, 1920) == pytest.approx((100, 700))
-        assert ankle_midpoint(None, (100, 700), 1920) == pytest.approx((100, 700))
+        assert pixel_row(ankles((100, 700), None), 1920)[:2] == pytest.approx((100, 700))
+        assert pixel_row(ankles(None, (100, 700)), 1920)[:2] == pytest.approx((100, 700))
 
     def test_ankle_midpoint_wraps(self):
-        mid = ankle_midpoint((1918, 700), (2, 700), 1920)
-        assert mid.x == pytest.approx(0.0)
-        assert ankle_midpoint((2, 700), (1918, 700), 1920).x == pytest.approx(0.0)
+        assert pixel_row(ankles((1918, 700), (2, 700)), 1920)[0] == pytest.approx(0.0)
+        assert pixel_row(ankles((2, 700), (1918, 700)), 1920)[0] == pytest.approx(0.0)
 
     def test_ankle_midpoint_absent(self):
-        assert ankle_midpoint(None, None, 1920) is None
+        assert all(math.isnan(v) for v in pixel_row(ankles(None, None), 1920)[:2])
+
+    @settings(max_examples=400, deadline=None)
+    @given(pixel_joints())
+    # ankles straddling the seam, each side first, and the neck absent
+    @example({"left_ankle": (1915.0, 700.0), "right_ankle": (5.0, 702.0)})
+    @example({"left_ankle": (5, 702), "right_ankle": (1915, 700), "neck": (2, 300)})
+    # ankles exactly half the width apart, which do not wrap
+    @example({"left_ankle": (100.0, 700.0), "right_ankle": (1060.0, 700.0)})
+    # a width below and above [0, W), and sums that overflow
+    @example({"left_ankle": (-1920.0, 700.0), "right_ankle": (3845.5, 700.0)})
+    @example({"left_ankle": (1e308, 700.0), "right_ankle": (1e308, 0.0), "neck": (-1e308, 960)})
+    def test_pixel_row_is_the_reference_bit_for_bit(self, joints):
+        got, ref = pixel_row(joints, W), reference_pixel_row(joints, W)
+        assert [type(v) for v in got] == [type(v) for v in ref]
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in ref]
 
 
 class TestBuildTiles:

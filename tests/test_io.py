@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from panotrack.detect import JOINT_NAMES, Viewport, detection_pixels, run_viewports
 from panotrack.exceptions import InputError
-from panotrack.geometry import CameraModel, WorldPoint, world_to_image
+from panotrack.geometry import CameraModel, WorldPoint, row_at_height, world_to_image
 from panotrack.io import detections_from_record, detections_record, read_json, read_jsonl, tracks_record
 from panotrack.pipeline import run_offline
-from panotrack.tracker import TrackSnapshot, TrackStatus
+from panotrack.tracker import TrackStatus, TrackTable
 
 CAM = CameraModel()
 W, H = CAM.image_width, CAM.image_height
@@ -256,6 +256,81 @@ class TestOnePassReader:
         assert [type(v) for v in det["joints"]["neck"]] == [int, int, float]
 
 
+# columns anywhere finite: on [0, W), one or more widths outside it,
+# and at the ends of the floats; rows on [0, H], the edges included
+stream_column = st.one_of(
+    st.floats(0.0, W, exclude_max=True),
+    st.builds(lambda x, k: x + k * W, st.floats(0.0, W), st.integers(-3, 3).filter(bool)),
+    st.floats(-1e308, 1e308),
+    st.sampled_from([1e308, -1e308, -W, W, 2 * W, -0.5]),
+)
+stream_row = st.floats(0.0, H) | st.sampled_from([0.0, float(H), 0, H])
+
+
+@st.composite
+def person(draw):
+    """The joints of one person standing 1-8 m from the camera, seen at
+    a column drawn from ``stream_column``, with each joint absent one
+    time in four."""
+    rho = draw(st.floats(1.0, 8.0))
+    ankle_row = row_at_height(rho, CAM.ankle_height, CAM)
+    neck_row = row_at_height(rho, draw(st.floats(1.0, 2.0)), CAM)
+    x = draw(stream_column)
+    joints = {
+        "left_ankle": [x, ankle_row],
+        "right_ankle": [x + draw(st.floats(-8.0, 8.0)), ankle_row],
+        "neck": [x + draw(st.floats(-4.0, 4.0)), neck_row],
+    }
+    return {n: v for n, v in joints.items() if draw(st.integers(0, 3))}
+
+
+@st.composite
+def detection_streams(draw):
+    """Up to 6 records of up to 5 detections each, with close,
+    increasing timestamps: people who stay put from record to record,
+    by a pixel or so, and detections of joints anywhere."""
+    people = draw(st.lists(person(), max_size=4))
+    any_joints = st.dictionaries(
+        st.sampled_from(JOINT_NAMES), st.tuples(stream_column, stream_row).map(list),
+        min_size=1, max_size=7,
+    )
+    t = draw(st.floats(0.0, 10.0))
+    records = []
+    for frame in range(draw(st.integers(1, 6))):
+        dets = [
+            {n: [v[0] + draw(st.floats(-1.0, 1.0)), v[1]] for n, v in p.items()}
+            for p in people if p and draw(st.integers(0, 4))
+        ]
+        dets += draw(st.lists(any_joints, max_size=2))
+        records.append({"frame": frame, "t": t, "detections": [{"joints": j} for j in dets]})
+        # a step of one rounding step up to a frame at 20 fps
+        t = max(t + draw(st.floats(0.0, 0.05)), math.nextafter(t, math.inf))
+    return records
+
+
+class TestOfflineStream:
+    @settings(max_examples=200, deadline=None)  # about 3 s on a 2-CPU VM
+    @given(detection_streams())
+    # one person, then the same person a width below and at the float limit
+    @example([
+        {"frame": 0, "t": 0.0, "detections": [{"joints": {
+            "left_ankle": [10.0, 700.0], "right_ankle": [1915.0, 700.0], "neck": [3.0, 400.0]}}]},
+        {"frame": 1, "t": 0.03, "detections": [{"joints": {
+            "left_ankle": [10.0 - W, 700.0], "right_ankle": [1915.0, 700.0], "neck": [3.0, 400.0]}}]},
+        {"frame": 2, "t": 0.06, "detections": [{"joints": {
+            "left_ankle": [1e308, 700.0], "right_ankle": [-1e308, 700.0], "neck": [1e308, 400.0]}}]},
+    ])
+    def test_records_are_finite_or_the_stream_is_refused(self, records):
+        """A detection stream with any finite columns, rows on the image,
+        missing joints and close timestamps yields only tracks records
+        of finite numbers, or raises InputError."""
+        try:
+            for output in run_offline(iter(records), CAM):
+                json.dumps(output.tracks, allow_nan=False)
+        except InputError:
+            pass
+
+
 class TestNormalRecordKept:
     """A detection whose joints ``check_detection`` returns unchanged is
     written back as the record's own object."""
@@ -333,11 +408,12 @@ SEAM_AZIMUTHS = [
 
 
 @st.composite
-def track_snapshots(draw):
-    """Up to 6 tracks at any azimuth, the seam's included, 0.3-30 m from
-    the camera, with any velocity, height, status and target flag."""
-    tracks = []
-    for i in range(draw(st.integers(0, 6))):
+def track_tables(draw):
+    """A step's table of up to 6 tracks at any azimuth, the seam's
+    included, 0.3-30 m from the camera, with any velocity, height,
+    status and target flag."""
+    means = []
+    for _ in range(draw(st.integers(0, 6))):
         rho = draw(st.floats(0.3, 30.0))
         azimuth = math.radians(draw(st.floats(-180.0, 180.0) | st.sampled_from(SEAM_AZIMUTHS)))
         x, y = rho * math.cos(azimuth), rho * math.sin(azimuth)
@@ -345,36 +421,35 @@ def track_snapshots(draw):
             # straight behind the camera, a rounding step either side of the seam
             x, y = -rho, draw(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-12, -1e-12]))
         vx, vy = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
-        h = draw(st.floats(0.5, 2.5))
-        tracks.append(
-            TrackSnapshot(
-                id=i,
-                status=draw(st.sampled_from(list(TrackStatus))),
-                is_target=draw(st.booleans()),
-                mean=np.array([x, y, vx, vy, h]),
-                covariance=np.eye(5),
-            )
-        )
-    return tracks
+        means.append([x, y, vx, vy, draw(st.floats(0.5, 2.5))])
+    n = len(means)
+    return TrackTable(
+        ids=list(range(n)),
+        statuses=[draw(st.sampled_from(list(TrackStatus))).value for _ in range(n)],
+        is_target=[draw(st.booleans()) for _ in range(n)],
+        means=np.array(means).reshape(-1, 5),
+        covs=np.broadcast_to(np.eye(5), (n, 5, 5)),
+    )
 
 
 class TestTracksRecord:
     @given(
-        track_snapshots(),
+        track_tables(),
         st.sampled_from([CAM, CameraModel(image_width=3840, image_height=1920, mount_height=0.9)]),
     )
     @settings(max_examples=100, deadline=None)  # about 0.7 s on a 2-CPU VM
-    def test_pixels_are_world_to_image_bit_for_bit(self, tracks, cam):
+    def test_pixels_are_world_to_image_bit_for_bit(self, table, cam):
         """Each track's x, y and h are its mean row's floats, and its
         img_x and img_y are ``world_to_image`` of those floats, to the
         last bit."""
-        record = tracks_record(4, 0.4, tracks, cam)
+        record = tracks_record(4, 0.4, table, cam)
         assert record["frame"] == 4 and record["t"] == 0.4
-        assert len(record["tracks"]) == len(tracks)
-        for out, tr in zip(record["tracks"], tracks):
-            x, y, _, _, h = tr.mean.tolist()
+        assert len(record["tracks"]) == len(table.ids)
+        rows = zip(table.ids, table.statuses, table.is_target, table.means)
+        for out, (track_id, status, is_target, mean) in zip(record["tracks"], rows):
+            x, y, _, _, h = mean.tolist()
             img = world_to_image(WorldPoint(x, y, h), cam)
             got = [out[k] for k in ("x", "y", "h", "img_x", "img_y")]
             assert [type(v) for v in got] == [float] * 5
             assert [v.hex() for v in got] == [v.hex() for v in (x, y, h, img.x, img.y)]
-            assert (out["id"], out["status"], out["is_target"]) == (tr.id, tr.status.value, tr.is_target)
+            assert (out["id"], out["status"], out["is_target"]) == (track_id, status, is_target)

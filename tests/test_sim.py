@@ -13,9 +13,9 @@ from panotrack.detect import (
     RoiConfig,
     TilesConfig,
     Viewport,
-    ankle_midpoint,
     build_tiles,
     fullframe_viewport,
+    pixel_row,
     roi_viewport,
 )
 from panotrack.exceptions import ConfigError, GeometryError, InputError
@@ -99,9 +99,9 @@ class TestProjectAgent:
         sk = project_agent(state, cam)
         assert sk["neck"].x == pytest.approx(960.0)
         assert sk["neck"].y == pytest.approx(420.0, abs=1e-9)
-        mid = ankle_midpoint(sk["left_ankle"], sk["right_ankle"], cam.image_width)
-        assert mid.x == pytest.approx(960.0)
-        assert mid.y == pytest.approx(720.0, abs=1e-9)
+        mid_x, mid_y, _, _ = pixel_row(sk, cam.image_width)
+        assert mid_x == pytest.approx(960.0)
+        assert mid_y == pytest.approx(720.0, abs=1e-9)
 
     def test_behind_camera_at_seam(self, cam):
         sk = project_agent(make_state(-2.0, 0.0), cam)
@@ -111,7 +111,7 @@ class TestProjectAgent:
     def test_localize_round_trip(self, cam):
         state = make_state(2.2, -1.3)
         sk = project_agent(state, cam)
-        ankle = ankle_midpoint(sk["left_ankle"], sk["right_ankle"], cam.image_width)
+        ankle = ImagePoint(*pixel_row(sk, cam.image_width)[:2])
         w = localize(ankle, sk["neck"], cam)
         assert w.x == pytest.approx(state.x, abs=1e-6)
         assert w.y == pytest.approx(state.y, abs=1e-6)

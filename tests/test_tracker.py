@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from panotrack.detect import ankle_midpoint, detection_pixels
+from panotrack import detect
+from panotrack.detect import detection_pixels
 from panotrack.exceptions import ConfigError
 import panotrack.tracker
 from panotrack.geometry import (
@@ -1000,12 +1001,14 @@ class TestDetectionPixels:
         pix = detection_pixels(dets, W)
         assert pix.shape == (len(dets), 4)
         for row, det in zip(pix, dets):
-            ankle = ankle_midpoint(det.get("left_ankle"), det.get("right_ankle"), W)
-            for got, ref in ((row[:2], ankle), (row[2:], det.get("neck"))):
-                if ref is None:
-                    assert np.isnan(got).all()
-                else:
-                    assert got.tolist() == [float(ref[0]), float(ref[1])]
+            # each row is the detection's scalar ``pixel_row``, to the bit
+            scalar = detect.pixel_row(det, W)
+            assert [v.hex() for v in row.tolist()] == [float(v).hex() for v in scalar]
+            neck = det.get("neck")
+            if neck is None:
+                assert np.isnan(row[2:]).all()
+            else:
+                assert row[2:].tolist() == [float(neck[0]), float(neck[1])]
 
 
 def assert_matches_brute_force(tracks, dets, cam, gate):
@@ -1026,6 +1029,22 @@ def assert_matches_brute_force(tracks, dets, cam, gate):
     assert sum(cost[i, j] for i, j in pairs(res)) == pytest.approx(best[1], abs=1e-9)
     assert res.unmatched_tracks == sorted(set(range(n)) - {i for i, _ in pairs(res)})
     assert res.unmatched_dets == sorted(set(range(m)) - {j for _, j in pairs(res)})
+
+
+def copy_table(table):
+    """Copies of a step's table's means and covariances, then of its
+    ids, statuses and target flags."""
+    return [
+        table.means.copy(), table.covs.copy(),
+        list(table.ids), list(table.statuses), list(table.is_target),
+    ]
+
+
+def assert_table_is(table, frozen):
+    """The table holds, to the bit, what ``copy_table`` copied."""
+    means, covs, *lists = frozen
+    assert table.means.tobytes() == means.tobytes() and table.covs.tobytes() == covs.tobytes()
+    assert [table.ids, table.statuses, table.is_target] == lists
 
 
 def run_walker(
@@ -1080,13 +1099,13 @@ def seam_walker_positions(fps, speed=1.0):
 class TestStep:
     def test_spawn_confirm_promote(self, cam):
         history = run_walker(cam, [(2.0, 0.0)] * 5, TrackerConfig())
-        assert history[0][0].status == TrackStatus.TENTATIVE
-        assert not history[0][0].is_target
+        assert history[0].statuses[0] == TrackStatus.TENTATIVE
+        assert not history[0].is_target[0]
         confirmed_frame = next(
-            i for i, tracks in enumerate(history) if tracks[0].status == TrackStatus.CONFIRMED
+            i for i, table in enumerate(history) if table.statuses[0] == TrackStatus.CONFIRMED
         )
         assert confirmed_frame == 2  # third consecutive hit
-        assert history[confirmed_frame][0].is_target
+        assert history[confirmed_frame].is_target[0]
 
     def test_steady_state_step_takes_no_rows(self, cam, monkeypatch):
         """With every track predicted and matched in order, the step hands
@@ -1127,12 +1146,12 @@ class TestStep:
         Innovation = panotrack.tracker.Innovation
         monkeypatch.setattr(Innovation, "take", counted(Innovation.take, "Innovation.take"))
         monkeypatch.setattr(PanoTracker, "_rows", counted(PanoTracker._rows, "PanoTracker._rows"))
-        snaps = tracker.step(pix(3), 1 / 30)
+        table = tracker.step(pix(3), 1 / 30)
         assert seen["stage_args"] == (True, True)
         assert seen["update_args"] == (True, True, True, True)
         assert gathers == []
-        assert not any(np.shares_memory(s.mean, tracker.means) for s in snaps)
-        assert not any(np.shares_memory(s.covariance, tracker.covs) for s in snaps)
+        assert not np.shares_memory(table.means, tracker.means)
+        assert not np.shares_memory(table.covs, tracker.covs)
 
         tracker.step(pix(4, spots[:1]), 1 / 30)
         assert gathers == ["PanoTracker._rows", "Innovation.take"]
@@ -1141,16 +1160,15 @@ class TestStep:
         cfg = TrackerConfig()
         tracker = PanoTracker(cam, cfg)
         tracker.step(detection_pixels([agent_detection(2.0, 0.0, cam)], cam.image_width), 1 / 30)
-        last = []
         for _ in range(cfg.lose_after_misses):
             last = tracker.step(detection_pixels([], cam.image_width), 1 / 30)
-        assert all(t.status == TrackStatus.LOST for t in last)
+        assert last.statuses == [TrackStatus.LOST]
         assert tracker.tracks == []
 
     def test_stationary_convergence(self, cam):
         history = run_walker(cam, [(2.0, 1.0)] * 20, TrackerConfig())
-        final = history[-1][0]
-        assert math.hypot(final.mean[0] - 2.0, final.mean[1] - 1.0) < 1e-3
+        final = history[-1].means[0]
+        assert math.hypot(final[0] - 2.0, final[1] - 1.0) < 1e-3
 
     def test_track_ids_unique_and_not_reused(self, cam):
         cfg = TrackerConfig(lose_after_misses=2)
@@ -1158,8 +1176,7 @@ class TestStep:
         seen = []
         for i in range(30):
             dets = [agent_detection(2.0, 0.0, cam)] if (i // 5) % 2 == 0 else []
-            for t in tracker.step(detection_pixels(dets, cam.image_width), 1 / 30):
-                seen.append(t.id)
+            seen += tracker.step(detection_pixels(dets, cam.image_width), 1 / 30).ids
         ids = set(seen)
         assert len(ids) > 1  # the gaps force re-spawns
         # ids strictly increase in first-appearance order
@@ -1220,7 +1237,7 @@ class TestStep:
             "right_ankle": (965.0, ankle_row),
         }
         tracker = PanoTracker(cam, TrackerConfig())
-        assert tracker.step(detection_pixels([det], cam.image_width), 1 / 30) == []
+        assert tracker.step(detection_pixels([det], cam.image_width), 1 / 30).ids == []
         assert tracker.tracks == []
 
     @pytest.mark.parametrize(
@@ -1234,7 +1251,7 @@ class TestStep:
         full = agent_detection(2.0, 0.0, cam)
         part = {n: p for n, p in full.items() if n not in missing}
         out = tracker.step(detection_pixels([other, part], cam.image_width), 1 / 30)
-        assert [t.id for t in out] == [1]
+        assert out.ids == [1]
         assert len(tracker.tracks) == 1
 
     def test_neck_only_keeps_track_confirmed(self, cam):
@@ -1247,9 +1264,8 @@ class TestStep:
         neckonly = {"neck": full["neck"]}
         for _ in range(10):
             out = tracker.step(detection_pixels([neckonly], cam.image_width), 1 / 30)
-        tr = out[0]
-        assert tr.status == TrackStatus.CONFIRMED
-        assert tr.consecutive_misses == 0
+        assert out.statuses == [TrackStatus.CONFIRMED]
+        assert tracker.tracks[0].consecutive_misses == 0
 
     def test_one_stage_and_one_update_call_per_frame(self, cam, monkeypatch):
         people = [(2.0, 0.0), (-2.0, 1.0), (0.5, 3.0), (1.0, -3.0)]
@@ -1276,36 +1292,34 @@ class TestStep:
         out = tracker.step(detection_pixels(dets, cam.image_width), 1 / 30)
         assert stages == [4]
         assert calls == [[False, False, True, True]]  # neck-only rows have NaN ankles
-        assert [t.hits for t in out] == [4, 4, 4, 4]
+        assert out.ids == [1, 2, 3, 4]
+        assert [t.hits for t in tracker.tracks] == [4, 4, 4, 4]
 
     def test_snapshots_are_isolated_from_the_live_tracks(self, cam):
+        """The table a step returns shares nothing the tracker writes:
+        writing to it leaves the tracker as it was, and later steps leave
+        it as it was."""
         tracker = PanoTracker(cam, TrackerConfig())
         for _ in range(2):
             pix = detection_pixels([agent_detection(2.0, 0.0, cam)], cam.image_width)
-            snap = tracker.step(pix, 1 / 30)[0]
+            table = tracker.step(pix, 1 / 30)
         live = tracker.tracks[0]
-        kept = (tracker.means[0].copy(), tracker.covs[0].copy(), live.hits, live.status)
+        kept = (tracker.means[0].copy(), tracker.covs[0].copy(), live.status, live.is_target)
 
-        snap.mean[0] += 5.0
-        snap.covariance[0, 0] = 99.0
-        snap.hits, snap.status = 100, TrackStatus.LOST
+        table.means[0, 0] += 5.0
+        table.covs[0, 0, 0] = 99.0
+        table.statuses[0], table.is_target[0] = TrackStatus.LOST.value, True
         assert np.array_equal(tracker.means[0], kept[0])
         assert np.array_equal(tracker.covs[0], kept[1])
-        assert (live.hits, live.status) == kept[2:]
+        assert (live.status, live.is_target) == kept[2:]
 
         pix = detection_pixels([agent_detection(2.0, 0.0, cam)], cam.image_width)
-        stored = tracker.step(pix, 1 / 30)[0]
-        frozen = (
-            stored.mean.copy(),
-            stored.covariance.copy(),
-            stored.hits,
-            stored.consecutive_misses,
-        )
+        stored = tracker.step(pix, 1 / 30)  # the track confirms and becomes the target
+        frozen = copy_table(stored)
+        assert frozen[2:] == [[1], ["confirmed"], [True]]
         tracker.step(detection_pixels([agent_detection(2.1, 0.0, cam)], cam.image_width), 1 / 30)
-        assert not np.array_equal(tracker.means[0], frozen[0])  # the live track moved on
-        assert np.array_equal(stored.mean, frozen[0])
-        assert np.array_equal(stored.covariance, frozen[1])
-        assert (stored.hits, stored.consecutive_misses) == frozen[2:]
+        assert not np.array_equal(tracker.means[0], frozen[0][0])  # the live track moved on
+        assert_table_is(stored, frozen)
 
     def test_seam_crossing_keeps_single_id(self, cam):
         history = run_walker(
@@ -1315,7 +1329,7 @@ class TestStep:
             noise_sigma=1.0,
             seed=5,
         )
-        target_ids = {t.id for tracks in history for t in tracks if t.is_target}
+        target_ids = {i for table in history for i, on in zip(table.ids, table.is_target) if on}
         assert len(target_ids) == 1
 
     def test_seam_crossing_without_correction_fragments(self, cam):
@@ -1326,7 +1340,7 @@ class TestStep:
             noise_sigma=1.0,
             seed=5,
         )
-        target_ids = {t.id for tracks in history for t in tracks if t.is_target}
+        target_ids = {i for table in history for i, on in zip(table.ids, table.is_target) if on}
         assert len(target_ids) >= 2
 
 
@@ -1349,11 +1363,18 @@ def crowd_lifecycle(draw):
 class TestRowAlignment:
     """The filter arrays stay aligned with the tracks through spawns,
     misses, losses and a divergence inside an update batch, and the
-    snapshots a step returns never change afterwards."""
+    tables a step returns never change afterwards."""
 
     @settings(max_examples=150, deadline=None)
     @given(crowd_lifecycle())
     @example(([(100.0, 2.0), (500.0, 3.0), (900.0, 2.5)], [["whole"] * 3] * 4, 2))
+    # a loss by misses, then a divergence and a spawn in one later step
+    @example((
+        [(100.0, 2.0), (500.0, 3.0), (900.0, 2.5)],
+        [["whole"] * 3, ["whole", "neck", "whole"], ["whole", "whole", "none"],
+         ["whole", "whole", "none"], ["whole"] * 3],
+        4,
+    ))
     def test_arrays_follow_the_tracks(self, case):
         spots, frames, diverge_from = case
         cam = CameraModel()
@@ -1371,7 +1392,7 @@ class TestRowAlignment:
                 return kept, accepted, updated
             return real_update(means, covs, factors, z_obs, *args)
 
-        history = []  # every snapshot returned, with copies of its values
+        history = []  # every table returned, with copies of its values
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(panotrack.tracker, "update", diverging_update)
             for frame, seen in enumerate(frames):
@@ -1383,30 +1404,34 @@ class TestRowAlignment:
                     if how != "none":
                         dets.append(det)
                 n_forced = len(forced)
-                snaps = tracker.step(detection_pixels(dets, cam.image_width), 1 / 30)
+                table = tracker.step(detection_pixels(dets, cam.image_width), 1 / 30)
 
                 n = len(tracker.tracks)
                 assert tracker.means.shape == (n, 5)
                 assert tracker.covs.shape == tracker.factors.shape == (n, 5, 5)
                 for root, cov in zip(tracker.factors, tracker.covs):
                     assert np.allclose(root @ root.T, cov, rtol=1e-9, atol=1e-12)
-                live = [s for s in snaps if s.status != TrackStatus.LOST]
-                assert [s.id for s in live] == [t.id for t in tracker.tracks]
-                assert [s.id for s in snaps] == sorted(s.id for s in snaps)
-                assert np.array_equal(np.reshape([s.mean for s in live], (-1, 5)), tracker.means)
+                rows = len(table.ids)
+                assert len(table.statuses) == len(table.is_target) == rows
+                assert table.means.shape == (rows, 5) and table.covs.shape == (rows, 5, 5)
+                live = [k for k, status in enumerate(table.statuses) if status != TrackStatus.LOST]
+                assert [table.ids[k] for k in live] == [t.id for t in tracker.tracks]
+                assert [table.statuses[k] for k in live] == [t.status.value for t in tracker.tracks]
+                assert [table.is_target[k] for k in live] == [t.is_target for t in tracker.tracks]
+                assert table.ids == sorted(table.ids)
+                assert np.array_equal(table.means[live], tracker.means)
 
                 if len(forced) > n_forced:
                     mean0, cov0, (means, covs, _), updated = forced[-1]
-                    diverged = [s for s in snaps if np.array_equal(s.mean, mean0)]
-                    assert len(diverged) == 1 and diverged[0].status == TrackStatus.LOST
-                    assert np.array_equal(diverged[0].covariance, cov0)
+                    diverged = [k for k in range(rows) if np.array_equal(table.means[k], mean0)]
+                    assert len(diverged) == 1 and table.statuses[diverged[0]] == TrackStatus.LOST
+                    assert np.array_equal(table.covs[diverged[0]], cov0)
                     for k in np.flatnonzero(updated):
                         assert any(
-                            np.array_equal(s.mean, means[k]) and np.array_equal(s.covariance, covs[k])
-                            for s in snaps
+                            np.array_equal(m, means[k]) and np.array_equal(c, covs[k])
+                            for m, c in zip(table.means, table.covs)
                         )
 
-                history += [(s, s.mean.copy(), s.covariance.copy(), s.hits) for s in snaps]
-                for s, mean, cov, hits in history:
-                    assert np.array_equal(s.mean, mean) and np.array_equal(s.covariance, cov)
-                    assert s.hits == hits
+                history.append((table, copy_table(table)))
+                for old, frozen in history:
+                    assert_table_is(old, frozen)
