@@ -141,7 +141,9 @@ def pixel_row(joints: dict, image_width: float) -> tuple[float, float, float, fl
     """A detection's ankle-midpoint column and row, then its neck column
     and row, NaN where the joints are absent. Two ankles more than half
     the width apart meet the short way round the seam, the column taken
-    mod the width; one ankle alone is its own midpoint, as given."""
+    mod the width; one ankle alone is its own midpoint, as given. Two
+    columns whose sum is past the largest float meet at ``ax / 2 + bx /
+    2``, which is finite."""
     a, b = joints.get("left_ankle"), joints.get("right_ankle")
     neck = joints.get("neck") or NO_PIXEL
     if a is None or b is None:
@@ -150,7 +152,13 @@ def pixel_row(joints: dict, image_width: float) -> tuple[float, float, float, fl
     ax, bx = a[0], b[0]
     if abs(ax - bx) > image_width / 2:
         ax, bx = (ax + image_width, bx) if ax < bx else (ax, bx + image_width)
-    return (((ax + bx) / 2.0) % image_width, (a[1] + b[1]) / 2.0, neck[0], neck[1])
+    try:
+        mid = (ax + bx) / 2.0
+        if math.isinf(mid):  # a float sum that overflows
+            raise OverflowError
+    except OverflowError:  # or an integer sum that no float holds
+        mid = ax / 2 + bx / 2
+    return (mid % image_width, (a[1] + b[1]) / 2.0, neck[0], neck[1])
 
 
 def detection_pixels(dets: Sequence[dict], image_width: float) -> np.ndarray:

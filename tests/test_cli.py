@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -160,7 +161,8 @@ class TestTrack:
         assert len(tracks) == 60
         assert any(t["is_target"] for t in tracks[-1]["tracks"])
 
-    def test_non_finite_joint_exits_2(self, tmp_path):
+    def test_non_finite_joint_exits_2(self, tmp_path, capsys):
+        # orjson rejects the NaN line, so Python's json reads it
         scenario = short_scenario(tmp_path)
         first = tmp_path / "first"
         assert main(["track", "--scenario", str(scenario), "--out", str(first)]) == 0
@@ -180,6 +182,11 @@ class TestTrack:
         )
         out = tmp_path / "offline"
         assert main(["track", "--config", str(cfg), "--out", str(out)]) == 2
+        assert re.search(
+            r"detections record 41: joint coordinates must be finite, got \(\S+, nan\)$",
+            capsys.readouterr().err,
+            re.M,
+        )
         for name in ("detections.jsonl", "tracks.jsonl"):
             assert "NaN" not in (out / name).read_text()
 
@@ -228,11 +235,15 @@ class TestTrack:
                 '{"frame": 0, "t": 0.0, "detections": [{"joints": {"left_ankle": [960, -0.5]}}]}',
                 "detections record 1: joint row -0.5 is outside the image rows [0, 960]",
             ),
+            # whitespace that JSON does not allow: a line of it is not blank
+            ('{"frame": 0, "t": 0.0, "detections": []}\n\x0c', "bad.jsonl:2: invalid JSON: Expecting value"),
+            ('\x1c{"frame": 0, "t": 0.0, "detections": []}', "bad.jsonl:1: invalid JSON: Expecting value"),
         ],
         ids=[
             "no_frame", "string_t", "not_an_object", "detections_object", "empty_joints",
             "repeated_frame", "decreasing_frame", "huge_integer_column", "repeated_t",
             "decreasing_t", "infinite_time_step", "row_below_image", "row_above_image",
+            "form_feed_line", "file_separator_first",
         ],
     )
     def test_malformed_detections_record_exits_2(self, tmp_path, capsys, line, message):

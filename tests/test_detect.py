@@ -123,7 +123,8 @@ def ankles(left, right):
 
 def reference_pixel_row(joints, image_width):
     """The reference for ``pixel_row``: the wrap-aware ankle midpoint as
-    an ``ImagePoint``, then the neck, NaN where absent."""
+    an ``ImagePoint``, then the neck, NaN where absent. Two columns whose
+    sum no float holds meet at the sum of their halves."""
 
     def ankle_midpoint(a, b):
         if a is None or b is None:
@@ -132,7 +133,12 @@ def reference_pixel_row(joints, image_width):
         dx = abs(a[0] - b[0])
         bx = b[0] + image_width if dx > image_width / 2 and b[0] < a[0] else b[0]
         ax = a[0] + image_width if dx > image_width / 2 and a[0] < b[0] else a[0]
-        return ImagePoint(((ax + bx) / 2.0) % image_width, (a[1] + b[1]) / 2.0)
+        try:
+            overflows = math.isinf(float(ax + bx))
+        except OverflowError:
+            overflows = True
+        mid = ax / 2 + bx / 2 if overflows else (ax + bx) / 2.0
+        return ImagePoint(mid % image_width, (a[1] + b[1]) / 2.0)
 
     ankle = ankle_midpoint(joints.get("left_ankle"), joints.get("right_ankle")) or NO_PIXEL
     neck = joints.get("neck") or NO_PIXEL
@@ -273,6 +279,7 @@ class TestSkeleton:
     # a width below and above [0, W), and sums that overflow
     @example({"left_ankle": (-1920.0, 700.0), "right_ankle": (3845.5, 700.0)})
     @example({"left_ankle": (1e308, 700.0), "right_ankle": (1e308, 0.0), "neck": (-1e308, 960)})
+    @example({"left_ankle": (10**308, 700), "right_ankle": (10**308 + 1, 0), "neck": (-1e308, 960)})
     def test_pixel_row_is_the_reference_bit_for_bit(self, joints):
         got, ref = pixel_row(joints, W), reference_pixel_row(joints, W)
         assert [type(v) for v in got] == [type(v) for v in ref]

@@ -2,8 +2,10 @@ import copy
 import json
 import math
 import re
+import struct
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,9 @@ from hypothesis import strategies as st
 from panotrack.detect import JOINT_NAMES, Viewport, detection_pixels, run_viewports
 from panotrack.exceptions import InputError
 from panotrack.geometry import CameraModel, WorldPoint, row_at_height, world_to_image
-from panotrack.io import detections_from_record, detections_record, read_json, read_jsonl, tracks_record
+from panotrack.io import (
+    _decode_json, detections_from_record, detections_record, read_json, read_jsonl, tracks_record,
+)
 from panotrack.pipeline import run_offline
 from panotrack.tracker import TrackStatus, TrackTable
 
@@ -189,7 +193,8 @@ def reference(record):
     confidence in [0, 1]. Each detection is written back in name order,
     the confidence a float (1.0 when absent) and the coordinates as
     given. Its pixels are the ankle midpoint, taken the short way round
-    the seam (one ankle alone is its own midpoint), then the neck; NaN
+    the seam (one ankle alone is its own midpoint; two columns whose sum
+    no float holds meet at the sum of their halves), then the neck; NaN
     where absent. Raises on any broken rule."""
     dets = record["detections"]
     if not isinstance(dets, list):
@@ -214,7 +219,12 @@ def reference(record):
             (ax, ay), (bx, by) = ankles
             if abs(ax - bx) > W / 2:
                 ax, bx = (ax + W, bx) if ax < bx else (ax, bx + W)
-            ankle = [((ax + bx) / 2.0) % W, (ay + by) / 2.0]
+            try:
+                overflows = math.isinf(float(ax + bx))
+            except OverflowError:
+                overflows = True
+            mid = ax / 2 + bx / 2 if overflows else (ax + bx) / 2.0
+            ankle = [mid % W, (ay + by) / 2.0]
         else:
             ankle = ankles[0] if ankles else [math.nan, math.nan]
         rows.append(ankle + (norm["neck"][:2] if "neck" in norm else [math.nan, math.nan]))
@@ -230,8 +240,9 @@ class TestOnePassReader:
     @example([{"joints": {"left_ankle": [7, 700, 1], "neck": [True, 5, 0]}}])
     @example([{"joints": {"right_ankle": [1919, 700.0, 0.5]}}, {"joints": {}}])
     @example([{"joints": {"neck": [1]}}])
-    # finite ankles whose midpoint overflows
+    # finite ankles whose sum overflows
     @example([{"joints": {"left_ankle": [10**308, 700], "right_ankle": [10**308, 700]}}])
+    @example([{"joints": {"left_ankle": [1e308, 700], "right_ankle": [1e308, 700.5]}}])
     # rows on either edge of the image, and just past them
     @example([{"joints": {"neck": [5, 0], "left_ankle": [6, H]}}])
     @example([{"joints": {"neck": [5, 0], "left_ankle": [6, H + 0.5]}}])
@@ -330,6 +341,20 @@ class TestOfflineStream:
         except InputError:
             pass
 
+    @pytest.mark.parametrize("x", [1e308, 10**308], ids=["float", "int"])
+    def test_ankles_whose_sum_overflows_spawn_a_track(self, x):
+        """Two ankles at a column whose double no float holds still meet
+        at a finite column, so the detection, its neck at that column
+        too, is not neck-only and spawns a track."""
+        record = {"frame": 0, "t": 0.0, "detections": [
+            {"joints": {"left_ankle": [x, 700.0], "right_ankle": [x, 700.0], "neck": [x, 400.0]}}
+        ]}
+        _, pix = detections_from_record(record, CAM)
+        assert 0.0 <= pix[0, 0] < W and pix[0, 1] == 700.0
+        (output,) = run_offline(iter([record]), CAM)
+        (track,) = output.tracks["tracks"]
+        assert all(math.isfinite(track[k]) for k in ("x", "y", "h", "img_x", "img_y"))
+
 
 class TestNormalRecordKept:
     """A detection whose joints ``check_detection`` returns unchanged is
@@ -383,8 +408,16 @@ class TestReadJsonl:
 
     def test_yields_dicts_and_skips_blank_lines(self, tmp_path):
         path = tmp_path / "r.jsonl"
-        path.write_text('{"frame": 0}\n\n{"frame": 1}\n')
+        path.write_text('{"frame": 0}\n\n \t\r\n{"frame": 1}\n')
         assert list(read_jsonl(str(path))) == [{"frame": 0}, {"frame": 1}]
+
+    # whitespace that str.strip removes and JSON does not allow
+    @pytest.mark.parametrize("line", ["\x0c", '\x1c{"frame": 1}'], ids=["form_feed", "file_separator"])
+    def test_only_json_whitespace_is_blank(self, tmp_path, line):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"frame": 0}\n \t\n' + line + "\n")
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}:3: invalid JSON: Expecting value$"):
+            list(read_jsonl(str(path)))
 
     def test_invalid_line_names_its_number(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -398,6 +431,155 @@ class TestReadJsonl:
         path.write_text('{"frame": 0}\n\n' + line + "\n")
         with pytest.raises(InputError, match=":3: expected a JSON object"):
             list(read_jsonl(str(path)))
+
+
+def shape(value):
+    """A decoded JSON value as nested tuples that compare its types, the
+    bits of every float (``float.hex``), the key order of every object
+    and the nesting."""
+    if isinstance(value, dict):
+        return ("object", [(k, shape(v)) for k, v in value.items()])
+    if isinstance(value, list):
+        return ("array", [shape(v) for v in value])
+    if isinstance(value, float):
+        return ("float", value.hex())
+    return (type(value).__name__, value)
+
+
+def float_text(x, form):
+    return {"repr": repr, "g17": "%.17g".__mod__, "e15": "%.15e".__mod__}[form](x)
+
+
+# finite floats of any bit pattern, and pixel-range floats, in three
+# forms; "0.<digits>e<k>" texts; integers within 64 bits
+any_float = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+number_text = st.one_of(
+    st.builds(
+        float_text,
+        (any_float | st.floats(-4 * W, 4 * W)).filter(math.isfinite),
+        st.sampled_from(["repr", "g17", "e15"]),
+    ),
+    st.builds(
+        "{}0.{}e{}".format,
+        st.sampled_from(["", "-"]),
+        st.text("0123456789", min_size=1, max_size=20),
+        st.integers(-340, 308),
+    ),
+    st.integers(-(2**63), 2**64 - 1).map(str),
+)
+# strings of plain characters and every escape form JSON has, a
+# surrogate pair included
+string_text = st.lists(
+    st.one_of(
+        st.characters(min_codepoint=0x20, blacklist_categories=("Cs",), blacklist_characters='"\\'),
+        st.sampled_from(['\\"', "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t"]),
+        st.sampled_from(["\\u0000", "\\u00e9", "\\u00E9", "\\u2028", "\\ud83d\\ude00"]),
+    ),
+    max_size=6,
+).map(lambda parts: '"' + "".join(parts) + '"')
+# a small key pool, so that an object often repeats a key
+key_text = st.sampled_from(['"frame"', '"t"', '"a"']) | string_text
+
+
+def json_values(scalar, spaces):
+    """JSON value texts nested up to a few levels, built from ``scalar``
+    texts with ``spaces`` around every token."""
+
+    def padded(token):
+        return st.builds("{}{}{}".format, spaces, token, spaces)
+
+    def containers(children):
+        array = st.lists(padded(children), max_size=4).map(lambda xs: "[" + ",".join(xs) + "]")
+        members = st.builds("{}:{}".format, padded(key_text), padded(children))
+        obj = st.lists(members, max_size=4).map(lambda xs: "{" + ",".join(xs) + "}")
+        return array | obj
+
+    return st.recursive(scalar, containers, max_leaves=12)
+
+
+json_spaces = st.text(" \t\r\n", max_size=2)
+json_scalar = number_text | string_text | st.sampled_from(["true", "false", "null"])
+
+
+@st.composite
+def record_texts(draw):
+    """A detections record's text, its numbers in any of the forms of
+    ``number_text``, with an extra key holding any JSON value."""
+    joints = [
+        "{%s}" % ", ".join(
+            f'"{name}": [{draw(number_text)}, {draw(number_text)}, {draw(number_text)}]'
+            for name in draw(st.lists(st.sampled_from(JOINT_NAMES), min_size=1, max_size=3))
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    dets = ", ".join('{"joints": %s}' % j for j in joints)
+    extra = draw(json_values(json_scalar, json_spaces))
+    return f'{{"frame": {draw(number_text)}, "t": {draw(number_text)}, "detections": [{dets}], "x": {extra}}}'
+
+
+# tokens that only Python's json reads, and a text nested within them
+stdlib_only = st.sampled_from(
+    ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1E999", '"\\ud800"', '"a\\udc00b"']
+)
+
+
+@st.composite
+def stdlib_only_texts(draw):
+    """A one-line object text holding a token only Python's json reads,
+    led by a byte order mark or cut short now and then."""
+    value = draw(json_values(stdlib_only | json_scalar, st.text(" \t", max_size=1)))
+    text = '{"frame": 0, "a": %s, "b": %s}' % (draw(stdlib_only), value)
+    if draw(st.integers(0, 4)) == 0:
+        text = "\ufeff" + text
+    if draw(st.integers(0, 4)) == 0:
+        text = text[: draw(st.integers(1, len(text) - 1))]
+    return text
+
+
+class TestDecodeJson:
+    """``_decode_json`` against ``json.loads``, its reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(record_texts() | json_values(json_scalar, json_spaces))
+    @example('{"frame": 1, "frame": 2.5, "t": 18446744073709551615, "x": -9223372036854775808}')
+    @example('[5e-324, -0.0, 1.7976931348623157e308, 0.1e-330, "\\ud83d\\ude00\\u00e9\\/"]')
+    def test_agrees_with_json_loads(self, text):
+        """Types, float bits, key order and nesting agree, on texts that
+        orjson itself reads."""
+        assert shape(orjson.loads(text)) == shape(json.loads(text))
+        assert shape(_decode_json(text)) == shape(json.loads(text))
+
+    @settings(max_examples=200, deadline=None)
+    @given(stdlib_only_texts())
+    def test_texts_only_json_reads_keep_their_value_or_error(self, tmp_path_factory, text):
+        """Each reader returns what ``json.loads`` does, or raises
+        InputError with its message."""
+        line = text + "\n"
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(line)
+        path = tmp_path_factory.getbasetemp() / "decode.jsonl"
+        path.write_text(line, encoding="utf-8")
+        try:
+            want = json.loads(line)
+        except json.JSONDecodeError as exc:
+            with pytest.raises(InputError) as got:
+                list(read_jsonl(str(path)))
+            assert str(got.value) == f"{path}:1: invalid JSON: {exc.msg}"
+            with pytest.raises(InputError) as got:
+                read_json(str(path))
+            assert str(got.value) == f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
+            return
+        assert [shape(r) for r in read_jsonl(str(path))] == [shape(want)]
+        assert shape(read_json(str(path))) == shape(want)
+
+    @pytest.mark.parametrize("depth", [1025, 5000])
+    def test_nesting_past_the_recursion_limit_is_read(self, depth):
+        """orjson reads arrays nested deeper than ``json.loads`` can,
+        which raises RecursionError past Python's recursion limit."""
+        value = _decode_json("[" * depth + '{"a": 1.5}' + "]" * depth)
+        for _ in range(depth):
+            (value,) = value
+        assert value == {"a": 1.5}
 
 
 # azimuths in degrees on and beside the +-180 seam, where the column
