@@ -39,7 +39,8 @@ def _decode_json(text: str):
     with two exceptions: orjson reads an integer literal outside
     [-2**63, 2**64) as the nearest float, and reads arrays and objects
     nested past Python's recursion limit, where ``json`` raises
-    RecursionError."""
+    RecursionError. A text that orjson rejects and that nests that deep
+    still raises RecursionError."""
     try:
         return orjson.loads(text)
     except orjson.JSONDecodeError:
@@ -54,6 +55,8 @@ def read_json(path: str):
         return _decode_json(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: invalid JSON: nested past the recursion limit") from exc
 
 
 def read_jsonl(path: str) -> Iterator[dict]:
@@ -96,6 +99,8 @@ def _records(lines: Iterator[str], path: str) -> Iterator[dict]:
             record = _decode_json(line)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise InputError(f"{path}:{lineno}: invalid JSON: nested past the recursion limit") from exc
         if not isinstance(record, dict):
             raise InputError(f"{path}:{lineno}: expected a JSON object")
         yield record

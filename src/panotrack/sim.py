@@ -10,10 +10,11 @@ detectability cutoff (people whose projected body height at the
 processed scale is too small are missed, reproducing the way small
 far-away people disappear from downscaled passes), optionally occludes
 agents hidden behind nearer ones, and perturbs joints with Gaussian
-pixel noise. A frame is
-projected once: each agent's skeleton, body height and occlusion are
-computed on the frame snapshot the first time they are needed, and
-every viewport and the ground truth read them from there.
+pixel noise. A frame is projected once: each agent's skeleton, body
+height and occlusion are computed on the frame snapshot the first time
+they are needed, and every viewport and the ground truth read them from
+there. A skeleton is a dict of ``(column, row)`` float pairs in joint
+name order, which both read as stored, with no sort.
 
 Randomness is drawn from a substream keyed by (seed, frame index,
 viewport), so a viewport's detections do not depend on which other
@@ -35,7 +36,6 @@ from .detect import Viewport
 from .exceptions import ConfigError, GeometryError, InputError
 from .geometry import (
     CameraModel,
-    ImagePoint,
     check_flag,
     check_number,
     column_range,
@@ -200,14 +200,14 @@ class AgentState:
     x: float
     y: float
 
-    @property
+    @cached_property
     def ground_range(self) -> float:
         return math.hypot(self.x, self.y)
 
 
-def project_agent(state: AgentState, cam: CameraModel) -> dict[str, ImagePoint]:
+def project_agent(state: AgentState, cam: CameraModel) -> dict[str, tuple[float, float]]:
     """Noise-free skeleton of an agent: each joint's full-resolution
-    pixel, by name.
+    ``(column, row)`` pixel, by name, in name order.
 
     The neck sits on the body axis; paired joints are offset
     symmetrically in azimuth at the same ground range (half-widths
@@ -216,13 +216,10 @@ def project_agent(state: AgentState, cam: CameraModel) -> dict[str, ImagePoint]:
     inverse of the axis projection, so localizing the ankle midpoint
     recovers the agent position without a stance-geometry bias.
     """
-    if state.ground_range <= MIN_AGENT_RANGE:
-        raise GeometryError(
-            f"agent {state.agent.id} at range {state.ground_range:.3f} m is "
-            "under the camera"
-        )
-    body = state.agent.body
     rho = state.ground_range
+    if rho <= MIN_AGENT_RANGE:
+        raise GeometryError(f"agent {state.agent.id} at range {rho:.3f} m is under the camera")
+    body = state.agent.body
     theta = math.atan2(state.y, state.x)
 
     neck_z = body.height - body.neck_drop
@@ -238,13 +235,13 @@ def project_agent(state: AgentState, cam: CameraModel) -> dict[str, ImagePoint]:
         columns.append(column_range(rho * math.cos(ang), rho * math.sin(ang), cam))
     (neck_x, neck_r), (ls_x, ls_r), (rs_x, rs_r), (lh_x, lh_r), (rh_x, rh_r) = columns
     return {
-        "neck": ImagePoint(neck_x, row_at_height(neck_r, neck_z, cam)),
-        "left_shoulder": ImagePoint(ls_x, row_at_height(ls_r, neck_z, cam)),
-        "right_shoulder": ImagePoint(rs_x, row_at_height(rs_r, neck_z, cam)),
-        "left_hip": ImagePoint(lh_x, row_at_height(lh_r, hip_z, cam)),
-        "right_hip": ImagePoint(rh_x, row_at_height(rh_r, hip_z, cam)),
-        "left_ankle": ImagePoint(lh_x, row_at_height(lh_r, body.ankle_height, cam)),
-        "right_ankle": ImagePoint(rh_x, row_at_height(rh_r, body.ankle_height, cam)),
+        "left_ankle": (lh_x, row_at_height(lh_r, body.ankle_height, cam)),
+        "left_hip": (lh_x, row_at_height(lh_r, hip_z, cam)),
+        "left_shoulder": (ls_x, row_at_height(ls_r, neck_z, cam)),
+        "neck": (neck_x, row_at_height(neck_r, neck_z, cam)),
+        "right_ankle": (rh_x, row_at_height(rh_r, body.ankle_height, cam)),
+        "right_hip": (rh_x, row_at_height(rh_r, hip_z, cam)),
+        "right_shoulder": (rs_x, row_at_height(rs_r, neck_z, cam)),
     }
 
 
@@ -281,7 +278,7 @@ class FrameSnapshot:
     agents: tuple[AgentState, ...]
 
     @cached_property
-    def skeletons(self) -> tuple[dict[str, ImagePoint], ...]:
+    def skeletons(self) -> tuple[dict[str, tuple[float, float]], ...]:
         """Each agent's noise-free ``project_agent`` joints at full
         resolution."""
         return tuple(project_agent(state, self.cam) for state in self.agents)
@@ -345,34 +342,33 @@ def synthetic_detect(
     before the first draw: a viewport in which nobody is visible builds
     no generator. A Generator as ``seed`` is drawn from as it is.
     """
-    cam = snapshot.cam
+    width = snapshot.cam.image_width
+    origin_x, origin_y, scale = viewport.origin_x, viewport.origin_y, viewport.scale
+    miss_prob, sigma = noise.miss_prob, noise.joint_sigma
     heights = snapshot.body_heights_px
     rng = None
     out = []
     for i, sk in enumerate(snapshot.skeletons):
-        if not viewport.contains_column(sk["neck"].x, cam.image_width):
+        if not viewport.contains_column(sk["neck"][0], width):
             continue
-        if heights[i] * viewport.scale < detect_cfg.min_person_pixels:
+        if heights[i] * scale < detect_cfg.min_person_pixels:
             continue
         if noise.occlusion_enabled and snapshot.occluded[i]:
             continue
 
         if rng is None:
             rng = np.random.default_rng(seed)
-        drop_ankles = rng.random() < noise.miss_prob
+        drop_ankles = rng.random() < miss_prob
         local = {}
-        for name in sorted(sk):
+        for name, (x, y) in sk.items():
             if name in ("left_ankle", "right_ankle"):
                 dropped = drop_ankles
             else:
-                dropped = rng.random() < noise.miss_prob
-            nx, ny = rng.normal(0.0, noise.joint_sigma, 2).tolist() if noise.joint_sigma > 0 else (0.0, 0.0)
+                dropped = rng.random() < miss_prob
+            nx, ny = rng.normal(0.0, sigma, 2).tolist() if sigma > 0 else (0.0, 0.0)
             if dropped:
                 continue
-            x, y = sk[name]
-            lx = ((x - viewport.origin_x) % cam.image_width) * viewport.scale + nx
-            ly = (y - viewport.origin_y) * viewport.scale + ny
-            local[name] = [lx, ly, 1.0]
+            local[name] = [((x - origin_x) % width) * scale + nx, (y - origin_y) * scale + ny, 1.0]
         if local:
             out.append(local)
     return out
@@ -390,6 +386,7 @@ def _viewport_key(viewport: Viewport) -> int:
     return zlib.crc32(packed)
 
 
+@dataclass(frozen=True)
 class SyntheticDetector:
     """DetectorPort backed by the scenario's world snapshots.
 
@@ -398,15 +395,9 @@ class SyntheticDetector:
     independent of the order in which viewports are processed.
     """
 
-    def __init__(
-        self,
-        noise: NoiseModel,
-        detect_cfg: DetectabilityConfig,
-        seed: int,
-    ) -> None:
-        self.noise = noise
-        self.detect_cfg = detect_cfg
-        self.seed = seed
+    noise: NoiseModel
+    detect_cfg: DetectabilityConfig
+    seed: int
 
     def detect(self, frame: FrameSnapshot, viewport: Viewport) -> list[dict]:
         seed = [self.seed, frame.index, _viewport_key(viewport)]
@@ -441,7 +432,7 @@ def ground_truth_record(scenario: Scenario, snapshot: FrameSnapshot) -> dict:
                 "id": state.agent.id,
                 "x": state.x,
                 "y": state.y,
-                "joints": {name: [p.x, p.y] for name, p in sorted(sk.items())},
+                "joints": {name: [x, y] for name, (x, y) in sk.items()},
                 "is_target": state.agent.id == target_id,
             }
         )

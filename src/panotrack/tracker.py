@@ -165,6 +165,11 @@ class TrackerConfig:
         return np.diag(self.process_noise)
 
     @cached_property
+    def _spawn_cov(self) -> tuple[np.ndarray, np.ndarray]:
+        """A new track's covariance, ``initial_variance`` through ``_spd_factor``, and its factor."""
+        return _spd_factor(np.diag(self.initial_variance).astype(float), self.jitter_floor)
+
+    @cached_property
     def _measurement_cov(self) -> np.ndarray:
         return self.measurement_noise * np.eye(4)
 
@@ -623,9 +628,7 @@ class PanoTracker:
         if not means:
             return
         k = len(means)
-        cov, root = _spd_factor(
-            np.diag(self.config.initial_variance).astype(float), self.config.jitter_floor
-        )
+        cov, root = self.config._spawn_cov
         self.means = np.concatenate([self.means, means])
         self.covs = np.concatenate([self.covs, np.broadcast_to(cov, (k, *cov.shape))])
         self.factors = np.concatenate([self.factors, np.broadcast_to(root, (k, *root.shape))])

@@ -255,6 +255,24 @@ class TestTrack:
         # the bad record is never tracked: only the records before it are written
         assert len((out / "tracks.jsonl").read_text().splitlines()) == line.count("\n")
 
+    @pytest.mark.parametrize("where", ["detections_line", "config_file"])
+    def test_deep_nesting_that_only_json_reads_exits_2(self, tmp_path, capsys, where):
+        # orjson rejects the NaN, and Python's json meets its recursion
+        # limit in the 1200 nested arrays
+        note = '"note": [NaN, ' + "[" * 1200 + "]" * 1200 + "]"
+        bad = tmp_path / "bad.jsonl"
+        cfg = tmp_path / "offline.json"
+        if where == "detections_line":
+            bad.write_text('{"frame": 0, "t": 0.0, "detections": [], ' + note + "}\n")
+            cfg.write_text(json.dumps({"detections": str(bad), "camera": {}}))
+            message = f"error: {bad}:1: invalid JSON: nested past the recursion limit\n"
+        else:
+            bad.write_text(json.dumps({"frame": 0, "t": 0.0, "detections": []}) + "\n")
+            cfg.write_text(json.dumps({"detections": str(bad), "camera": {}})[:-1] + ", " + note + "}")
+            message = f"error: {cfg}: invalid JSON: nested past the recursion limit\n"
+        assert main(["track", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.endswith(message)
+
     def test_gaps_in_frame_numbers_are_allowed(self, tmp_path):
         records = tmp_path / "gaps.jsonl"
         records.write_text(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from panotrack import detect, sim
 from panotrack.detect import (
+    JOINT_NAMES,
     RoiConfig,
     TilesConfig,
     Viewport,
@@ -97,8 +98,9 @@ class TestProjectAgent:
         # neck height 1.4188 m at (1.1, 0) reproduces the geometry chain
         state = make_state(1.1, 0.0, height=1.4188036041176237 + 0.25)
         sk = project_agent(state, cam)
-        assert sk["neck"].x == pytest.approx(960.0)
-        assert sk["neck"].y == pytest.approx(420.0, abs=1e-9)
+        neck_x, neck_y = sk["neck"]
+        assert neck_x == pytest.approx(960.0)
+        assert neck_y == pytest.approx(420.0, abs=1e-9)
         mid_x, mid_y, _, _ = pixel_row(sk, cam.image_width)
         assert mid_x == pytest.approx(960.0)
         assert mid_y == pytest.approx(720.0, abs=1e-9)
@@ -106,13 +108,13 @@ class TestProjectAgent:
     def test_behind_camera_at_seam(self, cam):
         sk = project_agent(make_state(-2.0, 0.0), cam)
         # neck sits on the seam column (0 == 1920)
-        assert min(sk["neck"].x, 1920 - sk["neck"].x) == pytest.approx(0.0, abs=1e-9)
+        assert min(sk["neck"][0], 1920 - sk["neck"][0]) == pytest.approx(0.0, abs=1e-9)
 
     def test_localize_round_trip(self, cam):
         state = make_state(2.2, -1.3)
         sk = project_agent(state, cam)
         ankle = ImagePoint(*pixel_row(sk, cam.image_width)[:2])
-        w = localize(ankle, sk["neck"], cam)
+        w = localize(ankle, ImagePoint(*sk["neck"]), cam)
         assert w.x == pytest.approx(state.x, abs=1e-6)
         assert w.y == pytest.approx(state.y, abs=1e-6)
 
@@ -122,10 +124,9 @@ class TestProjectAgent:
 
     def test_ankles_straddle_sight_line(self, cam):
         sk = project_agent(make_state(2.0, 0.0), cam)
-        la = sk["left_ankle"]
-        ra = sk["right_ankle"]
-        assert la.x != pytest.approx(ra.x)
-        assert la.y == pytest.approx(ra.y)  # equal range, equal row
+        (la_x, la_y), (ra_x, ra_y) = sk["left_ankle"], sk["right_ankle"]
+        assert la_x != pytest.approx(ra_x)
+        assert la_y == pytest.approx(ra_y)  # equal range, equal row
 
 
 def reference_skeleton(state, cam):
@@ -174,9 +175,12 @@ def test_project_agent_equals_the_per_joint_reference(rho, azimuth, height, shou
     )
     got = project_agent(state, cam)
     ref = reference_skeleton(state, cam)
-    assert list(got) == list(ref)
+    # name order, as the detector and the ground truth read it
+    assert list(got) == sorted(JOINT_NAMES) == sorted(ref)
     for name, point in got.items():
-        assert (point.x, point.y) == ref[name], name
+        assert type(point) is tuple and len(point) == 2, name
+        assert all(type(v) is float for v in point), name
+        assert [v.hex() for v in point] == [v.hex() for v in ref[name]], name
 
 
 class TestDetectability:
@@ -215,7 +219,7 @@ class TestDetectability:
         state = make_state(6.0, 0.0)
         det = SyntheticDetector(NoiseModel(), DetectabilityConfig(48), seed=0)
         snap = snapshot(cam, state)
-        neck = project_agent(state, cam)["neck"]
+        neck = ImagePoint(*project_agent(state, cam)["neck"])
         runner = StrategyRunner("roi", cam, det)
         with_roi = runner.detect(snap, neck)
         without = runner.detect(snap, None)
@@ -328,7 +332,7 @@ class TestSyntheticDetect:
                 NoiseModel(joint_sigma=2.0), DetectabilityConfig(1.0),
                 np.random.default_rng(seed),
             )
-            errs.append(out[0]["neck"][0] - exact["neck"].x)
+            errs.append(out[0]["neck"][0] - exact["neck"][0])
         assert np.std(errs) == pytest.approx(2.0, rel=0.25)
 
 
@@ -378,6 +382,15 @@ class TestRunScenario:
         snap = next(run_scenario(s))[0]
         vp = full_vp(cam)
         assert det.detect(snap, vp) == det.detect(snap, vp)
+
+    def test_ground_truth_joints_in_name_order(self):
+        s = self.make_scenario(agents=crowd_scenario().agents, duration=0.5)
+        for snap, gt in run_scenario(s):
+            assert len(gt["agents"]) == 8
+            for agent, state in zip(gt["agents"], snap.agents):
+                joints = agent["joints"]
+                assert list(joints) == sorted(JOINT_NAMES)
+                assert joints == {k: list(v) for k, v in project_agent(state, s.cam).items()}
 
     def test_camera_trajectory_offsets(self):
         s = self.make_scenario(
@@ -508,7 +521,7 @@ class TestFrameRenderedOnce:
         det = SyntheticDetector.for_scenario(scenario)
         states = agent_states(scenario, 0.4)
         full = fullframe_viewport(cam, RoiConfig())
-        crop = roi_viewport(project_agent(states[0], cam)["neck"], cam, RoiConfig())
+        crop = roi_viewport(ImagePoint(*project_agent(states[0], cam)["neck"]), cam, RoiConfig())
         viewports = [*build_tiles(cam, TilesConfig()), full, crop]
 
         def fresh():
@@ -589,6 +602,27 @@ def test_records_hold_plain_python_scalars(strategy):
         records += [out.detections, out.tracks]
     assert sum(len(r["detections"]) for r in detections) > 0
     assert scalar_types(records) <= {int, float, str, bool}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_port_detections_are_already_normal(monkeypatch, strategy):
+    """``check_detection`` returns each detection that the synthetic
+    detector gives ``run_viewports`` as itself: its names in order and
+    each joint an ``[x, y, 1.0]`` list of floats, so no frame pays for a
+    normalized copy."""
+    checked, real = [], detect.check_detection
+
+    def recorded(joints, image_height):
+        out = real(joints, image_height)
+        checked.append(out is joints)
+        return out
+
+    monkeypatch.setattr(detect, "check_detection", recorded)
+    scenario = crowd_scenario()
+    assert scenario.noise.occlusion_enabled
+    frames = list(run_simulated(scenario, strategy))
+    assert len(frames) == 10 and len(checked) > 20
+    assert all(checked)
 
 
 def reference_occluded(states):
