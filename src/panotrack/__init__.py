@@ -64,7 +64,6 @@ from .tracker import (
     Track,
     TrackerConfig,
     TrackTable,
-    TrackStatus,
     associate,
 )
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from .detect import RoiConfig, TilesConfig
-from .exceptions import ConfigError, InputError, PanotrackError
+from .exceptions import InputError, PanotrackError
 from .geometry import CameraModel, check_number, from_dict, localization_sensitivity
 from .io import (
     read_json,
@@ -31,7 +31,7 @@ from .io import (
     write_report,
     write_sensitivity_csv,
 )
-from .metrics import evaluate
+from .metrics import DEFAULT_BIN_WIDTH, DEFAULT_MATCH_RADIUS, evaluate
 from .pipeline import (
     STRATEGIES,
     log_latency_percentiles,
@@ -222,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a tracks file against ground truth")
     p.add_argument("--gt", required=True, help="ground-truth JSONL")
     p.add_argument("--tracks", required=True, help="tracks JSONL")
-    p.add_argument("--radius", type=float, default=0.5, help="match radius in meters")
-    p.add_argument("--bin-width", type=float, default=1.0, help="distance bin width")
+    p.add_argument("--radius", type=float, default=DEFAULT_MATCH_RADIUS, help="match radius in meters")
+    p.add_argument("--bin-width", type=float, default=DEFAULT_BIN_WIDTH, help="distance bin width")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
@@ -247,7 +247,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     try:
         return args.func(args)
-    except (InputError, ConfigError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except PanotrackError as exc:

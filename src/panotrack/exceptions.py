@@ -5,10 +5,6 @@ class PanotrackError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigError(PanotrackError):
-    """Invalid configuration value or inconsistent parameter combination."""
-
-
 class GeometryError(PanotrackError):
     """Point outside the valid domain of a camera-model mapping."""
 
@@ -27,3 +23,7 @@ class FilterDivergenceError(PanotrackError):
 
 class InputError(PanotrackError):
     """Malformed or inconsistent input stream/file."""
+
+
+class ConfigError(InputError):
+    """Invalid configuration value or inconsistent parameter combination."""

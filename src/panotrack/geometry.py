@@ -48,6 +48,17 @@ def _integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _field(record: dict, key: str, where: str, integer: bool = False, default=None):
+    """``record[key]`` (``default`` when absent) if it is an integer
+    (``integer``) or a finite number; else InputError, led by ``where``,
+    which names the record."""
+    value = record.get(key, default)
+    if not (_integer if integer else _finite_number)(value):
+        kind = "an integer" if integer else "a finite number"
+        raise InputError(f"{where}: {key} must be {kind}, got {value!r}")
+    return value
+
+
 def check_number(
     name: str, value, low: Optional[float] = None, high: Optional[float] = None, *,
     strict: bool = False, integer: bool = False, length: Optional[int] = None,
@@ -141,7 +152,8 @@ class CameraModel:
     Attributes:
         image_width: panorama width in pixels.
         image_height: panorama height in pixels.
-        fov_h: horizontal field of view in degrees, in (0, 360].
+        fov_h: horizontal field of view in degrees; must be 360, as
+            the column math is cyclic with period ``image_width``.
         fov_v: vertical field of view in degrees, in (0, 180].
         mount_height: camera height above the ground in meters.
         ankle_height: assumed height of a person's ankle joints above the
@@ -159,7 +171,8 @@ class CameraModel:
     def __post_init__(self) -> None:
         check_number("image_width", self.image_width, 1, integer=True)
         check_number("image_height", self.image_height, 1, integer=True)
-        check_number("fov_h", self.fov_h, 0.0, 360.0, strict=True)
+        if self.fov_h != 360:
+            raise ConfigError(f"fov_h must be 360 (a full panorama), got {self.fov_h!r}")
         check_number("fov_v", self.fov_v, 0.0, 180.0, strict=True)
         check_number("ankle_height", self.ankle_height, 0.0)
         check_number("mount_height", self.mount_height, self.ankle_height, strict=True)

@@ -16,23 +16,26 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .exceptions import ConfigError, InputError
-from .geometry import WorldPoint, _finite_number, _integer, check_number
+from .exceptions import InputError
+from .geometry import WorldPoint, _field, check_number
 
 DEFAULT_MATCH_RADIUS = 0.5  # meters
+DEFAULT_BIN_WIDTH = 1.0  # meters
 
 
 @dataclass(frozen=True)
 class FrameMatch:
+    """One annotated frame: the target's position, and the matched
+    track's id and estimate, both None when no track matched."""
+
     frame: int
-    matched: bool
     gt_pos: WorldPoint
     track_id: Optional[int] = None
     est_pos: Optional[WorldPoint] = None
 
-    def __post_init__(self) -> None:
-        if self.matched and (self.track_id is None or self.est_pos is None):
-            raise ConfigError("matched frames need a track id and an estimate")
+    @property
+    def matched(self) -> bool:
+        return self.track_id is not None
 
     @property
     def gt_range(self) -> float:
@@ -63,7 +66,6 @@ class EvalReport:
     fragments: int
     matched_frames: int
     total_frames: int
-    matches: list[FrameMatch] = field(repr=False, default_factory=list)
     error_vs_distance: list[ErrorBin] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -84,14 +86,6 @@ class EvalReport:
                 for b in self.error_vs_distance
             ],
         }
-
-
-def _field(record: dict, key: str, where: str, integer: bool = False, default=None):
-    value = record.get(key, default)
-    if not (_integer if integer else _finite_number)(value):
-        kind = "an integer" if integer else "a finite number"
-        raise InputError(f"{where}: {key} must be {kind}, got {value!r}")
-    return value
 
 
 def _objects(record: dict, key: str, where: str) -> list[dict]:
@@ -154,13 +148,12 @@ def match_frames(
             if d <= match_radius and (best is None or d < best[0]):
                 best = (d, tr)
         if best is None:
-            matches.append(FrameMatch(frame=frame, matched=False, gt_pos=gt_pos))
+            matches.append(FrameMatch(frame=frame, gt_pos=gt_pos))
         else:
             tr = best[1]
             matches.append(
                 FrameMatch(
                     frame=frame,
-                    matched=True,
                     gt_pos=gt_pos,
                     track_id=_field(tr, "id", where_tr, integer=True),
                     est_pos=WorldPoint(
@@ -208,7 +201,7 @@ def mean_position_error(matches: Sequence[FrameMatch]) -> float:
 
 
 def error_vs_distance(
-    matches: Sequence[FrameMatch], bin_width: float = 1.0
+    matches: Sequence[FrameMatch], bin_width: float = DEFAULT_BIN_WIDTH
 ) -> list[ErrorBin]:
     """Per-range-bin mean error, matched count, and miss rate."""
     check_number("bin width", bin_width, 0.0, strict=True)
@@ -234,7 +227,7 @@ def evaluate(
     gt_records: Sequence[dict],
     track_records: Sequence[dict],
     match_radius: float = DEFAULT_MATCH_RADIUS,
-    bin_width: float = 1.0,
+    bin_width: float = DEFAULT_BIN_WIDTH,
 ) -> EvalReport:
     """Full report over a ground-truth/track stream pair."""
     matches = match_frames(gt_records, track_records, match_radius)
@@ -248,6 +241,5 @@ def evaluate(
         fragments=count_fragments(matches),
         matched_frames=len(matched),
         total_frames=len(matches),
-        matches=matches,
         error_vs_distance=error_vs_distance(matches, bin_width),
     )

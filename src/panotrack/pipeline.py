@@ -30,10 +30,10 @@ from .detect import (
     run_viewports,
 )
 from .exceptions import ConfigError, InputError, PanotrackError
-from .geometry import CameraModel, ImagePoint, _finite_number, _integer, check_number
+from .geometry import CameraModel, ImagePoint, _field, check_number
 from .io import detections_from_record, detections_record, tracks_record
 from .sim import Scenario, SyntheticDetector, run_scenario
-from .tracker import PanoTracker, TrackerConfig, TrackStatus
+from .tracker import PanoTracker, TrackerConfig
 
 logger = logging.getLogger(__name__)
 
@@ -43,8 +43,9 @@ FIRST_FRAME_FPS = 30.0  # sets the time step of an offline run's first frame
 
 @dataclass
 class FrameOutput:
-    frame: int
-    t: float
+    """One frame's detections and tracks records, which hold its
+    ``frame`` and ``t``, and its latency and partial flag."""
+
     detections: dict
     tracks: dict
     latency_s: float
@@ -95,7 +96,7 @@ def target_prediction(record: dict) -> Optional[ImagePoint]:
     the target's projected neck, ``img_x`` and ``img_y`` of a
     ``tracks_record``, unless the target is lost."""
     for track in record["tracks"]:
-        if track["is_target"] and track["status"] != TrackStatus.LOST.value:
+        if track["is_target"] and track["status"] != "lost":
             return ImagePoint(track["img_x"], track["img_y"])
     return None
 
@@ -131,8 +132,6 @@ def _simulated_frames(
         prediction = target_prediction(record)
         yield (
             FrameOutput(
-                frame=snapshot.index,
-                t=snapshot.t,
                 detections=detections_record(snapshot.index, snapshot.t, result.detections),
                 tracks=record,
                 latency_s=latency,
@@ -157,8 +156,10 @@ def run_offline(
     prev_t: Optional[float] = None
     for n, record in enumerate(detection_records, start=1):
         start = time.perf_counter()
+        where = f"detections record {n}"
+        frame = int(_field(record, "frame", where, integer=True))
+        t = float(_field(record, "t", where))
         try:
-            frame, t = _frame_and_time(record)
             if prev_frame is not None and frame <= prev_frame:
                 raise InputError(f"frame {frame} does not follow frame {prev_frame}")
             if prev_t is not None and t <= prev_t:
@@ -167,27 +168,16 @@ def run_offline(
             check_number("dt", dt, 0.0, strict=True)
             dets, pix = detections_from_record(record, cam)
         except PanotrackError as exc:
-            raise InputError(f"detections record {n}: {exc}") from exc
+            raise InputError(f"{where}: {exc}") from exc
         prev_frame, prev_t = frame, t
         tracks = tracker.step(pix, dt)
         latency = time.perf_counter() - start
         yield FrameOutput(
-            frame=frame,
-            t=t,
             detections={"frame": frame, "t": t, "detections": dets},
             tracks=tracks_record(frame, t, tracks, cam),
             latency_s=latency,
             partial=False,
         )
-
-
-def _frame_and_time(record: dict) -> tuple[int, float]:
-    frame, t = record.get("frame"), record.get("t")
-    if not _integer(frame):
-        raise InputError(f"frame must be an integer, got {frame!r}")
-    if not _finite_number(t):
-        raise InputError(f"t must be a finite number, got {t!r}")
-    return int(frame), float(t)
 
 
 def log_latency_percentiles(latencies_s: Sequence[float]) -> None:

@@ -269,8 +269,9 @@ class FrameSnapshot:
     once. The per-agent facts below, in ``agents`` order, are computed
     on first use and cached on the snapshot, so each viewport the
     detector runs on the frame and its ground-truth record read the
-    same projection. An agent under the camera makes ``skeletons``
-    raise GeometryError on every access."""
+    same projection. ``run_scenario`` yields no frame with an agent
+    under the camera; on a snapshot built with one, ``skeletons``
+    raises GeometryError on every access."""
 
     index: int
     t: float
@@ -444,12 +445,19 @@ def run_scenario(scenario: Scenario) -> Iterator[tuple[FrameSnapshot, Optional[d
 
     The ground-truth record is None on frames outside the scenario's
     annotation schedule. Deterministic given the scenario (randomness
-    only enters through the detector port)."""
+    only enters through the detector port). A frame with an agent
+    within ``MIN_AGENT_RANGE`` of the camera axis raises InputError
+    naming the frame and the agent; the frames before it are yielded."""
     for i in range(scenario.n_frames):
         t = i / scenario.fps
-        snapshot = FrameSnapshot(
-            index=i, t=t, cam=scenario.cam, agents=agent_states(scenario, t)
-        )
+        agents = agent_states(scenario, t)
+        for state in agents:
+            if state.ground_range <= MIN_AGENT_RANGE:
+                raise InputError(
+                    f"frame {i}: agent {state.agent.id} at range {state.ground_range:.3f} m"
+                    f" is under the camera (within {MIN_AGENT_RANGE} m of its axis)"
+                )
+        snapshot = FrameSnapshot(index=i, t=t, cam=scenario.cam, agents=agents)
         annotated = (
             i >= scenario.annotate_from
             and (i - scenario.annotate_from) % scenario.annotate_every == 0

@@ -62,7 +62,6 @@ per frame beyond the one matrix they return.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -145,13 +144,10 @@ class TrackerConfig:
             check_number("mahalanobis_gate", self.mahalanobis_gate, 0.0)
         check_flag("wrap_correction", self.wrap_correction)
 
+    @cached_property
     def weights(self) -> tuple[np.ndarray, np.ndarray, float]:
         """(mean weights, covariance weights, spread scale sqrt(n+lambda));
         the mean weights sum to 1. Cached; callers must not mutate."""
-        return self._weights
-
-    @cached_property
-    def _weights(self) -> tuple[np.ndarray, np.ndarray, float]:
         n = STATE_DIM
         lam = self.alpha**2 * (n + self.kappa) - n
         wm = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
@@ -174,19 +170,15 @@ class TrackerConfig:
         return self.measurement_noise * np.eye(4)
 
 
-class TrackStatus(str, enum.Enum):
-    TENTATIVE = "tentative"
-    CONFIRMED = "confirmed"
-    LOST = "lost"
-
-
 @dataclass
 class Track:
     """The lifecycle of one track. Its filter state is the row of the
-    tracker's arrays at the track's position in ``PanoTracker.tracks``."""
+    tracker's arrays at the track's position in ``PanoTracker.tracks``.
+    ``status`` is "tentative", "confirmed" or "lost", as the tracks
+    file writes it."""
 
     id: int
-    status: TrackStatus = TrackStatus.TENTATIVE
+    status: str = "tentative"
     hits: int = 1  # consecutive accepted updates (spawn counts as one)
     consecutive_misses: int = 0
     is_target: bool = False
@@ -194,7 +186,7 @@ class Track:
 
 class TrackTable(NamedTuple):
     """The tracks as ``PanoTracker.step`` reports them, lost ones
-    included, one row each in id order: ids, status values and target
+    included, one row each in id order: ids, statuses and target
     flags, and the step-end means and covariances."""
 
     ids: list[int]
@@ -334,7 +326,7 @@ def predict(
     check_number("dt", dt, 0.0, strict=True)
     if not len(means):
         return (means, covs, factors), np.ones(0, dtype=bool)
-    wm, wc, scale = cfg.weights()
+    wm, wc, scale = cfg.weights
     pts = _sigma_points(means, factors, scale)
     pts[:, :, 0] += pts[:, :, 2] * dt
     pts[:, :, 1] += pts[:, :, 3] * dt
@@ -353,7 +345,7 @@ def innovation_stage(
     and their moments. Both measured points of a sigma point share its
     column, which the config's wrap correction unwraps once, before the
     moments are formed; with it off the raw projections are used."""
-    wm, wc, scale = cfg.weights()
+    wm, wc, scale = cfg.weights
     pts = _sigma_points(means, factors, scale)
     col, rho = _column_range(pts[..., 0], pts[..., 1], cam)
     if cfg.wrap_correction:
@@ -648,9 +640,9 @@ class PanoTracker:
         return (-abs(ankle_y - row_at_height(rho, h, self.cam)), column)
 
     def _maintain_target(self) -> None:
-        if any(t.is_target and t.status != TrackStatus.LOST for t in self.tracks):
+        if any(t.is_target and t.status != "lost" for t in self.tracks):
             return
-        candidates = [i for i, t in enumerate(self.tracks) if t.status == TrackStatus.CONFIRMED]
+        candidates = [i for i, t in enumerate(self.tracks) if t.status == "confirmed"]
         if not candidates:
             return
         self.tracks[min(candidates, key=self._prominence)].is_target = True
@@ -661,9 +653,6 @@ class PanoTracker:
         this frame, in id order."""
         cfg = self.config
         tracks = self.tracks
-        # bound once: a member lookup on the enum class costs more than
-        # the comparison it serves, once per track
-        tentative, lost = TrackStatus.TENTATIVE, TrackStatus.LOST
 
         (self.means, self.covs, self.factors), predicted = predict(
             self.means, self.covs, self.factors, dt, cfg
@@ -672,7 +661,7 @@ class PanoTracker:
         every = len(active) == len(tracks)
         if not every:
             for i in (~predicted).nonzero()[0]:
-                tracks[i].status = lost
+                tracks[i].status = "lost"
 
         means = self.means if every else self.means.take(active, axis=0)
         assignment = associate(means, pix[:, 2:], self.cam, cfg.gate_px)
@@ -702,21 +691,21 @@ class PanoTracker:
                 elif updated:
                     track.hits += 1
                     track.consecutive_misses = 0
-                    if track.status is tentative and track.hits >= cfg.confirm_hits:
-                        track.status = TrackStatus.CONFIRMED
+                    if track.status == "tentative" and track.hits >= cfg.confirm_hits:
+                        track.status = "confirmed"
                 else:
-                    track.status = lost
+                    track.status = "lost"
 
         for i in missed:
             track = tracks[i]
             track.hits = 0
             track.consecutive_misses += 1
             if track.consecutive_misses >= cfg.lose_after_misses:
-                track.status = lost
+                track.status = "lost"
 
         # no status changes after this point: the live rows serve spawn
         # suppression and, with the spawned rows, the compaction
-        live = [i for i, t in enumerate(tracks) if t.status is not lost]
+        live = [i for i, t in enumerate(tracks) if t.status != "lost"]
         first_spawn = len(tracks)
         if assignment.unmatched_dets:
             # only an unmatched detection with all four coordinates can spawn
@@ -738,10 +727,9 @@ class PanoTracker:
 
         self._maintain_target()
 
-        # ``_value_`` is the member's ``value``, read without the property
-        statuses = [t.status._value_ for t in tracks]
         table = TrackTable(
-            [t.id for t in tracks], statuses, [t.is_target for t in tracks], self.means, self.covs
+            [t.id for t in tracks], [t.status for t in tracks], [t.is_target for t in tracks],
+            self.means, self.covs,
         )
         # the arrays go on as copies, so the table's are never written
         # again: compacted when a track was lost, else copied

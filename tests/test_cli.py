@@ -1,13 +1,20 @@
 import dataclasses
 import json
+import math
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panotrack.cli import main
 from panotrack.detect import RoiConfig, TilesConfig
+from panotrack.geometry import CameraModel
 from panotrack.io import read_jsonl
+from panotrack.pipeline import STRATEGIES
+from panotrack.sim import MIN_AGENT_RANGE, scenario_from_dict
 from panotrack.tracker import TrackerConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -294,8 +301,9 @@ class TestTrack:
             {"image_width": True},
             {"mount_height": float("inf")},
             {"fov_h": "360"},
+            {"fov_h": 180},
         ],
-        ids=["string_width", "float_height", "bool_width", "inf_mount_height", "string_fov"],
+        ids=["string_width", "float_height", "bool_width", "inf_mount_height", "string_fov", "fov_180"],
     )
     def test_invalid_camera_exits_2(self, tmp_path, camera):
         scenario = short_scenario(tmp_path)
@@ -561,6 +569,8 @@ SCENARIO_EDITS = {
     "nan_radius": ((*TRAJECTORY, "radius"), "NaN"),
     "inf_angular_speed": ((*TRAJECTORY, "angular_speed"), "Infinity"),
     "fractional_annotate_every": (("annotate_every",), "1.5"),
+    # a narrower image would mirror people across the camera
+    "narrow_fov_h": (("cam", "fov_h"), "180"),
 }
 # run-config edits: (strategy, key path, JSON value text)
 RUN_CONFIG_EDITS = {
@@ -821,3 +831,121 @@ class TestEvalBoundary:
         assert run_cli("eval", out, *eval_inputs(tmp_path, **edits), *flags) == 2
         assert message in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+
+def under_camera_scenario(tmp_path, annotate_every=1):
+    """circle_2m, 5 s long, its target walking from (2, 0) to (-2, 0)
+    at 1 m/s: within 0.3 m of the camera axis from frame 52."""
+    d = json.loads((SCENARIOS / "circle_2m.json").read_text())
+    d["duration"] = 5.0
+    d["annotate_every"] = annotate_every
+    d["agents"][0]["trajectory"] = {
+        "type": "waypoints", "points": [[2.0, 0.0], [-2.0, 0.0]], "speed": 1.0,
+    }
+    path = tmp_path / "under.json"
+    path.write_text(json.dumps(d))
+    return path
+
+
+class TestUnderCamera:
+    """An agent within 0.3 m of the camera axis exits 2 at its frame,
+    naming the frame and the agent, whatever the annotation schedule;
+    the frames before it are written."""
+
+    MESSAGE = "error: frame 52: agent 0 at range 0.267 m is under the camera"
+
+    def test_simulate_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("simulate", out, "--scenario", str(under_camera_scenario(tmp_path))) == 2
+        assert self.MESSAGE in capsys.readouterr().err
+        assert len(list(read_jsonl(str(out / "ground_truth.jsonl")))) == 52
+        assert not (out / "scenario.json").exists()
+
+    @pytest.mark.parametrize("annotate_every", [1, 1000], ids=["annotated", "sparse"])
+    def test_track_exits_2(self, tmp_path, capsys, annotate_every):
+        out = tmp_path / "out"
+        scenario = under_camera_scenario(tmp_path, annotate_every)
+        assert run_cli("track", out, "--scenario", str(scenario)) == 2
+        assert self.MESSAGE in capsys.readouterr().err
+        for name in ("tracks.jsonl", "detections.jsonl"):
+            assert [r["frame"] for r in read_jsonl(str(out / name))] == list(range(52))
+
+
+# drawn config values: the default, values of a wrong JSON type, values
+# out of range (for some keys), null
+ODD_VALUES = ("x", [], {}, True, [1, "a"], -1, 0, 1.5, -1e300, math.inf, math.nan, None)
+CONFIG_BLOCKS = {"camera": CameraModel, "tiles": TilesConfig, "roi": RoiConfig, "tracker": TrackerConfig}
+
+
+def config_values(valid):
+    """The valid value half of the time, else an odd one."""
+    return st.just(valid) | st.sampled_from(ODD_VALUES)
+
+
+@st.composite
+def config_blocks(draw, cls):
+    defaults = {
+        f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+        for f in dataclasses.fields(cls)
+    }
+    names = draw(st.lists(st.sampled_from([*defaults, "bogus"]), max_size=2, unique=True))
+    return {name: draw(config_values(defaults.get(name))) for name in names}
+
+
+@st.composite
+def run_configs(draw, scenario):
+    """A run config for ``scenario`` with up to three more top-level
+    keys, each value valid, of a wrong type, out of range or null;
+    ``bogus`` is an unknown key, at the top and in a block."""
+    valid = {
+        "strategy": draw(st.sampled_from(STRATEGIES)), "seed": 0, "out": None,
+        "detections": None, "bogus": None, **dict.fromkeys(CONFIG_BLOCKS, {}),
+    }
+    config = {"scenario": scenario}
+    for key in draw(st.lists(st.sampled_from(sorted(valid)), max_size=3, unique=True)):
+        if key in CONFIG_BLOCKS:
+            config[key] = draw(config_blocks(CONFIG_BLOCKS[key]) | config_values({}))
+        else:
+            config[key] = draw(config_values(valid[key]))
+    return config
+
+
+@st.composite
+def short_scenarios(draw):
+    """circle_2m with 6-10 frames at 10 fps and 1-3 agents, some of
+    them circling or walking within 0.3 m of the camera axis."""
+    d = json.loads((SCENARIOS / "circle_2m.json").read_text())
+    d["fps"] = 10.0
+    d["duration"] = draw(st.integers(6, 10)) / 10.0
+    d["annotate_every"] = draw(st.sampled_from([1, 3, 1000]))
+    d["agents"] = []
+    for i in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            trajectory = {"type": "circle", "radius": draw(st.floats(0.1, 4.0))}
+        else:  # a straight walk past the axis, `offset` m from it at x = 0
+            offset, start = draw(st.floats(0.0, 1.0)), draw(st.floats(-1.0, 0.0))
+            trajectory = {"type": "waypoints", "points": [[start, offset], [start + 1.0, offset]]}
+        d["agents"].append({"id": i, "trajectory": trajectory})
+    return d
+
+
+class TestExitCodes:
+    """The CLI ends every drawn run with 0, 2 or 3 and raises nothing."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(short_scenarios(), st.data())
+    def test_track_and_simulate_exit_0_2_or_3(self, scenario, data):
+        s = scenario_from_dict(scenario)
+        under = any(
+            math.hypot(*agent.trajectory.pose(i / s.fps)) <= MIN_AGENT_RANGE
+            for i in range(s.n_frames)
+            for agent in s.agents
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            path = tmp / "scenario.json"
+            path.write_text(json.dumps(scenario))
+            config = tmp / "config.json"
+            config.write_text(json.dumps(data.draw(run_configs(str(path)))))
+            assert run_cli("simulate", tmp / "sim", "--scenario", str(path)) == (2 if under else 0)
+            assert run_cli("track", tmp / "track", "--config", str(config)) in (0, 2, 3)

@@ -57,6 +57,14 @@ class TestCameraModel:
         with pytest.raises(ConfigError):
             CameraModel(**kwargs)
 
+    @pytest.mark.parametrize("fov_h", [180.0, 359.0, 360.5, 90])
+    def test_fov_h_other_than_360_rejected(self, fov_h):
+        # the column math is cyclic with period W, so the image spans
+        # 360 degrees: at 180, (2, 0) and (-2, 0) would share a column
+        with pytest.raises(ConfigError, match=r"fov_h must be 360 \(a full panorama\), got"):
+            CameraModel(fov_h=fov_h)
+        assert CameraModel(fov_h=360) == CameraModel()
+
     def test_dict_round_trip(self, cam):
         assert CameraModel.from_dict(cam.to_dict()) == cam
 

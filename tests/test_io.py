@@ -17,7 +17,7 @@ from panotrack.io import (
     _decode_json, detections_from_record, detections_record, read_json, read_jsonl, tracks_record,
 )
 from panotrack.pipeline import run_offline
-from panotrack.tracker import TrackStatus, TrackTable
+from panotrack.tracker import TrackTable
 
 CAM = CameraModel()
 W, H = CAM.image_width, CAM.image_height
@@ -607,7 +607,7 @@ def track_tables(draw):
     n = len(means)
     return TrackTable(
         ids=list(range(n)),
-        statuses=[draw(st.sampled_from(list(TrackStatus))).value for _ in range(n)],
+        statuses=[draw(st.sampled_from(["tentative", "confirmed", "lost"])) for _ in range(n)],
         is_target=[draw(st.booleans()) for _ in range(n)],
         means=np.array(means).reshape(-1, 5),
         covs=np.broadcast_to(np.eye(5), (n, 5, 5)),

@@ -45,7 +45,6 @@ def track_record(frame, tracks):
 def matched(frame, gx, gy, ex, ey, tid=1):
     return FrameMatch(
         frame=frame,
-        matched=True,
         gt_pos=WorldPoint(gx, gy, 0.0),
         track_id=tid,
         est_pos=WorldPoint(ex, ey, 1.6),
@@ -53,7 +52,7 @@ def matched(frame, gx, gy, ex, ey, tid=1):
 
 
 def unmatched(frame, gx, gy):
-    return FrameMatch(frame=frame, matched=False, gt_pos=WorldPoint(gx, gy, 0.0))
+    return FrameMatch(frame=frame, gt_pos=WorldPoint(gx, gy, 0.0))
 
 
 class TestMatchFrames:

@@ -567,12 +567,12 @@ def test_roi_crop_centred_on_previous_target_pixel(monkeypatch):
             for t in previous.tracks["tracks"]
             if t["is_target"] and t["status"] != "lost"
         ]
-        expected[out.frame] = [full] + [roi_viewport(p, cam, RoiConfig()) for p in targets]
+        expected[out.tracks["frame"]] = [full] + [roi_viewport(p, cam, RoiConfig()) for p in targets]
     assert calls == expected
     assert sum(len(v) == 2 for v in expected.values()) > len(frames) // 2
     # the frame after the target is lost runs the full frame alone
     lost = [
-        out.frame
+        out.tracks["frame"]
         for out in frames[:-1]
         if any(t["is_target"] and t["status"] == "lost" for t in out.tracks["tracks"])
     ]
@@ -765,8 +765,9 @@ def test_crowd_pair_tests_scale(monkeypatch, occlusion_enabled):
 
 
 class TestUnderCamera:
-    """An agent within MIN_AGENT_RANGE of the camera axis fails every
-    viewport of its frame, and fails the run on an annotated frame."""
+    """An agent within MIN_AGENT_RANGE of the camera axis ends the run
+    at its frame with InputError, whatever the annotation schedule; the
+    frames before it are yielded."""
 
     def scenario(self, **kwargs):
         agents = (
@@ -776,17 +777,19 @@ class TestUnderCamera:
         )
         return Scenario(fps=10.0, duration=0.8, agents=agents, **kwargs)
 
+    MESSAGE = r"frame 4: agent 1 at range 0.200 m is under the camera \(within 0.3 m of its axis\)"
+
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_unannotated_frame_is_partial(self, strategy):
+    def test_unannotated_frame_raises(self, strategy):
         # only frame 0 is annotated
-        frames = [out for out, _ in run_simulated(self.scenario(annotate_every=100), strategy)]
-        assert [out.partial for out in frames] == [False] * 4 + [True] * 4
-        assert all(out.detections["detections"] == [] for out in frames[4:])
-        assert all(out.detections["detections"] for out in frames[:4])
+        frames = run_simulated(self.scenario(annotate_every=100), strategy)
+        assert [out.partial for out, _ in itertools.islice(frames, 4)] == [False] * 4
+        with pytest.raises(InputError, match=self.MESSAGE):
+            next(frames)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_annotated_frame_raises(self, strategy):
         frames = run_simulated(self.scenario(), strategy)
         assert [out.partial for out, _ in itertools.islice(frames, 4)] == [False] * 4
-        with pytest.raises(GeometryError, match="agent 1 at range 0.200 m is under the camera"):
+        with pytest.raises(InputError, match=self.MESSAGE):
             next(frames)

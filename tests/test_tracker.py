@@ -24,7 +24,6 @@ from panotrack.tracker import (
     H_N_RANGE,
     PanoTracker,
     TrackerConfig,
-    TrackStatus,
     associate,
     innovation_stage,
     predict,
@@ -135,7 +134,7 @@ def wrap_distance(p1, p2, image_width):
 
 
 def ref_sigma_points(mean, cov, cfg):
-    wm, wc, scale = cfg.weights()
+    wm, wc, scale = cfg.weights
     offsets = scale * np.linalg.cholesky(cov).T
     return np.vstack([mean, mean + offsets, mean - offsets]), wm, wc
 
@@ -179,7 +178,7 @@ def ref_update(mean, cov, z, cam, cfg):
     """(posterior mean, posterior covariance, squared Mahalanobis
     distance of the innovation)."""
     dim = len(z)
-    wc = cfg.weights()[1]
+    wc = cfg.weights[1]
     pts, z_pts, z_pred = ref_predicted_measurement(mean, cov, cam, cfg, dim)
     dz = z_pts - z_pred
     s = dz.T @ (wc[:, None] * dz) + cfg.measurement_noise * np.eye(dim)
@@ -790,7 +789,7 @@ def direct_neck_moments(means, factors, cam, cfg):
     """The d = 2 (neck) z_pred, S and T of the states, computed on
     their own: sigma points, the neck projection of each, the unwrap of
     their columns and the weighted moments."""
-    wm, wc, scale = cfg.weights()
+    wm, wc, scale = cfg.weights
     offsets = scale * factors.transpose(0, 2, 1)
     center = means[:, None, :]
     pts = np.concatenate([center, center + offsets, center - offsets], axis=1)
@@ -1099,10 +1098,10 @@ def seam_walker_positions(fps, speed=1.0):
 class TestStep:
     def test_spawn_confirm_promote(self, cam):
         history = run_walker(cam, [(2.0, 0.0)] * 5, TrackerConfig())
-        assert history[0].statuses[0] == TrackStatus.TENTATIVE
+        assert history[0].statuses[0] == "tentative"
         assert not history[0].is_target[0]
         confirmed_frame = next(
-            i for i, table in enumerate(history) if table.statuses[0] == TrackStatus.CONFIRMED
+            i for i, table in enumerate(history) if table.statuses[0] == "confirmed"
         )
         assert confirmed_frame == 2  # third consecutive hit
         assert history[confirmed_frame].is_target[0]
@@ -1162,7 +1161,7 @@ class TestStep:
         tracker.step(detection_pixels([agent_detection(2.0, 0.0, cam)], cam.image_width), 1 / 30)
         for _ in range(cfg.lose_after_misses):
             last = tracker.step(detection_pixels([], cam.image_width), 1 / 30)
-        assert last.statuses == [TrackStatus.LOST]
+        assert last.statuses == ["lost"]
         assert tracker.tracks == []
 
     def test_stationary_convergence(self, cam):
@@ -1264,7 +1263,7 @@ class TestStep:
         neckonly = {"neck": full["neck"]}
         for _ in range(10):
             out = tracker.step(detection_pixels([neckonly], cam.image_width), 1 / 30)
-        assert out.statuses == [TrackStatus.CONFIRMED]
+        assert out.statuses == ["confirmed"]
         assert tracker.tracks[0].consecutive_misses == 0
 
     def test_one_stage_and_one_update_call_per_frame(self, cam, monkeypatch):
@@ -1308,7 +1307,7 @@ class TestStep:
 
         table.means[0, 0] += 5.0
         table.covs[0, 0, 0] = 99.0
-        table.statuses[0], table.is_target[0] = TrackStatus.LOST.value, True
+        table.statuses[0], table.is_target[0] = "lost", True
         assert np.array_equal(tracker.means[0], kept[0])
         assert np.array_equal(tracker.covs[0], kept[1])
         assert (live.status, live.is_target) == kept[2:]
@@ -1414,9 +1413,9 @@ class TestRowAlignment:
                 rows = len(table.ids)
                 assert len(table.statuses) == len(table.is_target) == rows
                 assert table.means.shape == (rows, 5) and table.covs.shape == (rows, 5, 5)
-                live = [k for k, status in enumerate(table.statuses) if status != TrackStatus.LOST]
+                live = [k for k, status in enumerate(table.statuses) if status != "lost"]
                 assert [table.ids[k] for k in live] == [t.id for t in tracker.tracks]
-                assert [table.statuses[k] for k in live] == [t.status.value for t in tracker.tracks]
+                assert [table.statuses[k] for k in live] == [t.status for t in tracker.tracks]
                 assert [table.is_target[k] for k in live] == [t.is_target for t in tracker.tracks]
                 assert table.ids == sorted(table.ids)
                 assert np.array_equal(table.means[live], tracker.means)
@@ -1424,7 +1423,7 @@ class TestRowAlignment:
                 if len(forced) > n_forced:
                     mean0, cov0, (means, covs, _), updated = forced[-1]
                     diverged = [k for k in range(rows) if np.array_equal(table.means[k], mean0)]
-                    assert len(diverged) == 1 and table.statuses[diverged[0]] == TrackStatus.LOST
+                    assert len(diverged) == 1 and table.statuses[diverged[0]] == "lost"
                     assert np.array_equal(table.covs[diverged[0]], cov0)
                     for k in np.flatnonzero(updated):
                         assert any(

@@ -6,8 +6,10 @@
 # BASE_SRC and HEAD_SRC are the `src` directories of two checkouts, such
 # as a worktree or a `git archive` of the parent commit and this one.
 # Both sides run `panotrack track` and `panotrack simulate` on the
-# bundled scenarios and on crowds built below from them, and each pair of
-# tracks.jsonl, detections.jsonl, ground_truth.jsonl and scenario.json
+# bundled scenarios and on crowds built below from them, `eval` on each
+# bundled run and `sensitivity` at its defaults, and each pair of
+# tracks.jsonl, detections.jsonl, ground_truth.jsonl, scenario.json,
+# report.json, error_vs_distance.csv, eval summary and sensitivity.csv
 # files is compared. Every differing file is named; the script exits 1
 # if any differs, and with the failing command's status if a run fails.
 # The bundled scenarios are read from the checkout that holds this
@@ -397,6 +399,22 @@ for s in scenarios/circle_2m.json scenarios/seam_walker.json scenarios/range_swe
   done
   compare "$name" ground_truth.jsonl scenario.json
 done
+# each side scores its own bundled runs against its own ground truth
+for s in circle_2m seam_walker range_sweep; do
+  for k in tiles roi fullframe; do
+    for side in base head; do
+      mkdir -p "$work/$side/$s-$k-eval"
+      panotrack_at "$side" eval --gt "$work/$side/sim-$s/ground_truth.jsonl" \
+        --tracks "$work/$side/$s-$k/tracks.jsonl" --out "$work/$side/$s-$k-eval" \
+        > "$work/$side/$s-$k-eval/summary.txt"
+    done
+    compare "$s-$k-eval" report.json error_vs_distance.csv summary.txt
+  done
+done
+for side in base head; do
+  panotrack_at "$side" sensitivity --out "$work/$side/sensitivity"
+done
+compare sensitivity sensitivity.csv
 
 echo "$compared files compared, $differing differ"
 [ "$differing" -eq 0 ]
