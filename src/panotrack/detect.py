@@ -341,7 +341,9 @@ def fuse_duplicates(
     transitively (union-find) and each group keeps its most complete
     detection: most present joints, ties broken by higher mean
     confidence, then by (viewport index, anchor column) for
-    determinism. Output is ordered by (viewport index, anchor column).
+    determinism. A detection that no other one merges with is a group
+    of one and survives as itself, without being ranked. Output is
+    ordered by (viewport index, anchor column).
 
     Only pairs from neighbouring viewports are visited, and a box meets
     only the other viewport's boxes that ``cyclic_neighbours`` returns
@@ -396,7 +398,7 @@ def fuse_duplicates(
         confidence = sum(v[2] for v in joints.values()) / len(joints)
         return (len(joints), confidence, -vp_idx, -reference_x(joints))
 
-    survivors = [max(g, key=quality) for g in groups.values()]
+    survivors = [g[0] if len(g) == 1 else max(g, key=quality) for g in groups.values()]
     survivors.sort(key=lambda i: (items[i][1], reference_x(items[i][0])))
     return [items[i][0] for i in survivors]
 
@@ -405,13 +407,11 @@ def dereference(joints: dict, viewport: Viewport, cam: CameraModel) -> dict:
     """Convert a port detection's viewport-local joint coordinates (at
     the processed scale) to full-image coordinates, and check it there
     with ``check_detection``."""
+    origin_x, origin_y, scale = viewport.origin_x, viewport.origin_y, viewport.scale
+    width = cam.image_width
     return check_detection(
         {
-            name: [
-                (viewport.origin_x + v[0] / viewport.scale) % cam.image_width,
-                viewport.origin_y + v[1] / viewport.scale,
-                *v[2:],
-            ]
+            name: [(origin_x + v[0] / scale) % width, origin_y + v[1] / scale, *v[2:]]
             for name, v in joints.items()
         },
         cam.image_height,

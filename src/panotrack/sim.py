@@ -14,7 +14,10 @@ pixel noise. A frame is projected once: each agent's skeleton, body
 height and occlusion are computed on the frame snapshot the first time
 they are needed, and every viewport and the ground truth read them from
 there. A skeleton is a dict of ``(column, row)`` float pairs in joint
-name order, which both read as stored, with no sort.
+name order, which both read as stored, with no sort. An in-process
+ground-truth record holds a copy of that dict, whose values are the
+skeleton's own immutable tuples; JSON writes a tuple as a list, so the
+ground-truth file is the ``{name: [x, y]}`` it always was.
 
 Randomness is drawn from a substream keyed by (seed, frame index,
 viewport), so a viewport's detections do not depend on which other
@@ -424,7 +427,9 @@ def agent_states(scenario: Scenario, t: float) -> tuple[AgentState, ...]:
 
 def ground_truth_record(scenario: Scenario, snapshot: FrameSnapshot) -> dict:
     """One ground-truth JSONL record: camera-frame agent positions and
-    noise-free joints; agent 0 in declaration order is the target."""
+    noise-free joints; agent 0 in declaration order is the target. Each
+    agent's ``joints`` is a new dict of the skeleton's ``(column, row)``
+    tuples, so writing to it leaves the snapshot as it was."""
     target_id = scenario.agents[0].id
     agents = []
     for state, sk in zip(snapshot.agents, snapshot.skeletons):
@@ -433,7 +438,7 @@ def ground_truth_record(scenario: Scenario, snapshot: FrameSnapshot) -> dict:
                 "id": state.agent.id,
                 "x": state.x,
                 "y": state.y,
-                "joints": {name: [x, y] for name, (x, y) in sk.items()},
+                "joints": dict(sk),
                 "is_target": state.agent.id == target_id,
             }
         )
@@ -446,12 +451,19 @@ def run_scenario(scenario: Scenario) -> Iterator[tuple[FrameSnapshot, Optional[d
     The ground-truth record is None on frames outside the scenario's
     annotation schedule. Deterministic given the scenario (randomness
     only enters through the detector port). A frame with an agent
-    within ``MIN_AGENT_RANGE`` of the camera axis raises InputError
-    naming the frame and the agent; the frames before it are yielded."""
+    whose camera-frame position is not finite (a trajectory that
+    overflows), or that is within ``MIN_AGENT_RANGE`` of the camera
+    axis, raises InputError naming the frame and the agent; the frames
+    before it are yielded."""
     for i in range(scenario.n_frames):
         t = i / scenario.fps
         agents = agent_states(scenario, t)
         for state in agents:
+            if not (math.isfinite(state.x) and math.isfinite(state.y)):
+                raise InputError(
+                    f"frame {i}: agent {state.agent.id} position ({state.x!r}, {state.y!r})"
+                    " is not finite"
+                )
             if state.ground_range <= MIN_AGENT_RANGE:
                 raise InputError(
                     f"frame {i}: agent {state.agent.id} at range {state.ground_range:.3f} m"

@@ -23,9 +23,13 @@ ankle midpoint and neck, d = 2 for the neck alone (a row whose ankle
 entries are NaN), so its seam columns are the even entries. The stage
 is formed for d = 4; a neck-only row reads its neck slices, which are
 the d = 2 moments exactly, since the measurement noise is diagonal.
-On a frame with matches, ``step`` computes one stage and makes one
-``update`` call; when every row is predicted and matched, in order, it
-passes its own arrays and the whole stage, with no gather or scatter.
+On a frame with detections, ``step`` forms one stage right after
+``predict``, the step's one projection of the predicted state:
+association reads the stage's neck pixels of the centre sigma points,
+which are the predicted means, and the one ``update`` call reads its
+moments. When every row is predicted and matched, in order,
+``step`` passes its own arrays and the whole stage, with no gather or
+scatter.
 ``predict`` and ``update`` return the rows to keep and
 a mask of the rows they changed; a row whose posterior is non-finite,
 or whose covariance no jitter repairs, comes back as it went in and its
@@ -50,14 +54,16 @@ short way around the seam.
 ``PanoTracker.step`` takes a frame's detections as one (m, 4) array
 of ankle-midpoint and neck pixels, NaN where a joint is absent.
 Association, the measurements, spawn suppression and spawning all
-read that array. Association is global nearest neighbour on the neck
-pixels (``associate``); spawn suppression measures the unmatched
-detections that could spawn, those with all four coordinates, against
-the live tracks' necks with the same gated, wrap-aware distance, with
-its own radius as the limit. From about 10^4 pairs both score only the
-pairs inside the limit's column window (``_gated_distances``), with
-the values of the dense evaluation, and build no n x m temporaries
-per frame beyond the one matrix they return.
+read that array. Association is global nearest neighbour in pixel
+space, between the stage's predicted necks and the detections' necks
+(``associate``); spawn suppression measures the unmatched detections
+that could spawn, those with all four coordinates, against the live
+tracks' necks after the update with the same gated, wrap-aware
+distance, with its own radius as the limit. From about 10^4 pairs
+both score only the pairs inside the limit's column window
+(``_gated_distances``), with the values of the dense evaluation, and
+build no n x m temporaries per frame beyond the one matrix they
+return.
 """
 
 from __future__ import annotations
@@ -270,11 +276,16 @@ class Innovation(NamedTuple):
     measurement noise included, and the state-measurement
     cross-covariance ``t_cov`` (n, 5, 4). R is diagonal and the neck is
     entries 2-3, so the neck-only (d = 2) moments are the slices
-    ``z_pred[:, 2:]``, ``s_cov[:, 2:, 2:]`` and ``t_cov[:, :, 2:]``."""
+    ``z_pred[:, 2:]``, ``s_cov[:, 2:, 2:]`` and ``t_cov[:, :, 2:]``.
+    ``necks`` (n, 2) holds the neck pixels of the centre sigma points,
+    which are the states themselves: the raw column, before any
+    unwrapping, and the neck row, bit for bit ``_neck_pixels`` of the
+    states."""
 
     z_pred: np.ndarray
     s_cov: np.ndarray
     t_cov: np.ndarray
+    necks: np.ndarray
 
     def take(self, rows: np.ndarray) -> "Innovation":
         """The stage of the given rows."""
@@ -344,21 +355,26 @@ def innovation_stage(
     measurement model: the sigma points' ankle-midpoint and neck pixels
     and their moments. Both measured points of a sigma point share its
     column, which the config's wrap correction unwraps once, before the
-    moments are formed; with it off the raw projections are used."""
+    moments are formed; with it off the raw projections are used. The
+    centre sigma points' raw neck pixels come with the moments, for
+    association."""
     wm, wc, scale = cfg.weights
     pts = _sigma_points(means, factors, scale)
     col, rho = _column_range(pts[..., 0], pts[..., 1], cam)
+    necks = np.empty((len(means), 2))
+    necks[:, 0] = col[:, 0]  # before unwrap_columns shifts it
     if cfg.wrap_correction:
         col = unwrap_columns(col, cam.image_width)
     z_pts = np.empty((*col.shape, 4))  # filled in place: np.stack costs more
     z_pts[..., 0] = z_pts[..., 2] = col
     z_pts[..., 1] = _row_at_height(rho, cam.ankle_height, cam)
     z_pts[..., 3] = _row_at_height(rho, pts[..., 4], cam)
+    necks[:, 1] = z_pts[:, 0, 3]
     z_pred = np.einsum("w,nwd->nd", wm, z_pts)
     dz = z_pts - z_pred[:, None, :]
     s_cov = np.einsum("w,nwi,nwj->nij", wc, dz, dz) + cfg._measurement_cov
     t_cov = np.einsum("w,nwi,nwj->nij", wc, pts - means[:, None, :], dz)
-    return Innovation(z_pred, s_cov, t_cov)
+    return Innovation(z_pred, s_cov, t_cov, necks)
 
 
 def _correct(
@@ -408,7 +424,9 @@ def update(
     """
     full = ~np.isnan(z_obs[:, 0])
     if full.all():  # the whole stage: nothing to gather or scatter
-        new_means, new_covs, accepted = _correct(means, covs, z_obs, *stage, cam.image_width, cfg)
+        new_means, new_covs, accepted = _correct(
+            means, covs, z_obs, stage.z_pred, stage.s_cov, stage.t_cov, cam.image_width, cfg
+        )
     else:
         new_means, new_covs = np.empty_like(means), np.empty_like(covs)
         accepted = np.empty(len(means), dtype=bool)
@@ -535,11 +553,11 @@ def _gated_distances(
 
 
 def associate(
-    means: np.ndarray, det_necks: np.ndarray, cam: CameraModel, gate: float
+    track_necks: np.ndarray, det_necks: np.ndarray, image_width: float, gate: float
 ) -> Assignment:
-    """Global nearest neighbour between the predicted neck positions of
-    (n, 5) track states and the (m, 2) detection neck pixels under the
-    wrap-aware image distance.
+    """Global nearest neighbour between the (n, 2) predicted neck
+    pixels of the tracks (the innovation stage's ``necks``) and the
+    (m, 2) detection neck pixels under the wrap-aware image distance.
 
     Finds the one-to-one assignment that first maximizes the number of
     pairs within the gate and then minimizes their total distance
@@ -554,12 +572,12 @@ def associate(
     cost matrix is the dense evaluation's, bit for bit, so the
     assignment is too.
     """
-    n, m = len(means), len(det_necks)
+    n, m = len(track_necks), len(det_necks)
     if n == 0 or m == 0:
         none = np.empty(0, dtype=int)
         return Assignment(none, none, list(range(n)), list(range(m)))
 
-    cost = _gated_distances(_neck_pixels(means, cam), det_necks, cam.image_width, gate, _FORBIDDEN)
+    cost = _gated_distances(track_necks, det_necks, image_width, gate, _FORBIDDEN)
 
     rows, cols = linear_sum_assignment(cost)  # rows ascending
     within = cost[rows, cols] < _FORBIDDEN
@@ -663,8 +681,18 @@ class PanoTracker:
             for i in (~predicted).nonzero()[0]:
                 tracks[i].status = "lost"
 
-        means = self.means if every else self.means.take(active, axis=0)
-        assignment = associate(means, pix[:, 2:], self.cam, cfg.gate_px)
+        # the step's one projection of the predicted states: association
+        # reads its necks, the update its moments
+        if len(pix):
+            stage = innovation_stage(
+                self.means if every else self.means.take(active, axis=0),
+                self.factors if every else self.factors.take(active, axis=0),
+                self.cam, cfg,
+            )
+            track_necks = stage.necks
+        else:  # nothing can match: association reads only the row count
+            track_necks = np.empty((len(active), 2))
+        assignment = associate(track_necks, pix[:, 2:], self.cam.image_width, cfg.gate_px)
 
         missed = active[assignment.unmatched_tracks].tolist()
         # matched detections always carry a neck (association anchors on
@@ -672,8 +700,6 @@ class PanoTracker:
         # the ankles are absent; one update over the stage's matched rows
         matched = active[assignment.tracks]
         if len(matched):
-            factors = self.factors if every else self.factors.take(active, axis=0)
-            stage = innovation_stage(means, factors, self.cam, cfg)
             z_obs = pix[assignment.dets]
             if len(matched) == len(tracks):  # every row, in order: no gather or scatter
                 (self.means, self.covs, self.factors), accepted, stored = update(

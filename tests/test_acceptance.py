@@ -51,7 +51,7 @@ from panotrack.sim import (
     load_scenario,
     project_agent,
 )
-from panotrack.tracker import PanoTracker, TrackerConfig, associate
+from panotrack.tracker import PanoTracker, TrackerConfig, _neck_pixels, associate
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 CAM = CameraModel()
@@ -231,7 +231,7 @@ def test_criterion_4_gnn_optimality():
             dets.append(project_agent(state, CAM))
 
         necks = detection_pixels(dets, CAM.image_width)[:, 2:]
-        res = associate(means, necks, CAM, gate)
+        res = associate(_neck_pixels(means, CAM), necks, CAM.image_width, gate)
         pairs = list(zip(res.tracks.tolist(), res.dets.tolist()))
         cost = np.zeros((n, m))
         for i, mean in enumerate(means):

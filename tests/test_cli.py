@@ -871,6 +871,48 @@ class TestUnderCamera:
             assert [r["frame"] for r in read_jsonl(str(out / name))] == list(range(52))
 
 
+OVERFLOWING_TRAJECTORIES = {
+    "circle": {"type": "circle", "center": [1e308, 0.0], "radius": 1e308},
+    "waypoints": {"type": "waypoints", "points": [[-1e308, 0.0], [1e308, 0.0]]},
+}
+
+
+class TestOverflowingPosition:
+    """An agent whose position overflows exits 2 at its frame, naming
+    the frame and the agent, before a non-finite position or joint is
+    written: circle_2m cut to 0.2 s, its target on a circle of radius
+    1e308 centred at (1e308, 0) (x = inf), or walking from (-1e308, 0)
+    to (1e308, 0) (x = NaN)."""
+
+    @staticmethod
+    def scenario(tmp_path, kind):
+        d = json.loads((SCENARIOS / "circle_2m.json").read_text())
+        d["duration"] = 0.2
+        d["agents"][0]["trajectory"] = OVERFLOWING_TRAJECTORIES[kind]
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(d))
+        return path
+
+    MESSAGE = {
+        "circle": "error: frame 0: agent 0 position (inf, 0.0) is not finite",
+        "waypoints": "error: frame 0: agent 0 position (nan, 0.0) is not finite",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(OVERFLOWING_TRAJECTORIES))
+    def test_simulate_exits_2(self, tmp_path, capsys, kind):
+        out = tmp_path / "out"
+        assert run_cli("simulate", out, "--scenario", str(self.scenario(tmp_path, kind))) == 2
+        assert self.MESSAGE[kind] in capsys.readouterr().err
+        assert list(read_jsonl(str(out / "ground_truth.jsonl"))) == []
+
+    @pytest.mark.parametrize("kind", sorted(OVERFLOWING_TRAJECTORIES))
+    def test_track_exits_2(self, tmp_path, capsys, kind):
+        out = tmp_path / "out"
+        assert run_cli("track", out, "--scenario", str(self.scenario(tmp_path, kind))) == 2
+        assert self.MESSAGE[kind] in capsys.readouterr().err
+        assert list(read_jsonl(str(out / "tracks.jsonl"))) == []
+
+
 # drawn config values: the default, values of a wrong JSON type, values
 # out of range (for some keys), null
 ODD_VALUES = ("x", [], {}, True, [1, "a"], -1, 0, 1.5, -1e300, math.inf, math.nan, None)

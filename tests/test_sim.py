@@ -390,7 +390,29 @@ class TestRunScenario:
             for agent, state in zip(gt["agents"], snap.agents):
                 joints = agent["joints"]
                 assert list(joints) == sorted(JOINT_NAMES)
-                assert joints == {k: list(v) for k, v in project_agent(state, s.cam).items()}
+                assert joints == project_agent(state, s.cam)
+
+    def test_ground_truth_json_is_the_list_form(self):
+        s = self.make_scenario(agents=crowd_scenario().agents, duration=0.2)
+        for _, gt in run_scenario(s):
+            lists = {
+                **gt,
+                "agents": [
+                    {**a, "joints": {k: [x, y] for k, (x, y) in a["joints"].items()}}
+                    for a in gt["agents"]
+                ],
+            }
+            assert json.dumps(gt) == json.dumps(lists)
+
+    def test_ground_truth_joints_leave_the_snapshot_as_it_was(self):
+        s = self.make_scenario(agents=crowd_scenario().agents, duration=0.1)
+        for snap, gt in run_scenario(s):
+            kept = [dict(sk) for sk in snap.skeletons]
+            for agent in gt["agents"]:
+                agent["joints"]["neck"] = (0.0, 0.0)
+                del agent["joints"]["left_ankle"]
+                agent["joints"]["extra"] = (1.0, 1.0)
+            assert list(snap.skeletons) == kept
 
     def test_camera_trajectory_offsets(self):
         s = self.make_scenario(
@@ -793,3 +815,20 @@ class TestUnderCamera:
         assert [out.partial for out, _ in itertools.islice(frames, 4)] == [False] * 4
         with pytest.raises(InputError, match=self.MESSAGE):
             next(frames)
+
+
+def test_overflowing_position_raises_at_its_frame():
+    """A position that overflows ends the run at its frame with
+    InputError; the frames before it are yielded. The circle starts at
+    (1e308, 1e308) and turns clockwise by 1 degree a frame, so that
+    x = 1e308 (1 + cos(90 - i degrees)) passes the largest float at
+    frame 53."""
+    circle = CircleTrajectory(
+        radius=1e308, center=(1e308, 0.0), angular_speed=-30.0, start_angle=90.0
+    )
+    s = Scenario(fps=30.0, duration=2.0, agents=(Agent(id=3, trajectory=circle),))
+    frames = run_scenario(s)
+    assert [snap.index for snap, _ in itertools.islice(frames, 53)] == list(range(53))
+    message = r"^frame 53: agent 3 position \(inf, [0-9.e+]+\) is not finite$"
+    with pytest.raises(InputError, match=message):
+        next(frames)

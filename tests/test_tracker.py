@@ -22,6 +22,7 @@ from panotrack.geometry import (
 from panotrack.sim import Agent, AgentState, Body, WaypointTrajectory, project_agent
 from panotrack.tracker import (
     H_N_RANGE,
+    MAX_INITIAL_VARIANCE,
     PanoTracker,
     TrackerConfig,
     associate,
@@ -113,6 +114,12 @@ def pixel_row(det, cam):
 def necks(dets, cam):
     """The (m, 2) neck pixels that step passes to associate."""
     return detection_pixels(dets, cam.image_width)[:, 2:]
+
+
+def track_necks(rows, cam):
+    """The (n, 2) predicted neck pixels of the rows, which step reads
+    from the innovation stage and passes to associate."""
+    return _neck_pixels(stacked(rows)[0], cam)
 
 
 def update_one(track, z, cam, cfg):
@@ -595,14 +602,14 @@ class TestAssociate:
     def test_single_pair_within_gate(self, cam):
         tr = make_track(2.0, 0.0)
         det = agent_detection(2.02, 0.0, cam)
-        res = associate(stacked([tr])[0], necks([det], cam), cam, gate=150.0)
+        res = associate(track_necks([tr], cam), necks([det], cam), cam.image_width, gate=150.0)
         assert pairs(res) == [(0, 0)]
         assert res.unmatched_tracks == [] and res.unmatched_dets == []
 
     def test_out_of_gate_unmatched(self, cam):
         tr = make_track(2.0, 0.0)
         det = agent_detection(-2.0, 0.0, cam)  # opposite side of the camera
-        res = associate(stacked([tr])[0], necks([det], cam), cam, gate=150.0)
+        res = associate(track_necks([tr], cam), necks([det], cam), cam.image_width, gate=150.0)
         assert pairs(res) == []
         assert res.unmatched_tracks == [0] and res.unmatched_dets == [0]
 
@@ -610,7 +617,7 @@ class TestAssociate:
         x, y = world_at_column(1915.0, 2.0, cam)
         tr = make_track(x, y, h_n=NECK_Z)
         det = agent_detection(*world_at_column(5.0, 2.0, cam), cam)
-        res = associate(stacked([tr])[0], necks([det], cam), cam, gate=150.0)
+        res = associate(track_necks([tr], cam), necks([det], cam), cam.image_width, gate=150.0)
         assert pairs(res) == [(0, 0)]
         pred = world_to_image(tr.world_position, cam)
         assert wrap_distance(pred, det["neck"], cam.image_width) == pytest.approx(
@@ -620,7 +627,7 @@ class TestAssociate:
     def test_neckless_detection_never_matches(self, cam):
         tr = make_track(2.0, 0.0)
         det = {"left_ankle": (960, 700), "right_ankle": (965, 700)}
-        res = associate(stacked([tr])[0], necks([det], cam), cam, gate=150.0)
+        res = associate(track_necks([tr], cam), necks([det], cam), cam.image_width, gate=150.0)
         assert pairs(res) == []
         assert res.unmatched_dets == [0]
 
@@ -629,7 +636,7 @@ class TestAssociate:
         t2 = make_track(2.0, -0.1)
         d1 = agent_detection(2.0, -0.12, cam)
         d2 = agent_detection(2.0, 0.12, cam)
-        res = associate(stacked([t1, t2])[0], necks([d1, d2], cam), cam, gate=150.0)
+        res = associate(track_necks([t1, t2], cam), necks([d1, d2], cam), cam.image_width, gate=150.0)
         assert sorted(pairs(res)) == [(0, 1), (1, 0)]
 
     def test_matches_brute_force_on_random_instances(self, cam):
@@ -678,13 +685,13 @@ class TestAssociate:
 
     def test_no_tracks(self, cam):
         dets = [agent_detection(2.0, 0.0, cam), agent_detection(-2.0, 0.0, cam)]
-        res = associate(stacked([])[0], necks(dets, cam), cam, gate=150.0)
+        res = associate(track_necks([], cam), necks(dets, cam), cam.image_width, gate=150.0)
         assert pairs(res) == [] and res.unmatched_tracks == []
         assert res.unmatched_dets == [0, 1]
 
     def test_no_detections(self, cam):
         tracks = [make_track(2.0, 0.0), make_track(-2.0, 0.0)]
-        res = associate(stacked(tracks)[0], necks([], cam), cam, gate=150.0)
+        res = associate(track_necks(tracks, cam), necks([], cam), cam.image_width, gate=150.0)
         assert pairs(res) == [] and res.unmatched_dets == []
         assert res.unmatched_tracks == [0, 1]
 
@@ -694,7 +701,7 @@ class TestAssociate:
             {"left_ankle": (960, 700), "right_ankle": (965, 700)},
             {"left_hip": (0, 600), "right_hip": (1915, 600)},
         ]
-        res = associate(stacked(tracks)[0], necks(dets, cam), cam, gate=150.0)
+        res = associate(track_necks(tracks, cam), necks(dets, cam), cam.image_width, gate=150.0)
         assert pairs(res) == []
         assert res.unmatched_tracks == [0, 1] and res.unmatched_dets == [0, 1]
 
@@ -721,7 +728,7 @@ class TestAssociate:
             return _wrap_distances(*args)
 
         monkeypatch.setattr(panotrack.tracker, "_wrap_distances", counted)
-        res = associate(means, det_necks, cam, gate=150.0)
+        res = associate(_neck_pixels(means, cam), det_necks, cam.image_width, gate=150.0)
         assert calls == []
         assert pairs(res) == list(zip(rows[within].tolist(), cols[within].tolist()))
         assert res.unmatched_tracks == sorted(set(range(200)) - set(rows[within].tolist()))
@@ -785,6 +792,33 @@ def predicted_states(draw):
     return np.array(means), np.array(factors), cfg, np.array(subset)
 
 
+@st.composite
+def seam_states(draw):
+    """(means, factors, cfg): 1-30 states at ground ranges of 0.31-50 m
+    and neck heights in H_N_RANGE, about half of them across the seam
+    (x < 0, |y| < 1e-6, some with y = +0.0 or -0.0, so that their
+    columns fall just either side of it), and the Cholesky factors of
+    diagonal covariances whose variances run from 1e-6 to
+    MAX_INITIAL_VARIANCE, wide enough that unwrap_columns shifts the
+    sigma columns of many seam states, the centre one included; a
+    config with the wrap correction on or off."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = rng.uniform(0.31, 50.0, n)
+    theta = rng.uniform(-math.pi, math.pi, n)
+    x, y = rho * np.cos(theta), rho * np.sin(theta)
+    seam = rng.random(n) < 0.5
+    x[seam] = -rho[seam]
+    y_seam = rng.uniform(-1e-6, 1e-6, seam.sum())
+    signed_zero = rng.random(len(y_seam)) < 0.2
+    y_seam[signed_zero] = np.copysign(0.0, y_seam[signed_zero])
+    y[seam] = y_seam
+    means = np.column_stack([x, y, rng.uniform(-3.0, 3.0, (n, 2)), rng.uniform(*H_N_RANGE, n)])
+    variances = 10.0 ** rng.uniform(-6.0, math.log10(MAX_INITIAL_VARIANCE), (n, 5))
+    factors = np.sqrt(variances)[:, :, None] * np.eye(5)
+    return means, factors, TrackerConfig(wrap_correction=draw(st.booleans()))
+
+
 def direct_neck_moments(means, factors, cam, cfg):
     """The d = 2 (neck) z_pred, S and T of the states, computed on
     their own: sigma points, the neck projection of each, the unwrap of
@@ -830,6 +864,17 @@ class TestInnovationStage:
         alone = innovation_stage(means[subset], factors[subset], cam, cfg)
         for got, ref in zip(stage.take(subset), alone):
             assert np.array_equal(got, ref)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seam_states())
+    def test_centre_necks_are_the_neck_pixels_bit_for_bit(self, case):
+        """The stage's necks, which association reads, are the raw
+        centre projections: ``_neck_pixels`` of the states to the bit,
+        never a column unwrap_columns shifted."""
+        means, factors, cfg = case
+        cam = CameraModel()
+        necks = innovation_stage(means, factors, cam, cfg).necks
+        assert np.array_equal(necks.view(np.uint64), _neck_pixels(means, cam).view(np.uint64))
 
     def test_sigma_columns_at_the_seam_are_unwrapped_once(self, cam):
         x, y = world_at_column(1918.0, 2.0, cam)
@@ -1015,7 +1060,7 @@ def assert_matches_brute_force(tracks, dets, cam, gate):
     the scalar projection and scalar wrap distance; neckless detections
     cost infinity."""
     n, m = len(tracks), len(dets)
-    res = associate(stacked(tracks)[0], necks(dets, cam), cam, gate)
+    res = associate(track_necks(tracks, cam), necks(dets, cam), cam.image_width, gate)
     cost = np.full((n, m), math.inf)
     for i, tr in enumerate(tracks):
         pred = world_to_image(tr.world_position, cam)

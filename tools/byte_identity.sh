@@ -254,9 +254,11 @@ for side in base head; do
 done
 same crowd200-offline
 # the same detections re-tracked with a tight and a loose gate: at
-# 40 px each track's column window holds a few detections; at
-# 1000 px, past half the panorama, association scores every pair
-for gate in 40.0 1000.0; do
+# 1 px almost no detection matches, so most frames form the
+# innovation stage and update nothing; at 40 px each track's column
+# window holds a few detections; at 1000 px, past half the panorama,
+# association scores every pair
+for gate in 1.0 40.0 1000.0; do
   offline_config "$work/head/crowd200-live/detections.jsonl" "$work/crowd200.json" \
     "{\"tracker\": {\"gate_px\": $gate}}" > "$work/crowd200-gate-$gate.json"
   for side in base head; do
